@@ -345,34 +345,30 @@ def main(argv=None) -> int:
 
 
 def _analyze(args) -> int:
-    rows = {}
-    text = Path(args.trajectory).read_text().strip().splitlines()
-    header = text[0].split(",")
-    if header != ["step", "time", "agent", "dim", "value"]:
-        raise CliError("config", f"unexpected trajectory header {header}")
-    stamps = {}
-    for line in text[1:]:
-        step, t, agent, dim, value = line.split(",")
-        rows.setdefault(int(step), {})[(int(agent), int(dim))] = float(value)
-        stamps[int(step)] = float(t)
-    steps = sorted(rows)
-    n = 1 + max(a for a, _ in rows[steps[0]])
-    m = 1 + max(d for _, d in rows[steps[0]])
-    arr = np.array(
-        [[[rows[k][(a, d)] for d in range(m)] for a in range(n)] for k in steps]
-    )
-    from .state import Trajectory
-
-    traj = Trajectory(arr, np.array([stamps[k] for k in steps]))
-    label = analysis.classify(traj, tol=args.tol, gap_tol=args.gap_tol)
-    profile = analysis.clusters(traj.final, args.gap_tol)
+    try:
+        traj = io.load_trajectory(args.trajectory)
+    except OSError as exc:
+        raise CliError("load", f"cannot read the trajectory: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(
+            "validate", str(exc), "give a trajectory CSV as 'opiniondyn simulate' writes it"
+        ) from exc
+    try:
+        label = analysis.classify(traj, tol=args.tol, gap_tol=args.gap_tol)
+        profile = analysis.clusters(traj.final, args.gap_tol)
+    except ValueError as exc:
+        raise CliError("validate", str(exc)) from exc
     payload = {
         "classification": {"kind": label.kind, "count": label.count},
         "clusters": [list(mbrs) for mbrs in profile.members],
         "min_separation": profile.min_separation if profile.count > 1 else None,
     }
-    io.atomic_write_text(Path(args.out) / "analysis.json", json.dumps(payload, indent=2) + "\n")
-    print(Path(args.out) / "analysis.json")
+    path = Path(args.out) / "analysis.json"
+    try:
+        io.atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        raise CliError("write", str(exc)) from exc
+    print(path)
     return 0
 
 

@@ -293,6 +293,11 @@ def _apply_dw(x, i, j, d_i, d_j, mu, symmetric):
     return moved_i or moved_j
 
 
+def _require_pair(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"pair dynamics needs at least two agents, got {n}")
+
+
 def gossip_step(x: OpinionState, model, rng, u=None):
     """One randomized interaction; returns (new state, event record).
 
@@ -326,6 +331,7 @@ def gossip_step(x: OpinionState, model, rng, u=None):
         _apply_fj(vals, i, j, model.gamma1[i, j], model.gamma2[i, j], prejudice[i])
         event = (i, j, True)
     elif isinstance(model, (DeffuantWeisbuch, DWHeterogeneous)):
+        _require_pair(n)
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
         if j >= i:
@@ -374,6 +380,8 @@ def simulate_gossip(
         raise TypeError(f"unknown gossip model {type(model).__name__}")
     if (is_degroot or is_pair or is_fj or is_dwh) and model.n != n:
         raise ValueError("model size must match the state")
+    if is_dw or is_dwh:
+        _require_pair(n)
 
     if is_degroot or is_pair:
         cum_rows = _pair_cdf_rows(model.p)
@@ -489,6 +497,7 @@ def dw_run_exact(
         raise ValueError("steps must be >= 1")
     rng = make_rng(seed)
     n = x0.n
+    _require_pair(n)
     if thin is None:
         thin = steps
     nums = []

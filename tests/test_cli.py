@@ -220,6 +220,75 @@ class TestMainEntry:
         payload = json.loads((tmp_path / "analysis.json").read_text())
         assert payload["classification"]["kind"] == "consensus"
 
+    HEADER = "step,time,agent,dim,value"
+    GOOD_ROWS = ["0,0,0,0,0.5", "0,0,1,0,1.5", "1,1,0,0,0.75", "1,1,1,0,1.25"]
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            pytest.param([], "empty trajectory file", id="empty"),
+            pytest.param(
+                ["step,t,agent,dim,value", *GOOD_ROWS], "unexpected trajectory header", id="header"
+            ),
+            pytest.param([HEADER], "header but no rows", id="no-rows"),
+            pytest.param([HEADER, "0,0,0,0.5"], "line 2 does not hold the five", id="fields"),
+            pytest.param(
+                [HEADER, "0,0,0,0,0.5", "0,0,1,0,abc"],
+                "line 3: value 'abc' does not parse as float",
+                id="non-numeric",
+            ),
+            pytest.param(
+                [HEADER, *GOOD_ROWS[:2], GOOD_ROWS[3]],
+                "missing row for step 1, agent 0, dim 0",
+                id="missing-row",
+            ),
+            pytest.param(
+                [HEADER, *GOOD_ROWS, GOOD_ROWS[1]],
+                "duplicate row for step 0, agent 1, dim 0",
+                id="duplicate-row",
+            ),
+            pytest.param(
+                [HEADER, "0,0,0,0,0", "1,1,1,0,1", "2,2,0,0,2", "2,2,1,0,2"],
+                "missing row for step 0, agent 1, dim 0",
+                id="steps-each-short",
+            ),
+            pytest.param(
+                [HEADER, *GOOD_ROWS, "0,0,-1,0,0.5"],
+                "line 6: agent -1 is out of range",
+                id="agent-range",
+            ),
+            pytest.param(
+                [HEADER, *GOOD_ROWS[:3], "1,2,1,0,1.25"],
+                "the rows of step 1 disagree on its time",
+                id="step-times",
+            ),
+            pytest.param(
+                [HEADER, *GOOD_ROWS[:2], "1,0,0,0,0.75", "1,0,1,0,1.25"],
+                "stamps must be strictly increasing",
+                id="stamp-order",
+            ),
+        ],
+    )
+    def test_analyze_rejects_malformed_trajectory(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        argv = ["analyze", "--trajectory", str(path), "--gap-tol", "0.1", "--out", str(tmp_path)]
+        code = main(argv)
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert message in payload["message"]
+        assert not (tmp_path / "analysis.json").exists()
+
+    def test_analyze_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        argv = ["analyze", "--trajectory", str(path), "--gap-tol", "0.1", "--out", str(tmp_path)]
+        code = main(argv)
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "load"
+        assert "absent.csv" in payload["message"]
+
 
 class TestMoreRunModels:
     def test_balance_model_writes_report(self, tmp_path):

@@ -73,6 +73,24 @@ class TestGossipStep:
         assert not event[2]
         assert np.array_equal(out.values, x.values)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda model, x: gossip_step(x, model, rng=0),
+            lambda model, x: simulate_gossip(model, x, steps=5, seed=0),
+            lambda model, x: dw_run_exact(model, x, steps=5, seed=0),
+        ],
+        ids=["gossip_step", "simulate_gossip", "dw_run_exact"],
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [DeffuantWeisbuch(d=0.5, mu=0.5), DWHeterogeneous(d=np.array([0.5]), mu=0.5)],
+        ids=["dw", "dw-heterogeneous"],
+    )
+    def test_pair_dynamics_rejects_one_agent(self, run, model):
+        with pytest.raises(ValueError, match="pair dynamics needs at least two agents"):
+            run(model, OpinionState([0.5]))
+
     def test_fj_stubborn_agent_at_prejudice_never_moves(self):
         # zero susceptibility and opinion already at the prejudice
         lam = np.array([0.0, 0.8])
