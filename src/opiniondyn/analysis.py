@@ -131,17 +131,17 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     if gap_tol <= 0:
         raise ValueError("gap_tol must be positive")
     n = x.n
+    min_sep = math.inf
     if x.m == 1:
         v = x.flat
         order = np.argsort(v, kind="stable")
-        groups = []
-        current = [int(order[0])]
-        for pos in range(1, n):
-            if v[order[pos]] - v[order[pos - 1]] > gap_tol:
-                groups.append(current)
-                current = []
-            current.append(int(order[pos]))
-        groups.append(current)
+        gaps = np.diff(v[order])
+        splits = np.flatnonzero(gaps > gap_tol)
+        groups = [g.tolist() for g in np.split(order, splits + 1)]
+        if splits.size:
+            # the closest opinions of different clusters meet at a split;
+            # the gap goes through the same norm as the vector path
+            min_sep = float(np.linalg.norm(gaps[splits].min(keepdims=True)))
     else:
         parent = list(range(n))
 
@@ -163,16 +163,15 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
         for i in range(n):
             byroot.setdefault(find(i), []).append(i)
         groups = sorted(byroot.values(), key=lambda g: g[0])
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                for i in groups[a]:
+                    for j in groups[b]:
+                        min_sep = min(min_sep, float(np.linalg.norm(x.values[i] - x.values[j])))
 
     reps = []
     for g in groups:
         reps.append((x.values[g].mean(axis=0), tuple(sorted(g))))
-    min_sep = math.inf
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            for i in groups[a]:
-                for j in groups[b]:
-                    min_sep = min(min_sep, float(np.linalg.norm(x.values[i] - x.values[j])))
     return ClusterProfile(tuple(reps), min_sep, gap_tol)
 
 

@@ -211,8 +211,12 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
             gmodel = pr.gossip_model_from_params(model, params)
             steps = int(config.get("horizon", 10000))
             thin = int(config.get("thin", 1))
-            traj = gp.simulate_gossip(gmodel, x0, steps=steps, seed=seed, thin=thin)
-            averages = gp.cesaro(traj)
+            traj = gp.simulate_gossip(
+                gmodel, x0, steps=steps, seed=seed, thin=thin,
+                record_events="events" in outputs,
+            )
+            if "cesaro" in outputs or "summary" in outputs:
+                averages = gp.cesaro(traj)
             gap_tol = float(params.get("d", config.get("gap_tol", 1e-4)))
             profile = analysis.clusters(traj.final, gap_tol)
             if "trajectory" in outputs:

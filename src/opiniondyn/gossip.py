@@ -10,11 +10,13 @@ Randomness is fully reproducible: every run is driven by a Philox
 counter-based generator keyed through numpy's SeedSequence with
 (seed, stream), so Monte Carlo trials on distinct streams are independent
 while identical (seed, stream, model, x0) give bit-identical runs. The
-simulator consumes randomness in blocks of up to 2**20 steps: within a
-block it first draws all activation indices, then all partner draws, in the
-order documented on each model. Single-step ``gossip_step`` draws the same
-quantities per call but lays them out per step, so it has its own stream
-layout; replaying a simulation's recorded events reproduces its states.
+draws never look at the state, so every model is split into a block draw
+and an update loop. The simulator consumes randomness in blocks of up to
+2**20 steps: within a block it first draws all activation indices, then
+all partner draws, in the order documented on each model, and then applies
+the block step by step. ``gossip_step`` is a one-step block, so a single
+step consumes the stream exactly as ``simulate_gossip(steps=1)`` does;
+replaying a simulation's recorded events reproduces its states.
 
 The symmetric bounded-confidence pair dynamics can also be run in exact
 dyadic-rational arithmetic (``dw_run_exact``), where conserved quantities
@@ -23,9 +25,10 @@ are conserved exactly rather than to roundoff.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -49,7 +52,8 @@ __all__ = [
     "bernoulli_convolution",
 ]
 
-_BLOCK = 1 << 20
+_BLOCK = 1 << 20  # steps per draw call; part of the stream layout
+_CHUNK = 1 << 14  # steps converted to Python lists at a time
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,18 @@ class DegrootGossip:
     def n(self) -> int:
         return self.p.shape[0]
 
+    def _draw(self, rng, n, count):
+        return _draw_row_partners(self.p, rng, count)
+
+    def _apply(self, x, draws, snap, keep):
+        gains = self.gains.tolist()
+        for i, j, s in zip(*draws, snap):
+            xi = x[i]
+            x[i] = xi + gains[i] * (x[j] - xi)
+            if s:
+                keep(x)
+        return repeat(True)
+
 
 @dataclass(frozen=True)
 class SymmetricPairGossip:
@@ -129,6 +145,18 @@ class SymmetricPairGossip:
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+    def _draw(self, rng, n, count):
+        return _draw_row_partners(self.p, rng, count)
+
+    def _apply(self, x, draws, snap, keep):
+        for i, j, s in zip(*draws, snap):
+            mid = 0.5 * (x[i] + x[j])
+            x[i] = mid
+            x[j] = mid
+            if s:
+                keep(x)
+        return repeat(True)
 
 
 @dataclass(frozen=True)
@@ -192,6 +220,20 @@ class GossipFJ:
     def n(self) -> int:
         return self.gamma1.shape[0]
 
+    def _draw(self, rng, n, count):
+        arc = rng.integers(len(self.arcs), size=count)
+        ai, aj = np.array(self.arcs).T
+        return ai[arc], aj[arc], self.gamma1[ai, aj][arc], self.gamma2[ai, aj][arc]
+
+    def _apply(self, x, draws, snap, keep):
+        u = self.u.tolist()
+        for i, j, g1, g2, s in zip(*draws, snap):
+            xi = x[i]
+            x[i] = xi + g1 * (x[j] - xi) + g2 * (u[i] - xi)
+            if s:
+                keep(x)
+        return repeat(True)
+
 
 @dataclass(frozen=True)
 class DeffuantWeisbuch:
@@ -218,6 +260,40 @@ class DeffuantWeisbuch:
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError("mode must be 'symmetric' or 'asymmetric'")
 
+    def _draw(self, rng, n, count):
+        return _draw_pairs(rng, n, count)
+
+    def _apply(self, x, draws, snap, keep):
+        d, mu = float(self.d), float(self.mu)
+        moved = []
+        flag = moved.append
+        if self.mode == "symmetric":
+            for i, j, s in zip(*draws, snap):
+                xi = x[i]
+                xj = x[j]
+                gap = xj - xi
+                if abs(gap) <= d:
+                    shift = mu * gap
+                    x[i] = xi + shift
+                    x[j] = xj - shift
+                    flag(True)
+                else:
+                    flag(False)
+                if s:
+                    keep(x)
+        else:
+            for i, j, s in zip(*draws, snap):
+                xi = x[i]
+                gap = x[j] - xi
+                if abs(gap) <= d:
+                    x[i] = xi + mu * gap
+                    flag(True)
+                else:
+                    flag(False)
+                if s:
+                    keep(x)
+        return moved
+
 
 @dataclass(frozen=True)
 class DWHeterogeneous:
@@ -240,6 +316,30 @@ class DWHeterogeneous:
     def n(self) -> int:
         return self.d.shape[0]
 
+    def _draw(self, rng, n, count):
+        return _draw_pairs(rng, n, count)
+
+    def _apply(self, x, draws, snap, keep):
+        d, mu = self.d.tolist(), float(self.mu)
+        moved = []
+        flag = moved.append
+        for i, j, s in zip(*draws, snap):
+            xi = x[i]
+            xj = x[j]
+            gap = xj - xi
+            agap = abs(gap)
+            moved_i = agap <= d[i]
+            moved_j = agap <= d[j]
+            shift = mu * gap
+            if moved_i:
+                x[i] = xi + shift
+            if moved_j:
+                x[j] = xj - shift
+            flag(moved_i or moved_j)
+            if s:
+                keep(x)
+        return moved
+
 
 def build_gammas(lam, w):
     """Split a stochastic coupling matrix into the opinion and prejudice
@@ -256,46 +356,84 @@ def build_gammas(lam, w):
 # ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
+#
+# Every model has a block draw and an update loop. ``_draw(rng, n, count)``
+# makes the model's draws for ``count`` steps in the stream layout above and
+# returns them as per-step arrays, the agent i and the partner j first.
+# ``_apply(x, draws, snap, keep)`` runs the steps on the list of Python
+# floats ``x`` in place, given the draws as lists; after each step whose
+# ``snap`` flag is set it calls ``keep(x)``. It returns the per-step
+# ``interacted`` flags.
+
+_MODELS = (DegrootGossip, SymmetricPairGossip, GossipFJ, DeffuantWeisbuch, DWHeterogeneous)
 
 
-def _pair_cdf_rows(p: np.ndarray) -> list:
-    return [list(np.cumsum(row)) for row in p]
+def _draw_row_partners(p: np.ndarray, rng, count: int):
+    """Active agents uniform on n, then one uniform each, mapped to the
+    partner bisect_right(cumulative row, uniform) clamped to n - 1. The
+    bisection runs for the whole block at once, on the row's cumulative
+    sums padded with +inf to a power-of-two width."""
+    n = p.shape[0]
+    act = rng.integers(n, size=count)
+    unif = rng.random(count)
+    width = 1 << n.bit_length()
+    cum = np.full((n, width), np.inf)
+    cum[:, :n] = np.cumsum(p, axis=1)
+    cum = cum.ravel()
+    last = act * width - 1  # flat index of the last entry found <= uniform
+    step = width >> 1
+    while step:
+        probe = last + step
+        np.copyto(last, probe, where=cum[probe] <= unif)
+        step >>= 1
+    partner = last - act * width + 1
+    return act, np.minimum(partner, n - 1, out=partner)
 
 
-def _partner_from_row(cum_row, u: float, n: int) -> int:
-    return min(bisect_right(cum_row, u), n - 1)
+def _draw_pairs(rng, n: int, count: int):
+    """First agents uniform on n, then second agents uniform on the other
+    n - 1 agents."""
+    act = rng.integers(n, size=count)
+    partner = rng.integers(n - 1, size=count)
+    partner += partner >= act
+    return act, partner
 
 
-def _apply_degroot(x, i, j, gain):
-    x[i] = x[i] + gain * (x[j] - x[i])
-
-
-def _apply_pair_average(x, i, j):
-    mid = 0.5 * (x[i] + x[j])
-    x[i] = mid
-    x[j] = mid
-
-
-def _apply_fj(x, i, j, g1, g2, u_i):
-    x[i] = x[i] + g1 * (x[j] - x[i]) + g2 * (u_i - x[i])
-
-
-def _apply_dw(x, i, j, d_i, d_j, mu, symmetric):
-    gap = x[j] - x[i]
-    agap = abs(gap)
-    moved_i = agap <= d_i
-    moved_j = symmetric and agap <= d_j
-    shift = mu * gap
-    if moved_i:
-        x[i] = x[i] + shift
-    if moved_j:
-        x[j] = x[j] - shift
-    return moved_i or moved_j
-
-
-def _require_pair(n: int) -> None:
-    if n < 2:
+def _check_model(model, n: int) -> None:
+    if not isinstance(model, _MODELS):
+        raise TypeError(f"unknown gossip model {type(model).__name__}")
+    if isinstance(model, (DeffuantWeisbuch, DWHeterogeneous)) and n < 2:
         raise ValueError(f"pair dynamics needs at least two agents, got {n}")
+    if getattr(model, "n", n) != n:
+        raise ValueError("model size must match the state")
+
+
+def _chunks(draw, rng, n: int, steps: int, thin: int):
+    """Draw ``steps`` steps in blocks of _BLOCK and yield them in chunks of
+    at most _CHUNK steps as (draws as lists, snap flags). A step's flag is
+    set when the state after it is kept: every thin-th step and the last."""
+    done = 0
+    while done < steps:
+        count = min(_BLOCK, steps - done)
+        arrays = draw(rng, n, count)
+        for lo in range(0, count, _CHUNK):
+            size = min(_CHUNK, count - lo)
+            before = done + lo
+            snap = [False] * size
+            first = thin - 1 - before % thin
+            snap[first::thin] = [True] * len(range(first, size, thin))
+            if before + size == steps:
+                snap[-1] = True
+            yield [a[lo:lo + size].tolist() for a in arrays], snap
+        done += count
+
+
+def _stamps(steps: int, thin: int) -> list:
+    """Step counts of the kept states: 0, every thin-th step, and the last."""
+    stamps = list(range(0, steps + 1, thin))
+    if steps % thin:
+        stamps.append(steps)
+    return stamps
 
 
 def gossip_step(x: OpinionState, model, rng, u=None):
@@ -304,49 +442,13 @@ def gossip_step(x: OpinionState, model, rng, u=None):
     The event is the tuple (i, j, interacted) naming the sampled agents and
     whether an update actually happened. Exactly the agents designated by
     the model variant change; for GossipFJ the prejudice vector defaults to
-    the one stored on the model.
+    the one stored on the model. The step is a one-step block of
+    ``simulate_gossip`` and consumes the generator exactly as it does.
     """
-    if x.m != 1:
-        raise ValueError("gossip models act on scalar opinions")
-    rng = make_rng(rng)
-    n = x.n
-    vals = list(x.flat)
-    if isinstance(model, (DegrootGossip, SymmetricPairGossip)):
-        if model.n != n:
-            raise ValueError("model size must match the state")
-        i = int(rng.integers(n))
-        uvar = float(rng.random())
-        j = _partner_from_row(list(np.cumsum(model.p[i])), uvar, n)
-        if isinstance(model, DegrootGossip):
-            _apply_degroot(vals, i, j, model.gains[i])
-        else:
-            _apply_pair_average(vals, i, j)
-        event = (i, j, True)
-    elif isinstance(model, GossipFJ):
-        if model.n != n:
-            raise ValueError("model size must match the state")
-        prejudice = model.u if u is None else np.asarray(u, dtype=float).reshape(-1)
-        arc = int(rng.integers(len(model.arcs)))
-        i, j = model.arcs[arc]
-        _apply_fj(vals, i, j, model.gamma1[i, j], model.gamma2[i, j], prejudice[i])
-        event = (i, j, True)
-    elif isinstance(model, (DeffuantWeisbuch, DWHeterogeneous)):
-        _require_pair(n)
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        if isinstance(model, DeffuantWeisbuch):
-            moved = _apply_dw(vals, i, j, model.d, model.d, model.mu,
-                              model.mode == "symmetric")
-        else:
-            if model.n != n:
-                raise ValueError("model size must match the state")
-            moved = _apply_dw(vals, i, j, model.d[i], model.d[j], model.mu, True)
-        event = (i, j, moved)
-    else:
-        raise TypeError(f"unknown gossip model {type(model).__name__}")
-    return OpinionState(np.array(vals)), event
+    if u is not None and isinstance(model, GossipFJ):
+        model = replace(model, u=u)
+    traj = simulate_gossip(model, x, steps=1, seed=rng)
+    return traj.final, traj.events[0]
 
 
 def simulate_gossip(
@@ -366,84 +468,19 @@ def simulate_gossip(
         raise ValueError("thin must be >= 1")
     rng = make_rng(seed)
     n = x0.n
-    x = list(x0.flat)
-    kept = [np.array(x)]
-    stamps = [0]
+    _check_model(model, n)
+    x = x0.flat.tolist()
+    # kept states as raw doubles: 8 bytes a value, and no float object
+    # outlives its step
+    kept = array("d", x)
     events = [] if record_events else None
-
-    is_degroot = isinstance(model, DegrootGossip)
-    is_pair = isinstance(model, SymmetricPairGossip)
-    is_fj = isinstance(model, GossipFJ)
-    is_dw = isinstance(model, DeffuantWeisbuch)
-    is_dwh = isinstance(model, DWHeterogeneous)
-    if not (is_degroot or is_pair or is_fj or is_dw or is_dwh):
-        raise TypeError(f"unknown gossip model {type(model).__name__}")
-    if (is_degroot or is_pair or is_fj or is_dwh) and model.n != n:
-        raise ValueError("model size must match the state")
-    if is_dw or is_dwh:
-        _require_pair(n)
-
-    if is_degroot or is_pair:
-        cum_rows = _pair_cdf_rows(model.p)
-        gains = list(model.gains) if is_degroot else None
-    if is_fj:
-        arcs = model.arcs
-        g1 = model.gamma1
-        g2 = model.gamma2
-        prejudice = list(model.u)
-    if is_dw:
-        d_i = d_j = model.d
-        mu = model.mu
-        symmetric = model.mode == "symmetric"
-    if is_dwh:
-        d_arr = list(model.d)
-        mu = model.mu
-
-    done = 0
-    while done < steps:
-        count = min(_BLOCK, steps - done)
-        if is_fj:
-            arc_idx = rng.integers(len(arcs), size=count)
-        else:
-            act = rng.integers(n, size=count)
-            if is_degroot or is_pair:
-                unif = rng.random(count)
-            else:
-                partner = rng.integers(n - 1, size=count)
-        for b in range(count):
-            if is_fj:
-                i, j = arcs[arc_idx[b]]
-                _apply_fj(x, i, j, g1[i, j], g2[i, j], prejudice[i])
-                moved = True
-            elif is_degroot:
-                i = act[b]
-                j = _partner_from_row(cum_rows[i], unif[b], n)
-                _apply_degroot(x, i, j, gains[i])
-                moved = True
-            elif is_pair:
-                i = act[b]
-                j = _partner_from_row(cum_rows[i], unif[b], n)
-                _apply_pair_average(x, i, j)
-                moved = True
-            else:
-                i = act[b]
-                j = partner[b]
-                if j >= i:
-                    j += 1
-                if is_dw:
-                    moved = _apply_dw(x, i, j, d_i, d_j, mu, symmetric)
-                else:
-                    moved = _apply_dw(x, i, j, d_arr[i], d_arr[j], mu, True)
-            if events is not None:
-                events.append((int(i), int(j), bool(moved)))
-            k = done + b + 1
-            if k % thin == 0 or k == steps:
-                kept.append(np.array(x))
-                stamps.append(k)
-        done += count
-
+    for draws, snap in _chunks(model._draw, rng, n, steps, thin):
+        moved = model._apply(x, draws, snap, kept.extend)
+        if events is not None:
+            events.extend(zip(draws[0], draws[1], moved))
+    stamps = _stamps(steps, thin)
     return Trajectory(
-        np.stack(kept)[:, :, None],
+        np.frombuffer(kept).reshape(len(stamps), n, 1),
         np.array(stamps, dtype=float),
         events=events,
     )
@@ -495,11 +532,13 @@ def dw_run_exact(
         raise ValueError("gossip models act on scalar opinions")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = make_rng(seed)
-    n = x0.n
-    _require_pair(n)
     if thin is None:
         thin = steps
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    rng = make_rng(seed)
+    n = x0.n
+    _check_model(model, n)
     nums = []
     exps = []
     for v in x0.flat.tolist():
@@ -514,8 +553,6 @@ def dw_run_exact(
         bound_exps = [d_exp] * n
         symmetric = model.mode == "symmetric"
     else:
-        if model.n != n:
-            raise ValueError("model size must match the state")
         bound_nums, bound_exps = [], []
         for v in model.d.tolist():
             p, e = _to_dyadic(v)
@@ -534,18 +571,10 @@ def dw_run_exact(
         return agap_num << (b_exp - gap_exp) <= b_num
 
     kept = [snapshot()]
-    stamps = [0]
     events = [] if record_events else None
-    done = 0
-    while done < steps:
-        count = min(_BLOCK, steps - done)
-        act = rng.integers(n, size=count)
-        partner = rng.integers(n - 1, size=count)
-        for b in range(count):
-            i = int(act[b])
-            j = int(partner[b])
-            if j >= i:
-                j += 1
+    for (act, partner), snap in _chunks(_draw_pairs, rng, n, steps, thin):
+        moved = []
+        for i, j, s in zip(act, partner, snap):
             e_i, e_j = exps[i], exps[j]
             e_g = e_i if e_i >= e_j else e_j
             gap_num = (nums[j] << (e_g - e_j)) - (nums[i] << (e_g - e_i))
@@ -563,16 +592,15 @@ def dw_run_exact(
                     e_new = e_j if e_j >= e_s else e_s
                     nums[j] = (nums[j] << (e_new - e_j)) - (shift_num << (e_new - e_s))
                     exps[j] = e_new
-            if events is not None:
-                events.append((i, j, bool(moved_i or moved_j)))
-            k = done + b + 1
-            if k % thin == 0 or k == steps:
+            moved.append(moved_i or moved_j)
+            if s:
                 kept.append(snapshot())
-                stamps.append(k)
-        done += count
+        if events is not None:
+            events.extend(zip(act, partner, moved))
 
     final = tuple(Fraction(p, 1 << e) for p, e in zip(nums, exps))
-    traj = Trajectory(np.stack(kept)[:, :, None], np.array(stamps, dtype=float), events=events)
+    stamps = np.array(_stamps(steps, thin), dtype=float)
+    traj = Trajectory(np.stack(kept)[:, :, None], stamps, events=events)
     return DWExactRun(trajectory=traj, initial_exact=initial, final_exact=final)
 
 

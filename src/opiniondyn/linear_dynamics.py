@@ -269,7 +269,8 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
     terminated_at = None
     for k in range(steps):
         w = spec.matrix_at(k, x)
-        if spec.rule is not None:
+        if spec.rule is not None and spec.kind == KIND_SIGNED:
+            # matrix_at already checked a stochastic rule's matrix
             check(w)
         x_next = w @ x
         events.append({"segment": spec.segment_index(k)})
@@ -466,9 +467,16 @@ def flow_simulate(
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     h = t_end / n_steps
 
+    laplacians = {}  # a constant or scheduled matrix's Laplacian, by id
+
     def rhs(t, state):
         a = spec.matrix_at(t, state)
-        return -(signed_laplacian_matrix(a) @ state)
+        if spec.rule is not None:
+            return -(signed_laplacian_matrix(a) @ state)
+        lap = laplacians.get(id(a))
+        if lap is None:
+            lap = laplacians[id(a)] = signed_laplacian_matrix(a)
+        return -(lap @ state)
 
     states = np.empty((n_steps + 1,) + x.shape)
     states[0] = x

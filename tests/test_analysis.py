@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opiniondyn import (
     ConfidenceSpec,
@@ -70,7 +73,72 @@ class TestSEnergy:
             s_energy(traj, [[(0, 1)]], s=2.0)
 
 
+def reference_scalar_clusters(x, gap_tol):
+    """The pairwise scalar clustering the O(n) split replaced: the oracle
+    of the groups and of min_separation."""
+    v = x.flat
+    order = np.argsort(v, kind="stable")
+    groups = []
+    current = [int(order[0])]
+    for pos in range(1, x.n):
+        if v[order[pos]] - v[order[pos - 1]] > gap_tol:
+            groups.append(current)
+            current = []
+        current.append(int(order[pos]))
+    groups.append(current)
+    min_sep = math.inf
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            for i in groups[a]:
+                for j in groups[b]:
+                    min_sep = min(min_sep, float(np.linalg.norm(x.values[i] - x.values[j])))
+    reps = [(x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups]
+    return reps, min_sep
+
+
+def assert_matches_reference(x, gap_tol):
+    profile = clusters(x, gap_tol)
+    reps, min_sep = reference_scalar_clusters(x, gap_tol)
+    assert profile.members == tuple(m for _, m in reps)
+    for (value, _), (ref_value, _) in zip(profile.clusters, reps):
+        assert value.tobytes() == ref_value.tobytes()
+    assert type(profile.min_separation) is float
+    assert profile.min_separation == min_sep
+
+
+# a small value pool makes ties and exact-gap splits likely
+SCALAR_OPINIONS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.3, 1.0, -1.0, 1e-300, 1e308, -1e308]),
+        st.floats(-10.0, 10.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
 class TestClusters:
+    @settings(max_examples=300, deadline=None)
+    @given(values=SCALAR_OPINIONS, gap_tol=st.sampled_from([1e-12, 0.05, 0.1, 0.15, 1.0, 1e300]))
+    def test_scalar_split_matches_pairwise_reference(self, values, gap_tol):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_reference(OpinionState(values), gap_tol)
+
+    @pytest.mark.parametrize(
+        "values, gap_tol",
+        [
+            ([0.5] * 4, 0.1),  # one cluster: min_separation stays inf
+            ([0.0, 0.1, 0.2, 0.30000000000000004], 0.1),  # gaps at the scale join
+            ([0.3, 0.0, 0.3, 0.0, 0.6], 0.1),  # ties across clusters
+            ([-1e308, 1e308, 0.0], 1.0),  # a split gap whose square overflows
+            ([1e-170, 0.0, 3e-170], 1e-200),  # a split gap whose square underflows
+        ],
+    )
+    def test_scalar_edge_cases_match_reference(self, values, gap_tol):
+        with np.errstate(over="ignore", under="ignore"):
+            assert_matches_reference(OpinionState(values), gap_tol)
+
     def test_all_equal_single_cluster(self):
         profile = clusters(OpinionState([0.5] * 4), gap_tol=0.1)
         assert profile.count == 1

@@ -125,6 +125,44 @@ class TestRun:
         for name in ("summary.json", "events.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "outputs, events, averages",
+        [
+            (["events", "summary"], True, True),
+            (["trajectory"], False, False),
+            (["cesaro"], False, True),
+            (["events"], True, False),
+        ],
+    )
+    def test_gossip_computes_only_requested_outputs(self, tmp_path, monkeypatch, outputs,
+                                                    events, averages):
+        from opiniondyn import cli, gossip
+
+        seen = {"events": [], "cesaro": 0}
+        simulate, cesaro = gossip.simulate_gossip, gossip.cesaro
+
+        def spy_simulate(*args, **kwargs):
+            traj = simulate(*args, **kwargs)
+            seen["events"].append(traj.events is not None)
+            return traj
+
+        def spy_cesaro(traj):
+            seen["cesaro"] += 1
+            return cesaro(traj)
+
+        monkeypatch.setattr(cli.gp, "simulate_gossip", spy_simulate)
+        monkeypatch.setattr(cli.gp, "cesaro", spy_cesaro)
+        config = preset_config("dw-basic")
+        config["horizon"] = 300
+        config["outputs"] = outputs
+        run(config, out_dir=tmp_path / "spied")
+        assert seen == {"events": [events], "cesaro": int(averages)}
+        # the artefacts do not depend on what else was requested
+        config["outputs"] = ["trajectory", "events", "cesaro", "summary"]
+        run(config, out_dir=tmp_path / "all")
+        for path in (tmp_path / "spied").iterdir():
+            assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         config = preset_config("dw-basic")
         config["horizon"] = 2000

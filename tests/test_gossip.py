@@ -1,6 +1,10 @@
+from bisect import bisect_right
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from opiniondyn import gossip
 from opiniondyn import (
     DWHeterogeneous,
     DeffuantWeisbuch,
@@ -28,6 +32,98 @@ def ring_matrix(n):
         p[k, (k + 1) % n] = 0.5
         p[k, (k - 1) % n] = 0.5
     return p
+
+
+def reference_simulate(model, x0, steps, seed, thin, record_events, block):
+    """The per-step simulator the block kernels replaced: the same draw
+    calls per block of ``block`` steps, then one step at a time on
+    np.float64 list elements. The oracle of the stream layout and updates."""
+    rng = make_rng(seed)
+    n = x0.n
+    x = list(x0.flat)
+    kept = [np.array(x)]
+    stamps = [0]
+    events = [] if record_events else None
+    if isinstance(model, (DegrootGossip, SymmetricPairGossip)):
+        cum_rows = [list(np.cumsum(row)) for row in model.p]
+    done = 0
+    while done < steps:
+        count = min(block, steps - done)
+        if isinstance(model, GossipFJ):
+            arc_idx = rng.integers(len(model.arcs), size=count)
+        else:
+            act = rng.integers(n, size=count)
+            if isinstance(model, (DegrootGossip, SymmetricPairGossip)):
+                unif = rng.random(count)
+            else:
+                partner = rng.integers(n - 1, size=count)
+        for b in range(count):
+            moved = True
+            if isinstance(model, GossipFJ):
+                i, j = model.arcs[arc_idx[b]]
+                x[i] = (
+                    x[i]
+                    + model.gamma1[i, j] * (x[j] - x[i])
+                    + model.gamma2[i, j] * (model.u[i] - x[i])
+                )
+            elif isinstance(model, (DegrootGossip, SymmetricPairGossip)):
+                i = act[b]
+                j = min(bisect_right(cum_rows[i], unif[b]), n - 1)
+                if isinstance(model, DegrootGossip):
+                    x[i] = x[i] + model.gains[i] * (x[j] - x[i])
+                else:
+                    mid = 0.5 * (x[i] + x[j])
+                    x[i] = mid
+                    x[j] = mid
+            else:
+                i = act[b]
+                j = partner[b]
+                if j >= i:
+                    j += 1
+                if isinstance(model, DeffuantWeisbuch):
+                    d_i = d_j = model.d
+                    symmetric = model.mode == "symmetric"
+                else:
+                    d_i, d_j, symmetric = model.d[i], model.d[j], True
+                gap = x[j] - x[i]
+                moved_i = abs(gap) <= d_i
+                moved_j = symmetric and abs(gap) <= d_j
+                shift = model.mu * gap
+                if moved_i:
+                    x[i] = x[i] + shift
+                if moved_j:
+                    x[j] = x[j] - shift
+                moved = moved_i or moved_j
+            if events is not None:
+                events.append((int(i), int(j), bool(moved)))
+            k = done + b + 1
+            if k % thin == 0 or k == steps:
+                kept.append(np.array(x))
+                stamps.append(k)
+        done += count
+    return np.stack(kept)[:, :, None], np.array(stamps, dtype=float), events
+
+
+def kernel_models(n):
+    """One instance of every gossip model on n agents, the pair dynamics in
+    both modes."""
+    rng = np.random.default_rng(0)
+    p = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(p, 0.0)
+    p[np.arange(n), (np.arange(n) + 1) % n] += 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    w = 0.5 * np.eye(n) + 0.5 * p
+    return {
+        "degroot": DegrootGossip(p, rng.uniform(0.1, 0.9, n)),
+        "pair": SymmetricPairGossip(p),
+        "fj": GossipFJ.from_fj(rng.uniform(0.0, 1.0, n), w, rng.uniform(-1.0, 1.0, n)),
+        "dw-symmetric": DeffuantWeisbuch(d=0.3, mu=0.37),
+        "dw-asymmetric": DeffuantWeisbuch(d=0.3, mu=0.37, mode="asymmetric"),
+        "dw-heterogeneous": DWHeterogeneous(d=rng.uniform(0.05, 0.6, n), mu=0.41),
+    }
+
+
+KERNEL_MODELS = kernel_models(6)
 
 
 class TestBuildGammas:
@@ -369,3 +465,122 @@ class TestMoreGossipSurfaces:
             f = traj.final.values[:, 0]
             gaps = np.abs(f[:, None] - f[None, :])[np.triu_indices(n, 1)]
             assert np.all((gaps < 1e-6) | (gaps >= model.d - 1e-6))
+
+
+class TestBlockKernels:
+    """The block draw/apply kernels against the per-step reference."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize("thin", [1, 3, 16, 200])
+    def test_simulate_matches_per_step_reference(self, monkeypatch, name, thin):
+        # blocks of 7 and list chunks of 3 steps: both boundaries are crossed
+        # many times, and neither lines up with thin
+        monkeypatch.setattr(gossip, "_BLOCK", 7)
+        monkeypatch.setattr(gossip, "_CHUNK", 3)
+        model = KERNEL_MODELS[name]
+        x0 = OpinionState(np.random.default_rng(1).uniform(0.0, 1.0, 6))
+        for seed in range(4):
+            for record_events in (True, False):
+                traj = simulate_gossip(model, x0, steps=101, seed=(seed, 2), thin=thin,
+                                       record_events=record_events)
+                array, stamps, events = reference_simulate(
+                    model, x0, 101, (seed, 2), thin, record_events, block=7
+                )
+                assert np.array_equal(traj.array, array)
+                assert np.array_equal(traj.stamps, stamps)
+                assert traj.events == events
+                if events is not None:
+                    assert all(type(flag) is bool for _, _, flag in traj.events)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_default_block_matches_reference(self, name):
+        model = KERNEL_MODELS[name]
+        x0 = OpinionState(np.random.default_rng(2).uniform(0.0, 1.0, 6))
+        traj = simulate_gossip(model, x0, steps=70_000, seed=5, thin=999)
+        array, stamps, events = reference_simulate(model, x0, 70_000, 5, 999, True,
+                                                   block=gossip._BLOCK)
+        assert np.array_equal(traj.array, array)
+        assert np.array_equal(traj.stamps, stamps)
+        assert traj.events == events
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_gossip_step_is_a_one_step_block(self, name):
+        model = KERNEL_MODELS[name]
+        x0 = OpinionState(np.random.default_rng(3).uniform(0.0, 1.0, 6))
+        for seed in range(50):
+            out, event = gossip_step(x0, model, rng=seed)
+            traj = simulate_gossip(model, x0, steps=1, seed=seed)
+            assert np.array_equal(out.values, traj.final.values)
+            assert event == traj.events[0]
+            array, _, events = reference_simulate(model, x0, 1, seed, 1, True, block=1)
+            assert np.array_equal(out.values, array[-1])
+            assert event == events[0]
+
+    def test_gossip_step_prejudice_override(self):
+        model = KERNEL_MODELS["fj"]
+        x0 = OpinionState(np.random.default_rng(4).uniform(0.0, 1.0, 6))
+        override = model.u + 10.0
+        for seed in range(50):
+            out, event = gossip_step(x0, model, rng=seed, u=override)
+            traj = simulate_gossip(replace(model, u=override), x0, steps=1, seed=seed)
+            assert np.array_equal(out.values, traj.final.values)
+            assert event == traj.events[0]
+
+    def test_shared_generator_steps_match_one_run(self):
+        # successive steps on one generator consume it like one run in
+        # blocks of a single step
+        model = KERNEL_MODELS["dw-heterogeneous"]
+        x = OpinionState(np.random.default_rng(5).uniform(0.0, 1.0, 6))
+        rng = make_rng(9)
+        events = []
+        for _ in range(40):
+            x, event = gossip_step(x, model, rng=rng)
+            events.append(event)
+        array, _, ref_events = reference_simulate(
+            model, OpinionState(np.random.default_rng(5).uniform(0.0, 1.0, 6)), 40, 9, 40,
+            True, block=1,
+        )
+        assert np.array_equal(x.values, array[-1])
+        assert events == ref_events
+
+    @pytest.mark.parametrize("name", ["dw-symmetric", "dw-asymmetric", "dw-heterogeneous"])
+    def test_exact_run_shares_the_block_draw(self, monkeypatch, name):
+        monkeypatch.setattr(gossip, "_BLOCK", 7)
+        monkeypatch.setattr(gossip, "_CHUNK", 3)
+        model = KERNEL_MODELS[name]
+        x0 = OpinionState(np.random.default_rng(6).uniform(0.0, 1.0, 6))
+        res = dw_run_exact(model, x0, steps=101, seed=3, thin=4, record_events=True)
+        _, stamps, events = reference_simulate(model, x0, 101, 3, 4, True, block=7)
+        assert [(i, j) for i, j, _ in res.trajectory.events] == [(i, j) for i, j, _ in events]
+        assert np.array_equal(res.trajectory.stamps, stamps)
+
+    def test_row_partner_draw_is_bisect_right_with_clamp(self):
+        # uniforms on the cumulative values themselves (ties), just below
+        # them, and above a row total that falls short of one (the clamp)
+        n = 5
+        rng = np.random.default_rng(7)
+        p = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        np.fill_diagonal(p, 0.0)
+        p[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+        p *= (1.0 - 5e-10) / p.sum(axis=1, keepdims=True)
+        cum = np.cumsum(p, axis=1)
+        act = np.repeat(np.arange(n), 3 * n + 2)
+        unif = np.concatenate([
+            np.concatenate([cum[i], np.nextafter(cum[i], -1.0), [0.0, 1.0 - 1e-10],
+                            np.nextafter(cum[i], 2.0)])
+            for i in range(n)
+        ])
+
+        class Stub:
+            def integers(self, high, size):
+                assert (high, size) == (n, len(act))
+                return act.copy()
+
+            def random(self, size):
+                return unif.copy()
+
+        drawn_act, partner = gossip._draw_row_partners(p, Stub(), len(act))
+        expected = [min(bisect_right(list(cum[i]), u), n - 1) for i, u in zip(act, unif)]
+        assert np.array_equal(drawn_act, act)
+        assert partner.tolist() == expected
+        assert n - 1 in [e for e, u in zip(expected, unif) if u == 1.0 - 1e-10]

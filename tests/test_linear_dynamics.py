@@ -21,6 +21,8 @@ from opiniondyn import (
     verify_convergence_premises,
     verify_uqsc,
 )
+from opiniondyn import linear_dynamics
+from opiniondyn.net_graph import signed_laplacian_matrix
 from opiniondyn.presets import ALTAFINI3_A, FJ4_LAMBDA, FJ4_U, FJ4_W
 
 from test_net_graph import random_balanced_graph
@@ -96,6 +98,37 @@ class TestSimulateDiscrete:
         w = np.array([[0.0, -2.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
             simulate_discrete(WeightSpec.constant("signed", w), OpinionState([1.0, 2.0]), 3)
+
+    def test_signed_rule_matrices_are_checked_every_step(self):
+        good = np.array([[0.5, -0.5], [-0.5, 0.5]])
+        bad = np.array([[0.5, -1.0], [-0.5, 0.5]])
+        spec = WeightSpec.from_rule("signed", lambda t, x: good if t < 2 else bad, n=2)
+        with pytest.raises(ValueError, match="modulus row sums"):
+            simulate_discrete(spec, OpinionState([1.0, 2.0]), 5)
+
+    def test_stochastic_rule_matrix_validated_once_per_step(self, monkeypatch):
+        calls = []
+        check = linear_dynamics.check_stochastic
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(1)
+            return check(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linear_dynamics, "check_stochastic", counting)
+        rng = np.random.default_rng(3)
+        mats = [random_stochastic(rng, 4) for _ in range(3)]
+        spec = WeightSpec.from_rule("stochastic", lambda t, x: mats[int(t) % 3], n=4)
+        traj = simulate_discrete(spec, OpinionState(rng.uniform(size=4)), 30)
+        assert len(calls) == 30
+        x = traj.array[0]
+        for k in range(30):
+            x = mats[k % 3] @ x
+            assert np.array_equal(traj.array[k + 1], x)
+        with pytest.raises(ValueError, match="row sums"):
+            simulate_discrete(
+                WeightSpec.from_rule("stochastic", lambda t, x: 2.0 * mats[0], n=4),
+                OpinionState(rng.uniform(size=4)), 3,
+            )
 
     def test_interval_never_expands_per_dimension(self):
         rng = np.random.default_rng(2)
@@ -307,6 +340,65 @@ class TestFlow:
             )
             gauged = unsigned.array * delta[None, :, None]
             assert np.array_equal(signed.array, gauged)
+
+
+def reference_flow(spec, x0, t_end, dt):
+    """RK4 with the Laplacian rebuilt at every stage, as flow_simulate did
+    before it computed each constant or scheduled Laplacian once."""
+    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    h = t_end / n_steps
+
+    def rhs(t, state):
+        return -(signed_laplacian_matrix(spec.matrix_at(t, state)) @ state)
+
+    x = x0.values
+    states = [x]
+    for k in range(n_steps):
+        t = k * h
+        k1 = rhs(t, x)
+        k2 = rhs(t + h / 2, x + (h / 2) * k1)
+        k3 = rhs(t + h / 2, x + (h / 2) * k2)
+        k4 = rhs(t + h, x + h * k3)
+        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(x)
+    return np.stack(states)
+
+
+class TestFlowLaplacianReuse:
+    def test_scheduled_flow_matches_per_stage_laplacians(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        # breakpoints off the step grid, so RK4 stages straddle them
+        schedule = [(0.23, rng.uniform(-1, 1, (4, 4))), (0.61, rng.uniform(-1, 1, (4, 4))),
+                    (5.0, rng.uniform(-1, 1, (4, 4)))]
+        spec = WeightSpec.scheduled("signed", schedule)
+        x0 = OpinionState(rng.normal(size=(4, 2)))
+        calls = []
+        monkeypatch.setattr(
+            linear_dynamics, "signed_laplacian_matrix",
+            lambda a: calls.append(1) or signed_laplacian_matrix(a),
+        )
+        traj = flow_simulate(spec, x0, t_end=1.0, dt=0.01)
+        assert np.array_equal(traj.array, reference_flow(spec, x0, 1.0, 0.01))
+        assert len(calls) == 3
+
+    def test_constant_and_rule_flows_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        a = rng.uniform(0, 1, (5, 5))
+        x0 = OpinionState(rng.normal(size=5))
+        calls = []
+        monkeypatch.setattr(
+            linear_dynamics, "signed_laplacian_matrix",
+            lambda m: calls.append(1) or signed_laplacian_matrix(m),
+        )
+        constant = WeightSpec.constant("nonnegative", a)
+        traj = flow_simulate(constant, x0, t_end=0.5, dt=0.01)
+        assert np.array_equal(traj.array, reference_flow(constant, x0, 0.5, 0.01))
+        assert len(calls) == 1
+        rule = WeightSpec.from_rule("nonnegative", lambda t, x: a * (1.0 + np.abs(x).sum()), n=5)
+        calls.clear()
+        traj = flow_simulate(rule, x0, t_end=0.5, dt=0.01)
+        assert np.array_equal(traj.array, reference_flow(rule, x0, 0.5, 0.01))
+        assert len(calls) == 4 * 50
 
 
 class TestBipartitePrediction:
