@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, trust_matrix
+from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split, trust_matrix
 from .state import MaxStepsError, OpinionState, Trajectory
 
 __all__ = [
@@ -133,10 +133,7 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     n = x.n
     min_sep = math.inf
     if x.m == 1:
-        v = x.flat
-        order = np.argsort(v, kind="stable")
-        gaps = np.diff(v[order])
-        splits = np.flatnonzero(gaps > gap_tol)
+        order, gaps, splits = sorted_split(x.flat, gap_tol)
         groups = [g.tolist() for g in np.split(order, splits + 1)]
         if splits.size:
             # the closest opinions of different clusters meet at a split;

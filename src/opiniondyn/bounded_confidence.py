@@ -40,95 +40,93 @@ __all__ = [
     "reputation_phi",
 ]
 
-SYMMETRIC = "symmetric"
-ASYMMETRIC = "asymmetric"
-PER_AGENT = "per_agent"
-SHIFTED = "shifted"
-PER_AGENT_ASYMMETRIC = "per_agent_asymmetric"
-NORM_BALL = "norm_ball"
-
 _NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
+
+
+def _offsets(bound):
+    """One float shared by all agents, or a tuple of per-agent floats."""
+    return float(bound) if np.ndim(bound) == 0 else tuple(float(b) for b in bound)
 
 
 @dataclass(frozen=True)
 class ConfidenceSpec:
-    """Geometry of the trust sets.
+    """Geometry of the trust sets, stored as the offsets of a trust window.
 
-    Interval variants act on scalar opinions (m = 1); the norm-ball variant
-    covers vector opinions under the Euclidean, max, or sum norm (Euclidean
-    by default). ``closed`` selects non-strict (<=) versus strict (<)
-    boundary membership; non-strict is the default.
+    Every interval geometry is one rule on scalar opinions (m = 1): agent i
+    trusts agent j iff lo_i <= x_j - x_i <= hi_i, where ``lo`` (negative)
+    and ``hi`` (positive) are each one float shared by all agents or a
+    per-agent tuple. The constructors fill them in: ``symmetric(d)`` stores
+    (-d, d), ``asymmetric(d_left, d_right)`` (-d_left, d_right),
+    ``per_agent(bounds)`` (-d_i, d_i) and ``shifted(d, eta)``
+    (-d + eta_i, d); ``ConfidenceSpec(lo=..., hi=...)`` gives any other
+    window, per-agent asymmetric bounds included. A norm ball (``lo`` None)
+    acts on vector opinions: agent i trusts agent j iff
+    ||x_j - x_i|| <= hi_i under the Euclidean, max, or sum ``norm``
+    (Euclidean by default). ``closed`` selects non-strict (<=) versus strict
+    (<) boundary membership; non-strict is the default. A per-agent tuple
+    must match the agent count of the state it is applied to.
     """
 
-    variant: str
+    lo: float | tuple | None
+    hi: float | tuple
     closed: bool = True
-    d: float | None = None
-    d_left: float | None = None
-    d_right: float | None = None
-    d_per_agent: tuple | None = None
-    eta: tuple | None = None
-    d_left_per_agent: tuple | None = None
-    d_right_per_agent: tuple | None = None
     norm: str = "euclidean"
+
+    def __post_init__(self):
+        if self.norm not in _NORM_ORDS:
+            raise ValueError(f"norm must be one of {sorted(_NORM_ORDS)}")
+        for name in ("lo", "hi"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _offsets(getattr(self, name)))
+        lo, hi = self.lo, self.hi
+        if np.any(np.asarray(hi) <= 0) or (lo is not None and np.any(np.asarray(lo) >= 0)):
+            raise ValueError("confidence bounds must be positive")
+        if isinstance(lo, tuple) and isinstance(hi, tuple) and len(lo) != len(hi):
+            raise ValueError("left and right bound lists must have equal length")
+
+    @property
+    def variant(self) -> str:
+        """``"interval"`` for a scalar trust window, ``"norm_ball"`` otherwise."""
+        return "interval" if self.lo is not None else "norm_ball"
 
     @classmethod
     def symmetric(cls, d: float, closed: bool = True) -> "ConfidenceSpec":
         """Trust all opinions within distance d of one's own."""
-        if d <= 0:
-            raise ValueError("confidence bound must be positive")
-        return cls(variant=SYMMETRIC, closed=closed, d=float(d))
+        return cls(lo=-d, hi=d, closed=closed)
 
     @classmethod
     def asymmetric(cls, d_left: float, d_right: float, closed: bool = True) -> "ConfidenceSpec":
         """Trust opinions in [x_i - d_left, x_i + d_right]."""
-        if d_left <= 0 or d_right <= 0:
-            raise ValueError("confidence bounds must be positive")
-        return cls(variant=ASYMMETRIC, closed=closed, d_left=float(d_left), d_right=float(d_right))
+        return cls(lo=-d_left, hi=d_right, closed=closed)
 
     @classmethod
     def per_agent(cls, bounds, closed: bool = True) -> "ConfidenceSpec":
         """Symmetric intervals with an individual bound per agent."""
         bounds = tuple(float(b) for b in bounds)
-        if any(b <= 0 for b in bounds):
-            raise ValueError("confidence bounds must be positive")
-        return cls(variant=PER_AGENT, closed=closed, d_per_agent=bounds)
+        return cls(lo=tuple(-b for b in bounds), hi=bounds, closed=closed)
 
     @classmethod
     def shifted(cls, d: float, eta, closed: bool = True) -> "ConfidenceSpec":
         """Intervals [x_i - d + eta_i, x_i + d] with 0 <= eta_i and max eta_i < d."""
         eta = tuple(float(e) for e in eta)
-        if d <= 0:
-            raise ValueError("confidence bound must be positive")
-        if any(e < 0 for e in eta) or max(eta) >= d:
+        # a bound d <= 0 is left to the positivity check
+        if not d <= 0 and (any(e < 0 for e in eta) or max(eta) >= d):
             raise ValueError("shifts must satisfy 0 <= eta_i and max eta_i < d")
-        return cls(variant=SHIFTED, closed=closed, d=float(d), eta=eta)
-
-    @classmethod
-    def per_agent_asymmetric(cls, left, right, closed: bool = True) -> "ConfidenceSpec":
-        left = tuple(float(b) for b in left)
-        right = tuple(float(b) for b in right)
-        if any(b <= 0 for b in left + right):
-            raise ValueError("confidence bounds must be positive")
-        if len(left) != len(right):
-            raise ValueError("left and right bound lists must have equal length")
-        return cls(
-            variant=PER_AGENT_ASYMMETRIC, closed=closed,
-            d_left_per_agent=left, d_right_per_agent=right,
-        )
+        return cls(lo=tuple(-d + e for e in eta), hi=d, closed=closed)
 
     @classmethod
     def norm_ball(cls, d, norm: str = "euclidean", closed: bool = True) -> "ConfidenceSpec":
         """Trust within a norm ball of radius d (scalar) or d_i (per agent)."""
-        if norm not in _NORM_ORDS:
-            raise ValueError(f"norm must be one of {sorted(_NORM_ORDS)}")
-        if np.isscalar(d):
-            if d <= 0:
-                raise ValueError("confidence bound must be positive")
-            return cls(variant=NORM_BALL, closed=closed, d=float(d), norm=norm)
-        bounds = tuple(float(b) for b in d)
-        if any(b <= 0 for b in bounds):
-            raise ValueError("confidence bounds must be positive")
-        return cls(variant=NORM_BALL, closed=closed, d_per_agent=bounds, norm=norm)
+        return cls(lo=None, hi=d, closed=closed, norm=norm)
+
+
+def _column(bound, n: int):
+    """A shared offset as is, per-agent offsets as an (n, 1) column."""
+    if isinstance(bound, float):
+        return bound
+    if len(bound) != n:
+        raise ValueError("per-agent bounds must match the agent count")
+    return np.asarray(bound)[:, None]
 
 
 def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
@@ -136,50 +134,21 @@ def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
 
     Row i is agent i's trust set; the diagonal is always True.
     """
-    n = x.n
-    if spec.variant == NORM_BALL:
+    if spec.lo is None:
+        hi = _column(spec.hi, x.n)
         diff = x.values[:, None, :] - x.values[None, :, :]
         dist = np.linalg.norm(diff, ord=_NORM_ORDS[spec.norm], axis=2)
-        radius = (
-            np.full(n, spec.d) if spec.d_per_agent is None else np.asarray(spec.d_per_agent)
-        )
-        if radius.shape[0] != n:
-            raise ValueError("per-agent radii must match the agent count")
-        mask = dist <= radius[:, None] if spec.closed else dist < radius[:, None]
+        mask = dist <= hi if spec.closed else dist < hi
     else:
         if x.m != 1:
             raise ValueError("interval confidence variants require scalar opinions")
+        lo, hi = _column(spec.lo, x.n), _column(spec.hi, x.n)
         v = x.flat
         gap = v[None, :] - v[:, None]  # gap[i, j] = x_j - x_i
-        if spec.variant == SYMMETRIC:
-            lo = np.full(n, -spec.d)
-            hi = np.full(n, spec.d)
-        elif spec.variant == ASYMMETRIC:
-            lo = np.full(n, -spec.d_left)
-            hi = np.full(n, spec.d_right)
-        elif spec.variant == PER_AGENT:
-            bounds = np.asarray(spec.d_per_agent)
-            if bounds.shape[0] != n:
-                raise ValueError("per-agent bounds must match the agent count")
-            lo, hi = -bounds, bounds
-        elif spec.variant == SHIFTED:
-            eta = np.asarray(spec.eta)
-            if eta.shape[0] != n:
-                raise ValueError("shift list must match the agent count")
-            lo = -spec.d + eta
-            hi = np.full(n, spec.d)
-        elif spec.variant == PER_AGENT_ASYMMETRIC:
-            left = np.asarray(spec.d_left_per_agent)
-            right = np.asarray(spec.d_right_per_agent)
-            if left.shape[0] != n:
-                raise ValueError("per-agent bounds must match the agent count")
-            lo, hi = -left, right
-        else:
-            raise ValueError(f"unknown confidence variant {spec.variant!r}")
         if spec.closed:
-            mask = (gap >= lo[:, None]) & (gap <= hi[:, None])
+            mask = (gap >= lo) & (gap <= hi)
         else:
-            mask = (gap > lo[:, None]) & (gap < hi[:, None])
+            mask = (gap > lo) & (gap < hi)
     np.fill_diagonal(mask, True)
     return mask
 
@@ -476,6 +445,15 @@ class DChainPartition:
     d: float
 
 
+def sorted_split(v: np.ndarray, tol: float):
+    """Stable ascending order of scalar values, the consecutive gaps of the
+    sorted values, and the gap positions that exceed tol: the runs split
+    there are ``np.split(order, splits + 1)``."""
+    order = np.argsort(v, kind="stable")
+    gaps = np.diff(v[order])
+    return order, gaps, np.flatnonzero(gaps > tol)
+
+
 def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     """Sort scalar opinions and split at gaps exceeding d."""
     if x.m != 1:
@@ -483,17 +461,12 @@ def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     if d <= 0:
         raise ValueError("confidence bound must be positive")
     v = x.flat
-    order = np.argsort(v, kind="stable")
-    chains = []
-    diameters = []
-    start = 0
+    order, _, splits = sorted_split(v, d)
     sorted_v = v[order]
-    for pos in range(1, x.n + 1):
-        if pos == x.n or sorted_v[pos] - sorted_v[pos - 1] > d:
-            chains.append(tuple(int(a) for a in order[start:pos]))
-            diameters.append(float(sorted_v[pos - 1] - sorted_v[start]))
-            start = pos
-    return DChainPartition(tuple(chains), tuple(diameters), d)
+    cuts = np.concatenate(([0], splits + 1, [x.n]))
+    diameters = sorted_v[cuts[1:] - 1] - sorted_v[cuts[:-1]]
+    chains = tuple(tuple(c.tolist()) for c in np.split(order, splits + 1))
+    return DChainPartition(chains, tuple(diameters.tolist()), d)
 
 
 def smooth_hk_simulate(

@@ -24,7 +24,19 @@ from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
 from .state import MaxStepsError, OpinionState, SimulationError
 
-EXPERIMENT_MODELS = {"two-r", "hk-sweep"}
+EXPERIMENT_MODELS = ("two-r", "hk-sweep")
+BC_MODELS = ("hk", "truth", "inertial", "phi")
+GOSSIP_MODELS = ("gossip-degroot", "gossip-pair", "gossip-fj", "dw", "dw-heterogeneous")
+
+# the files each model can write, by output name; fj, balance and the
+# experiments write their one file whatever ``outputs`` says
+MODEL_OUTPUTS = {
+    **dict.fromkeys(("hk", "truth", "inertial"), ("trajectory", "summary", "clusters", "energies")),
+    "phi": ("trajectory", "summary", "clusters"),
+    **dict.fromkeys(("flow", "signed-flow"), ("trajectory", "summary", "classification")),
+    "degroot": ("trajectory", "summary"),
+    **dict.fromkeys(GOSSIP_MODELS, ("trajectory", "events", "cesaro", "summary")),
+}
 
 
 class CliError(Exception):
@@ -54,6 +66,13 @@ def _resolve_matrix(params: dict, key: str = "matrix") -> None:
         params[key] = io.load_matrix(value["file"]).tolist()
 
 
+def _gap_tol(params: dict, config: dict) -> float:
+    """Clustering scale: the confidence bound d, or ``gap_tol`` without one.
+    A per-agent d clusters at its smallest bound: two clusters closer than
+    that would still be interacting."""
+    return float(np.min(params.get("d", config.get("gap_tol", 1e-4))))
+
+
 def _summary_payload(traj, config) -> dict:
     final = traj.final
     label = analysis.classify(traj, tol=float(config.get("tol", 1e-6)))
@@ -79,18 +98,44 @@ def _summary_payload(traj, config) -> dict:
     return payload
 
 
+def _requested_outputs(config: dict, model: str, params: dict) -> list:
+    """The config's ``outputs``, checked against what the model can write."""
+    names = MODEL_OUTPUTS.get(model)
+    if names is None:
+        return []
+    hint = f"model {model!r} writes {', '.join(names)}"
+    if "energies" in names and not isinstance(params.get("d"), (int, float)):
+        names = tuple(name for name in names if name != "energies")
+        hint += "; energies needs one scalar bound 'd'"
+    outputs = config.get("outputs", ["summary"])
+    if not isinstance(outputs, list):
+        raise CliError("config", f"outputs must be a list of names, got {outputs!r}", hint)
+    unknown = [name for name in outputs if name not in names]
+    if unknown:
+        raise CliError("config", f"model {model!r} cannot write {unknown!r}", hint)
+    return outputs
+
+
 def run(config: dict, out_dir, fmt: str | None = None) -> list:
     """Execute one scenario config; returns the list of files written."""
     out = Path(out_dir)
     model = config.get("model")
     if not model:
         raise CliError("config", "config is missing the 'model' key")
+    if not isinstance(model, str):
+        raise CliError("config", f"model must be a name, got {model!r}")
     fmt = fmt or config.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise CliError("config", f"unknown format {fmt!r}", "use csv or json")
-    outputs = list(config.get("outputs", ["summary"]))
-    params = dict(config.get("params", {}))
-    seed = int(config.get("seed", 0))
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise CliError("config", f"params must be a JSON object, got {params!r}")
+    params = dict(params)
+    try:
+        seed = int(config.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise CliError("config", f"seed must be an integer, got {config['seed']!r}") from None
+    outputs = _requested_outputs(config, model, params)
     written = []
 
     def emit(name: str, text: str):
@@ -102,17 +147,15 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
         emit(name, json.dumps(payload, indent=2) + "\n")
 
     try:
-        if model in ("hk", "truth", "inertial", "phi"):
+        if model in BC_MODELS:
             x0 = _x0_from_config(config)
             horizon = int(config.get("horizon", 10000))
             stop_tol = float(config.get("stop_tol", 0.0))
             if model == "phi":
                 phi = pr.phi_from_params(params)
                 stepper = lambda s: bc.phi_step(s, phi)
-                bound_scale = None
             else:
                 spec = pr.confidence_from_params(params, x0.n, x0.m)
-                bound_scale = params.get("d")
                 if model == "hk":
                     stepper = lambda s: bc.hk_step(s, spec)
                 elif model == "truth":
@@ -131,8 +174,7 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
             if "summary" in outputs:
                 emit_json("summary.json", _summary_payload(traj, config))
             if "clusters" in outputs:
-                gap_tol = float(params.get("d", config.get("gap_tol", 1e-4)))
-                profile = analysis.clusters(traj.final, gap_tol)
+                profile = analysis.clusters(traj.final, _gap_tol(params, config))
                 emit_json(
                     "clusters.json",
                     {
@@ -141,10 +183,10 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
                         "representatives": [list(np.atleast_1d(r)) for r, _ in profile.clusters],
                     },
                 )
-            if "energies" in outputs and bound_scale is not None:
+            if "energies" in outputs:
                 rows = ["step,energy"]
                 for k in range(len(traj)):
-                    rows.append(f"{k},{io.fmt_float(bc.hk_energy(traj.state(k), bound_scale))}")
+                    rows.append(f"{k},{io.fmt_float(bc.hk_energy(traj.state(k), params['d']))}")
                 emit("energies.csv", "\n".join(rows) + "\n")
 
         elif model in ("signed-flow", "flow"):
@@ -206,7 +248,7 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
             graph = SignedGraph(np.asarray(params["matrix"], dtype=float))
             emit("balance.json", io.balance_json(structural_balance(graph)))
 
-        elif model in ("gossip-degroot", "gossip-pair", "gossip-fj", "dw", "dw-heterogeneous"):
+        elif model in GOSSIP_MODELS:
             x0 = _x0_from_config(config)
             gmodel = pr.gossip_model_from_params(model, params)
             steps = int(config.get("horizon", 10000))
@@ -217,8 +259,6 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
             )
             if "cesaro" in outputs or "summary" in outputs:
                 averages = gp.cesaro(traj)
-            gap_tol = float(params.get("d", config.get("gap_tol", 1e-4)))
-            profile = analysis.clusters(traj.final, gap_tol)
             if "trajectory" in outputs:
                 emit("trajectory.csv", io.trajectory_csv(traj))
             if "events" in outputs:
@@ -227,6 +267,7 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
                 cesaro_traj = type(traj)(averages, traj.stamps)
                 emit("cesaro.csv", io.trajectory_csv(cesaro_traj))
             if "summary" in outputs:
+                profile = analysis.clusters(traj.final, _gap_tol(params, config))
                 emit_json(
                     "summary.json",
                     {
@@ -270,7 +311,7 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
 
     except CliError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError("validate", str(exc)) from exc
     except SimulationError as exc:
         raise CliError("run", str(exc)) from exc
@@ -292,6 +333,9 @@ def _load_config(args) -> dict:
             config = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError("config", f"cannot read config: {exc}")
+        if not isinstance(config, dict):
+            raise CliError("config", "the config file must hold one JSON object",
+                           "see the README for the config keys")
     else:
         raise CliError("config", "one of --preset or --config is required")
     if args.seed is not None:

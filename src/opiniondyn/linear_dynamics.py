@@ -397,32 +397,23 @@ def _integrate_schedule(schedule, t0: float, t1: float) -> np.ndarray:
     return total
 
 
-def spectral_radius_estimate(matrix, iters: int = 200) -> float:
-    """Power-iteration Rayleigh estimate of the Perron root of |matrix|."""
-    a = np.abs(np.asarray(matrix, dtype=float))
-    n = a.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    est = 0.0
-    for _ in range(iters):
-        av = a @ v
-        norm = np.linalg.norm(av)
-        if norm == 0.0:
-            return 0.0
-        est = float(v @ av)
-        v = av / norm
-    return est
-
-
 def fj_fixed_point(spec: FJSpec) -> OpinionState:
     """Steady opinions of the prejudice-anchored model: the solution of
     (I - diag(lam) W) xbar = (I - diag(lam)) u.
 
-    Raises UnstableError when the power-iteration estimate of the spectral
-    radius of diag(lam) W is not strictly below 1.
+    diag(lam) W is Schur stable iff every agent is stubborn (lam_i < 1) or
+    reaches a stubborn agent along arcs i -> j with w_ij > 0 (Parsegov,
+    Proskurnikov, Tempo & Friedkin, IEEE TAC 2017); UnstableError is raised
+    otherwise.
     """
-    lw = spec.lam[:, None] * spec.w
-    if spectral_radius_estimate(lw) >= 1.0 - 1e-8:
+    reach = spec.lam < 1
+    frontier = reach
+    while frontier.any():
+        frontier = (spec.w[:, frontier] > 0).any(axis=1) & ~reach
+        reach = reach | frontier
+    if not reach.all():
         raise UnstableError("spectral radius of diag(lam) W is not strictly below 1")
+    lw = spec.lam[:, None] * spec.w
     rhs = (1.0 - spec.lam)[:, None] * spec.u
     xbar = np.linalg.solve(np.eye(spec.n) - lw, rhs)
     return OpinionState(xbar)

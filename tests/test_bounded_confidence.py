@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opiniondyn import (
     ConfidenceSpec,
@@ -323,6 +324,37 @@ class TestDChains:
                         ids2 = {chain_of[a] for a in prev.chains[c2]}
                         assert ids1.isdisjoint(ids2)
                 prev = cur
+
+    @staticmethod
+    def reference_partition(x, d):
+        """The per-position loop the vectorised split replaced."""
+        v = x.flat
+        order = np.argsort(v, kind="stable")
+        chains, diameters, start = [], [], 0
+        sorted_v = v[order]
+        for pos in range(1, x.n + 1):
+            if pos == x.n or sorted_v[pos] - sorted_v[pos - 1] > d:
+                chains.append(tuple(int(a) for a in order[start:pos]))
+                diameters.append(float(sorted_v[pos - 1] - sorted_v[start]))
+                start = pos
+        return tuple(chains), tuple(diameters)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(-8, 8).map(lambda k: k / 8), st.floats(-1e6, 1e6)),
+            min_size=1, max_size=40,
+        ),
+        st.sampled_from([0.125, 0.25, 1.0, 1e-9, 3.0]),
+    )
+    def test_matches_reference_loop(self, values, d):
+        x = OpinionState(values)
+        part = d_chain_partition(x, d)
+        chains, diameters = self.reference_partition(x, d)
+        assert part.chains == chains
+        assert all(type(a) is int for chain in part.chains for a in chain)
+        assert np.array(part.diameters).tobytes() == np.array(diameters).tobytes()
+        assert all(type(v) is float for v in part.diameters)
 
 
 class TestSmoothFlow:

@@ -318,6 +318,103 @@ class TestMainEntry:
         assert message in payload["message"]
         assert not (tmp_path / "analysis.json").exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            pytest.param({"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "seed": "abc"},
+                         "seed must be an integer", id="seed"),
+            pytest.param({"model": "hk", "params": [1, 2], "x0": [0.0, 0.1]},
+                         "params must be a JSON object", id="params"),
+            pytest.param({"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1],
+                          "seed": float("inf")}, "seed must be an integer", id="seed-inf"),
+            pytest.param([1, 2], "must hold one JSON object", id="config-list"),
+            pytest.param({"model": ["hk"]}, "model must be a name", id="model-list"),
+        ],
+    )
+    def test_malformed_config_emits_payload(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "config"
+        assert message in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_horizon_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1],
+                                    "horizon": float("inf")}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["stage"] == "validate"
+
+    @pytest.mark.parametrize(
+        "config, hint",
+        [
+            pytest.param({"model": "hk", "params": {"d": 0.3}, "outputs": ["sumary"]},
+                         "trajectory, summary, clusters, energies", id="misspelt"),
+            pytest.param({"model": "hk", "params": {"d": 0.3}, "outputs": "summary"},
+                         "trajectory, summary, clusters, energies", id="not-a-list"),
+            pytest.param({"model": "hk", "params": {"d": 0.3}, "outputs": ["classification"]},
+                         "trajectory, summary, clusters, energies", id="hk-classification"),
+            pytest.param({"model": "phi", "params": {"d": 0.3}, "outputs": ["energies"]},
+                         "'phi' writes trajectory, summary, clusters", id="phi-energies"),
+            pytest.param({"model": "hk", "params": {"d_left": 0.3, "d_right": 0.2},
+                          "outputs": ["summary", "energies"]},
+                         "energies needs one scalar bound 'd'", id="asymmetric-energies"),
+            pytest.param({"model": "degroot", "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                          "outputs": ["cesaro"]}, "'degroot' writes trajectory, summary",
+                         id="degroot-cesaro"),
+            pytest.param({"model": "flow", "params": {"matrix": [[0.0, 1.0], [1.0, 0.0]]},
+                          "outputs": ["events"]}, "summary, classification", id="flow-events"),
+            pytest.param({"model": "dw", "params": {"d": 0.3, "mu": 0.5},
+                          "outputs": ["clusters"]}, "trajectory, events, cesaro, summary",
+                         id="dw-clusters"),
+        ],
+    )
+    def test_unwritable_outputs_are_rejected(self, tmp_path, capsys, config, hint):
+        config["x0"] = [0.0, 0.1]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "config"
+        assert hint in payload["hint"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("outputs", ["summary", 5, {"summary": True}])
+    def test_outputs_must_be_a_list(self, tmp_path, outputs):
+        from opiniondyn.cli import CliError
+
+        config = {"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "outputs": outputs}
+        with pytest.raises(CliError, match="outputs must be a list of names") as info:
+            run(config, out_dir=tmp_path)
+        assert info.value.stage == "config"
+
+    def test_single_file_models_ignore_outputs(self, tmp_path):
+        config = {"model": "balance", "params": {"matrix": [[0, 1], [1, 0]]},
+                  "outputs": "anything"}
+        assert run(config, out_dir=tmp_path) == [str(tmp_path / "balance.json")]
+
+    def test_unstable_fj_reports_run_stage(self, tmp_path, capsys):
+        n = 10
+        w = np.zeros((n, n))
+        w[0, 0] = 1.0
+        w[1:, 0] = 0.001
+        w[np.arange(1, n), np.arange(1, n)] = 0.999
+        lam = np.full(n, 0.9999)
+        lam[0] = 1.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "fj", "params": {
+            "lam": lam.tolist(), "w": w.tolist(), "u": np.zeros(n).tolist()}}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "run"
+        assert "spectral radius" in payload["message"]
+
     def test_analyze_missing_file(self, tmp_path, capsys):
         path = tmp_path / "absent.csv"
         argv = ["analyze", "--trajectory", str(path), "--gap-tol", "0.1", "--out", str(tmp_path)]
@@ -373,6 +470,46 @@ class TestMoreRunModels:
         config["horizon"] = 500
         run(config, out_dir=tmp_path)
         assert json.loads((tmp_path / "clusters.json").read_text())["count"] >= 1
+
+    def test_dw_heterogeneous_writes_every_output(self, tmp_path, monkeypatch):
+        from opiniondyn import analysis, cli
+
+        scales = []
+        clusters = analysis.clusters
+        monkeypatch.setattr(cli.analysis, "clusters",
+                            lambda x, gap_tol: scales.append(gap_tol) or clusters(x, gap_tol))
+        d = [0.3, 0.1, 0.25, 0.2, 0.15, 0.3, 0.05, 0.2]
+        config = {
+            "model": "dw-heterogeneous", "params": {"d": d, "mu": 0.5},
+            "x0": {"uniform": [0.0, 1.0, 8]}, "horizon": 500, "seed": 2,
+            "outputs": ["trajectory", "events", "cesaro", "summary"],
+        }
+        files = run(config, out_dir=tmp_path)
+        assert sorted(files) == sorted(
+            str(tmp_path / name)
+            for name in ("trajectory.csv", "events.csv", "cesaro.csv", "summary.json")
+        )
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert sorted(a for group in summary["clusters"] for a in group) == list(range(8))
+        assert scales == [0.05]  # clustered at the smallest bound
+
+    def test_per_agent_ball_d_writes_clusters(self, tmp_path):
+        config = {"model": "hk", "params": {"d": [0.3, 0.5, 0.4], "norm": "max"},
+                  "x0": [[0.0, 0.0], [0.2, 0.1], [1.0, 1.0]], "outputs": ["clusters"]}
+        run(config, out_dir=tmp_path)
+        payload = json.loads((tmp_path / "clusters.json").read_text())
+        assert payload["members"] == [[0, 1], [2]]
+
+    def test_gossip_clusters_only_for_summary(self, tmp_path, monkeypatch):
+        from opiniondyn import cli
+
+        calls = []
+        monkeypatch.setattr(cli.analysis, "clusters",
+                            lambda *args: calls.append(args) or None)
+        config = preset_config("dw-basic")
+        config.update(horizon=300, outputs=["trajectory", "events", "cesaro"])
+        run(config, out_dir=tmp_path)
+        assert calls == []
 
     def test_gossip_summary_schema(self, tmp_path):
         config = preset_config("dw-basic")

@@ -276,6 +276,46 @@ class TestFJ:
         with pytest.raises(UnstableError):
             fj_fixed_point(spec)
 
+    def test_unreached_closed_class_is_unstable(self):
+        # agent 0 is fully susceptible and listens only to itself; every other
+        # agent is barely stubborn. rho = 1 exactly, though a power-method
+        # estimate of it lands at 0.99993.
+        n = 10
+        w = np.zeros((n, n))
+        w[0, 0] = 1.0
+        w[1:, 0] = 0.001
+        w[np.arange(1, n), np.arange(1, n)] = 0.999
+        lam = np.full(n, 0.9999)
+        lam[0] = 1.0
+        with pytest.raises(UnstableError):
+            fj_fixed_point(FJSpec(lam=lam, w=w, u=np.zeros(n)))
+
+    def test_susceptible_agent_reaching_a_stubborn_one_is_stable(self):
+        # 2 -> 1 -> 0 with only agent 0 stubborn: the chain reaches it
+        w = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        xbar = fj_fixed_point(FJSpec(lam=np.array([0.5, 1.0, 1.0]), w=w,
+                                     u=np.array([2.0, 0.0, 0.0]))).values[:, 0]
+        assert np.allclose(xbar, 2.0)
+        with pytest.raises(UnstableError):
+            fj_fixed_point(FJSpec(lam=np.array([0.5, 1.0, 1.0]), w=w[::-1, ::-1],
+                                  u=np.zeros(3)))
+
+    def test_criterion_matches_eigenvalues(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            w = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.35)
+            w[np.arange(n), rng.integers(0, n, n)] += 1.0
+            w /= w.sum(axis=1, keepdims=True)
+            lam = np.where(rng.uniform(size=n) < 0.7, 1.0, rng.choice([0.0, 0.5], n))
+            rho = np.max(np.abs(np.linalg.eigvals(lam[:, None] * w)))
+            spec = FJSpec(lam=lam, w=w, u=np.zeros(n))
+            if rho < 1 - 1e-9:
+                fj_fixed_point(spec)
+            else:
+                with pytest.raises(UnstableError):
+                    fj_fixed_point(spec)
+
 
 class TestFlow:
     def test_symmetric_dyad_converges_to_mean_and_conserves_it(self):
