@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .linear_dynamics import KIND_NONNEGATIVE, WeightSpec, flow_simulate
-from .state import MaxStepsError, OpinionState, Trajectory
+from .state import MaxStepsError, NonConvergentError, OpinionState, Trajectory
 
 __all__ = [
     "ConfidenceSpec",
@@ -277,22 +277,35 @@ class PhiSpec:
         return _trapezoid_antiderivative(f, r)
 
 
-def _trapezoid_antiderivative(f, r: float, target: float = 1e-8, max_doublings: int = 22) -> float:
+def _trapezoid_antiderivative(f, r: float, target: float = 1e-8, max_doublings: int = 12) -> float:
+    """Trapezoid rule for the integral of f over [0, r] on 64 cells, doubling
+    the cells until two estimates differ by less than ``target``. Each pass
+    evaluates f only at the new midpoints, so a call costs at most
+    64 * 2**max_doublings + 1 evaluations; raises NonConvergentError when the
+    last pass still misses the target (e.g. f has a jump and no closed-form
+    antiderivative)."""
     if r <= 0:
         return 0.0
     n = 64
     grid = np.linspace(0.0, r, n + 1)
-    vals = np.array([f(g) for g in grid])
+    vals = np.array([f(g) for g in grid], dtype=float)
     est = np.trapezoid(vals, grid)
     for _ in range(max_doublings):
         n *= 2
         grid = np.linspace(0.0, r, n + 1)
-        vals = np.array([f(g) for g in grid])
+        finer = np.empty(n + 1)
+        finer[::2] = vals  # grid[2k] is the previous grid[k], bit for bit
+        finer[1::2] = [f(g) for g in grid[1::2]]
+        vals = finer
         nxt = np.trapezoid(vals, grid)
         if abs(nxt - est) < target:
             return float(nxt)
         est = nxt
-    return float(est)
+    raise NonConvergentError(
+        f"trapezoid quadrature of phi on [0, {r}] did not settle within {target} "
+        f"after {max_doublings} doublings; give a closed-form antiderivative",
+        iterations=max_doublings,
+    )
 
 
 def hk_indicator_phi(d: float) -> PhiSpec:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -22,21 +24,9 @@ from . import linear_dynamics as ld
 from . import presets as pr
 from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
-from .state import MaxStepsError, OpinionState, SimulationError
+from .state import MaxStepsError, OpinionState, SimulationError, Trajectory
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
-BC_MODELS = ("hk", "truth", "inertial", "phi")
-GOSSIP_MODELS = ("gossip-degroot", "gossip-pair", "gossip-fj", "dw", "dw-heterogeneous")
-
-# the files each model can write, by output name; fj, balance and the
-# experiments write their one file whatever ``outputs`` says
-MODEL_OUTPUTS = {
-    **dict.fromkeys(("hk", "truth", "inertial"), ("trajectory", "summary", "clusters", "energies")),
-    "phi": ("trajectory", "summary", "clusters"),
-    **dict.fromkeys(("flow", "signed-flow"), ("trajectory", "summary", "classification")),
-    "degroot": ("trajectory", "summary"),
-    **dict.fromkeys(GOSSIP_MODELS, ("trajectory", "events", "cesaro", "summary")),
-}
 
 
 class CliError(Exception):
@@ -60,10 +50,13 @@ def _x0_from_config(config: dict) -> OpinionState:
     return OpinionState(np.asarray(spec, dtype=float))
 
 
-def _resolve_matrix(params: dict, key: str = "matrix") -> None:
-    value = params.get(key)
+def _resolve_matrix(params: dict) -> None:
+    value = params.get("matrix")
     if isinstance(value, dict) and "file" in value:
-        params[key] = io.load_matrix(value["file"]).tolist()
+        try:
+            params["matrix"] = io.load_matrix(value["file"]).tolist()
+        except OSError as exc:
+            raise CliError("load", f"cannot read the matrix: {exc}") from exc
 
 
 def _gap_tol(params: dict, config: dict) -> float:
@@ -73,35 +66,197 @@ def _gap_tol(params: dict, config: dict) -> float:
     return float(np.min(params.get("d", config.get("gap_tol", 1e-4))))
 
 
-def _summary_payload(traj, config) -> dict:
-    final = traj.final
-    label = analysis.classify(traj, tol=float(config.get("tol", 1e-6)))
-    payload = {
-        "steps": len(traj) - 1,
-        "terminated_at": traj.terminated_at,
-        "final": final.values.tolist(),
-        "final_diameter": final.diameter(),
-        "classification": {"kind": label.kind, "count": label.count},
-    }
-    check = config.get("family_check")
-    if check:
-        ratios = np.asarray(check["ratios"], dtype=float)
-        flat = final.values[:, 0]
-        scale = float(flat @ ratios) / float(ratios @ ratios)
-        deviation = float(np.max(np.abs(flat - scale * ratios)))
-        payload["family_check"] = {
-            "ratios": ratios.tolist(),
-            "scale": scale,
-            "max_deviation": deviation,
-            "passed": deviation < float(check.get("tol", 1e-6)),
-        }
-    return payload
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@dataclass
+class _Run:
+    """A simulated scenario and the text of each file it can write; a payload
+    several files use is computed once. ``every`` thins ``trajectory.csv``."""
+
+    traj: Trajectory
+    config: dict
+    params: dict
+    seed: int
+    every: int = 1
+
+    @cached_property
+    def summary(self) -> dict:
+        traj, config, final = self.traj, self.config, self.traj.final
+        label = analysis.classify(traj, tol=float(config.get("tol", 1e-6)))
+        payload = {"steps": len(traj) - 1, "terminated_at": traj.terminated_at,
+                   "final": final.values.tolist(), "final_diameter": final.diameter(),
+                   "classification": {"kind": label.kind, "count": label.count}}
+        check = config.get("family_check")
+        if check:
+            ratios = np.asarray(check["ratios"], dtype=float)
+            norm = float(ratios @ ratios)
+            if norm == 0.0:
+                raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
+            flat = final.values[:, 0]
+            scale = float(flat @ ratios) / norm
+            deviation = float(np.max(np.abs(flat - scale * ratios)))
+            payload["family_check"] = {"ratios": ratios.tolist(), "scale": scale,
+                                       "max_deviation": deviation,
+                                       "passed": deviation < float(check.get("tol", 1e-6))}
+        return payload
+
+    @cached_property
+    def averages(self) -> np.ndarray:
+        return gp.cesaro(self.traj)
+
+    def trajectory_csv(self) -> str:
+        traj, every = self.traj, self.every
+        if every > 1:  # every every-th state and the last one
+            idx = [*range(0, len(traj) - 1, every), len(traj) - 1]
+            traj = Trajectory(traj.array[idx], traj.stamps[idx])
+        return io.trajectory_csv(traj)
+
+    def clusters_json(self) -> str:
+        profile = analysis.clusters(self.traj.final, _gap_tol(self.params, self.config))
+        return _json({"count": profile.count, "members": [list(m) for m in profile.members],
+                      "representatives": [list(np.atleast_1d(r)) for r, _ in profile.clusters]})
+
+    def energies_csv(self) -> str:
+        d, traj = self.params["d"], self.traj
+        rows = (f"{k},{io.fmt_float(bc.hk_energy(traj.state(k), d))}\n" for k in range(len(traj)))
+        return "step,energy\n" + "".join(rows)
+
+    def classification_json(self) -> str:
+        summary = self.summary
+        check = {"family_check": summary["family_check"]} if "family_check" in summary else {}
+        return _json({**summary["classification"], **check})
+
+    def gossip_summary_json(self) -> str:
+        profile = analysis.clusters(self.traj.final, _gap_tol(self.params, self.config))
+        return _json({"seed": self.seed, "steps": int(self.config.get("horizon", 10000)),
+                      "final_state": self.traj.final.values[:, 0].tolist(),
+                      "cesaro_final": self.averages[-1][:, 0].tolist(),
+                      "clusters": [list(m) for m in profile.members]})
+
+
+def _run_bc(spec_fn, step, arrays, model, config, params, seed, outputs) -> _Run:
+    """Iterates ``bc.<step>(s, *params[arrays], spec)`` to a fixed point, with
+    ``spec = spec_fn(params, x0)``; ``step`` is looked up when the model runs."""
+    x0 = _x0_from_config(config)
+    horizon, stop_tol = int(config.get("horizon", 10000)), float(config.get("stop_tol", 0.0))
+    spec = spec_fn(params, x0)
+    args = [np.asarray(params[key], dtype=float) for key in arrays]
+    step_fn = getattr(bc, step)
+    try:
+        traj = bc.simulate_bc(lambda s: step_fn(s, *args, spec), x0, max_steps=horizon,
+                              stop_tol=stop_tol)
+    except MaxStepsError as exc:
+        traj = exc.trajectory
+    return _Run(traj, config, params, seed)
+
+
+def _confidence(params, x0):
+    return pr.confidence_from_params(params, x0.n, x0.m)
+
+
+def _run_flow(kind, model, config, params, seed, outputs) -> _Run:
+    x0 = _x0_from_config(config)
+    _resolve_matrix(params)
+    spec = pr.weight_spec_from_params(kind, params)
+    traj = ld.flow_simulate(spec, x0, t_end=float(params.get("t_end", 30.0)), dt=params.get("dt"))
+    every = int(config.get("record_every", 1)) if "trajectory" in outputs else 1
+    return _Run(traj, config, params, seed, every)
+
+
+def _run_degroot(model, config, params, seed, outputs) -> _Run:
+    x0 = _x0_from_config(config)
+    _resolve_matrix(params)
+    spec = pr.weight_spec_from_params(params.get("kind", "stochastic"), params)
+    traj = ld.simulate_discrete(spec, x0, steps=int(config.get("horizon", 1000)))
+    return _Run(traj, config, params, seed)
+
+
+def _run_gossip(model, config, params, seed, outputs) -> _Run:
+    x0 = _x0_from_config(config)
+    gmodel = pr.gossip_model_from_params(model, params)
+    traj = gp.simulate_gossip(gmodel, x0, steps=int(config.get("horizon", 10000)), seed=seed,
+                              thin=int(config.get("thin", 1)), record_events="events" in outputs)
+    return _Run(traj, config, params, seed)
+
+
+def _run_fj(model, config, params, seed, outputs) -> tuple:
+    spec = pr.fj_spec_from_params(params)
+    xbar = ld.fj_fixed_point(spec).values
+    fixed = spec.lam[:, None] * (spec.w @ xbar) + (1 - spec.lam)[:, None] * spec.u
+    residual = float(np.max(np.abs(fixed - xbar)))
+    return "report.json", _json({"x_bar": xbar.tolist(), "residual": residual})
+
+
+def _run_balance(model, config, params, seed, outputs) -> tuple:
+    _resolve_matrix(params)
+    graph = SignedGraph(np.asarray(params["matrix"], dtype=float))
+    return "balance.json", io.balance_json(structural_balance(graph))
+
+
+def _run_two_r(model, config, params, seed, outputs) -> tuple:
+    rows = analysis.two_r_experiment(
+        n=int(params["n"]), d_list=[float(d) for d in params["d_list"]],
+        trials=int(params["trials"]), seed=seed)
+    if config["format"] == "json":
+        return "table.json", io.two_r_json(rows)
+    return "table.csv", io.two_r_csv(rows)
+
+
+def _run_hk_sweep(model, config, params, seed, outputs) -> tuple:
+    rng = gp.make_rng((seed, 2))
+    n_lo, n_hi = params.get("n_range", [2, 30])
+    d_lo, d_hi = params.get("d_range", [0.05, 0.5])
+    rows = ["instance,n,d,terminated_at,bound"]
+    for idx in range(int(params.get("instances", 25))):
+        n = int(rng.integers(n_lo, n_hi + 1))
+        d = float(rng.uniform(d_lo, d_hi))
+        x0 = OpinionState(rng.uniform(0.0, 1.0, size=n))
+        spec = bc.ConfidenceSpec.symmetric(d)
+        bound = 2 * n**3 - 2 * (n - 1) ** 2
+        traj = bc.simulate_bc(lambda s: bc.hk_step(s, spec), x0, max_steps=bound)
+        rows.append(f"{idx},{n},{io.fmt_float(d)},{traj.terminated_at},{bound}")
+    return "sweep.csv", "\n".join(rows) + "\n"
+
+
+TRAJECTORY = ("trajectory.csv", _Run.trajectory_csv)
+SUMMARY = ("summary.json", lambda run: _json(run.summary))
+PHI_WRITERS = {"trajectory": TRAJECTORY, "summary": SUMMARY,
+               "clusters": ("clusters.json", _Run.clusters_json)}
+BC_WRITERS = {**PHI_WRITERS, "energies": ("energies.csv", _Run.energies_csv)}
+FLOW_WRITERS = {"trajectory": TRAJECTORY, "summary": SUMMARY,
+                "classification": ("classification.json", _Run.classification_json)}
+GOSSIP_WRITERS = {"trajectory": TRAJECTORY,
+                  "events": ("events.csv", lambda run: io.events_csv(run.traj)),
+                  "cesaro": ("cesaro.csv", lambda run: io.trajectory_csv(
+                      Trajectory(run.averages, run.traj.stamps))),
+                  "summary": ("summary.json", _Run.gossip_summary_json)}
+
+# model -> (run_fn, writers). run_fn(model, config, params, seed, outputs) builds and
+# runs the model. writers maps output names, in writing order, to (file name,
+# writer(_Run) -> text); without writers, run_fn returns its one file's (name, text).
+MODELS = {
+    "hk": (partial(_run_bc, _confidence, "hk_step", ()), BC_WRITERS),
+    "truth": (partial(_run_bc, _confidence, "truth_step", ("lam", "target")), BC_WRITERS),
+    "inertial": (partial(_run_bc, _confidence, "inertial_step", ("lam",)), BC_WRITERS),
+    "phi": (partial(_run_bc, lambda p, x0: pr.phi_from_params(p), "phi_step", ()), PHI_WRITERS),
+    "flow": (partial(_run_flow, ld.KIND_NONNEGATIVE), FLOW_WRITERS),
+    "signed-flow": (partial(_run_flow, ld.KIND_SIGNED), FLOW_WRITERS),
+    "degroot": (_run_degroot, {"trajectory": TRAJECTORY, "summary": SUMMARY}),
+    "fj": (_run_fj, None),
+    "balance": (_run_balance, None),
+    **dict.fromkeys(("gossip-degroot", "gossip-pair", "gossip-fj", "dw", "dw-heterogeneous"),
+                    (_run_gossip, GOSSIP_WRITERS)),
+    "two-r": (_run_two_r, None),
+    "hk-sweep": (_run_hk_sweep, None),
+}
 
 
 def _requested_outputs(config: dict, model: str, params: dict) -> list:
     """The config's ``outputs``, checked against what the model can write."""
-    names = MODEL_OUTPUTS.get(model)
-    if names is None:
+    names = tuple(MODELS[model][1] or ())
+    if not names:
         return []
     hint = f"model {model!r} writes {', '.join(names)}"
     if "energies" in names and not isinstance(params.get("d"), (int, float)):
@@ -127,6 +282,7 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
     fmt = fmt or config.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise CliError("config", f"unknown format {fmt!r}", "use csv or json")
+    config = {**config, "format": fmt}
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise CliError("config", f"params must be a JSON object, got {params!r}")
@@ -135,6 +291,9 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
         seed = int(config.get("seed", 0))
     except (TypeError, ValueError, OverflowError):
         raise CliError("config", f"seed must be an integer, got {config['seed']!r}") from None
+    if model not in MODELS:
+        raise CliError("config", f"unknown model {model!r}")
+    run_fn, writers = MODELS[model]
     outputs = _requested_outputs(config, model, params)
     written = []
 
@@ -143,172 +302,13 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
         io.atomic_write_text(path, text)
         written.append(str(path))
 
-    def emit_json(name: str, payload):
-        emit(name, json.dumps(payload, indent=2) + "\n")
-
     try:
-        if model in BC_MODELS:
-            x0 = _x0_from_config(config)
-            horizon = int(config.get("horizon", 10000))
-            stop_tol = float(config.get("stop_tol", 0.0))
-            if model == "phi":
-                phi = pr.phi_from_params(params)
-                stepper = lambda s: bc.phi_step(s, phi)
-            else:
-                spec = pr.confidence_from_params(params, x0.n, x0.m)
-                if model == "hk":
-                    stepper = lambda s: bc.hk_step(s, spec)
-                elif model == "truth":
-                    lam = np.asarray(params["lam"], dtype=float)
-                    target = np.asarray(params["target"], dtype=float)
-                    stepper = lambda s: bc.truth_step(s, lam, target, spec)
-                else:
-                    lam = np.asarray(params["lam"], dtype=float)
-                    stepper = lambda s: bc.inertial_step(s, lam, spec)
-            try:
-                traj = bc.simulate_bc(stepper, x0, max_steps=horizon, stop_tol=stop_tol)
-            except MaxStepsError as exc:
-                traj = exc.trajectory
-            if "trajectory" in outputs:
-                emit("trajectory.csv", io.trajectory_csv(traj))
-            if "summary" in outputs:
-                emit_json("summary.json", _summary_payload(traj, config))
-            if "clusters" in outputs:
-                profile = analysis.clusters(traj.final, _gap_tol(params, config))
-                emit_json(
-                    "clusters.json",
-                    {
-                        "count": profile.count,
-                        "members": [list(m) for m in profile.members],
-                        "representatives": [list(np.atleast_1d(r)) for r, _ in profile.clusters],
-                    },
-                )
-            if "energies" in outputs:
-                rows = ["step,energy"]
-                for k in range(len(traj)):
-                    rows.append(f"{k},{io.fmt_float(bc.hk_energy(traj.state(k), params['d']))}")
-                emit("energies.csv", "\n".join(rows) + "\n")
-
-        elif model in ("signed-flow", "flow"):
-            x0 = _x0_from_config(config)
-            kind = ld.KIND_SIGNED if model == "signed-flow" else ld.KIND_NONNEGATIVE
-            _resolve_matrix(params)
-            spec = pr.weight_spec_from_params(kind, params)
-            traj = ld.flow_simulate(
-                spec,
-                x0,
-                t_end=float(params.get("t_end", 30.0)),
-                dt=params.get("dt"),
-            )
-            if "trajectory" in outputs:
-                every = int(config.get("record_every", 1))
-                thin_traj = traj
-                if every > 1:
-                    idx = list(range(0, len(traj), every))
-                    if idx[-1] != len(traj) - 1:
-                        idx.append(len(traj) - 1)
-                    thin_traj = type(traj)(traj.array[idx], traj.stamps[idx])
-                emit("trajectory.csv", io.trajectory_csv(thin_traj))
-            if "summary" in outputs:
-                emit_json("summary.json", _summary_payload(traj, config))
-            if "classification" in outputs:
-                label = analysis.classify(traj, tol=float(config.get("tol", 1e-6)))
-                payload = {"kind": label.kind, "count": label.count}
-                if config.get("family_check"):
-                    payload["family_check"] = _summary_payload(traj, config)["family_check"]
-                emit_json("classification.json", payload)
-
-        elif model == "degroot":
-            x0 = _x0_from_config(config)
-            _resolve_matrix(params)
-            kind = params.get("kind", "stochastic")
-            spec = pr.weight_spec_from_params(kind, params)
-            traj = ld.simulate_discrete(spec, x0, steps=int(config.get("horizon", 1000)))
-            if "trajectory" in outputs:
-                emit("trajectory.csv", io.trajectory_csv(traj))
-            if "summary" in outputs:
-                emit_json("summary.json", _summary_payload(traj, config))
-
-        elif model == "fj":
-            spec = pr.fj_spec_from_params(params)
-            xbar = ld.fj_fixed_point(spec)
-            residual = float(
-                np.max(
-                    np.abs(
-                        spec.lam[:, None] * (spec.w @ xbar.values)
-                        + (1 - spec.lam)[:, None] * spec.u
-                        - xbar.values
-                    )
-                )
-            )
-            emit_json("report.json", {"x_bar": xbar.values.tolist(), "residual": residual})
-
-        elif model == "balance":
-            _resolve_matrix(params)
-            graph = SignedGraph(np.asarray(params["matrix"], dtype=float))
-            emit("balance.json", io.balance_json(structural_balance(graph)))
-
-        elif model in GOSSIP_MODELS:
-            x0 = _x0_from_config(config)
-            gmodel = pr.gossip_model_from_params(model, params)
-            steps = int(config.get("horizon", 10000))
-            thin = int(config.get("thin", 1))
-            traj = gp.simulate_gossip(
-                gmodel, x0, steps=steps, seed=seed, thin=thin,
-                record_events="events" in outputs,
-            )
-            if "cesaro" in outputs or "summary" in outputs:
-                averages = gp.cesaro(traj)
-            if "trajectory" in outputs:
-                emit("trajectory.csv", io.trajectory_csv(traj))
-            if "events" in outputs:
-                emit("events.csv", io.events_csv(traj))
-            if "cesaro" in outputs:
-                cesaro_traj = type(traj)(averages, traj.stamps)
-                emit("cesaro.csv", io.trajectory_csv(cesaro_traj))
-            if "summary" in outputs:
-                profile = analysis.clusters(traj.final, _gap_tol(params, config))
-                emit_json(
-                    "summary.json",
-                    {
-                        "seed": seed,
-                        "steps": steps,
-                        "final_state": traj.final.values[:, 0].tolist(),
-                        "cesaro_final": averages[-1][:, 0].tolist(),
-                        "clusters": [list(m) for m in profile.members],
-                    },
-                )
-
-        elif model == "two-r":
-            rows = analysis.two_r_experiment(
-                n=int(params["n"]),
-                d_list=[float(d) for d in params["d_list"]],
-                trials=int(params["trials"]),
-                seed=seed,
-            )
-            if fmt == "json":
-                emit("table.json", io.two_r_json(rows))
-            else:
-                emit("table.csv", io.two_r_csv(rows))
-
-        elif model == "hk-sweep":
-            rng = gp.make_rng((seed, 2))
-            n_lo, n_hi = params.get("n_range", [2, 30])
-            d_lo, d_hi = params.get("d_range", [0.05, 0.5])
-            rows = ["instance,n,d,terminated_at,bound"]
-            for idx in range(int(params.get("instances", 25))):
-                n = int(rng.integers(n_lo, n_hi + 1))
-                d = float(rng.uniform(d_lo, d_hi))
-                x0 = OpinionState(rng.uniform(0.0, 1.0, size=n))
-                spec = bc.ConfidenceSpec.symmetric(d)
-                bound = 2 * n**3 - 2 * (n - 1) ** 2
-                traj = bc.simulate_bc(lambda s: bc.hk_step(s, spec), x0, max_steps=bound)
-                rows.append(f"{idx},{n},{io.fmt_float(d)},{traj.terminated_at},{bound}")
-            emit("sweep.csv", "\n".join(rows) + "\n")
-
-        else:
-            raise CliError("config", f"unknown model {model!r}")
-
+        result = run_fn(model, config, params, seed, outputs)
+        if writers is None:
+            emit(*result)
+        for key, (name, write) in (writers or {}).items():
+            if key in outputs:
+                emit(name, write(result))
     except CliError:
         raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -413,7 +413,7 @@ def _analyze(args) -> int:
     }
     path = Path(args.out) / "analysis.json"
     try:
-        io.atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+        io.atomic_write_text(path, _json(payload))
     except OSError as exc:
         raise CliError("write", str(exc)) from exc
     print(path)

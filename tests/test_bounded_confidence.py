@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from opiniondyn import (
     ConfidenceSpec,
     MaxStepsError,
+    NonConvergentError,
     OpinionState,
     d_chain_partition,
     heterophily_phi,
@@ -291,6 +292,39 @@ class TestEnergies:
         spec_quad = PhiSpec(phi=lambda s: np.exp(-s))
         for r in (0.0, 0.3, 1.7, 9.0):
             assert spec_quad.potential(0, 0, r) == pytest.approx(1.0 - np.exp(-r), abs=1e-7)
+
+    def test_quadrature_of_a_jump_raises_after_a_bounded_number_of_calls(self):
+        calls = []
+
+        def step(sigma):
+            calls.append(sigma)
+            return 1.0 if sigma <= 1.0 / 3.0 else 0.25
+
+        spec = PhiSpec(phi=step)  # no antiderivative: potential() integrates
+        calls.clear()
+        with pytest.raises(NonConvergentError) as info:
+            spec.potential(0, 0, 1.0)
+        assert info.value.iterations == 12
+        assert len(calls) == 64 * 2**12 + 1
+
+    def test_quadrature_reuses_values_bit_for_bit(self):
+        # reference: every pass evaluates phi on its whole grid
+        def reference(f, r, target=1e-8, max_doublings=12):
+            n = 64
+            grid = np.linspace(0.0, r, n + 1)
+            est = np.trapezoid(np.array([f(g) for g in grid]), grid)
+            for _ in range(max_doublings):
+                n *= 2
+                grid = np.linspace(0.0, r, n + 1)
+                nxt = np.trapezoid(np.array([f(g) for g in grid]), grid)
+                if abs(nxt - est) < target:
+                    return float(nxt)
+                est = nxt
+            raise AssertionError("reference did not converge")
+
+        for f in (lambda s: np.exp(-s), lambda s: 1.0 / (1.0 + s * s), lambda s: np.cos(s) + 2):
+            for r in (1e-300, 0.3, 0.71, 1.7, 9.0):
+                assert PhiSpec(phi=f).potential(0, 0, r) == reference(f, r)
 
 
 class TestDChains:

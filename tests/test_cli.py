@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,3 +520,83 @@ class TestMoreRunModels:
         run(config, out_dir=tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert {"seed", "final_state", "cesaro_final", "clusters"} <= set(summary)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("model", ["balance", "flow", "degroot"])
+    def test_missing_matrix_file_is_a_load_error(self, tmp_path, capsys, model):
+        config = {"model": model, "params": {"matrix": {"file": str(tmp_path / "absent.csv")}},
+                  "x0": [0.0, 1.0]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "load"
+        assert "absent.csv" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param({"model": "signed-flow", "x0": [1.0, 0.0],
+                          "params": {"matrix": [[0.0, -1.0], [-1.0, 0.0]], "t_end": 1.0},
+                          "outputs": ["summary", "classification"]}, id="signed-flow"),
+            pytest.param({"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1],
+                          "outputs": ["summary"]}, id="hk"),
+        ],
+    )
+    def test_all_zero_family_check_is_a_validation_error(self, tmp_path, capsys, config):
+        config["family_check"] = {"ratios": [0, 0]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert "all zero" in payload["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+
+class TestModelTable:
+    def test_every_model_has_a_golden_case(self):
+        from opiniondyn import cli
+        from test_cli_golden import CONFIGS
+
+        assert {config["model"] for config in CONFIGS.values()} == set(cli.MODELS)
+        assert set(cli.EXPERIMENT_MODELS) <= set(cli.MODELS)
+
+    def test_readme_lists_the_writers_of_each_model(self):
+        from opiniondyn import cli
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = text.split("| model | outputs |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for row in rows.splitlines():
+            models, outputs = row.strip("|").split("|")
+            names = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", outputs))
+            listed.update(dict.fromkeys(re.findall(r"`([^`]+)`", models), names))
+        writers = {model: list(w) for model, (_, w) in cli.MODELS.items() if w is not None}
+        assert listed == writers
+        prose = " ".join(text.split())
+        one_file = re.search(r"\. ((?:`[^`]+`(?:,| and)? ?)+)write their one file", prose)
+        assert set(re.findall(r"`([^`]+)`", one_file.group(1))) == {
+            model for model, (_, w) in cli.MODELS.items() if w is None
+        }
+
+    def test_flow_summary_and_classification_classify_once(self, tmp_path, monkeypatch):
+        from opiniondyn import analysis, cli
+
+        calls = []
+        classify = analysis.classify
+        monkeypatch.setattr(cli.analysis, "classify",
+                            lambda *args, **kwargs: calls.append(args) or classify(*args, **kwargs))
+        config = preset_config("altafini3")
+        config["params"]["t_end"] = 4.0
+        assert config["outputs"] == ["summary", "classification"] and config["family_check"]
+        run(config, out_dir=tmp_path)
+        assert len(calls) == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        classification = json.loads((tmp_path / "classification.json").read_text())
+        assert classification == {**summary["classification"],
+                                  "family_check": summary["family_check"]}
