@@ -79,7 +79,8 @@ class ConfidenceSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _offsets(getattr(self, name)))
         lo, hi = self.lo, self.hi
-        if np.any(np.asarray(hi) <= 0) or (lo is not None and np.any(np.asarray(lo) >= 0)):
+        # "not > 0" rather than "<= 0", so that a NaN bound is rejected too
+        if not np.all(np.asarray(hi) > 0) or (lo is not None and not np.all(np.asarray(lo) < 0)):
             raise ValueError("confidence bounds must be positive")
         if isinstance(lo, tuple) and isinstance(hi, tuple) and len(lo) != len(hi):
             raise ValueError("left and right bound lists must have equal length")
@@ -129,26 +130,47 @@ def _column(bound, n: int):
     return np.asarray(bound)[:, None]
 
 
+def _rows(bound, rows: slice):
+    """The part of a ``_column`` bound that applies to a block of rows."""
+    return bound if isinstance(bound, float) else bound[rows]
+
+
+# Rows per pass of the trust test and the settled-row test: their float and
+# bool temporaries are _BLOCK x n (x m), small enough to stay in cache.
+_BLOCK = 32
+
+
 def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     """Boolean (n, n) matrix: entry (i, j) True iff agent i trusts agent j.
 
-    Row i is agent i's trust set; the diagonal is always True.
+    Row i is agent i's trust set; the diagonal is always True. The mask is
+    filled ``_BLOCK`` rows at a time, so besides the mask itself the
+    temporaries (the gaps x_j - x_i, or the differences x_i - x_j and their
+    norms) are O(_BLOCK * n * m).
     """
+    n = x.n
     if spec.lo is None:
-        hi = _column(spec.hi, x.n)
-        diff = x.values[:, None, :] - x.values[None, :, :]
-        dist = np.linalg.norm(diff, ord=_NORM_ORDS[spec.norm], axis=2)
-        mask = dist <= hi if spec.closed else dist < hi
+        lo, hi = None, _column(spec.hi, n)
+        values, order = x.values, _NORM_ORDS[spec.norm]
+
+        def distance(rows):
+            return np.linalg.norm(values[rows, None, :] - values[None, :, :], ord=order, axis=2)
     else:
         if x.m != 1:
             raise ValueError("interval confidence variants require scalar opinions")
-        lo, hi = _column(spec.lo, x.n), _column(spec.hi, x.n)
+        lo, hi = _column(spec.lo, n), _column(spec.hi, n)
         v = x.flat
-        gap = v[None, :] - v[:, None]  # gap[i, j] = x_j - x_i
-        if spec.closed:
-            mask = (gap >= lo) & (gap <= hi)
-        else:
-            mask = (gap > lo) & (gap < hi)
+
+        def distance(rows):
+            return v[None, :] - v[rows, None]  # gap[i, j] = x_j - x_i
+
+    mask = np.empty((n, n), dtype=bool)
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        gap, out = distance(rows), mask[rows]
+        (np.less_equal if spec.closed else np.less)(gap, _rows(hi, rows), out=out)
+        if lo is not None:
+            out &= gap >= _rows(lo, rows) if spec.closed else gap > _rows(lo, rows)
     np.fill_diagonal(mask, True)
     return mask
 
@@ -166,14 +188,31 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Agents with identical trust sets receive bit-identical means (shared
     summation), and a row whose trusted opinions already coincide returns
     that value exactly, so collapsed groups are exact fixed points.
+
+    Row i is settled iff no trusted j has x_j != x_i in any dimension (the
+    mask holds i itself); the test runs ``_BLOCK`` rows at a time with bool
+    temporaries of O(_BLOCK * n). A settled row takes x_i. A settled row
+    with a zero component instead takes the componentwise maximum over its
+    trust set, as the earlier max == min test did: numpy's reduction picks
+    which of +0.0 and -0.0 a mixed zero becomes.
     """
+    n, m = values.shape
     counts = mask.sum(axis=1)
     means = (mask @ values) / counts[:, None]
-    hi = np.where(mask[:, :, None], values[None, :, :], -np.inf).max(axis=1)
-    lo = np.where(mask[:, :, None], values[None, :, :], np.inf).min(axis=1)
-    settled = np.all(hi == lo, axis=1)
+    settled = np.empty(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        differs = values[None, :, 0] != values[rows, None, 0]
+        for k in range(1, m):
+            differs |= values[None, :, k] != values[rows, None, k]
+        differs &= mask[rows]
+        settled[rows] = ~differs.any(axis=1)
     if settled.any():
-        means = np.where(settled[:, None], hi, means)
+        means[settled] = values[settled]
+        zero = np.flatnonzero(settled & (values == 0).any(axis=1))
+        if zero.size:
+            trusted = np.where(mask[zero, :, None], values[None, :, :], -np.inf)
+            means[zero] = trusted.max(axis=1)
     return means
 
 

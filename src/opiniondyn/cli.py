@@ -50,15 +50,6 @@ def _x0_from_config(config: dict) -> OpinionState:
     return OpinionState(np.asarray(spec, dtype=float))
 
 
-def _resolve_matrix(params: dict) -> None:
-    value = params.get("matrix")
-    if isinstance(value, dict) and "file" in value:
-        try:
-            params["matrix"] = io.load_matrix(value["file"]).tolist()
-        except OSError as exc:
-            raise CliError("load", f"cannot read the matrix: {exc}") from exc
-
-
 def _gap_tol(params: dict, config: dict) -> float:
     """Clustering scale: the confidence bound d, or ``gap_tol`` without one.
     A per-agent d clusters at its smallest bound: two clusters closer than
@@ -91,6 +82,8 @@ class _Run:
         check = config.get("family_check")
         if check:
             ratios = np.asarray(check["ratios"], dtype=float)
+            if not np.all(np.isfinite(ratios)):
+                raise ValueError(f"family_check ratios {ratios.tolist()} must be finite")
             norm = float(ratios @ ratios)
             if norm == 0.0:
                 raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
@@ -158,7 +151,6 @@ def _confidence(params, x0):
 
 def _run_flow(kind, model, config, params, seed, outputs) -> _Run:
     x0 = _x0_from_config(config)
-    _resolve_matrix(params)
     spec = pr.weight_spec_from_params(kind, params)
     traj = ld.flow_simulate(spec, x0, t_end=float(params.get("t_end", 30.0)), dt=params.get("dt"))
     every = int(config.get("record_every", 1)) if "trajectory" in outputs else 1
@@ -167,7 +159,6 @@ def _run_flow(kind, model, config, params, seed, outputs) -> _Run:
 
 def _run_degroot(model, config, params, seed, outputs) -> _Run:
     x0 = _x0_from_config(config)
-    _resolve_matrix(params)
     spec = pr.weight_spec_from_params(params.get("kind", "stochastic"), params)
     traj = ld.simulate_discrete(spec, x0, steps=int(config.get("horizon", 1000)))
     return _Run(traj, config, params, seed)
@@ -190,8 +181,7 @@ def _run_fj(model, config, params, seed, outputs) -> tuple:
 
 
 def _run_balance(model, config, params, seed, outputs) -> tuple:
-    _resolve_matrix(params)
-    graph = SignedGraph(np.asarray(params["matrix"], dtype=float))
+    graph = SignedGraph(np.asarray(io.resolve_matrix(params["matrix"]), dtype=float))
     return "balance.json", io.balance_json(structural_balance(graph))
 
 
@@ -299,7 +289,10 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
 
     def emit(name: str, text: str):
         path = out / name
-        io.atomic_write_text(path, text)
+        try:
+            io.atomic_write_text(path, text)
+        except OSError as exc:
+            raise CliError("write", str(exc)) from exc
         written.append(str(path))
 
     try:
@@ -315,8 +308,8 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
         raise CliError("validate", str(exc)) from exc
     except SimulationError as exc:
         raise CliError("run", str(exc)) from exc
-    except OSError as exc:
-        raise CliError("write", str(exc)) from exc
+    except OSError as exc:  # emit reports its own failures as stage write
+        raise CliError("load", f"cannot read an input file: {exc}") from exc
     return written
 
 

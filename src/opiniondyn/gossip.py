@@ -253,7 +253,7 @@ class DeffuantWeisbuch:
     mode: str = "symmetric"
 
     def __post_init__(self):
-        if self.d <= 0:
+        if not self.d > 0:  # NaN fails this too
             raise ValueError("confidence bound must be positive")
         if not 0 < self.mu < 1:
             raise ValueError("the move fraction must lie in (0, 1)")
@@ -306,7 +306,7 @@ class DWHeterogeneous:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1 or np.any(d <= 0):
+        if d.ndim != 1 or not np.all(d > 0):
             raise ValueError("per-agent bounds must be a positive vector")
         if not 0 < self.mu < 1:
             raise ValueError("the move fraction must lie in (0, 1)")

@@ -374,15 +374,16 @@ def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
     total = None
     for w in w_seq:
         w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"weights must be square matrices, got shape {w.shape}")
         if np.any(w < 0):
             raise ValueError("persistent interactions are defined for nonnegative weights")
-        total = w.copy() if total is None else total + w
+        if total is None:
+            total = w.copy()
+        else:
+            total += w
     if total is None:
         raise ValueError("empty weight sequence")
-    n = total.shape[0]
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if total[i, j] >= threshold or total[j, i] >= threshold:
-                edges.add((i, j))
-    return UndirectedGraph(n, frozenset(edges))
+    reached = total >= threshold
+    i, j = np.nonzero(np.triu(reached | reached.T, k=1))
+    return UndirectedGraph(total.shape[0], frozenset(zip(i.tolist(), j.tolist())))

@@ -7,6 +7,7 @@ import numpy as np
 from . import bounded_confidence as bc
 from . import gossip as gp
 from .linear_dynamics import FJSpec, WeightSpec
+from .serialize import load_schedule, resolve_matrix
 
 # Four-agent influence matrix observed in a small-group experiment, with the
 # susceptibility coupling lam = 1 - diag(W) and prejudices (25, 25, 75, 85);
@@ -199,9 +200,8 @@ def gossip_model_from_params(model: str, params: dict):
 
 def weight_spec_from_params(kind: str, params: dict) -> WeightSpec:
     if "schedule" in params:
-        schedule = [(entry["until"], np.asarray(entry["matrix"])) for entry in params["schedule"]]
-        return WeightSpec.scheduled(kind, schedule)
-    return WeightSpec.constant(kind, np.asarray(params["matrix"]))
+        return WeightSpec.scheduled(kind, load_schedule(params["schedule"]))
+    return WeightSpec.constant(kind, resolve_matrix(params["matrix"]))
 
 
 def fj_spec_from_params(params: dict) -> FJSpec:

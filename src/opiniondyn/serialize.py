@@ -23,6 +23,7 @@ from .state import Trajectory
 __all__ = [
     "fmt_float",
     "load_matrix",
+    "resolve_matrix",
     "load_schedule",
     "trajectory_csv",
     "load_trajectory",
@@ -72,16 +73,26 @@ def load_matrix(path) -> np.ndarray:
     return mat
 
 
+def resolve_matrix(value):
+    """A matrix given inline, or as ``{"file": path}``: then the array
+    ``load_matrix`` reads from that file."""
+    if isinstance(value, dict) and "file" in value:
+        return load_matrix(value["file"])
+    return value
+
+
 def load_schedule(source) -> list:
-    """Parse a piecewise-constant schedule [{"until": t, "matrix": [[..]]}]
-    from a JSON file path or an already-decoded list."""
+    """Parse a piecewise-constant schedule [{"until": t, "matrix": M}] from a
+    JSON file path or an already-decoded list; each M is given inline or as
+    ``{"file": path}`` (see ``resolve_matrix``)."""
     if isinstance(source, (str, Path)):
         entries = json.loads(Path(source).read_text())
     else:
         entries = source
     schedule = []
     for entry in entries:
-        schedule.append((float(entry["until"]), np.asarray(entry["matrix"], dtype=float)))
+        matrix = resolve_matrix(entry["matrix"])
+        schedule.append((float(entry["until"]), np.asarray(matrix, dtype=float)))
     return schedule
 
 

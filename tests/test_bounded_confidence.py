@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from opiniondyn import (
     trust_set,
     truth_step,
 )
+from opiniondyn import bounded_confidence as bc
 from opiniondyn.bounded_confidence import PhiSpec
 from opiniondyn.presets import TETRA_X0
 
@@ -424,3 +428,221 @@ class TestSmoothFlow:
             v = np.sort(traj.final.values[:, 0])
             gaps = np.diff(v)
             assert np.all((gaps < 1e-3) | (gaps >= d - 1e-3))
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked trust masks and the exact settled-row test, against the dense
+# kernels they replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_trust_matrix(x, spec):
+    """``trust_matrix`` before the row blocks: one (n, n) gap, or one (n, n, m)
+    difference array and its norms."""
+
+    def column(bound):
+        if isinstance(bound, float):
+            return bound
+        if len(bound) != x.n:
+            raise ValueError("per-agent bounds must match the agent count")
+        return np.asarray(bound)[:, None]
+
+    if spec.lo is None:
+        hi = column(spec.hi)
+        diff = x.values[:, None, :] - x.values[None, :, :]
+        dist = np.linalg.norm(diff, ord=bc._NORM_ORDS[spec.norm], axis=2)
+        mask = dist <= hi if spec.closed else dist < hi
+    else:
+        if x.m != 1:
+            raise ValueError("interval confidence variants require scalar opinions")
+        lo, hi = column(spec.lo), column(spec.hi)
+        v = x.flat
+        gap = v[None, :] - v[:, None]
+        if spec.closed:
+            mask = (gap >= lo) & (gap <= hi)
+        else:
+            mask = (gap > lo) & (gap < hi)
+    np.fill_diagonal(mask, True)
+    return mask
+
+
+def dense_masked_mean(values, mask):
+    """``_masked_mean`` before the exact settled test: a row is settled when
+    the (n, n, m) maximum and minimum of its trusted opinions agree."""
+    counts = mask.sum(axis=1)
+    means = (mask @ values) / counts[:, None]
+    hi = np.where(mask[:, :, None], values[None, :, :], -np.inf).max(axis=1)
+    lo = np.where(mask[:, :, None], values[None, :, :], np.inf).min(axis=1)
+    settled = np.all(hi == lo, axis=1)
+    if settled.any():
+        means = np.where(settled[:, None], hi, means)
+    return means
+
+
+def _outcome(step):
+    """The bytes of a step's result, or the type of the error it raised (a
+    mean that overflows makes the next state non-finite)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return step().values.tobytes()
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_matches_dense(x, spec, lam, target):
+    steps = (lambda: hk_step(x, spec), lambda: truth_step(x, lam, target, spec),
+             lambda: inertial_step(x, lam, spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mask = bc.trust_matrix(x, spec)
+    assert mask.dtype == bool and mask.shape == (x.n, x.n)
+    new = [_outcome(step) for step in steps]
+    with mock.patch.multiple(bc, trust_matrix=dense_trust_matrix,
+                             _masked_mean=dense_masked_mean):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(mask, bc.trust_matrix(x, spec))
+        old = [_outcome(step) for step in steps]
+    assert new == old
+
+
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7e308,
+           1.7976931348623157e308, 0.5, 1.0)
+BLOCK_EDGES = (1, 255, 256, 257, 600)
+opinion = st.one_of(st.integers(-16, 16).map(lambda k: k / 16), st.sampled_from(SPECIAL),
+                    st.floats(-1e3, 1e3))
+radius = st.one_of(st.integers(1, 16).map(lambda k: k / 16),
+                   st.sampled_from([5e-324, 1e-300, 1.7e308, float("inf")]))
+
+
+@st.composite
+def opinions(draw, m):
+    """n x m opinions drawn from a small pool, so that ties, signed zeros and
+    settled rows are common, or spread on a signed 1/16 grid."""
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from(BLOCK_EDGES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(opinion, min_size=1, max_size=6)))
+        values = rng.choice(pool, size=(n, m))
+    else:
+        values = rng.integers(-32, 33, size=(n, m)) / 16 * rng.choice([1.0, -1.0], size=(n, m))
+    return OpinionState(values)
+
+
+@st.composite
+def bc_cases(draw):
+    """(opinions, spec, lam, target) over every confidence geometry."""
+    family = draw(st.sampled_from(["symmetric", "asymmetric", "per_agent", "shifted", "window",
+                                   "ball", "ball_per_agent"]))
+    closed = draw(st.booleans())
+    m = draw(st.integers(1, 3)) if family.startswith("ball") else 1
+    x = draw(opinions(m))
+    n = x.n
+    per_agent = st.lists(radius, min_size=n, max_size=n)
+    if family == "symmetric":
+        spec = ConfidenceSpec.symmetric(draw(radius), closed)
+    elif family == "asymmetric":
+        spec = ConfidenceSpec.asymmetric(draw(radius), draw(radius), closed)
+    elif family == "per_agent":
+        spec = ConfidenceSpec.per_agent(draw(per_agent), closed)
+    elif family == "shifted":
+        d = draw(st.integers(1, 16)) / 16
+        eta = draw(st.lists(st.integers(0, int(d * 16) - 1).map(lambda k: k / 16),
+                            min_size=n, max_size=n))
+        spec = ConfidenceSpec.shifted(d, eta, closed)
+    elif family == "window":
+        spec = ConfidenceSpec(lo=[-r for r in draw(per_agent)], hi=draw(per_agent),
+                              closed=closed)
+    else:
+        norm = draw(st.sampled_from(["euclidean", "max", "sum"]))
+        d = draw(per_agent) if family == "ball_per_agent" else draw(radius)
+        spec = ConfidenceSpec.norm_ball(d, norm, closed)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.integers(0, 5, size=n) / 4
+    target = rng.integers(-8, 9, size=m) / 8
+    return x, spec, lam, target
+
+
+class TestBlockedKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(bc_cases())
+    def test_steps_and_masks_bit_equal_to_dense(self, case):
+        assert_matches_dense(*case)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([0.0, -0.0, 0.0, -0.0, 0.25], id="signed-zero-ties"),
+            pytest.param([-0.0, -0.0, 0.0, 1.0, 1.0, 1.0, 3.0], id="zero-and-ties"),
+            pytest.param([5e-324, -5e-324, 0.0, -0.0, 1e-320], id="subnormals"),
+            pytest.param([1.7e308, -1.7e308, 1.7e308, 0.0, -1.7e308], id="overflowing-gaps"),
+            pytest.param([1.7976931348623157e308] * 3 + [-1.7976931348623157e308] * 2,
+                         id="extremes-tied"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ConfidenceSpec.symmetric(0.5),
+            ConfidenceSpec.symmetric(0.5, closed=False),
+            ConfidenceSpec.symmetric(1e-323),
+            ConfidenceSpec.symmetric(float("inf")),
+            ConfidenceSpec.asymmetric(0.25, 1.7e308),
+            ConfidenceSpec.asymmetric(float("inf"), 0.25, closed=False),
+        ],
+    )
+    def test_fixed_scalar_cases(self, values, spec):
+        x = OpinionState(values)
+        assert_matches_dense(x, spec, np.full(x.n, 0.75), np.array([0.125]))
+
+    def test_signed_zeros_of_a_settled_row_follow_the_maximum(self):
+        x = OpinionState([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [2.0, 2.0]])
+        means = bc._masked_mean(x.values, bc.trust_matrix(x, ConfidenceSpec.norm_ball(0.5)))
+        assert means.tobytes() == dense_masked_mean(
+            x.values, dense_trust_matrix(x, ConfidenceSpec.norm_ball(0.5))).tobytes()
+        assert means[3].tolist() == [2.0, 2.0]
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize(
+        "build,m",
+        [
+            (lambda n, rng: ConfidenceSpec.symmetric(0.1), 1),
+            (lambda n, rng: ConfidenceSpec.asymmetric(0.05, 0.2, closed=False), 1),
+            (lambda n, rng: ConfidenceSpec.per_agent(rng.integers(1, 8, n) / 32), 1),
+            (lambda n, rng: ConfidenceSpec.shifted(0.125, rng.integers(0, 4, n) / 32), 1),
+            (lambda n, rng: ConfidenceSpec.norm_ball(0.125), 2),
+            (lambda n, rng: ConfidenceSpec.norm_ball(rng.integers(1, 8, n) / 32, "max"), 2),
+            (lambda n, rng: ConfidenceSpec.norm_ball(0.25, "sum", closed=False), 3),
+            (lambda n, rng: ConfidenceSpec.norm_ball(0.2, "euclidean"), 3),
+        ],
+    )
+    def test_runs_across_block_edges(self, n, build, m):
+        # a few steps from a grid start, so ties, settled rows and clusters occur
+        rng = np.random.default_rng(n * 10 + m)
+        x = OpinionState(rng.integers(0, 64, size=(n, m)) / 64)
+        spec = build(n, rng)
+        for _ in range(3):
+            assert_matches_dense(x, spec, rng.integers(0, 5, n) / 4, np.full(m, 0.5))
+            x = hk_step(x, spec)
+
+    @pytest.mark.parametrize(
+        "spec,m,limit",
+        [
+            (ConfidenceSpec.symmetric(0.1), 1, 4),
+            (ConfidenceSpec.per_agent(np.full(2000, 0.1), closed=False), 1, 4),
+            (ConfidenceSpec.shifted(0.1, np.full(2000, 0.05)), 1, 4),
+            (ConfidenceSpec.norm_ball(0.1), 2, 12),
+            (ConfidenceSpec.norm_ball(0.1, "max"), 2, 12),
+        ],
+    )
+    def test_trust_matrix_peak_memory(self, spec, m, limit):
+        # the dense test peaked at about 10 n^2 bytes (intervals) and 48 n^2
+        # (a 2-D ball); the mask itself is n^2
+        n = 2000
+        x = OpinionState(np.random.default_rng(3).uniform(0.0, 1.0, size=(n, m)))
+        tracemalloc.start()
+        try:
+            mask = bc.trust_matrix(x, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.shape == (n, n)
+        assert peak < limit * n * n

@@ -455,6 +455,23 @@ class TestMoreRunModels:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["classification"]["kind"] == "consensus"
 
+    def test_schedule_matrices_from_files_write_the_inline_bytes(self, tmp_path):
+        matrices = [[[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.125, 0.875]]]
+        (tmp_path / "w0.csv").write_text("0.5,0.5\n0.25,0.75\n")
+        (tmp_path / "w1.json").write_text(json.dumps(matrices[1]))
+        files = [{"file": str(tmp_path / "w0.csv")}, {"file": str(tmp_path / "w1.json")}]
+        texts = []
+        for tag, entries in (("inline", matrices), ("files", files)):
+            config = {"model": "degroot", "x0": [0.0, 1.0], "horizon": 9,
+                      "params": {"schedule": [{"until": 4, "matrix": entries[0]},
+                                              {"until": 9, "matrix": entries[1]}]},
+                      "outputs": ["trajectory", "summary"]}
+            run(config, out_dir=tmp_path / tag)
+            texts.append([(tmp_path / tag / name).read_bytes()
+                          for name in ("trajectory.csv", "summary.json")])
+        assert texts[0] == texts[1]
+        assert config["params"]["schedule"][0]["matrix"] == files[0]
+
     def test_hk_sweep_preset(self, tmp_path):
         config = preset_config("hk-termination-sweep")
         config["params"]["instances"] = 5
@@ -556,6 +573,50 @@ class TestInputErrors:
         assert payload["stage"] == "validate"
         assert "all zero" in payload["message"]
         assert not (tmp_path / "out" / "summary.json").exists()
+
+
+    def test_unreadable_schedule_matrix_is_a_load_error(self, tmp_path, capsys):
+        config = {"model": "degroot", "x0": [0.0, 1.0],
+                  "params": {"schedule": [
+                      {"until": 2, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                      {"until": 4, "matrix": {"file": str(tmp_path / "absent.csv")}}]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "load"
+        assert "absent.csv" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_family_check_is_a_validation_error(self, tmp_path, capsys, ratio):
+        config = {"model": "signed-flow", "x0": [1.0, 0.0],
+                  "params": {"matrix": [[0.0, -1.0], [-1.0, 0.0]], "t_end": 1.0},
+                  "family_check": {"ratios": [1.0, ratio]}, "outputs": ["summary"]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert "finite" in payload["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("model,d", [("dw", float("nan")),
+                                         ("dw-heterogeneous", [0.3, float("nan")]),
+                                         ("hk", float("nan"))])
+    def test_nan_confidence_bound_is_a_validation_error(self, tmp_path, capsys, model, d):
+        config = {"model": model, "x0": [0.0, 0.5], "horizon": 10,
+                  "params": {"d": d, "mu": 0.5}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert "positive" in payload["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestModelTable:

@@ -207,6 +207,12 @@ class TestSpecForm:
             lambda: ConfidenceSpec.norm_ball(1.0, norm="cosine"),
             lambda: ConfidenceSpec(lo=0.0, hi=1.0),
             lambda: ConfidenceSpec(lo=(-0.1, -0.2), hi=(0.1, 0.2, 0.3)),
+            lambda: ConfidenceSpec.symmetric(float("nan")),
+            lambda: ConfidenceSpec.asymmetric(0.5, float("nan")),
+            lambda: ConfidenceSpec.per_agent([0.5, float("nan")]),
+            lambda: ConfidenceSpec.shifted(float("nan"), [0.0]),
+            lambda: ConfidenceSpec.norm_ball([1.0, float("nan")]),
+            lambda: ConfidenceSpec(lo=float("nan"), hi=1.0),
         ],
     )
     def test_invalid_geometries_raise(self, build):

@@ -453,6 +453,13 @@ class TestMoreGossipSurfaces:
         with pytest.raises(ValueError):
             GossipFJ(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), arcs=())
 
+    @pytest.mark.parametrize("d", [0.0, -0.1, float("nan")])
+    def test_pair_dynamics_reject_bounds_that_are_not_positive(self, d):
+        with pytest.raises(ValueError, match="positive"):
+            DeffuantWeisbuch(d=d, mu=0.5)
+        with pytest.raises(ValueError, match="positive"):
+            DWHeterogeneous(d=np.array([0.3, d]), mu=0.5)
+
     def test_dw_dichotomy_at_long_horizon(self):
         # per-pair gaps settle to coincidence or distrust at horizon 1e5 * n
         model = DeffuantWeisbuch(d=0.3, mu=0.5)

@@ -4,6 +4,7 @@ import pytest
 from opiniondyn import (
     GaugeVector,
     SignedGraph,
+    UndirectedGraph,
     connectivity,
     gauge_apply,
     gauge_from_balance,
@@ -233,7 +234,50 @@ class TestConnectivity:
             assert connectivity(g) == connectivity(gauge_apply(g, delta))
 
 
+def reference_persistent_graph(w_seq, threshold):
+    """The pairwise loop over the summed couplings that persistent_graph replaced."""
+    total = None
+    for w in w_seq:
+        w = np.asarray(w, dtype=float)
+        total = w.copy() if total is None else total + w
+    n = total.shape[0]
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if total[i, j] >= threshold or total[j, i] >= threshold:
+                edges.add((i, j))
+    return UndirectedGraph(n, frozenset(edges))
+
+
 class TestPersistentGraph:
+    def test_matches_the_pairwise_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            seq = [np.where(rng.random((n, n)) < 0.3, rng.choice([0.0, 0.25, 0.5, 1.0, np.inf],
+                                                                 size=(n, n)), 0.0)
+                   for _ in range(int(rng.integers(1, 6)))]
+            threshold = float(rng.choice([0.25, 0.5, 1.0, 1.75]))
+            copies = [w.copy() for w in seq]
+            g = persistent_graph(iter(seq), threshold)
+            assert g == reference_persistent_graph(seq, threshold)
+            assert all(type(a) is int and type(b) is int for a, b in g.edges)
+            assert all(np.array_equal(w, c) for w, c in zip(seq, copies))
+
+    def test_negative_matrix_rejected_before_the_rest_is_read(self):
+        def seq():
+            yield np.eye(2)
+            yield -np.eye(2)
+            raise AssertionError("read past the offending matrix")
+
+        with pytest.raises(ValueError, match="nonnegative"):
+            persistent_graph(seq(), threshold=1.0)
+
+    @pytest.mark.parametrize("w", [np.zeros(3), np.zeros((2, 3))])
+    def test_non_square_weights_rejected(self, w):
+        with pytest.raises(ValueError, match="square"):
+            persistent_graph([np.zeros((2, 2)), w], threshold=1.0)
+
     def test_constant_coupling_reaches_threshold(self):
         w = np.zeros((2, 2))
         w[0, 1] = 0.5
