@@ -350,6 +350,8 @@ def _trapezoid_antiderivative(f, r: float, target: float = 1e-8, max_doublings: 
 def hk_indicator_phi(d: float) -> PhiSpec:
     """Weights reproducing the plain bounded-confidence step: the indicator
     of squared distances up to d^2, with the exact antiderivative min(r, d^2)."""
+    if not d > 0:
+        raise ValueError("confidence bound must be positive")
     dsq = d * d
     return PhiSpec(
         phi=lambda sigma: 1.0 if sigma <= dsq else 0.0,
@@ -384,8 +386,10 @@ def reputation_phi(weights, d: float) -> PhiSpec:
     reputation w_j. Diagonal entries are the constant w_i (they are only
     ever evaluated at distance zero)."""
     w = [float(v) for v in weights]
-    if any(v <= 0 for v in w):
+    if any(not v > 0 for v in w):
         raise ValueError("reputations must be positive")
+    if not d > 0:
+        raise ValueError("confidence bound must be positive")
     dsq = d * d
     n = len(w)
 

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 20  # steps per draw call; part of the stream layout
-_CHUNK = 1 << 14  # steps converted to Python lists at a time
+_CHUNK = 1 << 14  # steps or states converted to Python lists at a time
 
 
 @dataclass(frozen=True)
@@ -612,16 +612,32 @@ def dw_run_exact(
 def cesaro(trajectory: Trajectory) -> np.ndarray:
     """Running arithmetic means of the recorded states, shape (S, n, m).
 
-    Computed incrementally (each mean is the previous one plus a shrinking
-    correction) so very long runs stay numerically stable. Entry k averages
-    states 0..k; ergodic gossip processes converge in this average even
-    when the raw opinions keep fluctuating.
+    Entry k averages states 0..k; ergodic gossip processes converge in this
+    average even when the raw opinions keep fluctuating. Each mean is the
+    previous one plus a shrinking correction, ``mean + (v - mean) / k`` with
+    k the 1-based count, so very long runs stay numerically stable.
+
+    The recurrence runs as one Python-float pass per (agent, dimension),
+    _CHUNK states at a time. Python floats perform the same IEEE operations
+    as numpy float64 elementwise, so the result is bit-identical with the
+    elementwise recurrence over whole states. An empty trajectory gives an
+    empty (0, n, m) array.
     """
     arr = trajectory.array
     out = np.empty_like(arr)
+    if not len(arr):
+        return out
     out[0] = arr[0]
-    for k in range(1, arr.shape[0]):
-        out[k] = out[k - 1] + (arr[k] - out[k - 1]) / (k + 1)
+    for i, j in np.ndindex(arr.shape[1:]):
+        column, means = arr[:, i, j], out[:, i, j]
+        mean = float(column[0])
+        for lo in range(1, len(column), _CHUNK):
+            chunk = []
+            push = chunk.append
+            for k, v in enumerate(column[lo:lo + _CHUNK].tolist(), lo + 1):
+                mean = mean + (v - mean) / k
+                push(mean)
+            means[lo:lo + _CHUNK] = chunk
     return out
 
 

@@ -62,7 +62,17 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def check_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
-    w = _as_square(matrix)
+    """The matrix as a float array, or ValueError unless it is square,
+    finite, entrywise nonnegative and has row sums within tol of 1."""
+    w = np.asarray(matrix, dtype=float)
+    # Valid input is accepted here in one pass. A NaN or -inf entry fails the
+    # min test, and a +inf entry makes its row sum fail the tolerance test as
+    # long as tol is finite. Input that fails here meets the checks below,
+    # which word the error.
+    if (w.ndim == 2 and w.shape[0] == w.shape[1] and w.size and w.min() >= 0
+            and np.abs(w.sum(axis=1) - 1.0).max() <= tol < math.inf):
+        return w
+    w = _as_square(w)
     if np.any(w < 0):
         raise ValueError("stochastic matrix must be entrywise nonnegative")
     rows = w.sum(axis=1)

@@ -132,6 +132,18 @@ class TestPhiStep:
         assert out[0] == pytest.approx((1.0 * 0.0 + 2.0 * 0.2) / 3.0)
         assert out[1] == pytest.approx((1.0 * 0.0 + 2.0 * 0.2) / 3.0)
 
+    @pytest.mark.parametrize("d", [-0.5, 0.0, float("nan")])
+    def test_presets_reject_a_bound_that_is_not_positive(self, d):
+        with pytest.raises(ValueError, match="confidence bound must be positive"):
+            hk_indicator_phi(d)
+        with pytest.raises(ValueError, match="confidence bound must be positive"):
+            reputation_phi([1.0, 2.0], d)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_reputation_weights_must_be_positive(self, bad):
+        with pytest.raises(ValueError, match="reputations must be positive"):
+            reputation_phi([1.0, bad], 0.5)
+
     def test_diagonal_weight_must_be_positive_constant(self):
         with pytest.raises(ValueError):
             PhiSpec(phi=lambda s: 0.0)

@@ -618,6 +618,19 @@ class TestInputErrors:
         assert "positive" in payload["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("params", [{"preset": "reputation", "w": [1.0, 1.0, 1.0], "d": -0.5},
+                                        {"preset": "hk", "d": -0.5}])
+    def test_negative_phi_bound_is_a_validation_error(self, tmp_path, capsys, params):
+        config = {"model": "phi", "x0": [0.0, 0.1, 0.2], "horizon": 10, "params": params}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert payload["message"] == "confidence bound must be positive"
+        assert not (tmp_path / "out").exists()
+
 
 class TestModelTable:
     def test_every_model_has_a_golden_case(self):

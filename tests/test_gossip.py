@@ -14,6 +14,7 @@ from opiniondyn import (
     OpinionState,
     RngSeed,
     SymmetricPairGossip,
+    Trajectory,
     bernoulli_convolution,
     build_gammas,
     cesaro,
@@ -359,7 +360,53 @@ class TestExactPairDynamics:
         assert [(i, j) for i, j, _ in fl.events] == [(i, j) for i, j, _ in ex.trajectory.events]
 
 
+def reference_cesaro(arr):
+    """The per-state numpy recurrence that the per-column pass replaced."""
+    out = np.empty_like(arr)
+    out[0] = arr[0]
+    for k in range(1, arr.shape[0]):
+        out[k] = out[k - 1] + (arr[k] - out[k - 1]) / (k + 1)
+    return out
+
+
 class TestCesaro:
+    @pytest.mark.parametrize("steps", [1, 2, gossip._CHUNK, gossip._CHUNK + 1,
+                                       3 * gossip._CHUNK + 5])
+    @pytest.mark.parametrize("n", [1, 4, 50])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bit_identical_with_numpy_recurrence(self, steps, n, m):
+        rng = np.random.default_rng(steps * 100 + n * 10 + m)
+        scale = 10.0 ** rng.integers(-30, 30, size=(steps, n, m))
+        arr = rng.normal(size=(steps, n, m)) * scale
+        got = cesaro(Trajectory(arr, np.arange(steps)))
+        assert got.shape == arr.shape
+        assert got.tobytes() == reference_cesaro(arr).tobytes()
+
+    def test_bit_identical_on_non_contiguous_input(self):
+        rng = np.random.default_rng(7)
+        arr = rng.normal(size=(2 * gossip._CHUNK + 10, 6, 4))[::2, 1:5, ::2]
+        assert not arr.flags.c_contiguous
+        got = cesaro(Trajectory(arr, np.arange(len(arr))))
+        assert got.tobytes() == reference_cesaro(arr).tobytes()
+
+    def test_bit_identical_with_infinities_nan_and_signed_zeros(self):
+        rng = np.random.default_rng(8)
+        arr = rng.normal(size=(300, 4, 2))
+        arr[0, 3, 1] = -0.0
+        arr[10, 0, 0] = np.inf
+        arr[20, 1, 1] = -np.inf
+        arr[30, 2, 0] = np.nan
+        arr[40, 3, 0] = -0.0
+        arr[50, 1, 0], arr[60, 1, 0] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            want = reference_cesaro(arr)
+        got = cesaro(Trajectory(arr, np.arange(300)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_trajectory_gives_empty_means(self):
+        got = cesaro(Trajectory(np.zeros((0, 2, 1)), []))
+        assert got.shape == (0, 2, 1)
+
     def test_constant_trajectory(self):
         from opiniondyn import trajectory_from_states
 

@@ -36,6 +36,43 @@ def random_stochastic(rng, n, self_loops=True):
     return w / w.sum(axis=1, keepdims=True)
 
 
+class TestCheckStochastic:
+    @pytest.mark.parametrize("matrix,message", [
+        ([[np.nan, 1.0], [0.5, 0.5]], "matrix entries must be finite"),
+        ([[np.inf, 0.0], [0.5, 0.5]], "matrix entries must be finite"),
+        ([[-np.inf, 1.0], [0.5, 0.5]], "matrix entries must be finite"),
+        ([[-0.5, 1.5], [0.5, 0.5]], "stochastic matrix must be entrywise nonnegative"),
+        ([[0.5, 0.5 + 2e-9], [0.5, 0.5]], "row sums deviate from 1 by more than 1e-09: [1. 1.]"),
+        ([[0.5, 0.5]], "matrix must be square, got shape (1, 2)"),
+        ([0.5, 0.5], "matrix must be square, got shape (2,)"),
+    ], ids=["nan", "+inf", "-inf", "negative", "row-sum", "non-square", "1-d"])
+    def test_error_messages(self, matrix, message):
+        with pytest.raises(ValueError) as info:
+            linear_dynamics.check_stochastic(matrix)
+        assert str(info.value) == message
+
+    def test_infinite_tolerance_still_rejects_infinite_entries(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            linear_dynamics.check_stochastic([[np.inf, 0.0], [0.5, 0.5]], tol=np.inf)
+
+    def test_empty_matrix_is_accepted(self):
+        w = linear_dynamics.check_stochastic(np.zeros((0, 0)))
+        assert w.shape == (0, 0)
+
+    def test_int_matrix_comes_back_as_float(self):
+        w = linear_dynamics.check_stochastic([[1, 0], [0, 1]])
+        assert w.dtype == np.float64
+        assert np.array_equal(w, np.eye(2))
+
+    def test_valid_matrix_is_returned_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 8, 100):
+            m = random_stochastic(rng, n)
+            for given in (m, m.tolist()):
+                w = linear_dynamics.check_stochastic(given)
+                assert w.tobytes() == np.asarray(given, dtype=float).tobytes()
+
+
 class TestDegrootStep:
     def test_identity_is_noop(self):
         x = OpinionState([0.3, -1.2, 4.0])
