@@ -18,9 +18,9 @@ the block step by step. ``gossip_step`` is a one-step block, so a single
 step consumes the stream exactly as ``simulate_gossip(steps=1)`` does;
 replaying a simulation's recorded events reproduces its states.
 
-The symmetric bounded-confidence pair dynamics can also be run in exact
-dyadic-rational arithmetic (``dw_run_exact``), where conserved quantities
-are conserved exactly rather than to roundoff.
+All three bounded-confidence pair dynamics also run in exact arithmetic
+(``dw_run_exact``), at a cost per step that grows with the run; the
+symmetric one, where both agents move, then conserves the sum exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
+from math import inf
 
 import numpy as np
 
@@ -54,6 +55,7 @@ __all__ = [
 
 _BLOCK = 1 << 20  # steps per draw call; part of the stream layout
 _CHUNK = 1 << 14  # steps or states converted to Python lists at a time
+_HEADROOM = 256  # bits the exact runs' shared scale grows by beyond the need
 
 
 @dataclass(frozen=True)
@@ -399,9 +401,16 @@ def _draw_pairs(rng, n: int, count: int):
     return act, partner
 
 
-def _check_model(model, n: int) -> None:
+def _check_run(model, x0: OpinionState, steps: int, thin: int) -> None:
+    if x0.m != 1:
+        raise ValueError("gossip models act on scalar opinions")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
     if not isinstance(model, _MODELS):
         raise TypeError(f"unknown gossip model {type(model).__name__}")
+    n = x0.n
     if isinstance(model, (DeffuantWeisbuch, DWHeterogeneous)) and n < 2:
         raise ValueError(f"pair dynamics needs at least two agents, got {n}")
     if getattr(model, "n", n) != n:
@@ -460,15 +469,9 @@ def simulate_gossip(
     state (the initial and final states are always kept); events, when
     recorded, cover every step as (i, j, interacted) tuples.
     """
-    if x0.m != 1:
-        raise ValueError("gossip models act on scalar opinions")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    _check_run(model, x0, steps, thin)
     rng = make_rng(seed)
     n = x0.n
-    _check_model(model, n)
     x = x0.flat.tolist()
     # kept states as raw doubles: 8 bytes a value, and no float object
     # outlives its step
@@ -493,12 +496,9 @@ def simulate_gossip(
 
 @dataclass
 class DWExactRun:
-    """Pair-dynamics run in exact dyadic-rational arithmetic.
-
-    The trajectory holds float snapshots; initial_exact/final_exact are the
-    untouched Fraction states, on which conserved quantities hold with no
-    roundoff at all.
-    """
+    """Pair-dynamics run in exact dyadic-rational arithmetic: float snapshots
+    in the trajectory, and the first and last states as Fractions, on which
+    conserved quantities hold with no roundoff at all."""
 
     trajectory: Trajectory
     initial_exact: tuple
@@ -511,96 +511,91 @@ def _to_dyadic(v: float):
     return p, q.bit_length() - 1
 
 
+def _scaled_bounds(bounds: list, exp: int):
+    """Each bound d as the integer floor(d * 2**exp), and the negatives: a
+    gap g on the scale 2**exp is within d iff -floor <= g <= floor. An
+    infinite bound stays inf and trusts every gap, as in the float twin."""
+    up = []
+    for d in bounds:
+        if d != inf:
+            p, e = _to_dyadic(d)
+            d = (p << exp) >> e
+        up.append(d)
+    return up, [-b for b in up]
+
+
 def dw_run_exact(
     model, x0: OpinionState, steps: int, seed, thin: int | None = None,
     record_events: bool = False,
 ) -> DWExactRun:
-    """Run the bounded-confidence pair dynamics in exact arithmetic.
+    """Run the pair dynamics (symmetric, asymmetric or heterogeneous) in
+    exact arithmetic.
 
-    Floats are dyadic rationals and the move fraction is one as well, so
-    the whole run stays inside the dyadic lattice; opinions are carried as
-    raw (numerator, exponent) integer pairs and every update is exact.
-    In particular the symmetric variant conserves the opinion sum exactly,
-    not merely to roundoff. Pair sampling never looks at the state and is
-    identical to the float simulator, so a run is comparable draw-for-draw
-    with its float twin. ``thin`` defaults to keeping only the first and
-    last states.
+    Floats and the move fraction are dyadic rationals, so every opinion
+    stays an integer over one shared scale 2**E. ``exps`` bounds the
+    exponent each opinion needs; before a move E is raised, with _HEADROOM
+    bits to spare, to the larger partner's plus the move fraction's, so
+    every update is exact. The symmetric dynamics, where both agents move,
+    conserves the opinion sum exactly, not merely to roundoff. Each move
+    lengthens a converging agent's numerator by mu_exp bits (1 at mu = 0.5,
+    54 at mu = 0.3), so time per step grows with the run length. Pair
+    draws are the float simulator's, so a run is comparable draw-for-draw
+    with its float twin. ``thin`` defaults to keeping the ends only.
     """
     if not isinstance(model, (DeffuantWeisbuch, DWHeterogeneous)):
         raise TypeError("exact runs are provided for the pair dynamics")
-    if x0.m != 1:
-        raise ValueError("gossip models act on scalar opinions")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if thin is None:
         thin = steps
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    _check_run(model, x0, steps, thin)
     rng = make_rng(seed)
     n = x0.n
-    _check_model(model, n)
-    nums = []
-    exps = []
-    for v in x0.flat.tolist():
-        p, e = _to_dyadic(v)
-        nums.append(p)
-        exps.append(e)
-    initial = tuple(Fraction(p, 1 << e) for p, e in zip(nums, exps))
+    bounds = np.broadcast_to(model.d, n).tolist()
+    symmetric = getattr(model, "mode", "symmetric") == "symmetric"
+    dyadic = [_to_dyadic(v) for v in x0.flat.tolist()]
+    initial = tuple(Fraction(p, 1 << e) for p, e in dyadic)
+    exps = [e for _, e in dyadic]
+    scale_exp = max(exps)
+    scale = 1 << scale_exp
+    nums = [p << (scale_exp - e) for p, e in dyadic]
+    bnd, nbnd = _scaled_bounds(bounds, scale_exp)
     mu_num, mu_exp = _to_dyadic(model.mu)
-    if isinstance(model, DeffuantWeisbuch):
-        d_num, d_exp = _to_dyadic(model.d)
-        bound_nums = [d_num] * n
-        bound_exps = [d_exp] * n
-        symmetric = model.mode == "symmetric"
-    else:
-        bound_nums, bound_exps = [], []
-        for v in model.d.tolist():
-            p, e = _to_dyadic(v)
-            bound_nums.append(p)
-            bound_exps.append(e)
-        symmetric = True
-
-    def snapshot():
-        return np.array([float(Fraction(p, 1 << e)) for p, e in zip(nums, exps)])
-
-    def within(agap_num, gap_exp, which):
-        # |gap| <= d_which, cross-shifted to integers
-        b_num, b_exp = bound_nums[which], bound_exps[which]
-        if gap_exp >= b_exp:
-            return agap_num <= b_num << (gap_exp - b_exp)
-        return agap_num << (b_exp - gap_exp) <= b_num
-
-    kept = [snapshot()]
+    # kept states as raw doubles; p / scale is correctly rounded
+    kept = array("d", [p / scale for p in nums])
     events = [] if record_events else None
     for (act, partner), snap in _chunks(_draw_pairs, rng, n, steps, thin):
         moved = []
+        flag = moved.append
         for i, j, s in zip(act, partner, snap):
-            e_i, e_j = exps[i], exps[j]
-            e_g = e_i if e_i >= e_j else e_j
-            gap_num = (nums[j] << (e_g - e_j)) - (nums[i] << (e_g - e_i))
-            agap = -gap_num if gap_num < 0 else gap_num
-            moved_i = within(agap, e_g, i)
-            moved_j = symmetric and within(agap, e_g, j)
+            gap = nums[j] - nums[i]
+            moved_i = nbnd[i] <= gap <= bnd[i]
+            moved_j = symmetric and nbnd[j] <= gap <= bnd[j]
             if moved_i or moved_j:
-                shift_num = mu_num * gap_num
-                e_s = e_g + mu_exp
+                e_i, e_j = exps[i], exps[j]
+                e_new = (e_i if e_i >= e_j else e_j) + mu_exp
+                if e_new > scale_exp:
+                    grow = e_new + _HEADROOM - scale_exp
+                    scale_exp += grow
+                    scale = 1 << scale_exp
+                    nums = [p << grow for p in nums]
+                    gap <<= grow
+                    bnd, nbnd = _scaled_bounds(bounds, scale_exp)
+                # exact: gap is a multiple of 2**mu_exp; a power-of-two mu needs no product
+                shift = (gap if mu_num == 1 else mu_num * gap) >> mu_exp
                 if moved_i:
-                    e_new = e_i if e_i >= e_s else e_s
-                    nums[i] = (nums[i] << (e_new - e_i)) + (shift_num << (e_new - e_s))
+                    nums[i] += shift
                     exps[i] = e_new
                 if moved_j:
-                    e_new = e_j if e_j >= e_s else e_s
-                    nums[j] = (nums[j] << (e_new - e_j)) - (shift_num << (e_new - e_s))
+                    nums[j] -= shift
                     exps[j] = e_new
-            moved.append(moved_i or moved_j)
+            flag(moved_i or moved_j)
             if s:
-                kept.append(snapshot())
+                kept.extend([p / scale for p in nums])
         if events is not None:
             events.extend(zip(act, partner, moved))
 
-    final = tuple(Fraction(p, 1 << e) for p, e in zip(nums, exps))
-    stamps = np.array(_stamps(steps, thin), dtype=float)
-    traj = Trajectory(np.stack(kept)[:, :, None], stamps, events=events)
+    final = tuple(Fraction(p, scale) for p in nums)
+    stamps = _stamps(steps, thin)
+    traj = Trajectory(np.frombuffer(kept).reshape(len(stamps), n, 1), stamps, events=events)
     return DWExactRun(trajectory=traj, initial_exact=initial, final_exact=final)
 
 
@@ -657,5 +652,7 @@ def bernoulli_convolution(gamma: float, depth: int, rng, bits=None) -> float:
         bits = np.asarray(bits)
         if bits.shape != (depth,):
             raise ValueError("bits must have length depth")
+        if not np.all((bits == 0) | (bits == 1)):
+            raise ValueError("bits must be 0 or 1")
     powers = np.cumprod(np.full(depth, 1.0 - gamma))
     return float(gamma / (1.0 - gamma) * (powers * bits).sum())

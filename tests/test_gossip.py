@@ -1,8 +1,11 @@
 from bisect import bisect_right
 from dataclasses import replace
+from fractions import Fraction
+from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opiniondyn import gossip
 from opiniondyn import (
@@ -331,25 +334,42 @@ class TestExactPairDynamics:
         res = dw_run_exact(model, x0, steps=20_000, seed=21)
         assert sum(res.initial_exact) == sum(res.final_exact)
 
-    def test_sum_conserved_at_every_recorded_state(self):
-        from fractions import Fraction
-
-        model = DeffuantWeisbuch(d=0.4, mu=0.5)
-        rng = np.random.default_rng(9)
-        x0 = OpinionState(rng.uniform(0, 1, size=6))
-        res = dw_run_exact(model, x0, steps=300, seed=2, thin=1, record_events=True)
-        # replay in Fractions, checking the sum after every single step
-        x = [Fraction(v) for v in x0.flat.tolist()]
-        total = sum(x)
-        mu, d = Fraction(model.mu), Fraction(model.d)
-        for i, j, interacted in res.trajectory.events:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sum_conserved_at_every_recorded_state(self, data):
+        # replay every event in Fractions: the flags, each recorded state
+        # and the last state follow, and the symmetric sum never moves
+        n = data.draw(st.integers(2, 6), label="n")
+        opinion = st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 5e-324, -2.5e-310])
+        x0 = data.draw(st.lists(opinion, min_size=n, max_size=n), label="x0")
+        mu = data.draw(st.sampled_from([0.5, 0.25, 0.3, 0.1, 0.49999])
+                       | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), label="mu")
+        bound = st.just(inf) | st.floats(1e-3, 2.5)
+        kind = data.draw(st.sampled_from(["symmetric", "asymmetric", "heterogeneous"]))
+        if kind == "heterogeneous":
+            d = data.draw(st.lists(bound, min_size=n, max_size=n), label="d")
+            model = DWHeterogeneous(d=np.array(d), mu=mu)
+        else:
+            model = DeffuantWeisbuch(d=data.draw(bound, label="d"), mu=mu, mode=kind)
+        steps = data.draw(st.integers(1, 60), label="steps")
+        res = dw_run_exact(model, OpinionState(np.array(x0)), steps=steps,
+                           seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                           thin=1, record_events=True)
+        x = [Fraction(v) for v in x0]
+        assert res.initial_exact == tuple(x)
+        total, bounds, mu = sum(x), np.broadcast_to(model.d, n).tolist(), Fraction(mu)
+        for k, (i, j, interacted) in enumerate(res.trajectory.events, 1):
             gap = x[j] - x[i]
-            assert interacted == (abs(gap) <= d)
-            if interacted:
-                shift = mu * gap
-                x[i] += shift
-                x[j] -= shift
-            assert sum(x) == total
+            moved_i = abs(gap) <= bounds[i]
+            moved_j = kind != "asymmetric" and abs(gap) <= bounds[j]
+            assert interacted == (moved_i or moved_j)
+            if moved_i:
+                x[i] += mu * gap
+            if moved_j:
+                x[j] -= mu * gap
+            assert res.trajectory.array[k, :, 0].tolist() == [float(v) for v in x]
+            if kind == "symmetric":
+                assert sum(x) == total
         assert tuple(x) == res.final_exact
 
     def test_exact_and_float_runs_share_pair_draws(self):
@@ -358,6 +378,137 @@ class TestExactPairDynamics:
         fl = simulate_gossip(model, x0, steps=500, seed=5)
         ex = dw_run_exact(model, x0, steps=500, seed=5, record_events=True)
         assert [(i, j) for i, j, _ in fl.events] == [(i, j) for i, j, _ in ex.trajectory.events]
+
+    @pytest.mark.parametrize("model", [
+        DeffuantWeisbuch(d=inf, mu=0.3),
+        DeffuantWeisbuch(d=inf, mu=0.3, mode="asymmetric"),
+        DWHeterogeneous(d=np.array([inf, 0.2, inf, 0.05, 0.4, inf]), mu=0.3),
+    ], ids=["symmetric", "asymmetric", "heterogeneous"])
+    def test_infinite_bound_trusts_every_gap(self, model):
+        x0 = OpinionState(np.random.default_rng(10).uniform(-1.0, 1.0, 6))
+        fl = simulate_gossip(model, x0, steps=400, seed=4)
+        ex = dw_run_exact(model, x0, steps=400, seed=4, thin=1, record_events=True)
+        assert ex.trajectory.events == fl.events
+        assert np.allclose(ex.trajectory.array, fl.array, rtol=0.0, atol=1e-12)
+
+
+def reference_dw_run_exact(model, x0, steps, seed, thin, record_events):
+    """The per-agent-exponent loop that the shared-scale kernel replaced:
+    every opinion and bound a (numerator, exponent) pair, aligned to the
+    larger exponent at each meeting. The oracle of dw_run_exact's bits."""
+    rng = make_rng(seed)
+    n = x0.n
+    nums, exps = map(list, zip(*[gossip._to_dyadic(v) for v in x0.flat.tolist()]))
+    initial = tuple(Fraction(p, 1 << e) for p, e in zip(nums, exps))
+    mu_num, mu_exp = gossip._to_dyadic(model.mu)
+    if isinstance(model, DeffuantWeisbuch):
+        bound_nums, bound_exps = map(list, zip(*[gossip._to_dyadic(model.d)] * n))
+        symmetric = model.mode == "symmetric"
+    else:
+        bound_nums, bound_exps = map(list, zip(*map(gossip._to_dyadic, model.d.tolist())))
+        symmetric = True
+
+    def snapshot():
+        return np.array([float(Fraction(p, 1 << e)) for p, e in zip(nums, exps)])
+
+    def within(agap_num, gap_exp, which):
+        # |gap| <= d_which, cross-shifted to integers
+        b_num, b_exp = bound_nums[which], bound_exps[which]
+        if gap_exp >= b_exp:
+            return agap_num <= b_num << (gap_exp - b_exp)
+        return agap_num << (b_exp - gap_exp) <= b_num
+
+    kept = [snapshot()]
+    events = [] if record_events else None
+    for (act, partner), snap in gossip._chunks(gossip._draw_pairs, rng, n, steps, thin):
+        moved = []
+        for i, j, s in zip(act, partner, snap):
+            e_i, e_j = exps[i], exps[j]
+            e_g = e_i if e_i >= e_j else e_j
+            gap_num = (nums[j] << (e_g - e_j)) - (nums[i] << (e_g - e_i))
+            agap = -gap_num if gap_num < 0 else gap_num
+            moved_i = within(agap, e_g, i)
+            moved_j = symmetric and within(agap, e_g, j)
+            if moved_i or moved_j:
+                shift_num = mu_num * gap_num
+                e_s = e_g + mu_exp
+                if moved_i:
+                    e_new = e_i if e_i >= e_s else e_s
+                    nums[i] = (nums[i] << (e_new - e_i)) + (shift_num << (e_new - e_s))
+                    exps[i] = e_new
+                if moved_j:
+                    e_new = e_j if e_j >= e_s else e_s
+                    nums[j] = (nums[j] << (e_new - e_j)) - (shift_num << (e_new - e_s))
+                    exps[j] = e_new
+            moved.append(moved_i or moved_j)
+            if s:
+                kept.append(snapshot())
+        if events is not None:
+            events.extend(zip(act, partner, moved))
+    final = tuple(Fraction(p, 1 << e) for p, e in zip(nums, exps))
+    stamps = np.array(gossip._stamps(steps, thin), dtype=float)
+    return np.stack(kept)[:, :, None], stamps, events, initial, final
+
+
+def exact_models(mu):
+    return {
+        "symmetric": DeffuantWeisbuch(d=0.3, mu=mu),
+        "asymmetric": DeffuantWeisbuch(d=0.3, mu=mu, mode="asymmetric"),
+        "heterogeneous": DWHeterogeneous(d=np.random.default_rng(11).uniform(0.05, 0.6, 6),
+                                         mu=mu),
+    }
+
+
+EXACT_OPINIONS = {
+    "uniform": np.random.default_rng(12).uniform(0.0, 1.0, 6),
+    # negative, subnormal and signed-zero opinions
+    "signed": np.array([-0.0, 5e-324, -2.5e-310, 0.2, -0.15, 0.1]),
+    # gaps of exactly 0.3 = the homogeneous bound at the start
+    "boundary": np.array([0.0, 0.3, 0.6, -0.3, 0.9, 0.3]),
+}
+
+
+class TestExactKernelParity:
+    """The shared-scale exact kernel against the per-agent-exponent loop."""
+
+    @staticmethod
+    def assert_same(res, ref):
+        array, stamps, events, initial, final = ref
+        assert res.initial_exact == initial
+        assert res.final_exact == final
+        assert res.trajectory.array.tobytes() == array.tobytes()
+        assert np.array_equal(res.trajectory.stamps, stamps)
+        assert res.trajectory.events == events
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "heterogeneous"])
+    @pytest.mark.parametrize("mu", [0.5, 0.25, 0.3, 0.1])
+    @pytest.mark.parametrize("opinions", sorted(EXACT_OPINIONS))
+    @pytest.mark.parametrize("thin", [1, 4])
+    def test_bit_identical_with_per_agent_exponents(self, monkeypatch, kind, mu, opinions,
+                                                    thin):
+        # blocks of 7 and chunks of 3 steps, and a scale that grows by one
+        # bit beyond the need, so that nearly every move rescales
+        monkeypatch.setattr(gossip, "_BLOCK", 7)
+        monkeypatch.setattr(gossip, "_CHUNK", 3)
+        monkeypatch.setattr(gossip, "_HEADROOM", 1)
+        model = exact_models(mu)[kind]
+        x0 = OpinionState(EXACT_OPINIONS[opinions])
+        for seed in range(3):
+            for record_events in (True, False):
+                res = dw_run_exact(model, x0, steps=101, seed=(seed, 5), thin=thin,
+                                   record_events=record_events)
+                self.assert_same(res, reference_dw_run_exact(model, x0, 101, (seed, 5), thin,
+                                                             record_events))
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "heterogeneous"])
+    @pytest.mark.parametrize("mu", [0.5, 0.3])
+    def test_bit_identical_over_a_long_run(self, kind, mu):
+        # default blocks and headroom: numerators thousands of bits long,
+        # several rescales, states kept every 997 steps
+        model = exact_models(mu)[kind]
+        x0 = OpinionState(EXACT_OPINIONS["uniform"])
+        res = dw_run_exact(model, x0, steps=6000, seed=7, thin=997, record_events=True)
+        self.assert_same(res, reference_dw_run_exact(model, x0, 6000, 7, 997, True))
 
 
 def reference_cesaro(arr):
@@ -476,6 +627,14 @@ class TestBernoulliConvolution:
     def test_all_one_bits_geometric_sum(self):
         val = bernoulli_convolution(0.5, 60, rng=0, bits=np.ones(60, dtype=int))
         assert val == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bits", [[2, 7, -1], [1, 0, 2], [0.5, 0, 1], [1, np.nan, 0]])
+    def test_bits_other_than_zero_or_one_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            bernoulli_convolution(0.5, 3, None, bits=bits)
+
+    def test_boolean_bits_accepted(self):
+        assert bernoulli_convolution(0.5, 3, None, bits=[True, False, True]) == 0.625
 
     def test_uniform_moments_at_half(self):
         rng = make_rng(123)
