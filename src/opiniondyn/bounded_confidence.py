@@ -547,6 +547,4 @@ def smooth_hk_simulate(
         return a
 
     spec = WeightSpec.from_rule(KIND_NONNEGATIVE, rule, n=x0.n)
-    if dt is None:
-        dt = 0.01 / (1.0 + float(np.abs(rule(0.0, x0.values)).sum(axis=1).max()))
-    return flow_simulate(spec, x0, t_end=t_end, dt=dt, signed=False)
+    return flow_simulate(spec, x0, t_end=t_end, dt=dt)

@@ -18,9 +18,14 @@ the block step by step. ``gossip_step`` is a one-step block, so a single
 step consumes the stream exactly as ``simulate_gossip(steps=1)`` does;
 replaying a simulation's recorded events reproduces its states.
 
-All three bounded-confidence pair dynamics also run in exact arithmetic
-(``dw_run_exact``), at a cost per step that grows with the run; the
-symmetric one, where both agents move, then conserves the sum exactly.
+The three bounded-confidence pair dynamics are one rule: agent i moves by
+mu times the gap when the gap is within its bound d_i, and in the symmetric
+dynamics agent j moves back by the same amount when the gap is within d_j.
+They differ only in the bounds (one d, or one per agent) and in whether j
+moves, so they share one float update loop, and the exact run
+(``dw_run_exact``) reads the same rule. It costs more per step as the run
+goes on; the symmetric dynamics, where both agents move, then conserves the
+sum exactly.
 """
 
 from __future__ import annotations
@@ -237,8 +242,44 @@ class GossipFJ:
         return repeat(True)
 
 
+class _PairDynamics:
+    """The bounded-confidence pair rule shared by the pair models.
+
+    A uniformly random pair (i, j) meets. Agent i moves by mu times the gap
+    x_j - x_i when the gap is within its bound d_i; in the symmetric rule
+    agent j moves by the same amount the other way when the gap is within
+    d_j. ``_rule(n)`` gives the per-agent bounds as a list of floats and
+    whether j moves too; the float loop and ``dw_run_exact`` both read it.
+    """
+
+    def _draw(self, rng, n, count):
+        return _draw_pairs(rng, n, count)
+
+    def _apply(self, x, draws, snap, keep):
+        bounds, symmetric = self._rule(len(x))
+        mu = float(self.mu)
+        moved = []
+        flag = moved.append
+        for i, j, s in zip(*draws, snap):
+            xi = x[i]
+            xj = x[j]
+            gap = xj - xi
+            agap = abs(gap)
+            moved_i = agap <= bounds[i]
+            moved_j = symmetric and agap <= bounds[j]
+            shift = mu * gap
+            if moved_i:
+                x[i] = xi + shift
+            if moved_j:
+                x[j] = xj - shift
+            flag(moved_i or moved_j)
+            if s:
+                keep(x)
+        return moved
+
+
 @dataclass(frozen=True)
-class DeffuantWeisbuch:
+class DeffuantWeisbuch(_PairDynamics):
     """Bounded-confidence pair dynamics.
 
     A random pair meets; the move happens only when the gap is within the
@@ -262,43 +303,12 @@ class DeffuantWeisbuch:
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError("mode must be 'symmetric' or 'asymmetric'")
 
-    def _draw(self, rng, n, count):
-        return _draw_pairs(rng, n, count)
-
-    def _apply(self, x, draws, snap, keep):
-        d, mu = float(self.d), float(self.mu)
-        moved = []
-        flag = moved.append
-        if self.mode == "symmetric":
-            for i, j, s in zip(*draws, snap):
-                xi = x[i]
-                xj = x[j]
-                gap = xj - xi
-                if abs(gap) <= d:
-                    shift = mu * gap
-                    x[i] = xi + shift
-                    x[j] = xj - shift
-                    flag(True)
-                else:
-                    flag(False)
-                if s:
-                    keep(x)
-        else:
-            for i, j, s in zip(*draws, snap):
-                xi = x[i]
-                gap = x[j] - xi
-                if abs(gap) <= d:
-                    x[i] = xi + mu * gap
-                    flag(True)
-                else:
-                    flag(False)
-                if s:
-                    keep(x)
-        return moved
+    def _rule(self, n):
+        return [float(self.d)] * n, self.mode == "symmetric"
 
 
 @dataclass(frozen=True)
-class DWHeterogeneous:
+class DWHeterogeneous(_PairDynamics):
     """Pair dynamics with per-agent confidence bounds: each side of the
     sampled pair moves iff the gap is within its own bound.
     Draw order as in the homogeneous pair dynamics."""
@@ -318,29 +328,8 @@ class DWHeterogeneous:
     def n(self) -> int:
         return self.d.shape[0]
 
-    def _draw(self, rng, n, count):
-        return _draw_pairs(rng, n, count)
-
-    def _apply(self, x, draws, snap, keep):
-        d, mu = self.d.tolist(), float(self.mu)
-        moved = []
-        flag = moved.append
-        for i, j, s in zip(*draws, snap):
-            xi = x[i]
-            xj = x[j]
-            gap = xj - xi
-            agap = abs(gap)
-            moved_i = agap <= d[i]
-            moved_j = agap <= d[j]
-            shift = mu * gap
-            if moved_i:
-                x[i] = xi + shift
-            if moved_j:
-                x[j] = xj - shift
-            flag(moved_i or moved_j)
-            if s:
-                keep(x)
-        return moved
+    def _rule(self, n):
+        return self.d.tolist(), True
 
 
 def build_gammas(lam, w):
@@ -365,9 +354,11 @@ def build_gammas(lam, w):
 # ``_apply(x, draws, snap, keep)`` runs the steps on the list of Python
 # floats ``x`` in place, given the draws as lists; after each step whose
 # ``snap`` flag is set it calls ``keep(x)``. It returns the per-step
-# ``interacted`` flags.
+# ``interacted`` flags. The pair models share both: their ``_rule(n)`` gives
+# the per-agent bounds and whether the partner moves too, and one loop in
+# ``_PairDynamics._apply`` applies it.
 
-_MODELS = (DegrootGossip, SymmetricPairGossip, GossipFJ, DeffuantWeisbuch, DWHeterogeneous)
+_MODELS = (DegrootGossip, SymmetricPairGossip, GossipFJ, _PairDynamics)
 
 
 def _draw_row_partners(p: np.ndarray, rng, count: int):
@@ -411,7 +402,7 @@ def _check_run(model, x0: OpinionState, steps: int, thin: int) -> None:
     if not isinstance(model, _MODELS):
         raise TypeError(f"unknown gossip model {type(model).__name__}")
     n = x0.n
-    if isinstance(model, (DeffuantWeisbuch, DWHeterogeneous)) and n < 2:
+    if isinstance(model, _PairDynamics) and n < 2:
         raise ValueError(f"pair dynamics needs at least two agents, got {n}")
     if getattr(model, "n", n) != n:
         raise ValueError("model size must match the state")
@@ -542,15 +533,14 @@ def dw_run_exact(
     draws are the float simulator's, so a run is comparable draw-for-draw
     with its float twin. ``thin`` defaults to keeping the ends only.
     """
-    if not isinstance(model, (DeffuantWeisbuch, DWHeterogeneous)):
+    if not isinstance(model, _PairDynamics):
         raise TypeError("exact runs are provided for the pair dynamics")
     if thin is None:
         thin = steps
     _check_run(model, x0, steps, thin)
     rng = make_rng(seed)
     n = x0.n
-    bounds = np.broadcast_to(model.d, n).tolist()
-    symmetric = getattr(model, "mode", "symmetric") == "symmetric"
+    bounds, symmetric = model._rule(n)
     dyadic = [_to_dyadic(v) for v in x0.flat.tolist()]
     initial = tuple(Fraction(p, 1 << e) for p, e in dyadic)
     exps = [e for _, e in dyadic]

@@ -123,9 +123,7 @@ class WeightSpec:
         if set_count != 1:
             raise ValueError("exactly one of matrix, schedule, rule must be given")
         if self.matrix is not None:
-            w = self._validated(self.matrix)
-            w = w.copy()
-            w.setflags(write=False)
+            w = self._frozen(self.matrix)
             object.__setattr__(self, "matrix", w)
             object.__setattr__(self, "n", w.shape[0])
         elif self.schedule is not None:
@@ -137,7 +135,7 @@ class WeightSpec:
                 if until <= prev:
                     raise ValueError("schedule breakpoints must be strictly increasing")
                 prev = until
-                w = self._validated(mat)
+                w = self._frozen(mat)
                 if size is None:
                     size = w.shape[0]
                 elif w.shape[0] != size:
@@ -150,6 +148,13 @@ class WeightSpec:
         else:
             if self.n is None:
                 raise ValueError("rule provider requires the agent count n")
+
+    def _frozen(self, mat) -> np.ndarray:
+        """A validated read-only copy, so a caller's later writes to its own
+        array cannot reach the spec."""
+        w = self._validated(mat).copy()
+        w.setflags(write=False)
+        return w
 
     def _validated(self, mat) -> np.ndarray:
         if self.kind == KIND_STOCHASTIC:
@@ -439,7 +444,6 @@ def flow_simulate(
     x0: OpinionState,
     t_end: float,
     dt: float | None = None,
-    signed: bool | None = None,
 ) -> Trajectory:
     """Integrate dx/dt = -L[A(t, x)] x with classical fixed-step RK4.
 
@@ -453,16 +457,9 @@ def flow_simulate(
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    if signed is None:
-        signed = spec.kind == KIND_SIGNED
-    if not signed and spec.kind == KIND_SIGNED:
-        raise ValueError("signed spec requires signed=True")
     x = x0.values
-    a0 = spec.matrix_at(0.0, x)
-    if not signed and np.any(a0 < 0):
-        raise ValueError("unsigned flow requires nonnegative couplings")
     if dt is None:
-        dt = default_flow_step(a0)
+        dt = default_flow_step(spec.matrix_at(0.0, x))
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))

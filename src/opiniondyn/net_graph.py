@@ -124,15 +124,6 @@ class UndirectedGraph:
     n: int
     edges: frozenset  # frozenset of 2-tuples (i, j) with i < j
 
-    def neighbors(self, i: int) -> set:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
-
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         adj = {i: set() for i in range(self.n)}
         for a, b in self.edges:

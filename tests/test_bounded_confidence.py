@@ -413,6 +413,24 @@ class TestSmoothFlow:
         traj = smooth_hk_simulate(x0, lambda y: 1.0, t_end=15.0, dt=0.01)
         assert np.max(np.abs(traj.final.values - 0.5)) < 1e-8
 
+    def test_default_step_is_the_flow_default(self):
+        # without dt the step is 0.01 / (1 + largest row sum) of the
+        # influence matrix at the start, bit for bit
+        rng = np.random.default_rng(16)
+        x0 = OpinionState(rng.uniform(0, 1, size=6))
+
+        def profile(y):
+            return max(0.0, 0.4 - abs(y)) * 3.7
+
+        gap = x0.flat[None, :] - x0.flat[:, None]
+        a = np.vectorize(profile, otypes=[float])(gap)
+        np.fill_diagonal(a, 0.0)
+        dt = 0.01 / (1.0 + float(np.abs(a).sum(axis=1).max()))
+        default = smooth_hk_simulate(x0, profile, t_end=0.7)
+        explicit = smooth_hk_simulate(x0, profile, t_end=0.7, dt=dt)
+        assert default.array.tobytes() == explicit.array.tobytes()
+        assert default.stamps.tobytes() == explicit.stamps.tobytes()
+
     def test_mean_conserved_along_trajectory(self):
         rng = np.random.default_rng(14)
         x0 = OpinionState(rng.uniform(0, 1, size=8))

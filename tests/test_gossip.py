@@ -739,6 +739,31 @@ class TestBlockKernels:
             assert np.array_equal(out.values, traj.final.values)
             assert event == traj.events[0]
 
+    @pytest.mark.parametrize("name", ["dw-symmetric", "dw-asymmetric", "dw-heterogeneous"])
+    def test_pair_rule_on_the_bound_matches_reference(self, monkeypatch, name):
+        # opinions on the 1/16 grid of [0, 1], mu = 1/2 and bounds that are
+        # multiples of 1/8: gaps equal the bounds exactly at many steps,
+        # where <= against < and the i against the j bound decide who moves
+        monkeypatch.setattr(gossip, "_BLOCK", 7)
+        monkeypatch.setattr(gossip, "_CHUNK", 3)
+        n = 17
+        model = {
+            "dw-symmetric": DeffuantWeisbuch(d=0.25, mu=0.5),
+            "dw-asymmetric": DeffuantWeisbuch(d=0.25, mu=0.5, mode="asymmetric"),
+            "dw-heterogeneous": DWHeterogeneous(d=np.resize([0.125, 0.25, 0.375], n), mu=0.5),
+        }[name]
+        bounds = np.broadcast_to(model.d, n)
+        x0 = OpinionState(np.random.default_rng(8).permutation(n) / 16)
+        on_bound = 0
+        for seed in range(16):
+            traj = simulate_gossip(model, x0, steps=40, seed=(seed, 3))
+            array, _, events = reference_simulate(model, x0, 40, (seed, 3), 1, True, block=7)
+            assert np.array_equal(traj.array, array)
+            assert traj.events == events
+            for x, (i, j, _) in zip(array[:, :, 0], events):
+                on_bound += abs(x[j] - x[i]) in (bounds[i], bounds[j])
+        assert on_bound >= 20
+
     def test_shared_generator_steps_match_one_run(self):
         # successive steps on one generator consume it like one run in
         # blocks of a single step

@@ -36,6 +36,27 @@ def random_stochastic(rng, n, self_loops=True):
     return w / w.sum(axis=1, keepdims=True)
 
 
+class TestWeightSpec:
+    @pytest.mark.parametrize("kind", ["stochastic", "nonnegative", "signed"])
+    @pytest.mark.parametrize("provider", ["constant", "scheduled"])
+    def test_matrices_are_frozen_copies(self, kind, provider):
+        # a caller's later writes to its own array never reach the spec, so
+        # the matrices the spec hands out stay the validated ones
+        w = np.full((2, 2), 0.5)
+        if provider == "constant":
+            spec = WeightSpec.constant(kind, w)
+        else:
+            spec = WeightSpec.scheduled(kind, [(1.0, w), (2.0, w)])
+        held = [spec.matrix_at(0.5), spec.matrix_at(1.5)]
+        w[0, 0] = -3.0
+        for m in held + [spec.matrix_at(0.5), spec.matrix_at(1.5)]:
+            assert m is not w
+            assert not m.flags.writeable
+            assert np.array_equal(m, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError):
+            held[0][0, 0] = -3.0
+
+
 class TestCheckStochastic:
     @pytest.mark.parametrize("matrix,message", [
         ([[np.nan, 1.0], [0.5, 0.5]], "matrix entries must be finite"),
