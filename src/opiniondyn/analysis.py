@@ -127,9 +127,10 @@ class ClusterProfile:
 def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     """Single-linkage grouping at the given scale: scalar opinions are
     sorted and split at gaps exceeding gap_tol; vector opinions are grouped
-    by union-find over pairs within gap_tol (Euclidean)."""
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
+    by union-find over pairs within gap_tol (Euclidean). Raises ValueError
+    unless gap_tol > 0 (so also for NaN)."""
+    if not gap_tol > 0:
+        raise ValueError(f"gap_tol must be positive, got {gap_tol}")
     n = x.n
     min_sep = math.inf
     if x.m == 1:
@@ -195,7 +196,10 @@ def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -
     (nearly) zero are polarization; anything else reports the cluster
     count. The clustering scale defaults to 1e-4 times the initial
     diameter (bounded-confidence callers should pass their own bound).
+    Raises ValueError for a NaN or negative tol.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if len(trajectory) >= 2:
         step = np.abs(trajectory.array[-1] - trajectory.array[-2]).max()
         if step > tol and trajectory.terminated_at is None:

@@ -5,6 +5,17 @@ exactly and repeated runs with one seed produce byte-identical files.
 All writes go through a temp-file-then-rename so readers never observe a
 partial file. The trajectory CSV is known only here: ``trajectory_csv``
 writes it and ``load_trajectory`` reads it back bit for bit.
+
+``trajectory_csv`` formats a bounded chunk of states per ``%`` operation,
+not a state at a time. ``load_trajectory`` parses a plain file in C with
+one ``np.loadtxt`` call: a file that starts with the exact header line,
+holds no blank line, not even a trailing one, and uses no byte other than
+digits, ``+``, ``-``, ``.``, ``,``, the letters of ``e``, ``inf`` and
+``nan``, and ``\n``. That is every file ``trajectory_csv`` writes. Over
+those bytes numpy's tokenizer accepts exactly the cells ``int`` and
+``float`` accept, with the same bits. Every other file, and every file the
+C parse declines, goes through the per-cell tokenizer, so each file reads
+to the same bits or fails with the same message whichever path it takes.
 """
 
 from __future__ import annotations
@@ -12,6 +23,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -97,6 +110,7 @@ def load_schedule(source) -> list:
 
 
 _TRAJECTORY_HEADER = "step,time,agent,dim,value"
+_HEADER_LINE = (_TRAJECTORY_HEADER + "\n").encode()
 
 _TRAJECTORY_COLUMNS = (
     ("step", int, np.int64),
@@ -106,26 +120,45 @@ _TRAJECTORY_COLUMNS = (
     ("value", float, np.float64),
 )
 
-# Rows tokenised per block when reading: bounds the temporary cell lists.
+_ROW_DTYPE = np.dtype([(name, dtype) for name, _, dtype in _TRAJECTORY_COLUMNS])
+
+# Every byte of a plain trajectory row but the newline.
+_PLAIN_BYTES = b"0123456789+-.,einfa"
+
+# Rows tokenised per block on the per-cell path: bounds the temporary cell lists.
 _READ_BLOCK = 1 << 16
+
+# Bytes read per block by the plain-file check.
+_CHECK_BYTES = 1 << 20
+
+# Cells formatted per ``%`` operation when writing: bounds the template and
+# the argument tuple.
+_WRITE_CHUNK = 1 << 16
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Long-format CSV: step,time,agent,dim,value, one row per (step, agent,
     dim) in that order.
 
-    One state is formatted per operation: a ``%``-template holding every
-    (agent, dim) cell of the state, prefixed with the state's step and time.
+    Each state has a ``%``-template holding its (agent, dim) cells, prefixed
+    with the state's step and time; the templates of a chunk of states
+    (``_WRITE_CHUNK`` cells) are joined and formatted by one operation.
     ``"%.17g" % v`` is the routine behind ``fmt_float``, so the bytes are
     those of formatting each value on its own.
     """
     arr = traj.array
     steps, n, m = arr.shape
     templates = [""] + [f"{agent},{dim},%.17g\n" for agent in range(n) for dim in range(m)]
+    cells = arr.reshape(-1)
+    stamps = traj.stamps.tolist()
+    per_chunk = max(1, _WRITE_CHUNK // max(1, n * m))  # states
     parts = [_TRAJECTORY_HEADER + "\n"]
-    rows = arr.reshape(steps, n * m).tolist()
-    for k, (t, row) in enumerate(zip(traj.stamps.tolist(), rows)):
-        parts.append(f"{k},{t:.17g},".join(templates) % tuple(row))
+    for lo in range(0, steps, per_chunk):
+        hi = min(lo + per_chunk, steps)
+        template = "".join(
+            [f"{k},{t:.17g},".join(templates) for k, t in zip(range(lo, hi), stamps[lo:hi])]
+        )
+        parts.append(template % tuple(cells[lo * n * m : hi * n * m].tolist()))
     return "".join(parts)
 
 
@@ -133,14 +166,81 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV as written by :func:`trajectory_csv`.
 
     Rows may come in any order, and CRLF line ends and trailing blank lines
-    are accepted. Values are parsed with ``float``, so a written trajectory
-    reads back bit for bit. Raises ``OSError`` when the file cannot be read,
+    are accepted. Values are parsed as ``float`` parses them, so a written
+    trajectory reads back bit for bit; a plain file is parsed in C (see the
+    module docstring). Raises ``OSError`` when the file cannot be read,
     and ``ValueError`` naming the problem when it holds no complete
     trajectory: an empty file, a bad header, a row without five fields, a
     cell that is not a number, an agent or dim id outside the rows' range,
     a missing or duplicate (step, agent, dim) row, or rows of one step that
     disagree on its time.
     """
+    columns = _plain_columns(path)
+    if columns is None:
+        columns = _cell_columns(path)
+    total = len(columns[0])
+    for c in (2, 3):
+        outside = (columns[c] < 0) | (columns[c] >= total)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"{path}: line {i + 2}: {_TRAJECTORY_COLUMNS[c][0]} {columns[c][i]} "
+                f"is out of range for a file of {total} rows"
+            )
+
+    order = np.lexsort((columns[3], columns[2], columns[0]))
+    step, stamp, agent, dim, value = (col[order] for col in columns)
+    n, m = int(agent.max()) + 1, int(dim.max()) + 1
+    gap = _grid_gap(step, agent, dim, n, m)
+    if gap:
+        raise ValueError(f"{path}: {gap}")
+    times = stamp.reshape(-1, n * m)
+    differ = np.any(times != times[:, :1], axis=1)
+    if differ.any():
+        k = int(np.argmax(differ))
+        raise ValueError(f"{path}: the rows of step {step[k * n * m]} disagree on its time")
+    try:
+        return Trajectory(value.reshape(-1, n, m), times[:, 0].copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _plain_columns(path) -> list | None:
+    """The five columns of a plain file (see the module docstring), parsed
+    by one ``np.loadtxt`` call on the handle that was checked; None for any
+    other file, or when ``loadtxt`` declines it."""
+    lines = 0
+    last = b"\n"
+    with Path(path).open("rb") as fh:
+        if fh.readline() != _HEADER_LINE:
+            return None
+        for block in iter(partial(fh.read, _CHECK_BYTES), b""):
+            rest = block.translate(None, _PLAIN_BYTES)  # newlines, unless a byte is not plain
+            if rest.count(b"\n") != len(rest):
+                return None
+            lines += len(rest)
+            last = block[-1:]
+        lines += last != b"\n"
+        fh.seek(0)
+        # A warning is an error here: loadtxt warns on a file without rows,
+        # and older numpy releases warn where they parse an int cell such as
+        # '2.7' through float and truncate it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rows = np.loadtxt(
+                    fh, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, ndmin=1
+                )
+            except (ValueError, Warning):
+                return None
+    # loadtxt skips blank lines; the per-cell path names or strips them
+    if len(rows) != lines:
+        return None
+    return [rows[field] for field in _ROW_DTYPE.names]
+
+
+def _cell_columns(path) -> list:
+    """The five columns, tokenised in Python a block of rows at a time."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty trajectory file")
@@ -170,30 +270,7 @@ def load_trajectory(path) -> Trajectory:
                     f"{path}: line {lo + i + 2}: {name} {column[i]!r} "
                     f"does not parse as {parse.__name__}"
                 ) from None
-    for c in (2, 3):
-        outside = (columns[c] < 0) | (columns[c] >= total)
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise ValueError(
-                f"{path}: line {i + 2}: {_TRAJECTORY_COLUMNS[c][0]} {columns[c][i]} "
-                f"is out of range for a file of {total} rows"
-            )
-
-    order = np.lexsort((columns[3], columns[2], columns[0]))
-    step, stamp, agent, dim, value = (col[order] for col in columns)
-    n, m = int(agent.max()) + 1, int(dim.max()) + 1
-    gap = _grid_gap(step, agent, dim, n, m)
-    if gap:
-        raise ValueError(f"{path}: {gap}")
-    times = stamp.reshape(-1, n * m)
-    differ = np.any(times != times[:, :1], axis=1)
-    if differ.any():
-        k = int(np.argmax(differ))
-        raise ValueError(f"{path}: the rows of step {step[k * n * m]} disagree on its time")
-    try:
-        return Trajectory(value.reshape(-1, n, m), times[:, 0].copy())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return columns
 
 
 def _parses(cell: str, parse, dtype) -> bool:

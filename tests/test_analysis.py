@@ -186,6 +186,19 @@ class TestClusters:
             frozenset(int(a) for a in m) for m in mapped
         }
 
+    @pytest.mark.parametrize("gap_tol", [float("nan"), 0.0, -0.1])
+    def test_scale_must_be_positive_scalar_path(self, gap_tol):
+        # at NaN the split used to put [0, 0, 1, 1] into one cluster
+        with pytest.raises(ValueError, match="gap_tol must be positive"):
+            clusters(OpinionState([0.0, 0.0, 1.0, 1.0]), gap_tol=gap_tol)
+
+    @pytest.mark.parametrize("gap_tol", [float("nan"), 0.0, -0.1])
+    def test_scale_must_be_positive_vector_path(self, gap_tol):
+        # at NaN union-find used to return four singletons, min_separation 0.0
+        pts = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match="gap_tol must be positive"):
+            clusters(OpinionState(pts), gap_tol=gap_tol)
+
 
 class TestClassify:
     def test_consensus_label(self):
@@ -217,6 +230,13 @@ class TestClassify:
         flipped = classify(trajectory_from_states([[-v for v in s] for s in states]), tol=1e-6)
         assert label.kind == flipped.kind == "polarization"
         assert set(label.camps) == set(flipped.camps)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-6, -math.inf])
+    def test_tol_must_be_nonnegative(self, tol):
+        # at NaN an exact consensus at (0.5, 0.5) used to read as "clusters", count 1
+        traj = trajectory_from_states([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            classify(traj, tol=tol)
 
 
 class TestModulusConsensus:

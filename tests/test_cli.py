@@ -417,6 +417,35 @@ class TestMainEntry:
         assert payload["stage"] == "run"
         assert "spectral radius" in payload["message"]
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--gap-tol", "nan"], "gap_tol must be positive", id="gap-tol-nan"),
+        pytest.param(["--gap-tol", "0.1", "--tol", "nan"], "tol must be nonnegative",
+                     id="tol-nan"),
+        pytest.param(["--gap-tol", "0.1", "--tol=-1e-6"], "tol must be nonnegative",
+                     id="tol-negative"),
+    ])
+    def test_analyze_rejects_a_nan_or_negative_scale(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(trajectory_csv(trajectory_from_states([[0.0, 1.0], [0.5, 0.5]])))
+        code = main(["analyze", "--trajectory", str(path), *flags, "--out", str(tmp_path)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert message in payload["message"]
+        assert not (tmp_path / "analysis.json").exists()
+
+    def test_nan_classification_tol_in_a_config_is_a_validation_error(self, tmp_path, capsys):
+        config = {"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "tol": float("nan"),
+                  "outputs": ["summary"]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert "tol must be nonnegative" in payload["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_analyze_missing_file(self, tmp_path, capsys):
         path = tmp_path / "absent.csv"
         argv = ["analyze", "--trajectory", str(path), "--gap-tol", "0.1", "--out", str(tmp_path)]
