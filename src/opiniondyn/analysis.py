@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split, trust_matrix
-from .state import MaxStepsError, OpinionState, Trajectory
+from .net_graph import _component_labels, _tarjan_scc
+from .state import MaxStepsError, OpinionState, Trajectory, _pairwise_sq
 
 __all__ = [
     "SEnergy",
@@ -127,8 +128,9 @@ class ClusterProfile:
 def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     """Single-linkage grouping at the given scale: scalar opinions are
     sorted and split at gaps exceeding gap_tol; vector opinions are grouped
-    by union-find over pairs within gap_tol (Euclidean). Raises ValueError
-    unless gap_tol > 0 (so also for NaN)."""
+    into the connected components of the mask of pairs within gap_tol
+    (Euclidean), found by the package's one component kernel. Raises
+    ValueError unless gap_tol > 0 (so also for NaN)."""
     if not gap_tol > 0:
         raise ValueError(f"gap_tol must be positive, got {gap_tol}")
     n = x.n
@@ -141,31 +143,12 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
             # the gap goes through the same norm as the vector path
             min_sep = float(np.linalg.norm(gaps[splits].min(keepdims=True)))
     else:
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        diff = x.values[:, None, :] - x.values[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dist[i, j] <= gap_tol:
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        parent[rb] = ra
-        byroot = {}
-        for i in range(n):
-            byroot.setdefault(find(i), []).append(i)
-        groups = sorted(byroot.values(), key=lambda g: g[0])
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                for i in groups[a]:
-                    for j in groups[b]:
-                        min_sep = min(min_sep, float(np.linalg.norm(x.values[i] - x.values[j])))
+        dist = np.sqrt(_pairwise_sq(x.values))
+        groups = [list(c) for c in _tarjan_scc(dist <= gap_tol)]
+        label = _component_labels(groups, n)
+        rows = list(x.values)
+        for i, j in np.argwhere(label[:, None] < label[None, :]).tolist():
+            min_sep = min(min_sep, float(np.linalg.norm(rows[i] - rows[j])))
 
     reps = []
     for g in groups:
@@ -239,20 +222,31 @@ class TwoRRow:
     conjecture: int
 
 
+def _hk_step_bound(n: int) -> int:
+    """Step budget 2 n^3 - 2 (n - 1)^2 within which the plain
+    bounded-confidence model on n agents reaches its fixed point."""
+    return 2 * n**3 - 2 * (n - 1) ** 2
+
+
 def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
     """Monte Carlo comparison of final cluster counts against 1/(2d).
 
     For each confidence bound d: sample initial opinions uniformly on
     [0, 1] (independent sub-stream per (d, trial)), run the plain
     bounded-confidence model to exact termination, and count clusters at
-    scale d. Deterministic given the seed.
+    scale d. Deterministic given the seed. Raises ValueError unless every
+    d is finite and positive.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    d_list = list(d_list)
+    for d in d_list:
+        if not (math.isfinite(d) and d > 0):
+            raise ValueError(f"confidence bound d must be finite and positive, got {d}")
+    bound = _hk_step_bound(n)
     rows = []
     for d_idx, d in enumerate(d_list):
         spec = ConfidenceSpec.symmetric(d)
-        bound = 2 * n**3 - 2 * (n - 1) ** 2
         counts = []
         for trial in range(trials):
             rng = np.random.Generator(

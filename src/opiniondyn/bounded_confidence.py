@@ -19,6 +19,7 @@ import numpy as np
 
 from .linear_dynamics import KIND_NONNEGATIVE, WeightSpec, flow_simulate
 from .state import MaxStepsError, NonConvergentError, OpinionState, Trajectory
+from .state import _pairwise_sq
 
 __all__ = [
     "ConfidenceSpec",
@@ -413,8 +414,7 @@ def reputation_phi(weights, d: float) -> PhiSpec:
 def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
     if phi.n is not None and phi.n != x.n:
         raise ValueError("weight table size must match the agent count")
-    diff = x.values[:, None, :] - x.values[None, :, :]
-    sq = (diff**2).sum(-1)
+    sq = _pairwise_sq(x.values)
     n = x.n
     w = np.empty((n, n))
     for i in range(n):
@@ -449,10 +449,12 @@ def simulate_bc(
     state's step index; the confirming successor is recorded too, so the
     returned trajectory is self-contained evidence of the fixed point.
     Raises MaxStepsError carrying the partial trajectory when the budget
-    runs out first.
+    runs out first, and ValueError for a NaN or negative stop_tol.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if not stop_tol >= 0:
+        raise ValueError(f"stop_tol must be nonnegative, got {stop_tol}")
     states = [x0.values]
     x = x0
     for k in range(max_steps + 1):
@@ -473,8 +475,7 @@ def simulate_bc(
 def hk_energy(x: OpinionState, d: float) -> float:
     """Quadratic interaction energy sum_{i,j} min(|x_i - x_j|^2, d^2) over
     all ordered pairs; zero exactly at consensus, bounded by d^2 n (n-1)."""
-    diff = x.values[:, None, :] - x.values[None, :, :]
-    sq = (diff**2).sum(-1)
+    sq = _pairwise_sq(x.values)
     return float(np.minimum(sq, d * d).sum())
 
 
@@ -482,8 +483,7 @@ def phi_energy(x: OpinionState, phi: PhiSpec) -> float:
     """Interaction energy sum_{i,j} Phi(|x_i - x_j|^2) with Phi the
     antiderivative of the weight function; non-increasing weights make this
     a Lyapunov function of the weighted step."""
-    diff = x.values[:, None, :] - x.values[None, :, :]
-    sq = (diff**2).sum(-1)
+    sq = _pairwise_sq(x.values)
     n = x.n
     return float(sum(phi.potential(i, j, sq[i, j]) for i in range(n) for j in range(n)))
 

@@ -87,12 +87,14 @@ class _Run:
             norm = float(ratios @ ratios)
             if norm == 0.0:
                 raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
+            tol = float(check.get("tol", 1e-6))
+            if not tol >= 0:
+                raise ValueError(f"family_check tol must be nonnegative, got {tol}")
             flat = final.values[:, 0]
             scale = float(flat @ ratios) / norm
             deviation = float(np.max(np.abs(flat - scale * ratios)))
             payload["family_check"] = {"ratios": ratios.tolist(), "scale": scale,
-                                       "max_deviation": deviation,
-                                       "passed": deviation < float(check.get("tol", 1e-6))}
+                                       "max_deviation": deviation, "passed": deviation < tol}
         return payload
 
     @cached_property
@@ -123,7 +125,7 @@ class _Run:
 
     def gossip_summary_json(self) -> str:
         profile = analysis.clusters(self.traj.final, _gap_tol(self.params, self.config))
-        return _json({"seed": self.seed, "steps": int(self.config.get("horizon", 10000)),
+        return _json({"seed": self.seed, "steps": int(self.traj.stamps[-1]),
                       "final_state": self.traj.final.values[:, 0].tolist(),
                       "cesaro_final": self.averages[-1][:, 0].tolist(),
                       "clusters": [list(m) for m in profile.members]})
@@ -150,10 +152,12 @@ def _confidence(params, x0):
 
 
 def _run_flow(kind, model, config, params, seed, outputs) -> _Run:
+    every = int(config.get("record_every", 1))
+    if every < 1:
+        raise ValueError(f"record_every must be >= 1, got {every}")
     x0 = _x0_from_config(config)
     spec = pr.weight_spec_from_params(kind, params)
     traj = ld.flow_simulate(spec, x0, t_end=float(params.get("t_end", 30.0)), dt=params.get("dt"))
-    every = int(config.get("record_every", 1)) if "trajectory" in outputs else 1
     return _Run(traj, config, params, seed, every)
 
 
@@ -204,7 +208,7 @@ def _run_hk_sweep(model, config, params, seed, outputs) -> tuple:
         d = float(rng.uniform(d_lo, d_hi))
         x0 = OpinionState(rng.uniform(0.0, 1.0, size=n))
         spec = bc.ConfidenceSpec.symmetric(d)
-        bound = 2 * n**3 - 2 * (n - 1) ** 2
+        bound = analysis._hk_step_bound(n)
         traj = bc.simulate_bc(lambda s: bc.hk_step(s, spec), x0, max_steps=bound)
         rows.append(f"{idx},{n},{io.fmt_float(d)},{traj.terminated_at},{bound}")
     return "sweep.csv", "\n".join(rows) + "\n"

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .net_graph import SignedGraph, connectivity, gauge_from_balance
+from .net_graph import SignedGraph, _first_hit, connectivity, gauge_from_balance
 from .net_graph import signed_laplacian_matrix, structural_balance
 from .state import (
     IntegrationError,
@@ -132,7 +132,7 @@ class WeightSpec:
             size = None
             for until, mat in self.schedule:
                 until = float(until)
-                if until <= prev:
+                if not until > prev:  # also rejects NaN
                     raise ValueError("schedule breakpoints must be strictly increasing")
                 prev = until
                 w = self._frozen(mat)
@@ -337,28 +337,24 @@ def verify_convergence_premises(matrices, delta: float) -> PremiseReport:
         raise ValueError("delta must lie in (0, 1]")
     for k, mat in enumerate(matrices):
         w = check_stochastic(mat)
-        n = w.shape[0]
-        for i in range(n):
-            if w[i, i] < delta:
-                return PremiseReport(
-                    False,
-                    {"condition": "self_confidence", "step": k, "agent": i, "value": w[i, i]},
-                )
-        for i in range(n):
-            for j in range(n):
-                v = w[i, j]
-                if v != 0.0 and not (delta <= v <= 1.0):
-                    return PremiseReport(
-                        False,
-                        {"condition": "non_vanishing", "step": k, "i": i, "j": j, "value": v},
-                    )
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (w[i, j] > 0) != (w[j, i] > 0):
-                    return PremiseReport(
-                        False,
-                        {"condition": "reciprocity", "step": k, "i": i, "j": j},
-                    )
+        hit = _first_hit(np.diag(w) < delta)
+        if hit:
+            (i,) = hit
+            return PremiseReport(
+                False,
+                {"condition": "self_confidence", "step": k, "agent": i, "value": w[i, i]},
+            )
+        hit = _first_hit((w != 0.0) & ~((delta <= w) & (w <= 1.0)))
+        if hit:
+            i, j = hit
+            return PremiseReport(
+                False,
+                {"condition": "non_vanishing", "step": k, "i": i, "j": j, "value": w[i, j]},
+            )
+        hit = _first_hit(np.triu((w > 0) != (w > 0).T, 1))
+        if hit:
+            i, j = hit
+            return PremiseReport(False, {"condition": "reciprocity", "step": k, "i": i, "j": j})
     return PremiseReport(True)
 
 
@@ -570,12 +566,10 @@ def check_type_symmetry(spec: WeightSpec, k_bound: float) -> PremiseReport:
         raise ValueError("type symmetry is checked on explicit matrices, not rules")
     for idx, mat in mats:
         a = np.abs(mat)
-        n = a.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                hi, lo = max(a[i, j], a[j, i]), min(a[i, j], a[j, i])
-                if hi > k_bound * lo:
-                    return PremiseReport(
-                        False, {"condition": "type_symmetry", "segment": idx, "i": i, "j": j}
-                    )
+        hit = _first_hit(np.triu(np.maximum(a, a.T) > k_bound * np.minimum(a, a.T), 1))
+        if hit:
+            i, j = hit
+            return PremiseReport(
+                False, {"condition": "type_symmetry", "segment": idx, "i": i, "j": j}
+            )
     return PremiseReport(True)

@@ -119,32 +119,20 @@ class ConnectivityReport:
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Plain undirected graph on n nodes given by an edge set."""
+    """Plain undirected graph on n nodes given by an edge set. Its connected
+    components are the strong components of the symmetric adjacency mask,
+    found by the same kernel as directed connectivity."""
 
     n: int
     edges: frozenset  # frozenset of 2-tuples (i, j) with i < j
 
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
-        adj = {i: set() for i in range(self.n)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = [False] * self.n
-        comps = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            stack, comp = [root], []
-            seen[root] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in sorted(adj[v]):
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        ends = np.array(list(self.edges), dtype=int).reshape(-1, 2)
+        if ends.size and not (ends.min() >= 0 and ends.max() < self.n):
+            raise ValueError(f"edge ends must be agents 0 .. {self.n - 1}")
+        adj[ends[:, 0], ends[:, 1]] = True
+        return tuple(_tarjan_scc(adj | adj.T))
 
 
 def signed_laplacian_matrix(weights: np.ndarray) -> np.ndarray:
@@ -161,13 +149,24 @@ def signed_laplacian(g: SignedGraph) -> np.ndarray:
     return signed_laplacian_matrix(g.weights)
 
 
+def _sign_asymmetry(g: SignedGraph) -> np.ndarray:
+    """Upper-triangle mask of the pairs i < j with a_ij * a_ji < 0 (entries
+    below zero_tol treated as zero)."""
+    w = np.where(g.arc_mask, g.weights, 0.0)
+    return np.triu(w * w.T < 0, 1)
+
+
+def _first_hit(mask: np.ndarray) -> tuple | None:
+    """Index of the first True entry of mask in row-major order, as a tuple
+    of Python ints, or None when there is none."""
+    hits = np.argwhere(mask)
+    return tuple(hits[0].tolist()) if len(hits) else None
+
+
 def is_sign_symmetric(g: SignedGraph) -> bool:
     """True iff a_ij * a_ji >= 0 for every off-diagonal pair (entries below
     zero_tol treated as zero, so one-sided arcs are allowed)."""
-    w = np.where(g.arc_mask, g.weights, 0.0)
-    prod = w * w.T
-    off = ~np.eye(g.n, dtype=bool)
-    return bool(np.all(prod[off] >= 0))
+    return not _sign_asymmetry(g).any()
 
 
 def _mirror_signs(g: SignedGraph):
@@ -196,17 +195,12 @@ def structural_balance(g: SignedGraph) -> BalanceResult:
     negative semicycle.
     """
     n = g.n
-    w = np.where(g.arc_mask, g.weights, 0.0)
-    prod = w * w.T
-    for i in range(n):
-        for j in range(i + 1, n):
-            if prod[i, j] < 0:
-                return BalanceResult(
-                    balanced=False,
-                    witness=BalanceWitness("sign_asymmetry", (i, j)),
-                )
+    pair = _first_hit(_sign_asymmetry(g))
+    if pair:
+        return BalanceResult(balanced=False, witness=BalanceWitness("sign_asymmetry", pair))
 
     sym_mask, signs = _mirror_signs(g)
+    np.fill_diagonal(sym_mask, False)
     color = [0] * n  # 0 = unvisited
     parent = [-1] * n
     for root in range(n):
@@ -214,11 +208,8 @@ def structural_balance(g: SignedGraph) -> BalanceResult:
             continue
         color[root] = 1
         queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for u in range(n):
-                if not sym_mask[v, u] or u == v:
-                    continue
+        for v in queue:  # grows while it is read: breadth-first order
+            for u in np.flatnonzero(sym_mask[v]).tolist():
                 want = color[v] * signs[v, u]
                 if color[u] == 0:
                     color[u] = want
@@ -274,8 +265,13 @@ def gauge_apply(g: SignedGraph, delta: GaugeVector) -> SignedGraph:
     return SignedGraph(d[:, None] * g.weights * d[None, :], zero_tol=g.zero_tol)
 
 
-def _tarjan_scc(adj) -> list:
-    """Iterative Tarjan strongly-connected components; adj[v] is ascending."""
+def _tarjan_scc(adj: np.ndarray) -> list:
+    """Strongly connected components of the boolean adjacency mask adj
+    (adj[v, u] marks the arc v -> u) by iterative Tarjan, each an ascending
+    tuple of Python ints, listed by smallest member. The one component
+    kernel of the package: on a symmetric mask the strong components are
+    the connected components."""
+    adj = [np.flatnonzero(row).tolist() for row in adj]
     n = len(adj)
     index = [-1] * n
     low = [0] * n
@@ -286,41 +282,45 @@ def _tarjan_scc(adj) -> list:
     for start in range(n):
         if index[start] != -1:
             continue
-        work = [(start, 0)]
+        work = [(start, None)]  # (node, iterator over its unread out-neighbours)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, nbrs = work[-1]
+            if nbrs is None:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                u = adj[v][pi]
-                pi += 1
+                nbrs = iter(adj[v])
+                work[-1] = (v, nbrs)
+            for u in nbrs:
                 if index[u] == -1:
-                    work[-1] = (v, pi)
-                    work.append((u, 0))
-                    advanced = True
+                    work.append((u, None))
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            if work:
-                p, _ = work[-1]
-                low[p] = min(low[p], low[v])
-    return comps
+                if on_stack[u] and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        comp.append(u)
+                        if u == v:
+                            break
+                    comps.append(tuple(sorted(comp)))
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[v])
+    return sorted(comps)  # disjoint, so ordered by smallest member
+
+
+def _component_labels(comps, n: int) -> np.ndarray:
+    """Per-node index of its component in comps."""
+    label = np.empty(n, dtype=int)
+    for ci, comp in enumerate(comps):
+        label[list(comp)] = ci
+    return label
 
 
 def connectivity(g: SignedGraph) -> ConnectivityReport:
@@ -330,24 +330,14 @@ def connectivity(g: SignedGraph) -> ConnectivityReport:
     arcs (equivalently, the condensation has a single source component).
     """
     mask = g.arc_mask
-    n = g.n
-    # out-neighbors of j are the rows i with a_ij nonzero (arc j -> i)
-    adj = [[int(i) for i in np.nonzero(mask[:, j])[0]] for j in range(n)]
-    comps = _tarjan_scc(adj)
-    comps = sorted(comps, key=lambda c: c[0])
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    has_incoming = [False] * len(comps)
-    for j in range(n):
-        for i in adj[j]:
-            if comp_of[j] != comp_of[i]:
-                has_incoming[comp_of[i]] = True
-    sources = sum(1 for inc in has_incoming if not inc)
+    comps = _tarjan_scc(mask.T)  # mask[i, j] is the arc j -> i
+    label = _component_labels(comps, g.n)
+    heads, _ = np.nonzero(mask & (label[:, None] != label[None, :]))
+    has_incoming = np.zeros(len(comps), dtype=bool)
+    has_incoming[label[heads]] = True
     return ConnectivityReport(
         strongly_connected=len(comps) == 1,
-        has_spanning_tree=sources == 1,
+        has_spanning_tree=int(np.count_nonzero(~has_incoming)) == 1,
         components=tuple(comps),
     )
 

@@ -40,6 +40,12 @@ class MaxStepsError(SimulationError):
         self.trajectory = trajectory
 
 
+def _pairwise_sq(values: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of an (n, m) array."""
+    diff = values[:, None, :] - values[None, :, :]
+    return (diff**2).sum(-1)
+
+
 def as_state_array(values) -> np.ndarray:
     """Coerce input to an (n, m) float array; 1-D input becomes (n, 1)."""
     arr = np.asarray(values, dtype=float)
@@ -83,8 +89,7 @@ class OpinionState:
 
     def diameter(self) -> float:
         """Largest pairwise Euclidean distance between agents."""
-        diff = self.values[:, None, :] - self.values[None, :, :]
-        return float(np.sqrt((diff**2).sum(-1)).max())
+        return float(np.sqrt(_pairwise_sq(self.values)).max())
 
 
 @dataclass

@@ -96,9 +96,44 @@ def reference_scalar_clusters(x, gap_tol):
     return reps, min_sep
 
 
+def reference_vector_clusters(x, gap_tol):
+    """The union-find over pairs and the quadruple min_separation loop that
+    the component kernel replaced on vector opinions, verbatim."""
+    n = x.n
+    min_sep = math.inf
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    diff = x.values[:, None, :] - x.values[None, :, :]
+    dist = np.sqrt((diff**2).sum(-1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= gap_tol:
+                ra, rb = find(i), find(j)
+                if ra != rb:
+                    parent[rb] = ra
+    byroot = {}
+    for i in range(n):
+        byroot.setdefault(find(i), []).append(i)
+    groups = sorted(byroot.values(), key=lambda g: g[0])
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            for i in groups[a]:
+                for j in groups[b]:
+                    min_sep = min(min_sep, float(np.linalg.norm(x.values[i] - x.values[j])))
+    reps = [(x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups]
+    return reps, min_sep
+
+
 def assert_matches_reference(x, gap_tol):
     profile = clusters(x, gap_tol)
-    reps, min_sep = reference_scalar_clusters(x, gap_tol)
+    reference = reference_scalar_clusters if x.m == 1 else reference_vector_clusters
+    reps, min_sep = reference(x, gap_tol)
     assert profile.members == tuple(m for _, m in reps)
     for (value, _), (ref_value, _) in zip(profile.clusters, reps):
         assert value.tobytes() == ref_value.tobytes()
@@ -118,7 +153,41 @@ SCALAR_OPINIONS = st.lists(
 )
 
 
+# points on a 0.25 grid: distances of exactly 0.25, 0.5 and 1.0 meet the
+# scales below, so ties at gap_tol occur
+VECTOR_OPINIONS = st.integers(2, 3).flatmap(
+    lambda m: st.lists(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0]), st.floats(-3.0, 3.0)),
+            min_size=m,
+            max_size=m,
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+
+
 class TestClusters:
+    @settings(max_examples=400, deadline=None)
+    @given(values=VECTOR_OPINIONS, gap_tol=st.sampled_from([1e-12, 0.25, 0.5, 1.0, 1e300]))
+    def test_vector_components_match_union_find_reference(self, values, gap_tol):
+        assert_matches_reference(OpinionState(values), gap_tol)
+
+    @pytest.mark.parametrize(
+        "values, gap_tol",
+        [
+            ([[0.5, 0.5]], 0.1),  # n = 1
+            ([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]], 5.0),  # chained at exactly gap_tol
+            ([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]], np.nextafter(5.0, 0.0)),  # just below
+            ([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [9.0, 9.0]], 0.5),  # ties
+            ([[-1e308, 0.0], [1e308, 0.0]], 1.0),  # a cross-cluster norm that overflows
+        ],
+    )
+    def test_vector_edge_cases_match_reference(self, values, gap_tol):
+        with np.errstate(over="ignore"):
+            assert_matches_reference(OpinionState(values), gap_tol)
+
     @settings(max_examples=300, deadline=None)
     @given(values=SCALAR_OPINIONS, gap_tol=st.sampled_from([1e-12, 0.05, 0.1, 0.15, 1.0, 1e300]))
     def test_scalar_split_matches_pairwise_reference(self, values, gap_tol):
@@ -270,6 +339,11 @@ class TestTwoRExperiment:
     def test_conjecture_column_rounds_half_up(self):
         rows = two_r_experiment(n=5, d_list=[0.05, 0.06, 0.11, 0.12, 0.2, 0.25], trials=1, seed=0)
         assert [r.conjecture for r in rows] == [10, 8, 5, 4, 3, 2]
+
+    @pytest.mark.parametrize("d", [float("inf"), float("nan"), 0.0, -0.2])
+    def test_bound_that_is_not_finite_and_positive_rejected(self, d):
+        with pytest.raises(ValueError, match="finite and positive"):
+            two_r_experiment(n=5, d_list=[0.2, d], trials=1, seed=0)
 
 
 class TestClassifyOnFlows:

@@ -254,6 +254,14 @@ class TestSimulateBc:
             run_hk([0.0, 0.4, 0.8, 1.2, 1.6, 2.0], d=0.5, max_steps=1)
         assert len(info.value.trajectory) == 2
 
+    @pytest.mark.parametrize("stop_tol", [float("nan"), -1.0, -1e-300])
+    def test_nan_or_negative_stop_tol_rejected(self, stop_tol):
+        # at NaN or below zero no state could ever count as a fixed point
+        spec = ConfidenceSpec.symmetric(0.3)
+        with pytest.raises(ValueError, match="stop_tol must be nonnegative"):
+            simulate_bc(lambda s: hk_step(s, spec), OpinionState([0.0, 0.1, 0.9]), max_steps=50,
+                        stop_tol=stop_tol)
+
 
 class TestEnergies:
     def test_consensus_energy_zero(self):

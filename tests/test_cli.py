@@ -660,6 +660,49 @@ class TestInputErrors:
         assert payload["message"] == "confidence bound must be positive"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.9], "params": {"d": 0.3},
+                                      "horizon": 50, "stop_tol": float("nan")},
+                         "stop_tol must be nonnegative", id="nan-stop-tol"),
+            pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.9], "params": {"d": 0.3},
+                                      "horizon": 50, "stop_tol": -1.0},
+                         "stop_tol must be nonnegative", id="negative-stop-tol"),
+            pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.2], "params": {"d": 0.3},
+                                      "family_check": {"ratios": [1, 1, 1], "tol": float("nan")}},
+                         "family_check tol must be nonnegative", id="nan-family-check-tol"),
+            pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.2], "params": {"d": 0.3},
+                                      "family_check": {"ratios": [1, 1, 1], "tol": -1e-6}},
+                         "family_check tol must be nonnegative", id="negative-family-check-tol"),
+            pytest.param("simulate", {"model": "degroot", "x0": [0.0, 1.0], "params": {"schedule": [
+                {"until": float("nan"), "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+                {"until": 4, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}},
+                         "strictly increasing", id="nan-breakpoint"),
+            pytest.param("simulate", {"model": "flow", "x0": [0.0, 1.0], "record_every": -1,
+                                      "params": {"matrix": [[0.0, 1.0], [1.0, 0.0]], "t_end": 1.0},
+                                      "outputs": ["trajectory"]},
+                         "record_every must be >= 1", id="negative-record-every"),
+            pytest.param("simulate", {"model": "flow", "x0": [0.0, 1.0], "record_every": 0,
+                                      "params": {"matrix": [[0.0, 1.0], [1.0, 0.0]], "t_end": 1.0},
+                                      "outputs": ["trajectory"]},
+                         "record_every must be >= 1", id="zero-record-every"),
+            pytest.param("experiment", {"model": "two-r", "format": "json",
+                                        "params": {"n": 5, "d_list": [float("inf")], "trials": 1}},
+                         "finite and positive", id="infinite-two-r-bound"),
+        ],
+    )
+    def test_misread_config_values_are_validation_errors(self, tmp_path, capsys, command, config,
+                                                          message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert message in payload["message"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestModelTable:
     def test_every_model_has_a_golden_case(self):

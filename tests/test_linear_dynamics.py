@@ -57,6 +57,14 @@ class TestWeightSpec:
             held[0][0, 0] = -3.0
 
 
+    @pytest.mark.parametrize("untils", [(float("nan"), 2.0), (1.0, float("nan")), (2.0, 2.0),
+                                        (2.0, 1.0)])
+    def test_schedule_breakpoints_must_increase(self, untils):
+        w = np.eye(2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            WeightSpec.scheduled("stochastic", [(u, w) for u in untils])
+
+
 class TestCheckStochastic:
     @pytest.mark.parametrize("matrix,message", [
         ([[np.nan, 1.0], [0.5, 0.5]], "matrix entries must be finite"),
@@ -561,3 +569,134 @@ class TestFlowErrors:
                 dt=1.0,
             )
         assert info.value.step is not None
+
+
+# The pair loops that the first-hit mask scans replaced, kept verbatim (apart
+# from names) as oracles.
+
+
+def reference_verify_convergence_premises(matrices, delta):
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
+    for k, mat in enumerate(matrices):
+        w = linear_dynamics.check_stochastic(mat)
+        n = w.shape[0]
+        for i in range(n):
+            if w[i, i] < delta:
+                return linear_dynamics.PremiseReport(
+                    False,
+                    {"condition": "self_confidence", "step": k, "agent": i, "value": w[i, i]},
+                )
+        for i in range(n):
+            for j in range(n):
+                v = w[i, j]
+                if v != 0.0 and not (delta <= v <= 1.0):
+                    return linear_dynamics.PremiseReport(
+                        False,
+                        {"condition": "non_vanishing", "step": k, "i": i, "j": j, "value": v},
+                    )
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (w[i, j] > 0) != (w[j, i] > 0):
+                    return linear_dynamics.PremiseReport(
+                        False,
+                        {"condition": "reciprocity", "step": k, "i": i, "j": j},
+                    )
+    return linear_dynamics.PremiseReport(True)
+
+
+def reference_check_type_symmetry(spec, k_bound):
+    if spec.schedule is not None:
+        mats = [(idx, mat) for idx, (_, mat) in enumerate(spec.schedule)]
+    else:
+        mats = [(0, spec.matrix)]
+    for idx, mat in mats:
+        a = np.abs(mat)
+        n = a.shape[0]
+        for i in range(n):
+            for j in range(i + 1, n):
+                hi, lo = max(a[i, j], a[j, i]), min(a[i, j], a[j, i])
+                if hi > k_bound * lo:
+                    return linear_dynamics.PremiseReport(
+                        False, {"condition": "type_symmetry", "segment": idx, "i": i, "j": j}
+                    )
+    return linear_dynamics.PremiseReport(True)
+
+
+def assert_same_report(report, ref):
+    """Equal reports down to the types of the indices and the bits of value."""
+    assert report == ref
+    if ref.violation is not None:
+        for key, want in ref.violation.items():
+            got = report.violation[key]
+            assert type(got) is type(want)
+            if key == "value":
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def dyadic_stochastic(rng, n):
+    """A row-stochastic matrix of dyadic entries, so entries equal to a
+    dyadic delta, zero diagonals and one-sided arcs all occur exactly."""
+    w = rng.choice([0.0, 0.0, 0.0625, 0.125, 0.25, 0.5], size=(n, n))
+    w *= rng.random((n, n)) < rng.uniform(0.0, 1.0)
+    if rng.random() < 0.5:  # reciprocal support
+        w = np.where((w > 0) & (w.T > 0), w, 0.0) if rng.random() < 0.5 else np.minimum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    w = np.where(w.sum(axis=1, keepdims=True) <= 1.0, w, 0.0)
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    if rng.random() < 0.1:  # a -0.0 on the diagonal
+        i = int(rng.integers(n))
+        w[i] = 0.0
+        w[i, (i + 1) % n] = 1.0 if n > 1 else 0.0
+        w[i, i] = -0.0 if n > 1 else 1.0
+    return w
+
+
+class TestPremiseScansMatchTheLoops:
+    def test_convergence_premises(self):
+        rng = np.random.default_rng(21)
+        conditions = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            pool = [dyadic_stochastic(rng, n) for _ in range(int(rng.integers(1, 4)))]
+            delta = float(rng.choice([0.0625, 0.125, 0.25, 0.5, 1.0]))
+            report = verify_convergence_premises(pool, delta=delta)
+            assert_same_report(report, reference_verify_convergence_premises(pool, delta))
+            conditions.add(report.violation["condition"] if report.violation else "passed")
+        assert conditions == {"passed", "self_confidence", "non_vanishing", "reciprocity"}
+
+    def test_type_symmetry(self):
+        rng = np.random.default_rng(22)
+        outcomes = set()
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            mats = [rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=(n, n))
+                    * rng.choice([-1.0, 1.0], size=(n, n))
+                    * (rng.random((n, n)) < 0.6) for _ in range(int(rng.integers(1, 4)))]
+            if rng.random() < 0.5:  # mostly two-sided arcs
+                mats = [np.where((m != 0) & (m.T != 0), m, 0.0) for m in mats]
+            if len(mats) == 1:
+                spec = WeightSpec.constant("signed", mats[0])
+            else:
+                spec = WeightSpec.scheduled("signed", [(t + 1.0, m) for t, m in enumerate(mats)])
+            k_bound = rng.choice([1, 1.5, 2.0, 3.0, 6.0, np.inf])
+            with np.errstate(invalid="ignore"):  # inf * 0 on both sides
+                report = check_type_symmetry(spec, k_bound)
+                assert_same_report(report, reference_check_type_symmetry(spec, k_bound))
+            outcomes.add(report.passed)
+        assert outcomes == {True, False}
+
+    def test_exact_boundaries(self):
+        # an entry equal to delta passes, the diagonal at delta passes
+        w = np.array([[0.25, 0.75, 0.0], [0.25, 0.5, 0.25], [0.0, 0.75, 0.25]])
+        for delta in (0.25, np.nextafter(0.25, 1.0)):
+            assert_same_report(verify_convergence_premises([w], delta=delta),
+                               reference_verify_convergence_premises([w], delta))
+        assert verify_convergence_premises([w], delta=0.25).passed
+        # a ratio of exactly k_bound passes, just above it fails
+        a = np.array([[0.0, 3.0], [1.5, 0.0]])
+        for k_bound in (2.0, np.nextafter(2.0, 0.0)):
+            spec = WeightSpec.constant("nonnegative", a)
+            assert_same_report(check_type_symmetry(spec, k_bound),
+                               reference_check_type_symmetry(spec, k_bound))
+        assert check_type_symmetry(WeightSpec.constant("nonnegative", a), 2.0).passed

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from opiniondyn import (
+    BalanceResult,
+    ConnectivityReport,
     GaugeVector,
     SignedGraph,
     UndirectedGraph,
@@ -13,6 +15,7 @@ from opiniondyn import (
     signed_laplacian,
     structural_balance,
 )
+from opiniondyn.net_graph import BalanceWitness, _mirror_signs, _tree_semicycle
 
 
 def random_balanced_graph(rng, n, extra_arcs=None, strongly_connected=True):
@@ -307,3 +310,233 @@ class TestPersistentGraph:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             persistent_graph([], threshold=1.0)
+
+
+# The pair loops and traversals that the mask forms replaced, kept verbatim
+# (apart from names) as oracles.
+
+
+def reference_connected_components(g):
+    adj = {i: set() for i in range(g.n)}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = [False] * g.n
+    comps = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        stack, comp = [root], []
+        seen[root] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in sorted(adj[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_is_sign_symmetric(g):
+    w = np.where(g.arc_mask, g.weights, 0.0)
+    prod = w * w.T
+    off = ~np.eye(g.n, dtype=bool)
+    return bool(np.all(prod[off] >= 0))
+
+
+def reference_structural_balance(g):
+    n = g.n
+    w = np.where(g.arc_mask, g.weights, 0.0)
+    prod = w * w.T
+    for i in range(n):
+        for j in range(i + 1, n):
+            if prod[i, j] < 0:
+                return BalanceResult(
+                    balanced=False,
+                    witness=BalanceWitness("sign_asymmetry", (i, j)),
+                )
+
+    sym_mask, signs = _mirror_signs(g)
+    color = [0] * n  # 0 = unvisited
+    parent = [-1] * n
+    for root in range(n):
+        if color[root] != 0:
+            continue
+        color[root] = 1
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            for u in range(n):
+                if not sym_mask[v, u] or u == v:
+                    continue
+                want = color[v] * signs[v, u]
+                if color[u] == 0:
+                    color[u] = want
+                    parent[u] = v
+                    queue.append(u)
+                elif color[u] != want:
+                    return BalanceResult(
+                        balanced=False,
+                        witness=BalanceWitness(
+                            "negative_semicycle", _tree_semicycle(parent, v, u)
+                        ),
+                    )
+    camp1 = tuple(i for i in range(n) if color[i] == 1)
+    camp2 = tuple(i for i in range(n) if color[i] == -1)
+    return BalanceResult(balanced=True, camps=(camp1, camp2))
+
+
+def reference_tarjan_scc(adj):
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for start in range(n):
+        if index[start] != -1:
+            continue
+        work = [(start, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(adj[v]):
+                u = adj[v][pi]
+                pi += 1
+                if index[u] == -1:
+                    work[-1] = (v, pi)
+                    work.append((u, 0))
+                    advanced = True
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], index[u])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    comp.append(u)
+                    if u == v:
+                        break
+                comps.append(tuple(sorted(comp)))
+            if work:
+                p, _ = work[-1]
+                low[p] = min(low[p], low[v])
+    return comps
+
+
+def reference_connectivity(g):
+    mask = g.arc_mask
+    n = g.n
+    adj = [[int(i) for i in np.nonzero(mask[:, j])[0]] for j in range(n)]
+    comps = reference_tarjan_scc(adj)
+    comps = sorted(comps, key=lambda c: c[0])
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    has_incoming = [False] * len(comps)
+    for j in range(n):
+        for i in adj[j]:
+            if comp_of[j] != comp_of[i]:
+                has_incoming[comp_of[i]] = True
+    sources = sum(1 for inc in has_incoming if not inc)
+    return ConnectivityReport(
+        strongly_connected=len(comps) == 1,
+        has_spanning_tree=sources == 1,
+        components=tuple(comps),
+    )
+
+
+def all_python_ints(nested):
+    return all(all_python_ints(x) if isinstance(x, tuple) else type(x) is int for x in nested)
+
+
+def random_signed_graph(rng):
+    """A small signed graph: sparse, with self-loops of either sign, one-sided
+    arcs, entries at and just above zero_tol, and, half the time, a sign
+    pattern that is symmetric (so the traversal is reached) or balanced."""
+    n = int(rng.integers(1, 9))
+    mag = rng.choice([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 0.25], size=(n, n))
+    mag *= rng.random((n, n)) < rng.uniform(0.1, 0.9)
+    pattern = rng.integers(3)
+    if pattern == 0:  # any signs
+        signs = rng.choice([-1.0, 1.0], size=(n, n))
+    elif pattern == 1:  # symmetric signs
+        signs = np.triu(rng.choice([-1.0, 1.0], size=(n, n)))
+        signs = signs + np.triu(signs, 1).T
+    else:  # a gauge: balanced
+        s = rng.choice([-1.0, 1.0], size=n)
+        signs = np.outer(s, s)
+    if rng.random() < 0.2:  # flip one entry, possibly to an asymmetric pair
+        i, j = rng.integers(n, size=2)
+        signs[i, j] = -signs[i, j]
+    return SignedGraph(mag * signs, zero_tol=float(rng.choice([0.0, 0.25, 0.5])))
+
+
+class TestMaskKernelsMatchTheLoops:
+    def test_balance_sign_symmetry_and_connectivity(self):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(3000):
+            g = random_signed_graph(rng)
+            result = structural_balance(g)
+            assert result == reference_structural_balance(g)
+            assert all_python_ints(result.camps or ()) and all_python_ints(
+                result.witness.nodes if result.witness else ())
+            kinds.add(result.witness.kind if result.witness else "balanced")
+            symmetric = is_sign_symmetric(g)
+            assert type(symmetric) is bool and symmetric == reference_is_sign_symmetric(g)
+            report = connectivity(g)
+            assert report == reference_connectivity(g)
+            assert type(report.strongly_connected) is bool
+            assert type(report.has_spanning_tree) is bool
+            assert all_python_ints(report.components)
+        assert kinds == {"balanced", "sign_asymmetry", "negative_semicycle"}
+
+    @pytest.mark.parametrize(
+        "weights, balanced",
+        [
+            ([[-1.0]], True),  # a negative self-loop is no semicycle
+            ([[0.0, 1.0, 0.0], [0.0, -2.0, -1.0], [0.0, -1.0, 0.0]], True),
+            ([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], [1.0, 1.0, 0.0]], False),
+        ],
+    )
+    def test_self_loops_do_not_change_balance(self, weights, balanced):
+        g = SignedGraph(np.array(weights))
+        result = structural_balance(g)
+        assert result.balanced is balanced
+        assert result == reference_structural_balance(g)
+
+    def test_connected_components(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n = int(rng.integers(0, 10))
+            pairs = rng.integers(max(n, 1), size=(int(rng.integers(0, 2 * n + 1)), 2))
+            # mostly i < j as persistent_graph writes them, plus some self-loops
+            edges = frozenset((min(a, b), max(a, b)) for a, b in pairs.tolist() if n)
+            g = UndirectedGraph(n, edges)
+            comps = g.connected_components()
+            assert comps == reference_connected_components(g)
+            assert all_python_ints(comps)
+
+    def test_isolated_agents_are_singletons(self):
+        g = UndirectedGraph(4, frozenset({(1, 3)}))
+        assert g.connected_components() == ((0,), (1, 3), (2,))
+        assert UndirectedGraph(0, frozenset()).connected_components() == ()
+
+    @pytest.mark.parametrize("edge", [(-1, 2), (0, 4)])
+    def test_edge_ends_outside_the_agents_rejected(self, edge):
+        with pytest.raises(ValueError, match="edge ends"):
+            UndirectedGraph(4, frozenset({(0, 1), edge})).connected_components()
