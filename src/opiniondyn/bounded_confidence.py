@@ -58,7 +58,7 @@ class ConfidenceSpec:
     and ``hi`` (positive) are each one float shared by all agents or a
     per-agent tuple. The constructors fill them in: ``symmetric(d)`` stores
     (-d, d), ``asymmetric(d_left, d_right)`` (-d_left, d_right),
-    ``per_agent(bounds)`` (-d_i, d_i) and ``shifted(d, eta)``
+    ``per_agent(d_per_agent)`` (-d_i, d_i) and ``shifted(d, eta)``
     (-d + eta_i, d); ``ConfidenceSpec(lo=..., hi=...)`` gives any other
     window, per-agent asymmetric bounds included. A norm ball (``lo`` None)
     acts on vector opinions: agent i trusts agent j iff
@@ -102,9 +102,9 @@ class ConfidenceSpec:
         return cls(lo=-d_left, hi=d_right, closed=closed)
 
     @classmethod
-    def per_agent(cls, bounds, closed: bool = True) -> "ConfidenceSpec":
+    def per_agent(cls, d_per_agent, closed: bool = True) -> "ConfidenceSpec":
         """Symmetric intervals with an individual bound per agent."""
-        bounds = tuple(float(b) for b in bounds)
+        bounds = tuple(float(b) for b in d_per_agent)
         return cls(lo=tuple(-b for b in bounds), hi=bounds, closed=closed)
 
     @classmethod
@@ -236,7 +236,7 @@ def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionSta
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (x.n,):
         raise ValueError("lam must be a length-n vector")
-    if np.any(lam < 0) or np.any(lam > 1):
+    if not np.all((lam >= 0) & (lam <= 1)):
         raise ValueError("attraction weights must lie in [0, 1]")
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape[0] != x.m:
@@ -254,7 +254,7 @@ def inertial_step(x: OpinionState, lam, spec: ConfidenceSpec) -> OpinionState:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (x.n,):
         raise ValueError("lam must be a length-n vector")
-    if np.any(lam < 0) or np.any(lam > 1):
+    if not np.all((lam >= 0) & (lam <= 1)):
         raise ValueError("inertia weights must lie in [0, 1]")
     means = _masked_mean(x.values, trust_matrix(x, spec))
     return OpinionState((1.0 - lam)[:, None] * x.values + lam[:, None] * means)
@@ -381,12 +381,12 @@ def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
     return PhiSpec(phi=phi, antiderivative=anti)
 
 
-def reputation_phi(weights, d: float) -> PhiSpec:
+def reputation_phi(w, d: float) -> PhiSpec:
     """Per-pair weights phi^{ij}(sigma) = w_j for sigma < d^2 (0 beyond):
     every agent inside the confidence ball counts with its own positive
     reputation w_j. Diagonal entries are the constant w_i (they are only
     ever evaluated at distance zero)."""
-    w = [float(v) for v in weights]
+    w = [float(v) for v in w]
     if any(not v > 0 for v in w):
         raise ValueError("reputations must be positive")
     if not d > 0:
@@ -423,11 +423,11 @@ def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
     return w
 
 
-def phi_step(x: OpinionState, phi: PhiSpec) -> OpinionState:
+def phi_step(x: OpinionState, spec: PhiSpec) -> OpinionState:
     """Weighted-averaging step x_i' = sum_j phi_ij x_j / sum_j phi_ij with
-    phi_ij evaluated at the squared pairwise distance. With indicator
-    weights this coincides with the plain bounded-confidence step."""
-    w = _phi_weights(x, phi)
+    phi_ij from ``spec`` evaluated at the squared pairwise distance. With
+    indicator weights this coincides with the plain bounded-confidence step."""
+    w = _phi_weights(x, spec)
     denom = w.sum(axis=1)
     if np.any(denom <= 0):
         raise ValueError("a row of interaction weights summed to zero")
@@ -514,7 +514,7 @@ def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     """Sort scalar opinions and split at gaps exceeding d."""
     if x.m != 1:
         raise ValueError("chains are defined for scalar opinions")
-    if d <= 0:
+    if not d > 0:
         raise ValueError("confidence bound must be positive")
     v = x.flat
     order, _, splits = sorted_split(v, d)

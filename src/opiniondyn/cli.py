@@ -11,6 +11,7 @@ carry no timestamps, and are written atomically.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -27,6 +28,9 @@ from .net_graph import SignedGraph, structural_balance
 from .state import MaxStepsError, OpinionState, SimulationError, Trajectory
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
+# Keys every config may carry, given to a run function that names them.
+COMMON = ("model", "params", "seed", "format", "outputs")
+HORIZON, TOL, GAP_TOL = 10000, 1e-6, 1e-4  # defaults of settings several models read
 
 
 class CliError(Exception):
@@ -39,22 +43,64 @@ class CliError(Exception):
         return {"stage": self.stage, "message": str(self), "hint": self.hint}
 
 
-def _x0_from_config(config: dict) -> OpinionState:
-    spec = config.get("x0")
-    if spec is None:
-        raise CliError("config", "missing x0", "give a list or {'uniform': [lo, hi, n]}")
-    if isinstance(spec, dict) and "uniform" in spec:
-        lo, hi, n = spec["uniform"]
-        rng = gp.make_rng((int(config.get("seed", 0)), 1))
-        return OpinionState(rng.uniform(float(lo), float(hi), size=int(n)))
-    return OpinionState(np.asarray(spec, dtype=float))
+def _whole(name: str, value) -> int:
+    """A count given as a whole number, 3 or 3.0, as an int; ValueError
+    otherwise, where int() would truncate 3.9 to 3."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
-def _gap_tol(params: dict, config: dict) -> float:
-    """Clustering scale: the confidence bound d, or ``gap_tol`` without one.
-    A per-agent d clusters at its smallest bound: two clusters closer than
-    that would still be interacting."""
-    return float(np.min(params.get("d", config.get("gap_tol", 1e-4))))
+def _initial_state(x0, seed: int) -> OpinionState:
+    """x0 as opinions, or ``{"uniform": [lo, hi, n]}`` drawn on stream 1 of the seed."""
+    if isinstance(x0, dict) and "uniform" in x0:
+        lo, hi, n = x0["uniform"]
+        rng = gp.make_rng((seed, 1))
+        return OpinionState(rng.uniform(float(lo), float(hi), size=_whole("uniform n", n)))
+    return OpinionState(np.asarray(x0, dtype=float))
+
+
+def _split(params: dict, fn) -> tuple:
+    """``params`` as the entries ``fn`` takes by name, and the rest."""
+    names = inspect.signature(fn).parameters
+    return ({key: value for key, value in params.items() if key in names},
+            {key: value for key, value in params.items() if key not in names})
+
+
+def _family_check(n: int, ratios, tol=1e-6) -> tuple:
+    """A ``family_check`` as (ratios, tol): how far the final state lies
+    from its best multiple of ``ratios``. ValueError when there is no finite
+    such multiple, or for a NaN or negative tol."""
+    ratios = np.asarray(ratios, dtype=float)
+    if not np.all(np.isfinite(ratios)):
+        raise ValueError(f"family_check ratios {ratios.tolist()} must be finite")
+    if float(ratios @ ratios) == 0.0:
+        raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
+    if ratios.shape != (n,):
+        raise ValueError(f"family_check needs one ratio per agent, got {ratios.tolist()} "
+                         f"for {n} agents")
+    tol = float(tol)
+    if not tol >= 0:
+        raise ValueError(f"family_check tol must be nonnegative, got {tol}")
+    return ratios, tol
+
+
+def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
+    """The settings the writers read, as ``_Run`` takes them, checked before
+    the run so that no file is written for a bad one; None marks one the
+    model does not read. The clustering scale ``gap`` is the bound d, or
+    ``gap_tol`` without one; a per-agent d clusters at its smallest bound:
+    two clusters closer than that would still be interacting."""
+    gap = None if gap_tol is None else float(np.min(params.get("d", gap_tol)))
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if gap is not None and not gap > 0:
+        raise ValueError(f"gap_tol must be positive, got {gap}")
+    if family_check is not None:
+        family_check = _family_check(n, **family_check)
+    return {"tol": tol, "family_check": family_check, "gap": gap}
 
 
 def _json(payload) -> str:
@@ -64,34 +110,28 @@ def _json(payload) -> str:
 @dataclass
 class _Run:
     """A simulated scenario and the text of each file it can write; a payload
-    several files use is computed once. ``every`` thins ``trajectory.csv``."""
+    several files use is computed once. ``tol``, ``family_check`` and ``gap``
+    come checked from ``_checked``; ``every`` thins ``trajectory.csv``."""
 
     traj: Trajectory
-    config: dict
     params: dict
     seed: int
+    tol: float | None = None
+    family_check: tuple | None = None
+    gap: float | None = None
     every: int = 1
 
     @cached_property
     def summary(self) -> dict:
-        traj, config, final = self.traj, self.config, self.traj.final
-        label = analysis.classify(traj, tol=float(config.get("tol", 1e-6)))
+        traj, final = self.traj, self.traj.final
+        label = analysis.classify(traj, tol=self.tol)
         payload = {"steps": len(traj) - 1, "terminated_at": traj.terminated_at,
                    "final": final.values.tolist(), "final_diameter": final.diameter(),
                    "classification": {"kind": label.kind, "count": label.count}}
-        check = config.get("family_check")
-        if check:
-            ratios = np.asarray(check["ratios"], dtype=float)
-            if not np.all(np.isfinite(ratios)):
-                raise ValueError(f"family_check ratios {ratios.tolist()} must be finite")
-            norm = float(ratios @ ratios)
-            if norm == 0.0:
-                raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
-            tol = float(check.get("tol", 1e-6))
-            if not tol >= 0:
-                raise ValueError(f"family_check tol must be nonnegative, got {tol}")
+        if self.family_check is not None:
+            ratios, tol = self.family_check
             flat = final.values[:, 0]
-            scale = float(flat @ ratios) / norm
+            scale = float(flat @ ratios) / float(ratios @ ratios)
             deviation = float(np.max(np.abs(flat - scale * ratios)))
             payload["family_check"] = {"ratios": ratios.tolist(), "scale": scale,
                                        "max_deviation": deviation, "passed": deviation < tol}
@@ -109,7 +149,7 @@ class _Run:
         return io.trajectory_csv(traj)
 
     def clusters_json(self) -> str:
-        profile = analysis.clusters(self.traj.final, _gap_tol(self.params, self.config))
+        profile = analysis.clusters(self.traj.final, self.gap)
         return _json({"count": profile.count, "members": [list(m) for m in profile.members],
                       "representatives": [list(np.atleast_1d(r)) for r, _ in profile.clusters]})
 
@@ -124,59 +164,65 @@ class _Run:
         return _json({**summary["classification"], **check})
 
     def gossip_summary_json(self) -> str:
-        profile = analysis.clusters(self.traj.final, _gap_tol(self.params, self.config))
+        profile = analysis.clusters(self.traj.final, self.gap)
         return _json({"seed": self.seed, "steps": int(self.traj.stamps[-1]),
                       "final_state": self.traj.final.values[:, 0].tolist(),
                       "cesaro_final": self.averages[-1][:, 0].tolist(),
                       "clusters": [list(m) for m in profile.members]})
 
 
-def _run_bc(spec_fn, step, arrays, model, config, params, seed, outputs) -> _Run:
-    """Iterates ``bc.<step>(s, *params[arrays], spec)`` to a fixed point, with
-    ``spec = spec_fn(params, x0)``; ``step`` is looked up when the model runs."""
-    x0 = _x0_from_config(config)
-    horizon, stop_tol = int(config.get("horizon", 10000)), float(config.get("stop_tol", 0.0))
-    spec = spec_fn(params, x0)
-    args = [np.asarray(params[key], dtype=float) for key in arrays]
+def _run_bc(spec_fn, step, params, seed, x0, horizon=HORIZON, stop_tol=0.0, tol=TOL,
+            family_check=None, gap_tol=GAP_TOL) -> _Run:
+    """Iterates ``bc.<step>(s, spec, **its params)`` to a fixed point, with ``spec =
+    spec_fn(other params, x0)``; ``step`` is looked up when the model runs."""
+    x0 = _initial_state(x0, seed)
     step_fn = getattr(bc, step)
+    step_params, spec_params = _split(params, step_fn)
+    spec = spec_fn(spec_params, x0)
+    checked = _checked(params, x0.n, tol, family_check, gap_tol)
     try:
-        traj = bc.simulate_bc(lambda s: step_fn(s, *args, spec), x0, max_steps=horizon,
-                              stop_tol=stop_tol)
+        traj = bc.simulate_bc(lambda s: step_fn(s, spec=spec, **step_params), x0,
+                              max_steps=_whole("horizon", horizon), stop_tol=stop_tol)
     except MaxStepsError as exc:
         traj = exc.trajectory
-    return _Run(traj, config, params, seed)
+    return _Run(traj, params, seed, **checked)
 
 
 def _confidence(params, x0):
-    return pr.confidence_from_params(params, x0.n, x0.m)
+    return pr.confidence_from_params(params, x0.m)
 
 
-def _run_flow(kind, model, config, params, seed, outputs) -> _Run:
-    every = int(config.get("record_every", 1))
+def _run_flow(kind, params, seed, x0, record_every=1, tol=TOL, family_check=None) -> _Run:
+    x0 = _initial_state(x0, seed)
+    every = _whole("record_every", record_every)
     if every < 1:
         raise ValueError(f"record_every must be >= 1, got {every}")
-    x0 = _x0_from_config(config)
-    spec = pr.weight_spec_from_params(kind, params)
-    traj = ld.flow_simulate(spec, x0, t_end=float(params.get("t_end", 30.0)), dt=params.get("dt"))
-    return _Run(traj, config, params, seed, every)
+    flow_params, spec_params = _split(params, ld.flow_simulate)
+    spec = pr.weight_spec_from_params(kind, **spec_params)
+    checked = _checked(params, x0.n, tol, family_check, None)
+    traj = ld.flow_simulate(spec, x0, **flow_params)
+    return _Run(traj, params, seed, **checked, every=every)
 
 
-def _run_degroot(model, config, params, seed, outputs) -> _Run:
-    x0 = _x0_from_config(config)
-    spec = pr.weight_spec_from_params(params.get("kind", "stochastic"), params)
-    traj = ld.simulate_discrete(spec, x0, steps=int(config.get("horizon", 1000)))
-    return _Run(traj, config, params, seed)
+def _run_degroot(params, seed, x0, horizon=1000, tol=TOL, family_check=None) -> _Run:
+    x0 = _initial_state(x0, seed)
+    spec = pr.weight_spec_from_params(**params)
+    checked = _checked(params, x0.n, tol, family_check, None)
+    traj = ld.simulate_discrete(spec, x0, steps=_whole("horizon", horizon))
+    return _Run(traj, params, seed, **checked)
 
 
-def _run_gossip(model, config, params, seed, outputs) -> _Run:
-    x0 = _x0_from_config(config)
+def _run_gossip(model, params, seed, outputs, x0, horizon=HORIZON, thin=1,
+                gap_tol=GAP_TOL) -> _Run:
+    x0 = _initial_state(x0, seed)
     gmodel = pr.gossip_model_from_params(model, params)
-    traj = gp.simulate_gossip(gmodel, x0, steps=int(config.get("horizon", 10000)), seed=seed,
-                              thin=int(config.get("thin", 1)), record_events="events" in outputs)
-    return _Run(traj, config, params, seed)
+    checked = _checked(params, x0.n, None, None, gap_tol)
+    traj = gp.simulate_gossip(gmodel, x0, steps=_whole("horizon", horizon), seed=seed,
+                              thin=_whole("thin", thin), record_events="events" in outputs)
+    return _Run(traj, params, seed, **checked)
 
 
-def _run_fj(model, config, params, seed, outputs) -> tuple:
+def _run_fj(params) -> tuple:
     spec = pr.fj_spec_from_params(params)
     xbar = ld.fj_fixed_point(spec).values
     fixed = spec.lam[:, None] * (spec.w @ xbar) + (1 - spec.lam)[:, None] * spec.u
@@ -184,26 +230,25 @@ def _run_fj(model, config, params, seed, outputs) -> tuple:
     return "report.json", _json({"x_bar": xbar.tolist(), "residual": residual})
 
 
-def _run_balance(model, config, params, seed, outputs) -> tuple:
-    graph = SignedGraph(np.asarray(io.resolve_matrix(params["matrix"]), dtype=float))
+def _balance(matrix) -> tuple:
+    graph = SignedGraph(io.resolve_matrix(matrix))
     return "balance.json", io.balance_json(structural_balance(graph))
 
 
-def _run_two_r(model, config, params, seed, outputs) -> tuple:
-    rows = analysis.two_r_experiment(
-        n=int(params["n"]), d_list=[float(d) for d in params["d_list"]],
-        trials=int(params["trials"]), seed=seed)
-    if config["format"] == "json":
+def _run_two_r(params, seed, format) -> tuple:
+    counts = {key: _whole(key, params[key]) for key in ("n", "trials") if key in params}
+    rows = analysis.two_r_experiment(**{**params, **counts}, seed=seed)
+    if format == "json":
         return "table.json", io.two_r_json(rows)
     return "table.csv", io.two_r_csv(rows)
 
 
-def _run_hk_sweep(model, config, params, seed, outputs) -> tuple:
+def _hk_sweep(seed, instances=25, n_range=(2, 30), d_range=(0.05, 0.5)) -> tuple:
     rng = gp.make_rng((seed, 2))
-    n_lo, n_hi = params.get("n_range", [2, 30])
-    d_lo, d_hi = params.get("d_range", [0.05, 0.5])
+    n_lo, n_hi = (_whole("n_range", n) for n in n_range)
+    d_lo, d_hi = d_range
     rows = ["instance,n,d,terminated_at,bound"]
-    for idx in range(int(params.get("instances", 25))):
+    for idx in range(_whole("instances", instances)):
         n = int(rng.integers(n_lo, n_hi + 1))
         d = float(rng.uniform(d_lo, d_hi))
         x0 = OpinionState(rng.uniform(0.0, 1.0, size=n))
@@ -227,23 +272,22 @@ GOSSIP_WRITERS = {"trajectory": TRAJECTORY,
                       Trajectory(run.averages, run.traj.stamps))),
                   "summary": ("summary.json", _Run.gossip_summary_json)}
 
-# model -> (run_fn, writers). run_fn(model, config, params, seed, outputs) builds and
-# runs the model. writers maps output names, in writing order, to (file name,
-# writer(_Run) -> text); without writers, run_fn returns its one file's (name, text).
+# model -> (run_fn, writers). run_fn builds and runs the model from the config's
+# settings, taken by keyword. writers maps output names, in writing order, to (file
+# name, writer(_Run) -> text); without writers, run_fn returns its one file's (name, text).
 MODELS = {
-    "hk": (partial(_run_bc, _confidence, "hk_step", ()), BC_WRITERS),
-    "truth": (partial(_run_bc, _confidence, "truth_step", ("lam", "target")), BC_WRITERS),
-    "inertial": (partial(_run_bc, _confidence, "inertial_step", ("lam",)), BC_WRITERS),
-    "phi": (partial(_run_bc, lambda p, x0: pr.phi_from_params(p), "phi_step", ()), PHI_WRITERS),
+    "hk": (partial(_run_bc, _confidence, "hk_step"), BC_WRITERS),
+    "truth": (partial(_run_bc, _confidence, "truth_step"), BC_WRITERS),
+    "inertial": (partial(_run_bc, _confidence, "inertial_step"), BC_WRITERS),
+    "phi": (partial(_run_bc, lambda p, x0: pr.phi_from_params(**p), "phi_step"), PHI_WRITERS),
     "flow": (partial(_run_flow, ld.KIND_NONNEGATIVE), FLOW_WRITERS),
     "signed-flow": (partial(_run_flow, ld.KIND_SIGNED), FLOW_WRITERS),
     "degroot": (_run_degroot, {"trajectory": TRAJECTORY, "summary": SUMMARY}),
     "fj": (_run_fj, None),
-    "balance": (_run_balance, None),
-    **dict.fromkeys(("gossip-degroot", "gossip-pair", "gossip-fj", "dw", "dw-heterogeneous"),
-                    (_run_gossip, GOSSIP_WRITERS)),
+    "balance": (lambda params: _balance(**params), None),
+    **{name: (partial(_run_gossip, name), GOSSIP_WRITERS) for name in pr.GOSSIP_MODELS},
     "two-r": (_run_two_r, None),
-    "hk-sweep": (_run_hk_sweep, None),
+    "hk-sweep": (lambda params, seed: _hk_sweep(seed, **params), None),
 }
 
 
@@ -265,30 +309,45 @@ def _requested_outputs(config: dict, model: str, params: dict) -> list:
     return outputs
 
 
-def run(config: dict, out_dir, fmt: str | None = None) -> list:
-    """Execute one scenario config; returns the list of files written."""
-    out = Path(out_dir)
+def _prepare(config: dict) -> tuple:
+    """A scenario config checked before anything runs: (the model's run
+    function with the config's arguments bound, its writers, the requested
+    outputs). CliError with stage config for a malformed config."""
     model = config.get("model")
     if not model:
         raise CliError("config", "config is missing the 'model' key")
     if not isinstance(model, str):
         raise CliError("config", f"model must be a name, got {model!r}")
-    fmt = fmt or config.get("format", "csv")
+    fmt = config.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise CliError("config", f"unknown format {fmt!r}", "use csv or json")
-    config = {**config, "format": fmt}
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise CliError("config", f"params must be a JSON object, got {params!r}")
-    params = dict(params)
     try:
-        seed = int(config.get("seed", 0))
-    except (TypeError, ValueError, OverflowError):
+        seed = _whole("seed", config.get("seed", 0))
+    except ValueError:
         raise CliError("config", f"seed must be an integer, got {config['seed']!r}") from None
     if model not in MODELS:
         raise CliError("config", f"unknown model {model!r}")
     run_fn, writers = MODELS[model]
     outputs = _requested_outputs(config, model, params)
+    common = {"params": params, "seed": seed, "format": fmt, "outputs": outputs}
+    signature = inspect.signature(run_fn)
+    try:  # Python's binding rejects a key the model does not read, or a missing one
+        call = signature.bind(**{key: common[key] for key in common if key in signature.parameters},
+                              **{key: value for key, value in config.items() if key not in COMMON})
+    except TypeError as exc:
+        settings = ", ".join(name for name in signature.parameters if name not in COMMON)
+        raise CliError("config", f"model {model!r}: {exc}", f"model {model!r} takes "
+                       f"{settings or 'no settings'} besides {', '.join(COMMON)}") from None
+    return partial(run_fn, *call.args, **call.kwargs), writers, outputs
+
+
+def run(config: dict, out_dir) -> list:
+    """Execute one scenario config; returns the list of files written."""
+    out = Path(out_dir)
+    run_fn, writers, outputs = _prepare(config)
     written = []
 
     def emit(name: str, text: str):
@@ -300,7 +359,7 @@ def run(config: dict, out_dir, fmt: str | None = None) -> list:
         written.append(str(path))
 
     try:
-        result = run_fn(model, config, params, seed, outputs)
+        result = run_fn()
         if writers is None:
             emit(*result)
         for key, (name, write) in (writers or {}).items():
@@ -380,7 +439,7 @@ def main(argv=None) -> int:
             raise CliError(
                 "config", f"model {model!r} is not an experiment", "use 'simulate' instead"
             )
-        written = run(config, out_dir=args.out, fmt=args.format)
+        written = run(config, out_dir=args.out)
         for path in written:
             print(path)
         return 0

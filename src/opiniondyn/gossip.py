@@ -111,7 +111,7 @@ class DegrootGossip:
         g = np.asarray(self.gains, dtype=float)
         if g.shape != (p.shape[0],):
             raise ValueError("one gain per agent required")
-        if np.any(g <= 0) or np.any(g >= 1):
+        if not np.all((g > 0) & (g < 1)):
             raise ValueError("gains must lie strictly inside (0, 1)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "gains", g)
@@ -190,9 +190,9 @@ class GossipFJ:
         g2 = np.asarray(self.gamma2, dtype=float)
         if g1.shape != g2.shape or g1.ndim != 2 or g1.shape[0] != g1.shape[1]:
             raise ValueError("gamma factors must be equal-size square matrices")
-        if np.any(g1 < 0) or np.any(g2 < 0):
+        if not (np.all(g1 >= 0) and np.all(g2 >= 0)):
             raise ValueError("gamma factors must be entrywise nonnegative")
-        if np.any(g1 + g2 > 1 + 1e-12):
+        if not np.all(g1 + g2 <= 1 + 1e-12):
             raise ValueError("gamma1 + gamma2 must not exceed 1 entrywise")
         u = np.asarray(self.u, dtype=float).reshape(-1)
         if u.shape[0] != g1.shape[0]:
@@ -339,7 +339,7 @@ def build_gammas(lam, w):
     w = check_stochastic(w)
     if lam.shape != (w.shape[0],):
         raise ValueError("lam must be a length-n vector")
-    if np.any(lam < 0) or np.any(lam > 1):
+    if not np.all((lam >= 0) & (lam <= 1)):
         raise ValueError("susceptibilities must lie in [0, 1]")
     return lam[:, None] * w, (1.0 - lam)[:, None] * w
 

@@ -76,7 +76,7 @@ def check_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     if np.any(w < 0):
         raise ValueError("stochastic matrix must be entrywise nonnegative")
     rows = w.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > tol):
+    if not np.all(np.abs(rows - 1.0) <= tol):  # a NaN tol accepts nothing
         raise ValueError(f"row sums deviate from 1 by more than {tol}: {rows}")
     return w
 
@@ -85,7 +85,7 @@ def check_signed_row_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarr
     """Signed one-step matrix: |entries| sum to 1 per row, nonnegative diagonal."""
     w = _as_square(matrix)
     rows = np.abs(w).sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > tol):
+    if not np.all(np.abs(rows - 1.0) <= tol):
         raise ValueError(f"modulus row sums deviate from 1 by more than {tol}: {rows}")
     if np.any(np.diag(w) < 0):
         raise ValueError("diagonal entries must be nonnegative")
@@ -227,7 +227,7 @@ class FJSpec:
         u = as_state_array(self.u)
         if lam.ndim != 1 or lam.shape[0] != w.shape[0]:
             raise ValueError("lam must be a length-n vector")
-        if np.any(lam < 0) or np.any(lam > 1):
+        if not np.all((lam >= 0) & (lam <= 1)):
             raise ValueError("susceptibilities must lie in [0, 1]")
         if u.shape[0] != w.shape[0]:
             raise ValueError("prejudice vector length must match matrix size")
@@ -369,10 +369,10 @@ def verify_uqsc(spec: WeightSpec, window_t: float, eps: float, bound_m: float) -
     """
     if spec.kind != KIND_NONNEGATIVE or spec.schedule is None:
         raise ValueError("uniform connectivity check takes a nonnegative schedule")
-    if window_t <= 0:
+    if not window_t > 0:
         raise ValueError("window length must be positive")
     for idx, (_, mat) in enumerate(spec.schedule):
-        if np.any(mat > bound_m):
+        if not np.all(mat <= bound_m):
             return PremiseReport(
                 False, {"condition": "amplitude_bound", "segment": idx, "max": float(mat.max())}
             )
@@ -438,10 +438,11 @@ def default_flow_step(matrix) -> float:
 def flow_simulate(
     spec: WeightSpec,
     x0: OpinionState,
-    t_end: float,
+    t_end: float = 30.0,
     dt: float | None = None,
 ) -> Trajectory:
-    """Integrate dx/dt = -L[A(t, x)] x with classical fixed-step RK4.
+    """Integrate dx/dt = -L[A(t, x)] x with classical fixed-step RK4 up to
+    time t_end.
 
     A(t, x) comes from the spec (nonnegative for cooperative flows, signed
     for antagonistic ones, or a state-dependent rule); L is the signed
@@ -556,7 +557,7 @@ def check_type_symmetry(spec: WeightSpec, k_bound: float) -> PremiseReport:
     """Verify K^-1 |a_ji| <= |a_ij| <= K |a_ji| on every schedule segment
     (or the constant matrix). Pairs with both entries absent pass; a
     one-sided arc fails for every K."""
-    if k_bound < 1:
+    if not k_bound >= 1:
         raise ValueError("the symmetry constant must be >= 1")
     if spec.schedule is not None:
         mats = [(idx, mat) for idx, (_, mat) in enumerate(spec.schedule)]

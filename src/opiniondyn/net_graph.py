@@ -52,7 +52,7 @@ class SignedGraph:
             raise ValueError("need at least one agent")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if self.zero_tol < 0:
+        if not self.zero_tol >= 0:
             raise ValueError("zero_tol must be nonnegative")
         w = w.copy()
         w.setflags(write=False)
@@ -350,7 +350,7 @@ def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
     edge {i, j} present iff sum_k w_ij(k) >= threshold or sum_k w_ji(k) >=
     threshold. Accepts any iterable of nonnegative square matrices.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     total = None
     for w in w_seq:

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import bounded_confidence as bc
 from . import gossip as gp
-from .linear_dynamics import FJSpec, WeightSpec
+from .linear_dynamics import KIND_STOCHASTIC, FJSpec, WeightSpec
 from .serialize import load_schedule, resolve_matrix
 
 # Four-agent influence matrix observed in a small-group experiment, with the
@@ -145,66 +145,48 @@ def preset_config(name: str) -> dict:
     return copy.deepcopy(PRESETS[name]["config"])
 
 
-def confidence_from_params(params: dict, n: int, m: int) -> bc.ConfidenceSpec:
-    closed = bool(params.get("closed", True))
+def confidence_from_params(params: dict, m: int) -> bc.ConfidenceSpec:
+    """The trust geometry of a bounded-confidence model, built from its params
+    by keyword: a norm ball (radius ``d`` or ``d_per_agent``) for vector
+    opinions or with ``norm``, else the interval variant the keys name."""
+    params = dict(params)
+    spec = bc.ConfidenceSpec
     if m > 1 or "norm" in params:
-        return bc.ConfidenceSpec.norm_ball(
-            params.get("d_per_agent", params.get("d")),
-            norm=params.get("norm", "euclidean"),
-            closed=closed,
-        )
-    if "d_per_agent" in params:
-        return bc.ConfidenceSpec.per_agent(params["d_per_agent"], closed=closed)
-    if "eta" in params:
-        return bc.ConfidenceSpec.shifted(params["d"], params["eta"], closed=closed)
-    if "d_left" in params:
-        return bc.ConfidenceSpec.asymmetric(params["d_left"], params["d_right"], closed=closed)
-    return bc.ConfidenceSpec.symmetric(params["d"], closed=closed)
+        if "d" not in params and "d_per_agent" in params:
+            params["d"] = params.pop("d_per_agent")
+        return spec.norm_ball(**params)
+    variants = (("d_per_agent", spec.per_agent), ("eta", spec.shifted),
+                ("d_left", spec.asymmetric), ("d_right", spec.asymmetric))
+    return next((make for key, make in variants if key in params), spec.symmetric)(**params)
 
 
-def phi_from_params(params: dict) -> bc.PhiSpec:
-    preset = params.get("preset", "hk")
-    if preset == "hk":
-        return bc.hk_indicator_phi(params["d"])
-    if preset == "heterophily":
-        return bc.heterophily_phi(params["a"], params["b"], params["d1"], params["d2"])
-    if preset == "reputation":
-        return bc.reputation_phi(params["w"], params["d"])
-    raise ValueError(f"unknown interaction-weight preset {preset!r}")
+PHI_PRESETS = {"hk": bc.hk_indicator_phi, "heterophily": bc.heterophily_phi,
+               "reputation": bc.reputation_phi}
+
+
+def phi_from_params(preset: str = "hk", **params) -> bc.PhiSpec:
+    if preset not in PHI_PRESETS:
+        raise ValueError(f"unknown interaction-weight preset {preset!r}")
+    return PHI_PRESETS[preset](**params)
+
+
+GOSSIP_MODELS = {"gossip-degroot": gp.DegrootGossip, "gossip-pair": gp.SymmetricPairGossip,
+                 "gossip-fj": gp.GossipFJ.from_fj, "dw": gp.DeffuantWeisbuch,
+                 "dw-heterogeneous": gp.DWHeterogeneous}
 
 
 def gossip_model_from_params(model: str, params: dict):
-    if model == "gossip-degroot":
-        return gp.DegrootGossip(np.asarray(params["p"]), np.asarray(params["gains"]))
-    if model == "gossip-pair":
-        return gp.SymmetricPairGossip(np.asarray(params["p"]))
-    if model == "gossip-fj":
-        if "gamma1" in params:
-            return gp.GossipFJ(
-                np.asarray(params["gamma1"]),
-                np.asarray(params["gamma2"]),
-                np.asarray(params["u"]),
-                tuple(tuple(a) for a in params["arcs"]),
-            )
-        return gp.GossipFJ.from_fj(
-            np.asarray(params["lam"]), np.asarray(params["w"]), np.asarray(params["u"])
-        )
-    if model == "dw":
-        return gp.DeffuantWeisbuch(
-            d=params["d"], mu=params["mu"], mode=params.get("mode", "symmetric")
-        )
-    if model == "dw-heterogeneous":
-        return gp.DWHeterogeneous(d=np.asarray(params["d"]), mu=params["mu"])
-    raise ValueError(f"unknown gossip model {model!r}")
+    """The gossip model named ``model``, built from its params by keyword;
+    ``gossip-fj`` takes lam, w and u, or gamma1, gamma2, u and arcs."""
+    if model == "gossip-fj" and "gamma1" in params:
+        return gp.GossipFJ(**params)
+    return GOSSIP_MODELS[model](**params)
 
 
-def weight_spec_from_params(kind: str, params: dict) -> WeightSpec:
-    if "schedule" in params:
-        return WeightSpec.scheduled(kind, load_schedule(params["schedule"]))
-    return WeightSpec.constant(kind, resolve_matrix(params["matrix"]))
+def weight_spec_from_params(kind: str = KIND_STOCHASTIC, matrix=None, schedule=None) -> WeightSpec:
+    return WeightSpec(kind, matrix=resolve_matrix(matrix),
+                      schedule=None if schedule is None else load_schedule(schedule))
 
 
 def fj_spec_from_params(params: dict) -> FJSpec:
-    return FJSpec(
-        lam=np.asarray(params["lam"]), w=np.asarray(params["w"]), u=np.asarray(params["u"])
-    )
+    return FJSpec(**params)

@@ -182,6 +182,14 @@ class TestTruthStep:
             assert np.max(np.abs(traj.final.values - target)) < 1e-6
 
 
+    @pytest.mark.parametrize("step, args, weights", [
+        (truth_step, ([0.5],), "attraction"), (inertial_step, (), "inertia")])
+    def test_nan_weight_is_rejected(self, step, args, weights):
+        x = OpinionState([0.0, 0.1])
+        with pytest.raises(ValueError, match=rf"{weights} weights must lie in \[0, 1\]"):
+            step(x, [0.5, np.nan], *args, ConfidenceSpec.symmetric(0.3))
+
+
 class TestInertialStep:
     def test_unit_inertia_weight_is_plain_step(self):
         rng = np.random.default_rng(5)
@@ -356,6 +364,11 @@ class TestDChains:
         part = d_chain_partition(OpinionState([0, 0.5, 2, 2.4, 5, 5.5, 6]), d=0.6)
         assert part.chains == ((0, 1), (2, 3), (4, 5, 6))
         assert part.diameters == pytest.approx((0.5, 0.4, 1.0))
+
+    @pytest.mark.parametrize("d", [np.nan, 0.0])
+    def test_bound_must_be_positive(self, d):
+        with pytest.raises(ValueError, match="confidence bound must be positive"):
+            d_chain_partition(OpinionState([0.0, 0.1, 5.0]), d=d)
 
     def test_single_chain_when_all_close(self):
         part = d_chain_partition(OpinionState([0.0, 0.1, 0.2]), d=0.5)

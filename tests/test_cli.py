@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -571,8 +572,9 @@ class TestMoreRunModels:
 class TestInputErrors:
     @pytest.mark.parametrize("model", ["balance", "flow", "degroot"])
     def test_missing_matrix_file_is_a_load_error(self, tmp_path, capsys, model):
-        config = {"model": model, "params": {"matrix": {"file": str(tmp_path / "absent.csv")}},
-                  "x0": [0.0, 1.0]}
+        config = {"model": model, "params": {"matrix": {"file": str(tmp_path / "absent.csv")}}}
+        if model != "balance":
+            config["x0"] = [0.0, 1.0]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -637,7 +639,7 @@ class TestInputErrors:
                                          ("hk", float("nan"))])
     def test_nan_confidence_bound_is_a_validation_error(self, tmp_path, capsys, model, d):
         config = {"model": model, "x0": [0.0, 0.5], "horizon": 10,
-                  "params": {"d": d, "mu": 0.5}}
+                  "params": {"d": d} if model == "hk" else {"d": d, "mu": 0.5}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -730,6 +732,51 @@ class TestModelTable:
             model for model, (_, w) in cli.MODELS.items() if w is None
         }
 
+    def test_readme_lists_the_keys_of_each_model(self):
+        from opiniondyn import analysis, cli, gossip as gp, presets as pr
+        from opiniondyn import bounded_confidence as bc, linear_dynamics as ld
+
+        cs = bc.ConfidenceSpec
+        geometry = [cs.symmetric, cs.asymmetric, cs.per_agent, cs.shifted, cs.norm_ball]
+        readers = {  # model -> the functions its params go to by keyword
+            "hk": [bc.hk_step, *geometry], "truth": [bc.truth_step, *geometry],
+            "inertial": [bc.inertial_step, *geometry],
+            "phi": [pr.phi_from_params, *pr.PHI_PRESETS.values()],
+            "flow": [pr.weight_spec_from_params, ld.flow_simulate],
+            "signed-flow": [pr.weight_spec_from_params, ld.flow_simulate],
+            "degroot": [pr.weight_spec_from_params], "fj": [ld.FJSpec],
+            "balance": [cli._balance], "gossip-fj": [gp.GossipFJ.from_fj, gp.GossipFJ],
+            "two-r": [analysis.two_r_experiment], "hk-sweep": [cli._hk_sweep],
+            **{model: [pr.GOSSIP_MODELS[model]]
+               for model in ("gossip-degroot", "gossip-pair", "dw", "dw-heterogeneous")},
+        }
+
+        def keys(functions, skip):
+            """name -> default (None for none) of the keyword parameters."""
+            out = {}
+            for fn in functions:
+                for name, p in inspect.signature(fn).parameters.items():
+                    if name not in skip and p.kind is not p.VAR_KEYWORD:
+                        out[name] = None if p.default in (p.empty, None) else \
+                            json.loads(json.dumps(p.default))
+            return out
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = text.split("| model | settings | params |\n|---|---|---|\n", 1)[1]
+        pair = re.compile(r"`([^`]+)`(?: \(`([^`]+)`\))?")
+        listed = {}
+        for row in rows.split("\n\n", 1)[0].splitlines():
+            models, *cells = row.strip("|").split("|")
+            keyed = [{k: json.loads(v) if v else None for k, v in pair.findall(c)} for c in cells]
+            listed.update(dict.fromkeys(re.findall(r"`([^`]+)`", models), keyed))
+        # the run function passes the state, the geometry, the seed and a flow's kind itself
+        passed = {"x", "spec", "x0", "seed"}
+        assert listed == {
+            model: [keys([run_fn], cli.COMMON),
+                    keys(readers[model], passed | ({"kind"} if "flow" in model else set()))]
+            for model, (run_fn, _) in cli.MODELS.items()
+        }
+
     def test_flow_summary_and_classification_classify_once(self, tmp_path, monkeypatch):
         from opiniondyn import analysis, cli
 
@@ -746,3 +793,224 @@ class TestModelTable:
         classification = json.loads((tmp_path / "classification.json").read_text())
         assert classification == {**summary["classification"],
                                   "family_check": summary["family_check"]}
+
+
+def _simulate(tmp_path, capsys, config, command="simulate"):
+    """Runs one config through ``main``; returns the exit code and the error
+    payload (None on success)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    return code, json.loads(err) if err else None
+
+
+W2 = [[0.5, 0.5], [0.5, 0.5]]
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("config, key, hint", [
+        pytest.param({"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "horizn": 5},
+                     "horizn", "takes x0, horizon, stop_tol, tol, family_check, gap_tol besides",
+                     id="hk-misspelt"),
+        pytest.param({"model": "dw", "params": {"d": 0.3, "mu": 0.5}, "x0": [0.0, 0.1],
+                      "stop_tol": 0.1}, "stop_tol", "takes x0, horizon, thin, gap_tol besides",
+                     id="dw-stop-tol"),
+        pytest.param({"model": "flow", "params": {"matrix": W2}, "x0": [0.0, 0.1],
+                      "horizon": 5}, "horizon", "takes x0, record_every, tol, family_check",
+                     id="flow-horizon"),
+        pytest.param({"model": "degroot", "params": {"matrix": W2}, "x0": [0.0, 0.1],
+                      "thin": 5}, "thin", "takes x0, horizon, tol, family_check",
+                     id="degroot-thin"),
+        pytest.param({"model": "balance", "params": {"matrix": W2}, "x0": [0.0, 1.0]}, "x0",
+                     "takes no settings besides model, params, seed, format, outputs",
+                     id="balance-x0"),
+        pytest.param({"model": "fj", "params": {"lam": [0.5], "w": [[1.0]], "u": [1.0]},
+                      "horizon": 5}, "horizon", "'fj' takes no settings", id="fj-horizon"),
+        pytest.param({"model": "hk", "params": {"d": 0.3}}, "x0", "takes x0, horizon",
+                     id="hk-missing-x0"),
+    ])
+    def test_a_setting_the_model_does_not_read_is_a_config_error(self, tmp_path, capsys, config,
+                                                                  key, hint):
+        code, payload = _simulate(tmp_path, capsys, config)
+        assert code == 2
+        assert payload["stage"] == "config"
+        assert f"'{key}'" in payload["message"]
+        assert hint in payload["hint"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        pytest.param("experiment", {"model": "two-r", "x0": [0.0],
+                                    "params": {"n": 5, "d_list": [0.2], "trials": 1}}, "x0",
+                     id="two-r-x0"),
+        pytest.param("experiment", {"model": "hk-sweep", "params": {"instances": 2},
+                                    "horizon": 9}, "horizon", id="hk-sweep-horizon"),
+    ])
+    def test_experiments_take_no_settings(self, tmp_path, capsys, command, config, key):
+        code, payload = _simulate(tmp_path, capsys, config, command)
+        assert code == 2
+        assert payload["stage"] == "config"
+        assert f"'{key}'" in payload["message"]
+        assert "takes no settings" in payload["hint"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param({"model": "hk", "params": {"d": 0.3, "closd": False}}, "'closd'",
+                     id="hk-misspelt"),
+        pytest.param({"model": "hk", "params": {"d": 0.3, "eta": [0.0, 0.1], "d_left": 0.1}},
+                     "'d_left'", id="eta-and-d-left"),
+        pytest.param({"model": "hk", "params": {"d_left": 0.1}}, "'d_right'", id="d-left-alone"),
+        pytest.param({"model": "hk", "params": {"d_per_agent": [0.1, 0.2], "d": 0.3}}, "'d'",
+                     id="per-agent-and-d"),
+        pytest.param({"model": "truth", "params": {"d": 0.3, "lam": [1.0, 1.0]}}, "'target'",
+                     id="truth-missing-target"),
+        pytest.param({"model": "phi", "params": {"preset": "heterophily", "a": 0.5, "b": 1.0,
+                                                 "d1": 0.25, "d2": 0.5, "d": 0.3}}, "'d'",
+                     id="phi-heterophily-d"),
+        pytest.param({"model": "degroot", "params": {"matrix": W2, "schedule": [
+            {"until": 2, "matrix": W2}]}}, "exactly one of matrix, schedule",
+                     id="matrix-and-schedule"),
+        pytest.param({"model": "flow", "params": {"matrix": W2, "kind": "stochastic"}},
+                     "'kind'", id="flow-kind"),
+        pytest.param({"model": "flow", "params": {"matrix": W2, "t_ned": 2.0}}, "'t_ned'",
+                     id="flow-misspelt"),
+        pytest.param({"model": "dw", "params": {"d": 0.3, "mu": 0.5, "gains": [0.5, 0.5]}},
+                     "'gains'", id="dw-gains"),
+        pytest.param({"model": "gossip-fj", "params": {"lam": [0.5, 0.5], "w": W2,
+                                                       "u": [0.0, 1.0], "arcs": [[0, 1]]}},
+                     "'arcs'", id="gossip-fj-arcs-with-lam"),
+        pytest.param({"model": "fj", "params": {"lam": [0.5], "w": [[1.0]], "u": [1.0],
+                                                "x0": [1.0]}}, "'x0'", id="fj-x0"),
+        pytest.param({"model": "balance", "params": {"weights": W2}}, "'weights'",
+                     id="balance-weights"),
+    ])
+    def test_an_unknown_or_conflicting_param_is_a_validation_error(self, tmp_path, capsys, config,
+                                                                    message):
+        if config["model"] not in ("fj", "balance"):
+            config["x0"] = [0.0, 0.1]
+        code, payload = _simulate(tmp_path, capsys, config)
+        assert code == 2
+        assert payload["stage"] == "validate"
+        assert message in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param({"model": "two-r", "params": {"n": 5, "d_list": [0.2], "trials": 1,
+                                                   "seed": 3}}, "'seed'", id="two-r-seed"),
+        pytest.param({"model": "hk-sweep", "params": {"instance": 2}}, "'instance'",
+                     id="hk-sweep-misspelt"),
+    ])
+    def test_an_unknown_experiment_param_is_a_validation_error(self, tmp_path, capsys, config,
+                                                                message):
+        code, payload = _simulate(tmp_path, capsys, config, "experiment")
+        assert code == 2
+        assert payload["stage"] == "validate"
+        assert message in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_every_model_accepts_the_common_keys(self):
+        from opiniondyn import cli
+        from test_cli_golden import CONFIGS
+
+        for config in CONFIGS.values():
+            writers = cli.MODELS[config["model"]][1]
+            config = {**config, "seed": 4, "format": "json",
+                      "outputs": list(writers or ["anything"])[:1]}
+            assert set(config) >= set(cli.COMMON)
+            cli._prepare(config)
+
+    @pytest.mark.parametrize("name", sorted(list_presets()))
+    def test_every_preset_passes_the_key_check(self, name):
+        from opiniondyn import cli
+
+        cli._prepare(preset_config(name))
+
+    @pytest.mark.parametrize("command, config, message", [
+        pytest.param("simulate", {"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1],
+                                  "horizon": 1.9}, "horizon must be a whole number, got 1.9",
+                     id="horizon"),
+        pytest.param("simulate", {"model": "hk", "params": {"d": 0.3},
+                                  "x0": {"uniform": [0.0, 1.0, 3.9]}},
+                     "uniform n must be a whole number, got 3.9", id="uniform-n"),
+        pytest.param("simulate", {"model": "dw", "params": {"d": 0.3, "mu": 0.5},
+                                  "x0": [0.0, 0.1], "thin": 2.5},
+                     "thin must be a whole number, got 2.5", id="thin"),
+        pytest.param("simulate", {"model": "flow", "params": {"matrix": W2, "t_end": 1.0},
+                                  "x0": [0.0, 0.1], "record_every": 2.5},
+                     "record_every must be a whole number, got 2.5", id="record-every"),
+        pytest.param("simulate", {"model": "degroot", "params": {"matrix": W2},
+                                  "x0": [0.0, 0.1], "horizon": "5"},
+                     "horizon must be a whole number, got '5'", id="degroot-horizon-string"),
+        pytest.param("experiment", {"model": "two-r",
+                                    "params": {"n": 5.5, "d_list": [0.2], "trials": 1}},
+                     "n must be a whole number, got 5.5", id="two-r-n"),
+        pytest.param("experiment", {"model": "two-r",
+                                    "params": {"n": 5, "d_list": [0.2], "trials": 1.5}},
+                     "trials must be a whole number, got 1.5", id="two-r-trials"),
+        pytest.param("experiment", {"model": "hk-sweep", "params": {"instances": 2.5}},
+                     "instances must be a whole number, got 2.5", id="hk-sweep-instances"),
+        pytest.param("experiment", {"model": "hk-sweep", "params": {"n_range": [2.5, 4]}},
+                     "n_range must be a whole number, got 2.5", id="hk-sweep-n-range"),
+    ])
+    def test_a_fractional_count_is_a_validation_error(self, tmp_path, capsys, command, config,
+                                                       message):
+        code, payload = _simulate(tmp_path, capsys, config, command)
+        assert code == 2
+        assert payload["stage"] == "validate"
+        assert payload["message"] == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_a_fractional_seed_is_a_config_error(self, tmp_path, capsys, seed):
+        config = {"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "seed": seed}
+        code, payload = _simulate(tmp_path, capsys, config)
+        assert code == 2
+        assert payload["stage"] == "config"
+        assert payload["message"] == f"seed must be an integer, got {seed!r}"
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_floats_run_as_their_ints(self, tmp_path):
+        config = {"model": "dw", "params": {"d": 0.3, "mu": 0.5}, "x0": {"uniform": [0, 1, 6]},
+                  "horizon": 40, "thin": 3, "seed": 2, "outputs": ["trajectory", "events"]}
+        floats = {**config, "x0": {"uniform": [0, 1, 6.0]}, "horizon": 40.0, "thin": 3.0,
+                  "seed": 2.0}
+        run(config, out_dir=tmp_path / "ints")
+        run(floats, out_dir=tmp_path / "floats")
+        for name in ("trajectory.csv", "events.csv"):
+            assert (tmp_path / "ints" / name).read_bytes() == \
+                (tmp_path / "floats" / name).read_bytes()
+
+    @pytest.mark.parametrize("config, message", [
+        pytest.param({"model": "hk", "params": {"d": 0.3}, "tol": -1.0},
+                     "tol must be nonnegative, got -1.0", id="negative-tol"),
+        pytest.param({"model": "hk", "params": {"d_left": 0.3, "d_right": 0.2},
+                      "gap_tol": float("nan")}, "gap_tol must be positive, got nan",
+                     id="nan-gap-tol"),
+        pytest.param({"model": "gossip-pair", "params": {"p": [[0.0, 1.0], [1.0, 0.0]]},
+                      "gap_tol": 0}, "gap_tol must be positive, got 0.0", id="gossip-zero-gap-tol"),
+        pytest.param({"model": "signed-flow", "params": {"matrix": [[0.0, -1.0], [-1.0, 0.0]],
+                                                         "t_end": 1.0},
+                      "family_check": {"ratios": [1.0, float("nan")]}}, "must be finite",
+                     id="nan-ratio"),
+        pytest.param({"model": "degroot", "params": {"matrix": W2},
+                      "family_check": {"ratios": [1.0, 1.0], "tol": -1.0}},
+                     "family_check tol must be nonnegative", id="negative-family-check-tol"),
+        pytest.param({"model": "hk", "params": {"d": 0.3},
+                      "family_check": {"ratios": [1.0, 1.0, 1.0]}}, "one ratio per agent",
+                     id="ratio-count"),
+        pytest.param({"model": "hk", "params": {"d": 0.3},
+                      "family_check": {"ratios": [1.0, 1.0], "tolerance": 0.1}}, "'tolerance'",
+                     id="family-check-misspelt"),
+    ])
+    def test_a_bad_writer_setting_leaves_no_file(self, tmp_path, capsys, config, message):
+        writers = {"hk": ["trajectory", "summary", "clusters"],
+                   "degroot": ["trajectory", "summary"],
+                   "signed-flow": ["trajectory", "summary"],
+                   "gossip-pair": ["trajectory", "events", "summary"]}
+        config.update(x0=[0.0, 0.1], outputs=writers[config["model"]])
+        code, payload = _simulate(tmp_path, capsys, config)
+        assert code == 2
+        assert payload["stage"] == "validate"
+        assert message in payload["message"]
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []

@@ -143,6 +143,18 @@ class TestBuildGammas:
         assert np.max(np.abs(g1)) == 0
         assert np.array_equal(g2, w)
 
+    @pytest.mark.parametrize("lam", [[0.5, np.nan], [0.5, 1.5]])
+    def test_nan_or_out_of_range_susceptibility_is_rejected(self, lam):
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"susceptibilities must lie in \[0, 1\]"):
+            GossipFJ.from_fj(lam, w, [0.0, 1.0])
+
+    @pytest.mark.parametrize("gains", [[0.5, np.nan], [0.5, 1.0]])
+    def test_nan_or_out_of_range_gain_is_rejected(self, gains):
+        p = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"gains must lie strictly inside \(0, 1\)"):
+            DegrootGossip(p, np.array(gains))
+
     def test_half_half_swap(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         g1, g2 = build_gammas(np.array([0.5, 0.5]), w)
@@ -658,6 +670,14 @@ class TestMoreGossipSurfaces:
     def test_empty_arc_list_rejected(self):
         with pytest.raises(ValueError):
             GossipFJ(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), arcs=())
+
+    def test_nan_gamma_factor_rejected(self):
+        arcs = ((0, 0), (0, 1), (1, 0), (1, 1))
+        g1 = np.array([[0.5, np.nan], [0.25, 0.25]])
+        with pytest.raises(ValueError, match="entrywise nonnegative"):
+            GossipFJ(g1, np.zeros((2, 2)), np.zeros(2), arcs)
+        with pytest.raises(ValueError, match="entrywise nonnegative"):
+            GossipFJ(np.zeros((2, 2)), g1, np.zeros(2), arcs)
 
     @pytest.mark.parametrize("d", [0.0, -0.1, float("nan")])
     def test_pair_dynamics_reject_bounds_that_are_not_positive(self, d):

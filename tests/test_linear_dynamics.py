@@ -80,6 +80,13 @@ class TestCheckStochastic:
             linear_dynamics.check_stochastic(matrix)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("check", [linear_dynamics.check_stochastic,
+                                       linear_dynamics.check_signed_row_stochastic])
+    def test_nan_tolerance_accepts_nothing(self, check):
+        for matrix in ([[5.0]], [[1.0]]):
+            with pytest.raises(ValueError, match="deviate from 1 by more than nan"):
+                check(matrix, tol=np.nan)
+
     def test_infinite_tolerance_still_rejects_infinite_entries(self):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             linear_dynamics.check_stochastic([[np.inf, 0.0], [0.5, 0.5]], tol=np.inf)
@@ -311,6 +318,23 @@ class TestUqsc:
         assert not report.passed
         assert report.violation["condition"] == "amplitude_bound"
 
+    def test_nan_amplitude_bound_fails_the_amplitude_check(self):
+        spec = WeightSpec.scheduled("nonnegative", [(5.0, np.ones((2, 2)))])
+        report = verify_uqsc(spec, window_t=1.0, eps=1e-6, bound_m=np.nan)
+        assert report.violation == {"condition": "amplitude_bound", "segment": 0, "max": 1.0}
+
+    @pytest.mark.parametrize("window_t", [np.nan, 0.0, -1.0])
+    def test_window_length_must_be_positive(self, window_t):
+        a = np.zeros((3, 3))  # no arc at all: fails every window
+        spec = WeightSpec.scheduled("nonnegative", [(5.0, a)])
+        with pytest.raises(ValueError, match="window length must be positive"):
+            verify_uqsc(spec, window_t=window_t, eps=1e-6, bound_m=1.0)
+
+    def test_nan_eps_is_rejected(self):
+        spec = WeightSpec.scheduled("nonnegative", [(5.0, np.zeros((3, 3)))])
+        with pytest.raises(ValueError, match="zero_tol must be nonnegative"):
+            verify_uqsc(spec, window_t=1.0, eps=np.nan, bound_m=1.0)
+
 
 class TestFJ:
     def test_observed_group_example(self):
@@ -335,6 +359,11 @@ class TestFJ:
             xbar = fj_fixed_point(spec).values
             resid = lam[:, None] * (w @ xbar) + (1 - lam)[:, None] * u[:, None] - xbar
             assert np.max(np.abs(resid)) < 1e-10
+
+    @pytest.mark.parametrize("lam", [[0.5, np.nan], [0.5, -0.5]])
+    def test_nan_or_out_of_range_susceptibility_is_rejected(self, lam):
+        with pytest.raises(ValueError, match=r"susceptibilities must lie in \[0, 1\]"):
+            FJSpec(lam=lam, w=np.full((2, 2), 0.5), u=[0.0, 1.0])
 
     def test_unit_susceptibility_unstable(self):
         w = np.full((2, 2), 0.5)
@@ -553,6 +582,12 @@ class TestTypeSymmetry:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         for k in (1.0, 10.0, 1e6):
             assert not check_type_symmetry(WeightSpec.constant("nonnegative", a), k).passed
+
+    @pytest.mark.parametrize("k", [np.nan, 0.5])
+    def test_symmetry_constant_below_one_or_nan_is_rejected(self, k):
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="the symmetry constant must be >= 1"):
+            check_type_symmetry(WeightSpec.constant("nonnegative", a), k)
 
 
 class TestFlowErrors:

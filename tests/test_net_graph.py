@@ -281,6 +281,16 @@ class TestPersistentGraph:
         with pytest.raises(ValueError, match="square"):
             persistent_graph([np.zeros((2, 2)), w], threshold=1.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, 0.0])
+    def test_threshold_must_be_positive(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            persistent_graph([np.ones((2, 2))], threshold=threshold)
+
+    @pytest.mark.parametrize("zero_tol", [np.nan, -1.0])
+    def test_signed_graph_zero_tol_must_be_nonnegative(self, zero_tol):
+        with pytest.raises(ValueError, match="zero_tol must be nonnegative"):
+            SignedGraph(np.ones((2, 2)), zero_tol=zero_tol)
+
     def test_constant_coupling_reaches_threshold(self):
         w = np.zeros((2, 2))
         w[0, 1] = 0.5
