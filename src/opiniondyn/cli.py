@@ -54,8 +54,15 @@ def _whole(name: str, value) -> int:
 
 
 def _initial_state(x0, seed: int) -> OpinionState:
-    """x0 as opinions, or ``{"uniform": [lo, hi, n]}`` drawn on stream 1 of the seed."""
-    if isinstance(x0, dict) and "uniform" in x0:
+    """x0 as opinions, or ``{"uniform": [lo, hi, n]}`` drawn on stream 1 of the seed.
+    CliError with stage config for a dict of any other form."""
+    if isinstance(x0, dict):
+        hint = 'give x0 as a list of opinions or as {"uniform": [lo, hi, n]}'
+        if list(x0) != ["uniform"]:
+            raise CliError("config", f"x0 takes the one key 'uniform', got {list(x0)}", hint)
+        if not isinstance(x0["uniform"], (list, tuple)) or len(x0["uniform"]) != 3:
+            raise CliError("config", f"x0 uniform must be [lo, hi, n], got {x0['uniform']!r}",
+                           hint)
         lo, hi, n = x0["uniform"]
         rng = gp.make_rng((seed, 1))
         return OpinionState(rng.uniform(float(lo), float(hi), size=_whole("uniform n", n)))

@@ -10,6 +10,7 @@ time-varying recursion is known to converge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -63,14 +64,18 @@ def _as_square(matrix) -> np.ndarray:
 
 def check_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     """The matrix as a float array, or ValueError unless it is square,
-    finite, entrywise nonnegative and has row sums within tol of 1."""
+    finite, entrywise nonnegative and has row sums within tol of 1.
+
+    A pass of a C-ordered matrix of at most 256 entries is remembered by its
+    content (shape, bytes and tol), so a schedule that repeats a few small
+    matrices pays for each check once. What is accepted does not change: a
+    matrix changed in place has new content and is checked again."""
     w = np.asarray(matrix, dtype=float)
-    # Valid input is accepted here in one pass. A NaN or -inf entry fails the
-    # min test, and a +inf entry makes its row sum fail the tolerance test as
-    # long as tol is finite. Input that fails here meets the checks below,
-    # which word the error.
-    if (w.ndim == 2 and w.shape[0] == w.shape[1] and w.size and w.min() >= 0
-            and np.abs(w.sum(axis=1) - 1.0).max() <= tol < math.inf):
+    if (w.size <= _REMEMBERED_ENTRIES and w.flags.c_contiguous
+            and isinstance(tol, (int, float))):  # a tol that can be a key
+        if _remembered_pass(w.shape, w.tobytes(), tol):
+            return w
+    elif _passes(w, tol):
         return w
     w = _as_square(w)
     if np.any(w < 0):
@@ -79,6 +84,27 @@ def check_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     if not np.all(np.abs(rows - 1.0) <= tol):  # a NaN tol accepts nothing
         raise ValueError(f"row sums deviate from 1 by more than {tol}: {rows}")
     return w
+
+
+# Above this many entries tobytes would copy a matrix whose check is already
+# a few passes over it, so larger passes are not remembered.
+_REMEMBERED_ENTRIES = 256
+
+
+def _passes(w: np.ndarray, tol) -> bool:
+    """Whether check_stochastic accepts the float array w in one pass. A NaN
+    or -inf entry fails the min test, and a +inf entry makes its row sum fail
+    the tolerance test as long as tol is finite. Input that fails here meets
+    check_stochastic's full checks, which word the error."""
+    return bool(w.ndim == 2 and w.shape[0] == w.shape[1] and w.size and w.min() >= 0
+                and np.abs(w.sum(axis=1) - 1.0).max() <= tol < math.inf)
+
+
+@functools.lru_cache(maxsize=64)
+def _remembered_pass(shape: tuple, data: bytes, tol) -> bool:
+    """_passes for the C-ordered float64 matrix of this shape and content
+    (C order, since the row sums of another layout may round differently)."""
+    return _passes(np.frombuffer(data).reshape(shape), tol)
 
 
 def check_signed_row_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
@@ -567,7 +593,13 @@ def check_type_symmetry(spec: WeightSpec, k_bound: float) -> PremiseReport:
         raise ValueError("type symmetry is checked on explicit matrices, not rules")
     for idx, mat in mats:
         a = np.abs(mat)
-        hit = _first_hit(np.triu(np.maximum(a, a.T) > k_bound * np.minimum(a, a.T), 1))
+        lo = np.minimum(a, a.T)
+        # an absent reverse arc bounds its pair by 0, so a one-sided arc
+        # fails for K = inf as well, with no inf * 0; a K * |a_ji| that
+        # overflows is the bound inf, which no entry exceeds
+        with np.errstate(over="ignore"):
+            bound = np.where(lo > 0, k_bound, 1.0) * lo
+        hit = _first_hit(np.triu(np.maximum(a, a.T) > bound, 1))
         if hit:
             i, j = hit
             return PremiseReport(

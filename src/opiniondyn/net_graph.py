@@ -348,7 +348,9 @@ def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
 
     This is the finite-horizon surrogate of "the coupling series diverges":
     edge {i, j} present iff sum_k w_ij(k) >= threshold or sum_k w_ji(k) >=
-    threshold. Accepts any iterable of nonnegative square matrices.
+    threshold. Accepts any iterable of nonnegative square matrices of one
+    size, summed one at a time in order. ValueError as soon as a matrix of
+    another size, or one with a negative or NaN entry, is read.
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
@@ -357,8 +359,11 @@ def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
         w = np.asarray(w, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be square matrices, got shape {w.shape}")
-        if np.any(w < 0):
-            raise ValueError("persistent interactions are defined for nonnegative weights")
+        if total is not None and w.shape != total.shape:
+            raise ValueError(f"weights must all be {total.shape}, got shape {w.shape}")
+        if w.size and not w.min() >= 0:  # NaN fails too
+            raise ValueError("persistent interactions are defined for nonnegative weights, "
+                             "got a negative or NaN entry")
         if total is None:
             total = w.copy()
         else:

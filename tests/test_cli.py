@@ -969,6 +969,28 @@ class TestConfigContract:
         assert payload["message"] == f"seed must be an integer, got {seed!r}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, params", [("hk", {"d": 0.3}), ("dw", {"d": 0.3, "mu": 0.5})])
+    @pytest.mark.parametrize("x0", [{"uniform": [0, 1, 5], "n": 50}, {"n": 50}, {}],
+                             ids=["uniform-and-n", "n", "empty"])
+    def test_an_unknown_x0_key_is_a_config_error(self, tmp_path, capsys, model, params, x0):
+        config = {"model": model, "params": params, "x0": x0}
+        code, payload = _simulate(tmp_path, capsys, config)
+        assert code == 2
+        assert payload["stage"] == "config"
+        assert payload["message"] == f"x0 takes the one key 'uniform', got {list(x0)}"
+        assert payload["hint"] == 'give x0 as a list of opinions or as {"uniform": [lo, hi, n]}'
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("uniform", [[0, 1], [0, 1, 5, 7], 5, "0 1 5"])
+    def test_a_malformed_uniform_x0_is_a_config_error(self, tmp_path, capsys, uniform):
+        config = {"model": "hk", "params": {"d": 0.3}, "x0": {"uniform": uniform}}
+        code, payload = _simulate(tmp_path, capsys, config)
+        assert code == 2
+        assert payload["stage"] == "config"
+        assert payload["message"] == f"x0 uniform must be [lo, hi, n], got {uniform!r}"
+        assert payload["hint"] == 'give x0 as a list of opinions or as {"uniform": [lo, hi, n]}'
+        assert not (tmp_path / "out").exists()
+
     def test_whole_floats_run_as_their_ints(self, tmp_path):
         config = {"model": "dw", "params": {"d": 0.3, "mu": 0.5}, "x0": {"uniform": [0, 1, 6]},
                   "horizon": 40, "thin": 3, "seed": 2, "outputs": ["trajectory", "events"]}

@@ -321,6 +321,61 @@ class TestPersistentGraph:
         with pytest.raises(ValueError):
             persistent_graph([], threshold=1.0)
 
+    @pytest.mark.parametrize("second", [[[2.0]], np.eye(2), np.eye(4)])
+    def test_matrices_of_another_size_rejected(self, second):
+        # a 1x1 would broadcast onto the 3x3 total and link every pair
+        with pytest.raises(ValueError, match=r"must all be \(3, 3\)"):
+            persistent_graph([0.5 * np.eye(3), second], threshold=1.0)
+
+    def test_nan_entry_rejected_before_the_rest_is_read(self):
+        def seq():
+            yield np.full((2, 2), 0.75)
+            yield np.array([[0.0, np.nan], [1.0, 0.0]])
+            raise AssertionError("read past the offending matrix")
+
+        with pytest.raises(ValueError, match="nonnegative"):
+            persistent_graph(seq(), threshold=1.0)
+
+    def test_empty_matrices_give_the_empty_graph(self):
+        g = persistent_graph([np.zeros((0, 0))] * 3, threshold=1.0)
+        assert g == UndirectedGraph(0, frozenset())
+
+    def test_totals_are_the_sequential_sums_bit_for_bit(self):
+        # a threshold equal to a total is reached, the next float above it
+        # is not: every total must carry the sequential sum's exact bits
+        rng = np.random.default_rng(6)
+        entries = [0.0, -0.0, 5e-324, 2.5e-308, 1e-300, 0.1, 1.0 / 3.0, 0.7, 1e16, 3.0]
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            scale = rng.uniform(0.5, 2.0, size=(n, n)) if rng.random() < 0.5 else 1.0
+            seq = [rng.choice(entries, size=(n, n)) * scale
+                   for _ in range(int(rng.integers(1, 8)))]
+            total = seq[0].copy()
+            for w in seq[1:]:
+                total = total + w
+            for value in np.unique(total[total > 0])[:4]:
+                for threshold in (value, np.nextafter(value, np.inf)):
+                    assert persistent_graph(iter(seq), threshold) == \
+                        reference_persistent_graph(seq, threshold)
+                reached = total >= value
+                assert persistent_graph(seq, value).edges == {
+                    (i, j) for i in range(n) for j in range(i + 1, n)
+                    if reached[i, j] or reached[j, i]}
+
+    def test_a_reused_buffer_gives_the_graph_of_copies(self):
+        rng = np.random.default_rng(7)
+        seq = [rng.choice([0.0, 0.25, 0.5], size=(5, 5)) for _ in range(40)]
+
+        def reused():
+            buf = np.empty((5, 5))
+            for w in seq:
+                buf[...] = w
+                yield buf
+
+        for threshold in (1.0, 2.5, 4.0):
+            assert persistent_graph(reused(), threshold) == \
+                persistent_graph([w.copy() for w in seq], threshold)
+
 
 # The pair loops and traversals that the mask forms replaced, kept verbatim
 # (apart from names) as oracles.
