@@ -19,7 +19,7 @@ import numpy as np
 
 from .linear_dynamics import KIND_NONNEGATIVE, WeightSpec, flow_simulate
 from .state import MaxStepsError, NonConvergentError, OpinionState, Trajectory
-from .state import _pairwise_sq
+from .state import _pairwise_sq, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
+_TRAPEZOID_TARGET = 1e-8  # difference of two estimates that ends the doubling
+_TRAPEZOID_DOUBLINGS = 12
 
 
 def _offsets(bound):
@@ -233,11 +235,7 @@ def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionSta
     lam_i = 1 behave as plain bounded-confidence agents; lam_i = 0 jumps to
     the target in one step.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (x.n,):
-        raise ValueError("lam must be a length-n vector")
-    if not np.all((lam >= 0) & (lam <= 1)):
-        raise ValueError("attraction weights must lie in [0, 1]")
+    lam = _unit_weights(lam, x.n, "attraction weights")
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape[0] != x.m:
         raise ValueError("target must be a point in opinion space")
@@ -251,11 +249,7 @@ def inertial_step(x: OpinionState, lam, spec: ConfidenceSpec) -> OpinionState:
     x_i' = (1 - lam_i) * x_i + lam_i * (trust-set mean); lam_i = 0 freezes
     the agent, lam_i = 1 recovers the plain step.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (x.n,):
-        raise ValueError("lam must be a length-n vector")
-    if not np.all((lam >= 0) & (lam <= 1)):
-        raise ValueError("inertia weights must lie in [0, 1]")
+    lam = _unit_weights(lam, x.n, "inertia weights")
     means = _masked_mean(x.values, trust_matrix(x, spec))
     return OpinionState((1.0 - lam)[:, None] * x.values + lam[:, None] * means)
 
@@ -317,20 +311,20 @@ class PhiSpec:
         return _trapezoid_antiderivative(f, r)
 
 
-def _trapezoid_antiderivative(f, r: float, target: float = 1e-8, max_doublings: int = 12) -> float:
+def _trapezoid_antiderivative(f, r: float) -> float:
     """Trapezoid rule for the integral of f over [0, r] on 64 cells, doubling
-    the cells until two estimates differ by less than ``target``. Each pass
-    evaluates f only at the new midpoints, so a call costs at most
-    64 * 2**max_doublings + 1 evaluations; raises NonConvergentError when the
-    last pass still misses the target (e.g. f has a jump and no closed-form
-    antiderivative)."""
+    the cells until two estimates differ by less than _TRAPEZOID_TARGET. Each
+    pass evaluates f only at the new midpoints, so a call costs at most
+    64 * 2**_TRAPEZOID_DOUBLINGS + 1 evaluations; raises NonConvergentError
+    when the last pass still misses the target (e.g. f has a jump and no
+    closed-form antiderivative)."""
     if r <= 0:
         return 0.0
     n = 64
     grid = np.linspace(0.0, r, n + 1)
     vals = np.array([f(g) for g in grid], dtype=float)
     est = np.trapezoid(vals, grid)
-    for _ in range(max_doublings):
+    for _ in range(_TRAPEZOID_DOUBLINGS):
         n *= 2
         grid = np.linspace(0.0, r, n + 1)
         finer = np.empty(n + 1)
@@ -338,13 +332,13 @@ def _trapezoid_antiderivative(f, r: float, target: float = 1e-8, max_doublings: 
         finer[1::2] = [f(g) for g in grid[1::2]]
         vals = finer
         nxt = np.trapezoid(vals, grid)
-        if abs(nxt - est) < target:
+        if abs(nxt - est) < _TRAPEZOID_TARGET:
             return float(nxt)
         est = nxt
     raise NonConvergentError(
-        f"trapezoid quadrature of phi on [0, {r}] did not settle within {target} "
-        f"after {max_doublings} doublings; give a closed-form antiderivative",
-        iterations=max_doublings,
+        f"trapezoid quadrature of phi on [0, {r}] did not settle within {_TRAPEZOID_TARGET} "
+        f"after {_TRAPEZOID_DOUBLINGS} doublings; give a closed-form antiderivative",
+        iterations=_TRAPEZOID_DOUBLINGS,
     )
 
 

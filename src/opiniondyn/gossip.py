@@ -39,7 +39,7 @@ from math import inf
 import numpy as np
 
 from .linear_dynamics import check_stochastic
-from .state import OpinionState, Trajectory
+from .state import OpinionState, Trajectory, _frozen, _unit_weights
 
 __all__ = [
     "RngSeed",
@@ -90,31 +90,17 @@ def make_rng(seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegrootGossip:
-    """One-sided gossip averaging.
-
-    A uniformly random agent i becomes active, samples a partner j from row
-    i of the zero-diagonal stochastic matrix p, and moves by its gain:
-    x_i' = x_i + gains_i (x_j - x_i). Nobody else changes.
-    Draw order: activation index, then one uniform variate mapped through
-    the row's cumulative distribution.
-    """
-
-    p: np.ndarray
-    gains: np.ndarray
+class _RowPartners:
+    """The activation shared by the two averaging gossips: a uniformly random
+    agent i samples its partner j from row i of the zero-diagonal stochastic
+    matrix p. Draw order: activation index, then one uniform variate mapped
+    through the row's cumulative distribution."""
 
     def __post_init__(self):
         p = check_stochastic(self.p)
         if np.any(np.diag(p) != 0):
             raise ValueError("partner matrix must have a zero diagonal")
-        g = np.asarray(self.gains, dtype=float)
-        if g.shape != (p.shape[0],):
-            raise ValueError("one gain per agent required")
-        if not np.all((g > 0) & (g < 1)):
-            raise ValueError("gains must lie strictly inside (0, 1)")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "p", _frozen(p))
 
     @property
     def n(self) -> int:
@@ -122,6 +108,27 @@ class DegrootGossip:
 
     def _draw(self, rng, n, count):
         return _draw_row_partners(self.p, rng, count)
+
+
+@dataclass(frozen=True)
+class DegrootGossip(_RowPartners):
+    """One-sided gossip averaging.
+
+    The active agent i moves toward its sampled partner j by its gain:
+    x_i' = x_i + gains_i (x_j - x_i). Nobody else changes.
+    """
+
+    p: np.ndarray
+    gains: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        g = np.asarray(self.gains, dtype=float)
+        if g.shape != (self.n,):
+            raise ValueError("one gain per agent required")
+        if not np.all((g > 0) & (g < 1)):
+            raise ValueError("gains must lie strictly inside (0, 1)")
+        object.__setattr__(self, "gains", _frozen(g))
 
     def _apply(self, x, draws, snap, keep):
         gains = self.gains.tolist()
@@ -134,27 +141,12 @@ class DegrootGossip:
 
 
 @dataclass(frozen=True)
-class SymmetricPairGossip:
-    """Both sampled agents move to their midpoint.
-
-    Activation as in one-sided gossip (agent uniform, partner from row i of
-    p); then x_i' = x_j' = (x_i + x_j) / 2.
+class SymmetricPairGossip(_RowPartners):
+    """Both sampled agents move to their midpoint:
+    x_i' = x_j' = (x_i + x_j) / 2.
     """
 
     p: np.ndarray
-
-    def __post_init__(self):
-        p = check_stochastic(self.p)
-        if np.any(np.diag(p) != 0):
-            raise ValueError("partner matrix must have a zero diagonal")
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-    def _draw(self, rng, n, count):
-        return _draw_row_partners(self.p, rng, count)
 
     def _apply(self, x, draws, snap, keep):
         for i, j, s in zip(*draws, snap):
@@ -197,6 +189,8 @@ class GossipFJ:
         u = np.asarray(self.u, dtype=float).reshape(-1)
         if u.shape[0] != g1.shape[0]:
             raise ValueError("prejudice vector length must match matrix size")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("prejudice values must be finite")
         arcs = tuple((int(i), int(j)) for i, j in self.arcs)
         if not arcs:
             raise ValueError("arc list must be nonempty")
@@ -208,9 +202,8 @@ class GossipFJ:
         support = {(int(i), int(j)) for i, j in zip(rows, cols)}
         if not support.issubset(set(arcs)):
             raise ValueError("gamma factors are supported outside the arc list")
-        object.__setattr__(self, "gamma1", g1)
-        object.__setattr__(self, "gamma2", g2)
-        object.__setattr__(self, "u", u)
+        for name, arr in (("gamma1", g1), ("gamma2", g2), ("u", u)):
+            object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "arcs", arcs)
 
     @classmethod
@@ -251,6 +244,10 @@ class _PairDynamics:
     d_j. ``_rule(n)`` gives the per-agent bounds as a list of floats and
     whether j moves too; the float loop and ``dw_run_exact`` both read it.
     """
+
+    def _check_mu(self):
+        if not 0 < self.mu < 1:
+            raise ValueError("the move fraction must lie in (0, 1)")
 
     def _draw(self, rng, n, count):
         return _draw_pairs(rng, n, count)
@@ -298,8 +295,7 @@ class DeffuantWeisbuch(_PairDynamics):
     def __post_init__(self):
         if not self.d > 0:  # NaN fails this too
             raise ValueError("confidence bound must be positive")
-        if not 0 < self.mu < 1:
-            raise ValueError("the move fraction must lie in (0, 1)")
+        self._check_mu()
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError("mode must be 'symmetric' or 'asymmetric'")
 
@@ -320,9 +316,8 @@ class DWHeterogeneous(_PairDynamics):
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 1 or not np.all(d > 0):
             raise ValueError("per-agent bounds must be a positive vector")
-        if not 0 < self.mu < 1:
-            raise ValueError("the move fraction must lie in (0, 1)")
-        object.__setattr__(self, "d", d)
+        self._check_mu()
+        object.__setattr__(self, "d", _frozen(d))
 
     @property
     def n(self) -> int:
@@ -335,12 +330,8 @@ class DWHeterogeneous(_PairDynamics):
 def build_gammas(lam, w):
     """Split a stochastic coupling matrix into the opinion and prejudice
     factors: gamma1 = diag(lam) W, gamma2 = (I - diag(lam)) W."""
-    lam = np.asarray(lam, dtype=float)
     w = check_stochastic(w)
-    if lam.shape != (w.shape[0],):
-        raise ValueError("lam must be a length-n vector")
-    if not np.all((lam >= 0) & (lam <= 1)):
-        raise ValueError("susceptibilities must lie in [0, 1]")
+    lam = _unit_weights(lam, w.shape[0], "susceptibilities")
     return lam[:, None] * w, (1.0 - lam)[:, None] * w
 
 
@@ -358,7 +349,7 @@ def build_gammas(lam, w):
 # the per-agent bounds and whether the partner moves too, and one loop in
 # ``_PairDynamics._apply`` applies it.
 
-_MODELS = (DegrootGossip, SymmetricPairGossip, GossipFJ, _PairDynamics)
+_MODELS = (_RowPartners, GossipFJ, _PairDynamics)
 
 
 def _draw_row_partners(p: np.ndarray, rng, count: int):

@@ -25,6 +25,8 @@ from .state import (
     OpinionState,
     Trajectory,
     UnstableError,
+    _frozen,
+    _unit_weights,
     as_state_array,
 )
 
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 STOCHASTIC_TOL = 1e-9
+_NULL_ITERS = 10000  # power iterations of left_null_vector
+_NULL_RESIDUAL = 1e-12  # its early-stop target for |p^T L|_inf
 
 KIND_STOCHASTIC = "stochastic"
 KIND_NONNEGATIVE = "nonnegative"
@@ -149,7 +153,7 @@ class WeightSpec:
         if set_count != 1:
             raise ValueError("exactly one of matrix, schedule, rule must be given")
         if self.matrix is not None:
-            w = self._frozen(self.matrix)
+            w = _frozen(self._validated(self.matrix))
             object.__setattr__(self, "matrix", w)
             object.__setattr__(self, "n", w.shape[0])
         elif self.schedule is not None:
@@ -161,7 +165,7 @@ class WeightSpec:
                 if not until > prev:  # also rejects NaN
                     raise ValueError("schedule breakpoints must be strictly increasing")
                 prev = until
-                w = self._frozen(mat)
+                w = _frozen(self._validated(mat))
                 if size is None:
                     size = w.shape[0]
                 elif w.shape[0] != size:
@@ -175,13 +179,6 @@ class WeightSpec:
             if self.n is None:
                 raise ValueError("rule provider requires the agent count n")
 
-    def _frozen(self, mat) -> np.ndarray:
-        """A validated read-only copy, so a caller's later writes to its own
-        array cannot reach the spec."""
-        w = self._validated(mat).copy()
-        w.setflags(write=False)
-        return w
-
     def _validated(self, mat) -> np.ndarray:
         if self.kind == KIND_STOCHASTIC:
             return check_stochastic(mat)
@@ -192,7 +189,7 @@ class WeightSpec:
 
     @classmethod
     def constant(cls, kind: str, matrix) -> "WeightSpec":
-        return cls(kind=kind, matrix=_as_square(matrix))
+        return cls(kind=kind, matrix=matrix)
 
     @classmethod
     def scheduled(cls, kind: str, schedule) -> "WeightSpec":
@@ -248,19 +245,13 @@ class FJSpec:
     u: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
         w = check_stochastic(self.w)
         u = as_state_array(self.u)
-        if lam.ndim != 1 or lam.shape[0] != w.shape[0]:
-            raise ValueError("lam must be a length-n vector")
-        if not np.all((lam >= 0) & (lam <= 1)):
-            raise ValueError("susceptibilities must lie in [0, 1]")
+        lam = _unit_weights(self.lam, w.shape[0], "susceptibilities")
         if u.shape[0] != w.shape[0]:
             raise ValueError("prejudice vector length must match matrix size")
         for name, arr in (("lam", lam), ("w", w), ("u", u)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def n(self) -> int:
@@ -297,12 +288,10 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
         raise ValueError("discrete iteration takes a stochastic or signed spec")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    check = check_signed_row_stochastic if spec.kind == KIND_SIGNED else check_stochastic
-    if spec.matrix is not None:
-        check(spec.matrix)
-    elif spec.schedule is not None:
-        for _, mat in spec.schedule:
-            check(mat)
+    signed = spec.kind == KIND_SIGNED
+    if signed and spec.rule is None:
+        for _, mat in spec.schedule or [(None, spec.matrix)]:
+            check_signed_row_stochastic(mat)
 
     x = x0.values
     states = [x]
@@ -310,9 +299,9 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
     terminated_at = None
     for k in range(steps):
         w = spec.matrix_at(k, x)
-        if spec.rule is not None and spec.kind == KIND_SIGNED:
+        if signed and spec.rule is not None:
             # matrix_at already checked a stochastic rule's matrix
-            check(w)
+            check_signed_row_stochastic(w)
         x_next = w @ x
         events.append({"segment": spec.segment_index(k)})
         states.append(x_next)
@@ -337,6 +326,10 @@ def matrix_product_limit(spec: WeightSpec, tol: float = 1e-12, max_iter: int = 1
     """
     if spec.kind != KIND_STOCHASTIC:
         raise ValueError("matrix products are defined for stochastic specs")
+    if not tol > 0:  # NaN fails this too; at 0 no difference is below tol
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     prod = spec.matrix_at(0).copy()
     for k in range(1, max_iter + 1):
         nxt = spec.matrix_at(k) @ prod
@@ -478,13 +471,13 @@ def flow_simulate(
     multiple; every step is recorded. Aborts with IntegrationError on a
     non-finite state.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:  # NaN fails this too
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     x = x0.values
     if dt is None:
         dt = default_flow_step(spec.matrix_at(0.0, x))
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     h = t_end / n_steps
 
@@ -518,23 +511,23 @@ def flow_simulate(
     return Trajectory(states, stamps)
 
 
-def left_null_vector(lap: np.ndarray, iters: int = 10000, residual: float = 1e-12) -> np.ndarray:
+def left_null_vector(lap: np.ndarray) -> np.ndarray:
     """Normalized nonnegative left null vector of a (nonnegative-graph)
-    Laplacian, by power iteration on the transpose of I - L / (1 + max
-    diagonal). Stops early once the residual |p^T L|_inf drops below the
-    target."""
+    Laplacian, by at most _NULL_ITERS steps of power iteration on the
+    transpose of I - L / (1 + max diagonal). Stops early once the residual
+    |p^T L|_inf drops below _NULL_RESIDUAL."""
     n = lap.shape[0]
     scale = 1.0 + float(np.max(np.diag(lap)))
     b = (np.eye(n) - lap / scale).T
     p = np.full(n, 1.0 / n)
-    for _ in range(iters):
+    for _ in range(_NULL_ITERS):
         p = b @ p
         p = np.abs(p)
         s = p.sum()
         if s == 0:
             raise NonConvergentError("left null vector iteration collapsed to zero")
         p /= s
-        if np.max(np.abs(p @ lap)) < residual:
+        if np.max(np.abs(p @ lap)) < _NULL_RESIDUAL:
             break
     return p
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .state import _frozen
+
 __all__ = [
     "SignedGraph",
     "BalanceResult",
@@ -54,9 +56,7 @@ class SignedGraph:
             raise ValueError("weights must be finite")
         if not self.zero_tol >= 0:
             raise ValueError("zero_tol must be nonnegative")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def n(self) -> int:

@@ -46,6 +46,26 @@ def _pairwise_sq(values: np.ndarray) -> np.ndarray:
     return (diff**2).sum(-1)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy in C order, as ndarray.copy makes it (row sums
+    of another layout can round differently): how every frozen type stores
+    an array, so the caller's later writes cannot reach the validated data."""
+    arr = np.array(values, dtype=float, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def _unit_weights(lam, n: int, what: str) -> np.ndarray:
+    """lam as a float vector of n per-agent weights in [0, 1]; ``what``
+    names the weights in the error."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (n,):
+        raise ValueError("lam must be a length-n vector")
+    if not np.all((lam >= 0) & (lam <= 1)):
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return lam
+
+
 def as_state_array(values) -> np.ndarray:
     """Coerce input to an (n, m) float array; 1-D input becomes (n, 1)."""
     arr = np.asarray(values, dtype=float)
@@ -67,10 +87,7 @@ class OpinionState:
     values: np.ndarray  # shape (n, m), treated as immutable
 
     def __post_init__(self):
-        arr = as_state_array(self.values)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(as_state_array(self.values)))
 
     @property
     def n(self) -> int:

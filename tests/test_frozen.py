@@ -1,0 +1,76 @@
+"""Every type that holds arrays stores read-only copies of them, so a caller's
+later writes to its own arrays reach neither the stored values nor a run."""
+
+import numpy as np
+import pytest
+
+from opiniondyn import (
+    ConfidenceSpec,
+    DWHeterogeneous,
+    DegrootGossip,
+    FJSpec,
+    GossipFJ,
+    OpinionState,
+    SignedGraph,
+    SymmetricPairGossip,
+    WeightSpec,
+    build_gammas,
+    fj_fixed_point,
+    hk_step,
+    predict_bipartite_consensus,
+    simulate_discrete,
+    simulate_gossip,
+)
+
+W = np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5]])
+P = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+X0 = OpinionState([0.1, 0.5, 0.9])
+
+
+def _gossip(model):
+    return simulate_gossip(model, X0, steps=50, seed=(7, 1)).array
+
+
+def _fj_gossip(g1, g2, u):
+    arcs = tuple(zip(*(a.tolist() for a in np.nonzero(W))))
+    return GossipFJ(gamma1=g1, gamma2=g2, u=u, arcs=arcs)
+
+
+# name: (the caller's arrays, constructor, stored attributes, run)
+CASES = {
+    "OpinionState": (lambda: [np.array([0.1, 0.2, 0.9])], OpinionState, ("values",),
+                     lambda s: hk_step(s, ConfidenceSpec.symmetric(0.3)).values),
+    "SignedGraph": (lambda: [np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, -1.0, 0.0]])],
+                    SignedGraph, ("weights",),
+                    lambda g: predict_bipartite_consensus(g, X0).values),
+    "WeightSpec": (lambda: [W.copy()], lambda w: WeightSpec.constant("stochastic", w),
+                   ("matrix",), lambda spec: simulate_discrete(spec, X0, 5).array),
+    "FJSpec": (lambda: [np.array([0.5, 0.9, 0.2]), W.copy(), np.array([1.0, 0.0, 0.5])],
+               lambda lam, w, u: FJSpec(lam=lam, w=w, u=u), ("lam", "w", "u"),
+               lambda spec: fj_fixed_point(spec).values),
+    "DegrootGossip": (lambda: [P.copy(), np.array([0.5, 0.3, 0.6])], DegrootGossip,
+                      ("p", "gains"), _gossip),
+    "SymmetricPairGossip": (lambda: [P.copy()], SymmetricPairGossip, ("p",), _gossip),
+    "GossipFJ": (lambda: [*build_gammas(np.array([0.5, 0.9, 0.2]), W), np.array([1.0, 0.0, 0.5])],
+                 _fj_gossip, ("gamma1", "gamma2", "u"), _gossip),
+    "DWHeterogeneous": (lambda: [np.array([0.3, 0.5, 0.2])], lambda d: DWHeterogeneous(d, 0.5),
+                        ("d",), _gossip),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_stored_arrays_are_frozen_copies(name):
+    make_arrays, build, attrs, run = CASES[name]
+    arrays = make_arrays()
+    held = build(*arrays)
+    stored = {attr: getattr(held, attr).copy() for attr in attrs}
+    expected = run(held)
+    for attr in attrs:
+        value = getattr(held, attr)
+        assert not value.flags.writeable
+        assert not any(np.shares_memory(value, arr) for arr in arrays)
+    for arr in arrays:
+        arr.fill(-5.0)
+    for attr in attrs:
+        assert np.array_equal(getattr(held, attr), stored[attr])
+    assert np.array_equal(run(held), expected)

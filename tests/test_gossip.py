@@ -679,6 +679,15 @@ class TestMoreGossipSurfaces:
         with pytest.raises(ValueError, match="entrywise nonnegative"):
             GossipFJ(np.zeros((2, 2)), g1, np.zeros(2), arcs)
 
+    @pytest.mark.parametrize("u", [[np.nan, 1.0], [0.0, np.inf]])
+    def test_non_finite_prejudice_rejected_at_construction(self, u):
+        w = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="prejudice values must be finite"):
+            GossipFJ.from_fj([0.5, 0.5], w, u)
+        model = GossipFJ.from_fj([0.5, 0.5], w, [0.0, 1.0])
+        with pytest.raises(ValueError, match="prejudice values must be finite"):
+            gossip_step(OpinionState([0.0, 1.0]), model, rng=1, u=u)
+
     @pytest.mark.parametrize("d", [0.0, -0.1, float("nan")])
     def test_pair_dynamics_reject_bounds_that_are_not_positive(self, d):
         with pytest.raises(ValueError, match="positive"):

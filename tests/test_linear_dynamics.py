@@ -370,6 +370,18 @@ class TestMatrixProductLimit:
         assert np.max(np.abs(limit[:2, :2] - l1)) < 1e-10
         assert np.max(np.abs(limit[2:, 2:] - l2)) < 1e-10
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": float("nan")}, "tol must be positive"),
+        ({"tol": -1e-12}, "tol must be positive"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+    ])
+    def test_tol_and_budget_checked_before_the_loop(self, kwargs, message):
+        # a NaN tol compares false, so it used to run every product first
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            matrix_product_limit(WeightSpec.constant("stochastic", w), **kwargs)
+
     def test_periodic_matrix_raises(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NonConvergentError):
@@ -716,6 +728,22 @@ class TestTypeSymmetry:
 
 
 class TestFlowErrors:
+    @pytest.mark.parametrize("t_end, dt, message", [
+        (float("nan"), None, "t_end must be positive and finite, got nan"),
+        (float("inf"), None, "t_end must be positive and finite, got inf"),
+        (0.0, None, "t_end must be positive and finite, got 0.0"),
+        (1.0, float("nan"), "dt must be positive, got nan"),
+    ])
+    def test_horizon_and_step_are_checked(self, t_end, dt, message):
+        from opiniondyn import smooth_hk_simulate
+
+        a = WeightSpec.constant("nonnegative", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        x0 = OpinionState([0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            flow_simulate(a, x0, t_end=t_end, dt=dt)
+        with pytest.raises(ValueError, match=message):
+            smooth_hk_simulate(x0, lambda y: 1.0, t_end=t_end, dt=dt)
+
     def test_nan_overflow_aborts_with_diagnostic(self):
         from opiniondyn import IntegrationError
 
