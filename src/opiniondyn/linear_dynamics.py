@@ -289,9 +289,10 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
     if steps < 0:
         raise ValueError("steps must be >= 0")
     signed = spec.kind == KIND_SIGNED
-    if signed and spec.rule is None:
+    check = check_signed_row_stochastic if signed else check_stochastic
+    if spec.rule is None:
         for _, mat in spec.schedule or [(None, spec.matrix)]:
-            check_signed_row_stochastic(mat)
+            check(mat)
 
     x = x0.values
     states = [x]
@@ -301,7 +302,7 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
         w = spec.matrix_at(k, x)
         if signed and spec.rule is not None:
             # matrix_at already checked a stochastic rule's matrix
-            check_signed_row_stochastic(w)
+            check(w)
         x_next = w @ x
         events.append({"segment": spec.segment_index(k)})
         states.append(x_next)

@@ -299,19 +299,6 @@ class TestSimulateDiscrete:
         with pytest.raises(ValueError, match="modulus row sums"):
             simulate_discrete(spec, OpinionState([1.0, 2.0]), 5)
 
-    @pytest.mark.parametrize("provider", ["constant", "scheduled"])
-    def test_stored_stochastic_matrices_are_not_checked_again(self, monkeypatch, provider):
-        # the spec checked and froze them when it was built
-        w = np.full((2, 2), 0.5)
-        if provider == "constant":
-            spec = WeightSpec.constant("stochastic", w)
-        else:
-            spec = WeightSpec.scheduled("stochastic", [(1.0, np.eye(2)), (2.0, w)])
-        monkeypatch.setattr(linear_dynamics, "check_stochastic",
-                            lambda *args, **kwargs: pytest.fail("checked again"))
-        traj = simulate_discrete(spec, OpinionState([0.0, 1.0]), 3)
-        assert np.array_equal(traj.final.values, [[0.5], [0.5]])
-
     def test_stochastic_rule_matrix_validated_once_per_step(self, monkeypatch):
         calls = []
         check = linear_dynamics.check_stochastic
