@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split, trust_matrix
+from .gossip import make_rng
 from .net_graph import _component_labels, _tarjan_scc
 from .state import MaxStepsError, OpinionState, Trajectory, _pairwise_sq
 
@@ -249,9 +250,7 @@ def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
         spec = ConfidenceSpec.symmetric(d)
         counts = []
         for trial in range(trials):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed, spawn_key=(d_idx, trial)))
-            )
+            rng = make_rng(seed, d_idx, trial)
             x0 = OpinionState(rng.uniform(0.0, 1.0, size=n))
             try:
                 traj = simulate_bc(lambda s: hk_step(s, spec), x0, max_steps=bound)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .linear_dynamics import KIND_NONNEGATIVE, WeightSpec, flow_simulate
 from .state import MaxStepsError, NonConvergentError, OpinionState, Trajectory
-from .state import _pairwise_sq, _unit_weights
+from .state import _frozen, _pairwise_sq, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -261,54 +261,45 @@ def inertial_step(x: OpinionState, lam, spec: ConfidenceSpec) -> OpinionState:
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Distance-responsive interaction weights.
+    """Distance-responsive interaction weights: one weight function
+    phi(sigma) >= 0 of the squared distance, with phi(0) > 0 (the diagonal's
+    sigma), scaled to w_j phi(sigma) by agent j's positive reputation when
+    ``reputations`` w is given. Phi(r) = integral of phi over [0, r], scaled
+    alike, may be given in closed form for the energy; otherwise
+    iterated-trapezoid quadrature approximates it to a 1e-8 target."""
 
-    Either one shared weight function phi(sigma) >= 0 of the squared
-    distance, or an n x n table of per-pair functions (the diagonal entries
-    must be positive constants so every denominator stays positive). An
-    antiderivative Phi(r) = integral of phi over [0, r] may be supplied in
-    closed form for energy evaluation; otherwise it is approximated by
-    iterated-trapezoid quadrature to a 1e-8 target.
-    """
-
-    phi: Callable | None = None
-    phi_table: tuple | None = None  # n x n nested tuple of callables
+    phi: Callable
     antiderivative: Callable | None = None
-    antiderivative_table: tuple | None = None
+    reputations: np.ndarray | None = None
 
     def __post_init__(self):
-        if (self.phi is None) == (self.phi_table is None):
-            raise ValueError("provide exactly one of phi, phi_table")
-        if self.phi is not None:
-            if self.phi(0.0) <= 0:
-                raise ValueError("phi(0) must be positive")
-        else:
-            probes = (0.0, 0.37, 1.0, 5.5)
-            for i, row in enumerate(self.phi_table):
-                f = row[i]
-                vals = {f(p) for p in probes}
-                if len(vals) != 1 or next(iter(vals)) <= 0:
-                    raise ValueError("diagonal weight functions must be positive constants")
+        if self.phi(0.0) <= 0:
+            raise ValueError("phi(0) must be positive")
+        if self.reputations is not None:
+            w = _frozen(self.reputations)
+            if w.ndim != 1:
+                raise ValueError("reputations must be a vector")
+            if not np.all(w > 0):  # "not > 0" rejects NaN too
+                raise ValueError("reputations must be positive")
+            object.__setattr__(self, "reputations", w)
 
     @property
     def n(self) -> int | None:
-        return None if self.phi_table is None else len(self.phi_table)
+        return None if self.reputations is None else len(self.reputations)
 
     def weight(self, i: int, j: int, sigma: float) -> float:
-        f = self.phi if self.phi is not None else self.phi_table[i][j]
-        v = float(f(sigma))
+        v = float(self.phi(sigma))
+        if v and self.reputations is not None:  # a zero weight stays 0, also for w_j = inf
+            v = float(self.reputations[j] * v)
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"weight function returned {v} at sigma={sigma}")
         return v
 
     def potential(self, i: int, j: int, r: float) -> float:
         """Phi^{ij}(r), from the closed form when given, else by quadrature."""
-        if self.antiderivative is not None:
-            return float(self.antiderivative(r))
-        if self.antiderivative_table is not None:
-            return float(self.antiderivative_table[i][j](r))
-        f = self.phi if self.phi is not None else self.phi_table[i][j]
-        return _trapezoid_antiderivative(f, r)
+        anti = self.antiderivative
+        v = anti(r) if anti is not None else _trapezoid_antiderivative(self.phi, r)
+        return float(v if self.reputations is None else self.reputations[j] * v)
 
 
 def _trapezoid_antiderivative(f, r: float) -> float:
@@ -376,39 +367,24 @@ def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
 
 
 def reputation_phi(w, d: float) -> PhiSpec:
-    """Per-pair weights phi^{ij}(sigma) = w_j for sigma < d^2 (0 beyond):
-    every agent inside the confidence ball counts with its own positive
-    reputation w_j. Diagonal entries are the constant w_i (they are only
-    ever evaluated at distance zero)."""
-    w = [float(v) for v in w]
-    if any(not v > 0 for v in w):
-        raise ValueError("reputations must be positive")
+    """Weights phi^{ij}(sigma) = w_j for sigma < d^2 (0 beyond): every agent
+    inside the confidence ball counts with its own positive reputation w_j,
+    as the indicator of sigma < d^2 (Phi(r) = min(r, d^2)) scaled by w."""
     if not d > 0:
         raise ValueError("confidence bound must be positive")
     dsq = d * d
-    n = len(w)
+    return PhiSpec(phi=lambda sigma: 1.0 if sigma < dsq else 0.0,
+                   antiderivative=lambda r: min(r, dsq), reputations=w)
 
-    def make(i, j):
-        wj = w[j]
-        if i == j:
-            return lambda sigma: wj
-        return lambda sigma: wj if sigma < dsq else 0.0
 
-    def make_anti(i, j):
-        wj = w[j]
-        if i == j:
-            return lambda r: wj * r
-        return lambda r: wj * min(r, dsq)
-
-    table = tuple(tuple(make(i, j) for j in range(n)) for i in range(n))
-    anti = tuple(tuple(make_anti(i, j) for j in range(n)) for i in range(n))
-    return PhiSpec(phi_table=table, antiderivative_table=anti)
+def _phi_sq(x: OpinionState, phi: PhiSpec) -> np.ndarray:
+    if phi.n not in (None, x.n):
+        raise ValueError("reputation count must match the agent count")
+    return _pairwise_sq(x.values)
 
 
 def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
-    if phi.n is not None and phi.n != x.n:
-        raise ValueError("weight table size must match the agent count")
-    sq = _pairwise_sq(x.values)
+    sq = _phi_sq(x, phi)
     n = x.n
     w = np.empty((n, n))
     for i in range(n):
@@ -477,7 +453,7 @@ def phi_energy(x: OpinionState, phi: PhiSpec) -> float:
     """Interaction energy sum_{i,j} Phi(|x_i - x_j|^2) with Phi the
     antiderivative of the weight function; non-increasing weights make this
     a Lyapunov function of the weighted step."""
-    sq = _pairwise_sq(x.values)
+    sq = _phi_sq(x, phi)
     n = x.n
     return float(sum(phi.potential(i, j, sq[i, j]) for i in range(n) for j in range(n)))
 

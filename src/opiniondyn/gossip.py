@@ -31,7 +31,7 @@ sum exactly.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
 from math import inf
@@ -39,6 +39,7 @@ from math import inf
 import numpy as np
 
 from .linear_dynamics import check_stochastic
+from .net_graph import _first_hit
 from .state import OpinionState, Trajectory, _frozen, _unit_weights
 
 __all__ = [
@@ -71,18 +72,19 @@ class RngSeed:
     stream: int = 0
 
 
-def make_rng(seed) -> np.random.Generator:
-    """Philox generator for a seed given as int, RngSeed, or (seed, stream)."""
+def make_rng(seed, *spawn_key) -> np.random.Generator:
+    """Philox generator of SeedSequence(seed, spawn_key=spawn_key); an RngSeed
+    or (seed, stream) tuple, or a bare seed (stream 0), has the spawn key
+    (stream,). A Generator is returned as it is."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, RngSeed):
-        key, stream = seed.seed, seed.stream
-    elif isinstance(seed, tuple):
-        key, stream = seed
-    else:
-        key, stream = int(seed), 0
-    ss = np.random.SeedSequence(key, spawn_key=(stream,))
-    return np.random.Generator(np.random.Philox(ss))
+        return make_rng(seed.seed, seed.stream)
+    if isinstance(seed, tuple):
+        return make_rng(*seed)
+    if not spawn_key:
+        return make_rng(int(seed), 0)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,7 @@ class GossipFJ:
     gamma2: np.ndarray
     u: np.ndarray
     arcs: tuple
+    _by_arc: tuple = field(default=(), init=False, repr=False)  # tails, heads, gamma1, gamma2
 
     def __post_init__(self):
         g1 = np.asarray(self.gamma1, dtype=float)
@@ -195,16 +198,20 @@ class GossipFJ:
         if not arcs:
             raise ValueError("arc list must be nonempty")
         n = g1.shape[0]
-        for i, j in arcs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"invalid arc ({i}, {j})")
-        rows, cols = np.nonzero(g1 + g2)
-        support = {(int(i), int(j)) for i, j in zip(rows, cols)}
-        if not support.issubset(set(arcs)):
+        ends = np.array(arcs)
+        hit = _first_hit(((ends < 0) | (ends >= n)).any(axis=1))
+        if hit:
+            raise ValueError("invalid arc ({}, {})".format(*arcs[hit[0]]))
+        ai, aj = ends.T
+        listed = np.zeros((n, n), dtype=bool)
+        listed[ai, aj] = True
+        if np.any((g1 + g2 != 0) & ~listed):
             raise ValueError("gamma factors are supported outside the arc list")
         for name, arr in (("gamma1", g1), ("gamma2", g2), ("u", u)):
             object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "arcs", arcs)
+        by_arc = (_frozen(ai, int), _frozen(aj, int), _frozen(g1[ai, aj]), _frozen(g2[ai, aj]))
+        object.__setattr__(self, "_by_arc", by_arc)
 
     @classmethod
     def from_fj(cls, lam, w, u) -> "GossipFJ":
@@ -222,8 +229,7 @@ class GossipFJ:
 
     def _draw(self, rng, n, count):
         arc = rng.integers(len(self.arcs), size=count)
-        ai, aj = np.array(self.arcs).T
-        return ai[arc], aj[arc], self.gamma1[ai, aj][arc], self.gamma2[ai, aj][arc]
+        return tuple(a[arc] for a in self._by_arc)
 
     def _apply(self, x, draws, snap, keep):
         u = self.u.tolist()

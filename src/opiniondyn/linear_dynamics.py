@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -137,7 +137,8 @@ class WeightSpec:
 
     Exactly one provider is set: a constant matrix, a finite piecewise
     schedule of (until, matrix) pairs (matrix active while t < until), or a
-    rule (t, x) -> matrix for state-dependent couplings.
+    rule (t, x) -> matrix for state-dependent couplings. A matrix or schedule
+    is validated once into ``_segments``, a matrix as the one (inf, matrix).
     """
 
     kind: str
@@ -145,39 +146,35 @@ class WeightSpec:
     schedule: tuple | None = None  # ((until, matrix), ...) with increasing until
     rule: Callable | None = None
     n: int | None = None
+    _segments: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        set_count = sum(p is not None for p in (self.matrix, self.schedule, self.rule))
-        if set_count != 1:
+        if sum(p is not None for p in (self.matrix, self.schedule, self.rule)) != 1:
             raise ValueError("exactly one of matrix, schedule, rule must be given")
-        if self.matrix is not None:
-            w = _frozen(self._validated(self.matrix))
-            object.__setattr__(self, "matrix", w)
-            object.__setattr__(self, "n", w.shape[0])
-        elif self.schedule is not None:
-            entries = []
-            prev = -math.inf
-            size = None
-            for until, mat in self.schedule:
-                until = float(until)
-                if not until > prev:  # also rejects NaN
-                    raise ValueError("schedule breakpoints must be strictly increasing")
-                prev = until
-                w = _frozen(self._validated(mat))
-                if size is None:
-                    size = w.shape[0]
-                elif w.shape[0] != size:
-                    raise ValueError("all scheduled matrices must share one size")
-                entries.append((until, w))
-            if not entries:
-                raise ValueError("schedule must be nonempty")
-            object.__setattr__(self, "schedule", tuple(entries))
-            object.__setattr__(self, "n", size)
-        else:
+        if self.rule is not None:
             if self.n is None:
                 raise ValueError("rule provider requires the agent count n")
+            return
+        segments, prev = [], -math.inf
+        for until, mat in self.schedule if self.matrix is None else [(math.inf, self.matrix)]:
+            until = float(until)
+            if not until > prev:  # also rejects NaN
+                raise ValueError("schedule breakpoints must be strictly increasing")
+            prev = until
+            w = _frozen(self._validated(mat))
+            if segments and w.shape[0] != segments[0][1].shape[0]:
+                raise ValueError("all scheduled matrices must share one size")
+            segments.append((until, w))
+        if not segments:
+            raise ValueError("schedule must be nonempty")
+        object.__setattr__(self, "_segments", tuple(segments))
+        object.__setattr__(self, "n", w.shape[0])
+        if self.matrix is not None:
+            object.__setattr__(self, "matrix", w)
+        else:
+            object.__setattr__(self, "schedule", self._segments)
 
     def _validated(self, mat) -> np.ndarray:
         if self.kind == KIND_STOCHASTIC:
@@ -206,29 +203,24 @@ class WeightSpec:
     @property
     def end_time(self) -> float | None:
         """Last breakpoint of a scheduled provider; None otherwise."""
-        if self.schedule is None:
-            return None
-        return self.schedule[-1][0]
+        return None if self.schedule is None else self.schedule[-1][0]
 
     def matrix_at(self, t: float, x: np.ndarray | None = None) -> np.ndarray:
         """Active coupling matrix at time/step t (state x for rule providers)."""
-        if self.matrix is not None:
-            return self.matrix
-        if self.schedule is not None:
-            for until, mat in self.schedule:
-                if t < until:
-                    return mat
-            return self.schedule[-1][1]
-        return self._validated(self.rule(t, x))
+        for until, mat in self._segments:
+            if t < until:
+                return mat
+        if self.rule is not None:
+            return self._validated(self.rule(t, x))
+        return self._segments[-1][1]
 
     def segment_index(self, t: float) -> int:
-        """Index of the schedule segment active at t (constant specs give 0)."""
-        if self.schedule is None:
-            return 0
-        for idx, (until, _) in enumerate(self.schedule):
+        """Index of the schedule segment active at t (constant and rule specs give 0)."""
+        idx = 0
+        for idx, (until, _) in enumerate(self._segments):
             if t < until:
-                return idx
-        return len(self.schedule) - 1
+                break
+        return idx
 
 
 @dataclass(frozen=True)
@@ -290,9 +282,8 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
         raise ValueError("steps must be >= 0")
     signed = spec.kind == KIND_SIGNED
     check = check_signed_row_stochastic if signed else check_stochastic
-    if spec.rule is None:
-        for _, mat in spec.schedule or [(None, spec.matrix)]:
-            check(mat)
+    for _, mat in spec._segments:
+        check(mat)
 
     x = x0.values
     states = [x]
@@ -470,7 +461,7 @@ def flow_simulate(
     matrices. The step defaults to 0.01 / (1 + max modulus row sum of the
     initial matrix) and is then shrunk minimally so the horizon is an exact
     multiple; every step is recorded. Aborts with IntegrationError on a
-    non-finite state.
+    non-finite state; ValueError when the steps do not fit in memory.
     """
     if not 0 < t_end < math.inf:  # NaN fails this too
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -493,7 +484,11 @@ def flow_simulate(
             lap = laplacians[id(a)] = signed_laplacian_matrix(a)
         return -(lap @ state)
 
-    states = np.empty((n_steps + 1,) + x.shape)
+    try:
+        states = np.empty((n_steps + 1,) + x.shape)
+    except MemoryError as exc:
+        raise ValueError(f"t_end={t_end} with dt={dt} takes {n_steps} steps, "
+                         "too many states to hold in memory") from exc
     states[0] = x
     t = 0.0
     for k in range(n_steps):
@@ -579,13 +574,9 @@ def check_type_symmetry(spec: WeightSpec, k_bound: float) -> PremiseReport:
     one-sided arc fails for every K."""
     if not k_bound >= 1:
         raise ValueError("the symmetry constant must be >= 1")
-    if spec.schedule is not None:
-        mats = [(idx, mat) for idx, (_, mat) in enumerate(spec.schedule)]
-    elif spec.matrix is not None:
-        mats = [(0, spec.matrix)]
-    else:
+    if spec.rule is not None:
         raise ValueError("type symmetry is checked on explicit matrices, not rules")
-    for idx, mat in mats:
+    for idx, (_, mat) in enumerate(spec._segments):
         a = np.abs(mat)
         lo = np.minimum(a, a.T)
         # an absent reverse arc bounds its pair by 0, so a one-sided arc

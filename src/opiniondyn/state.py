@@ -46,11 +46,11 @@ def _pairwise_sq(values: np.ndarray) -> np.ndarray:
     return (diff**2).sum(-1)
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float copy in C order, as ndarray.copy makes it (row sums
-    of another layout can round differently): how every frozen type stores
-    an array, so the caller's later writes cannot reach the validated data."""
-    arr = np.array(values, dtype=float, order="C")
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy in C order (float unless ``dtype`` says otherwise), as
+    ndarray.copy makes it (row sums of another layout can round differently):
+    how every frozen type stores an array, so later writes cannot reach it."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

@@ -147,8 +147,98 @@ class TestPhiStep:
     def test_diagonal_weight_must_be_positive_constant(self):
         with pytest.raises(ValueError):
             PhiSpec(phi=lambda s: 0.0)
-        with pytest.raises(ValueError):
-            PhiSpec(phi_table=((lambda s: s,),))
+
+    @pytest.mark.parametrize("w", [[[1.0, 2.0]], 3.0])
+    def test_reputations_must_be_a_vector(self, w):
+        with pytest.raises(ValueError, match="reputations must be a vector"):
+            reputation_phi(w, 0.5)
+
+    def test_reputation_count_must_match_the_agent_count(self):
+        phi = reputation_phi([1.0, 2.0], 0.5)
+        x = OpinionState([0.0, 0.1, 0.2])
+        for run in (phi_step, phi_energy):
+            with pytest.raises(ValueError, match="reputation count must match the agent count"):
+                run(x, phi)
+
+    def test_infinite_reputation_fails_at_its_first_weight(self):
+        # the pair (0, 1) lies beyond d, so its weight stays 0, as the per-pair
+        # table gave it; agent 1's own weight is the first to be inf
+        with pytest.raises(ValueError, match="weight function returned inf at sigma=0.0"):
+            phi_step(OpinionState([0.0, 1.0]), reputation_phi([1.0, float("inf")], 0.5))
+
+
+def oracle_reputation_phi(w, d):
+    """The per-pair closure tables that reputation_phi built before it scaled
+    one indicator by the reputations, with the table lookups of the weight,
+    potential, weighted step and energy that read them."""
+    w = [float(v) for v in w]
+    dsq = d * d
+    n = len(w)
+
+    def make(i, j):
+        wj = w[j]
+        if i == j:
+            return lambda sigma: wj
+        return lambda sigma: wj if sigma < dsq else 0.0
+
+    def make_anti(i, j):
+        wj = w[j]
+        if i == j:
+            return lambda r: wj * r
+        return lambda r: wj * min(r, dsq)
+
+    table = tuple(tuple(make(i, j) for j in range(n)) for i in range(n))
+    anti = tuple(tuple(make_anti(i, j) for j in range(n)) for i in range(n))
+    return table, anti
+
+
+def oracle_phi_step(x, table):
+    sq = bc._pairwise_sq(x.values)
+    n = x.n
+    w = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            w[i, j] = float(table[i][j](sq[i, j]))
+    return OpinionState((w @ x.values) / w.sum(axis=1)[:, None])
+
+
+def oracle_phi_energy(x, anti):
+    sq = bc._pairwise_sq(x.values)
+    n = x.n
+    return float(sum(float(anti[i][j](sq[i, j])) for i in range(n) for j in range(n)))
+
+
+class TestReputationOracle:
+    """reputation_phi as one indicator scaled by the reputations gives the
+    bits of the per-pair closure tables it replaced."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_steps_energies_and_runs_match_the_closure_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 3))
+        w = rng.uniform(0.1, 5.0, size=n)
+        d = float(rng.uniform(0.1, 0.6))
+        x0 = OpinionState(rng.uniform(0.0, 1.0, size=(n, m)))
+        phi = reputation_phi(w, d)
+        table, anti = oracle_reputation_phi(w, d)
+        x = x0
+        for _ in range(5):
+            assert phi_energy(x, phi) == oracle_phi_energy(x, anti)
+            step = phi_step(x, phi)
+            assert step.values.tobytes() == oracle_phi_step(x, table).values.tobytes()
+            x = step
+        runs = [simulate_bc(stepper, x0, max_steps=500, stop_tol=1e-12)
+                for stepper in (lambda s: phi_step(s, phi), lambda s: oracle_phi_step(s, table))]
+        assert runs[0].array.tobytes() == runs[1].array.tobytes()
+        assert runs[0].terminated_at == runs[1].terminated_at
+
+    def test_pairs_exactly_at_the_bound_are_excluded_by_both(self):
+        x = OpinionState([0.0, 0.5, 1.0])
+        phi = reputation_phi([1.0, 2.0, 3.0], 0.5)
+        table, anti = oracle_reputation_phi([1.0, 2.0, 3.0], 0.5)
+        assert phi_step(x, phi).values.tobytes() == oracle_phi_step(x, table).values.tobytes()
+        assert phi_energy(x, phi) == oracle_phi_energy(x, anti)
 
 
 class TestTruthStep:

@@ -584,6 +584,23 @@ class TestInputErrors:
         assert "absent.csv" in payload["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_flow_horizon_beyond_memory_is_a_validation_error(self, tmp_path, capsys):
+        # 10**15 steps of two agents need 14.2 PiB, which numpy refuses
+        # before it allocates anything
+        config = {"model": "flow", "x0": [0.0, 1.0],
+                  "params": {"matrix": [[0.0, 1.0], [1.0, 0.0]], "t_end": 1e12, "dt": 1e-3}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert set(payload) == {"stage", "message", "hint"}
+        assert payload["stage"] == "validate"
+        assert "t_end=1000000000000.0 with dt=0.001 takes 1000000000000000 steps" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -17,7 +17,9 @@ from opiniondyn import (
     build_gammas,
     fj_fixed_point,
     hk_step,
+    phi_step,
     predict_bipartite_consensus,
+    reputation_phi,
     simulate_discrete,
     simulate_gossip,
 )
@@ -55,6 +57,8 @@ CASES = {
                  _fj_gossip, ("gamma1", "gamma2", "u"), _gossip),
     "DWHeterogeneous": (lambda: [np.array([0.3, 0.5, 0.2])], lambda d: DWHeterogeneous(d, 0.5),
                         ("d",), _gossip),
+    "PhiSpec": (lambda: [np.array([1.0, 2.0, 0.5])], lambda w: reputation_phi(w, 0.45),
+                ("reputations",), lambda spec: phi_step(X0, spec).values),
 }
 
 

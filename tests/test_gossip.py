@@ -264,6 +264,19 @@ class TestSimulateGossip:
         b = simulate_gossip(model, x0, steps=500, seed=RngSeed(7, stream=1))
         assert not np.array_equal(a.array, b.array)
 
+    def test_seed_forms_share_one_stream_derivation(self):
+        def philox(seed, *key):
+            ss = np.random.SeedSequence(seed, spawn_key=key)
+            return np.random.Generator(np.random.Philox(ss)).integers(1 << 62, size=4).tolist()
+
+        def draw(rng):
+            return rng.integers(1 << 62, size=4).tolist()
+
+        assert draw(make_rng(7)) == draw(make_rng((7, 0))) == draw(make_rng(RngSeed(7))) \
+            == philox(7, 0)
+        assert draw(make_rng((7, 3))) == draw(make_rng(RngSeed(7, 3))) == philox(7, 3)
+        assert draw(make_rng(7, 3, 2)) == philox(7, 3, 2)
+
     def test_event_replay_reproduces_states(self):
         # replaying the recorded pair sequence through the update formulas
         # must give the same trajectory as the simulator's internal loop
@@ -687,6 +700,36 @@ class TestMoreGossipSurfaces:
         model = GossipFJ.from_fj([0.5, 0.5], w, [0.0, 1.0])
         with pytest.raises(ValueError, match="prejudice values must be finite"):
             gossip_step(OpinionState([0.0, 1.0]), model, rng=1, u=u)
+
+    @pytest.mark.parametrize("arcs, bad", [
+        (((0, 0), (0, 2), (2, 1), (1, 1)), "(0, 2)"),
+        (((0, 1), (-1, 0), (1, 5)), "(-1, 0)"),
+    ])
+    def test_arc_outside_the_agents_rejected(self, arcs, bad):
+        g = np.zeros((2, 2))
+        with pytest.raises(ValueError) as info:
+            GossipFJ(g, g, np.zeros(2), arcs)
+        assert str(info.value) == f"invalid arc {bad}"
+
+    def test_gamma_support_outside_the_arc_list_rejected(self):
+        g1, g2 = build_gammas(FJ4_LAMBDA, FJ4_W)
+        arcs = tuple(zip(*(a.tolist() for a in np.nonzero(FJ4_W))))
+        GossipFJ(g1, g2, FJ4_U, arcs)  # the full support is accepted
+        for k in range(len(arcs)):
+            with pytest.raises(ValueError, match="supported outside the arc list"):
+                GossipFJ(g1, g2, FJ4_U, arcs[:k] + arcs[k + 1:])
+
+    def test_arc_draws_match_a_lookup_of_the_arc_list(self):
+        # arcs listed twice and out of order draw as the list says
+        g1, g2 = build_gammas(FJ4_LAMBDA, FJ4_W)
+        arcs = tuple(zip(*(a.tolist() for a in np.nonzero(FJ4_W))))[::-1] + ((2, 2), (0, 3))
+        model = GossipFJ(g1, g2, FJ4_U, arcs)
+        ai, aj = np.array(arcs).T
+        arc = make_rng(5).integers(len(arcs), size=1000)
+        expected = (ai[arc], aj[arc], g1[ai, aj][arc], g2[ai, aj][arc])
+        for got, want in zip(model._draw(make_rng(5), model.n, 1000), expected, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert model.arcs == arcs and all(type(k) is int for arc in model.arcs for k in arc)
 
     @pytest.mark.parametrize("d", [0.0, -0.1, float("nan")])
     def test_pair_dynamics_reject_bounds_that_are_not_positive(self, d):

@@ -60,6 +60,23 @@ class TestWeightSpec:
             held[0][0, 0] = -3.0
 
 
+    def test_providers_keep_their_public_values_and_lookups(self):
+        w, v = np.eye(2), np.full((2, 2), 0.5)
+        const = WeightSpec.constant("stochastic", w)
+        sched = WeightSpec.scheduled("stochastic", [(1.0, w), (3.0, v)])
+        rule = WeightSpec.from_rule("stochastic", lambda t, x: v, n=2)
+        assert (const.n, const.is_constant, const.end_time, const.schedule) == (2, True, None, None)
+        assert (sched.n, sched.is_constant, sched.end_time, sched.matrix) == (2, False, 3.0, None)
+        assert (rule.n, rule.is_constant, rule.end_time) == (2, False, None)
+        assert [u for u, _ in sched.schedule] == [1.0, 3.0]
+        for t, idx, mat in [(0.0, 0, w), (1.0, 1, v), (7.0, 1, v), (math.nan, 1, v)]:
+            assert const.matrix_at(t) is const.matrix and const.segment_index(t) == 0
+            assert sched.matrix_at(t) is sched.schedule[idx][1] and sched.segment_index(t) == idx
+            assert np.array_equal(sched.matrix_at(t), mat)
+            assert np.array_equal(rule.matrix_at(t, None), v) and rule.segment_index(t) == 0
+        with pytest.raises(ValueError, match="schedule must be nonempty"):
+            WeightSpec.scheduled("stochastic", [])
+
     @pytest.mark.parametrize("untils", [(float("nan"), 2.0), (1.0, float("nan")), (2.0, 2.0),
                                         (2.0, 1.0)])
     def test_schedule_breakpoints_must_increase(self, untils):
@@ -744,6 +761,14 @@ class TestFlowErrors:
             flow_simulate(a, x0, t_end=t_end, dt=dt)
         with pytest.raises(ValueError, match=message):
             smooth_hk_simulate(x0, lambda y: 1.0, t_end=t_end, dt=dt)
+
+    def test_horizon_beyond_memory_is_a_value_error(self):
+        # 10**15 steps of two agents need 14.2 PiB, which numpy refuses
+        # before it allocates anything
+        a = WeightSpec.constant("nonnegative", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="t_end=1000000000000.0 with dt=0.001 takes "
+                                             "1000000000000000 steps"):
+            flow_simulate(a, OpinionState([0.0, 1.0]), t_end=1e12, dt=1e-3)
 
     def test_nan_overflow_aborts_with_diagnostic(self):
         from opiniondyn import IntegrationError
