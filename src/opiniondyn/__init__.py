@@ -5,8 +5,9 @@ state-dependent coupling graphs (including signed/antagonistic couplings
 and their continuous-time flows), bounded-confidence dynamics with all the
 usual confidence geometries, and randomized pairwise gossip with seeded,
 reproducible randomness. Analysis covers signed-graph structure (Laplacian,
-structural balance, gauge transformations, connectivity), interaction
-energies, cluster extraction, and outcome classification.
+structural balance, gauge transformations, connectivity), the
+bounded-confidence interaction energy, cluster extraction, and outcome
+classification.
 """
 
 from .state import (
@@ -28,7 +29,6 @@ from .net_graph import (
     connectivity,
     gauge_apply,
     gauge_from_balance,
-    is_sign_symmetric,
     persistent_graph,
     signed_laplacian,
     signed_laplacian_matrix,
@@ -39,15 +39,11 @@ from .linear_dynamics import (
     FJSpec,
     PremiseReport,
     WeightSpec,
-    check_type_symmetry,
-    degroot_step,
     fj_fixed_point,
     flow_simulate,
-    matrix_product_limit,
     predict_bipartite_consensus,
     simulate_discrete,
     verify_convergence_premises,
-    verify_uqsc,
 )
 from .bounded_confidence import (
     ConfidenceSpec,
@@ -59,12 +55,9 @@ from .bounded_confidence import (
     hk_indicator_phi,
     hk_step,
     inertial_step,
-    phi_energy,
     phi_step,
     reputation_phi,
     simulate_bc,
-    smooth_hk_simulate,
-    trust_set,
     truth_step,
 )
 from .gossip import (
@@ -78,18 +71,14 @@ from .gossip import (
     build_gammas,
     cesaro,
     dw_run_exact,
-    gossip_step,
     make_rng,
     simulate_gossip,
 )
 from .analysis import (
     ClusterProfile,
     OutcomeLabel,
-    SEnergy,
     classify,
     clusters,
-    modulus_consensus,
-    s_energy,
     two_r_experiment,
 )
 

@@ -1,10 +1,9 @@
 """Post-hoc trajectory analytics.
 
-Interaction energies accumulated along a run, cluster extraction from a
-final state, outcome classification (consensus, two opposite camps, several
-clusters, or not settled), agreement of opinion magnitudes, and the Monte
-Carlo harness comparing bounded-confidence cluster counts with the 1/(2d)
-rule of thumb.
+Cluster extraction from a final state, outcome classification (consensus,
+two opposite camps, several clusters, or not settled), and the Monte Carlo
+harness comparing bounded-confidence cluster counts with the 1/(2d) rule of
+thumb.
 """
 
 from __future__ import annotations
@@ -14,93 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split, trust_matrix
+from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split
 from .gossip import make_rng
 from .net_graph import _component_labels, _tarjan_scc
 from .state import MaxStepsError, OpinionState, Trajectory, _pairwise_sq
 
 __all__ = [
-    "SEnergy",
     "ClusterProfile",
     "OutcomeLabel",
-    "s_energy",
-    "trust_pairs_per_step",
-    "event_pairs_per_step",
-    "support_pairs_per_step",
     "clusters",
     "classify",
-    "modulus_consensus",
     "two_r_experiment",
     "TwoRRow",
 ]
-
-
-@dataclass(frozen=True)
-class SEnergy:
-    """Accumulated interaction energies of a run: ``total`` sums active
-    pairwise gaps to the power s, ``kinetic`` sums per-step opinion
-    increments to the power s."""
-
-    total: float
-    kinetic: float
-
-
-def s_energy(trajectory: Trajectory, pairs_per_step, s: float) -> SEnergy:
-    """Truncated interaction energies over the recorded horizon.
-
-    ``pairs_per_step`` lists, for every transition k -> k+1, the ordered
-    agent pairs that were actively coupled at step k (trust pairs for
-    bounded confidence, the sampled pair for gossip, the support of the
-    step matrix otherwise); the generating model supplies them. Gaps use
-    the Euclidean norm per pair.
-    """
-    if s <= 0:
-        raise ValueError("the exponent must be positive")
-    pairs_per_step = list(pairs_per_step)
-    if len(pairs_per_step) != len(trajectory) - 1:
-        raise ValueError(
-            f"need pair records for each of the {len(trajectory) - 1} transitions, "
-            f"got {len(pairs_per_step)}"
-        )
-    arr = trajectory.array
-    total = 0.0
-    for k, pairs in enumerate(pairs_per_step):
-        state = arr[k]
-        for i, j in pairs:
-            gap = np.linalg.norm(state[i] - state[j])
-            total += gap**s
-    increments = np.linalg.norm(np.diff(arr, axis=0), axis=2)
-    kinetic = float((increments**s).sum())
-    return SEnergy(total=total, kinetic=kinetic)
-
-
-def trust_pairs_per_step(trajectory: Trajectory, spec: ConfidenceSpec):
-    """Ordered active pairs at each recorded state (last state excluded):
-    (i, j) for j != i in agent i's trust set."""
-    for k in range(len(trajectory) - 1):
-        mask = trust_matrix(trajectory.state(k), spec)
-        np.fill_diagonal(mask, False)
-        rows, cols = np.nonzero(mask)
-        yield list(zip(rows.tolist(), cols.tolist()))
-
-
-def event_pairs_per_step(trajectory: Trajectory):
-    """Realized interaction pairs of a gossip run: the sampled pair when it
-    interacted, nothing otherwise."""
-    if trajectory.events is None:
-        raise ValueError("trajectory carries no event records")
-    for i, j, interacted in trajectory.events:
-        yield [(i, j)] if interacted else []
-
-
-def support_pairs_per_step(spec, trajectory: Trajectory):
-    """Off-diagonal support of the step matrices of a discrete linear run."""
-    for k in range(len(trajectory) - 1):
-        w = spec.matrix_at(trajectory.stamps[k], trajectory.array[k])
-        mask = w != 0
-        np.fill_diagonal(mask, False)
-        rows, cols = np.nonzero(mask)
-        yield list(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)
@@ -200,13 +125,6 @@ def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -
         if np.linalg.norm(v1 + v2) < tol * (1.0 + np.linalg.norm(v1)):
             return OutcomeLabel(kind="polarization", count=2, camps=(m1, m2))
     return OutcomeLabel(kind="clusters", count=profile.count)
-
-
-def modulus_consensus(x: OpinionState, tol: float) -> bool:
-    """True when all opinion magnitudes agree: every | |x_i| - median |x| |
-    is below tol. Scalar opinions only."""
-    mags = np.abs(x.flat)
-    return bool(np.max(np.abs(mags - np.median(mags))) < tol)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ model (synchronous averaging over symmetric confidence intervals) is
 provided with every common confidence geometry: asymmetric and per-agent
 interval bounds, shifted left endpoints, and norm balls for vector
 opinions. Distance-weighted generalizations, truth-attracted and inertial
-variants, chain analysis for scalar runs, the quadratic interaction energy,
-and a smoothed continuous-time version are included.
+variants, chain analysis for scalar runs and the quadratic interaction
+energy are included.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .linear_dynamics import KIND_NONNEGATIVE, WeightSpec, flow_simulate
-from .state import MaxStepsError, NonConvergentError, OpinionState, Trajectory
+from .state import MaxStepsError, OpinionState, Trajectory
 from .state import _frozen, _pairwise_sq, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
     "PhiSpec",
     "DChainPartition",
-    "trust_set",
     "trust_matrix",
     "hk_step",
     "phi_step",
@@ -33,17 +31,13 @@ __all__ = [
     "inertial_step",
     "simulate_bc",
     "hk_energy",
-    "phi_energy",
     "d_chain_partition",
-    "smooth_hk_simulate",
     "hk_indicator_phi",
     "heterophily_phi",
     "reputation_phi",
 ]
 
 _NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
-_TRAPEZOID_TARGET = 1e-8  # difference of two estimates that ends the doubling
-_TRAPEZOID_DOUBLINGS = 12
 
 
 def _offsets(bound):
@@ -178,13 +172,6 @@ def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     return mask
 
 
-def trust_set(x: OpinionState, i: int, spec: ConfidenceSpec) -> frozenset:
-    """Agents whose opinions agent i currently accepts (always contains i)."""
-    if not 0 <= i < x.n:
-        raise ValueError(f"agent index {i} out of range")
-    return frozenset(np.nonzero(trust_matrix(x, spec)[i])[0].tolist())
-
-
 def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise mean of the trusted opinions.
 
@@ -239,6 +226,8 @@ def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionSta
     target = np.asarray(target, dtype=float).reshape(-1)
     if target.shape[0] != x.m:
         raise ValueError("target must be a point in opinion space")
+    if not np.all(np.isfinite(target)):
+        raise ValueError(f"target must be finite, got {target.tolist()}")
     means = _masked_mean(x.values, trust_matrix(x, spec))
     return OpinionState(lam[:, None] * means + (1.0 - lam)[:, None] * target[None, :])
 
@@ -264,12 +253,9 @@ class PhiSpec:
     """Distance-responsive interaction weights: one weight function
     phi(sigma) >= 0 of the squared distance, with phi(0) > 0 (the diagonal's
     sigma), scaled to w_j phi(sigma) by agent j's positive reputation when
-    ``reputations`` w is given. Phi(r) = integral of phi over [0, r], scaled
-    alike, may be given in closed form for the energy; otherwise
-    iterated-trapezoid quadrature approximates it to a 1e-8 target."""
+    ``reputations`` w is given."""
 
     phi: Callable
-    antiderivative: Callable | None = None
     reputations: np.ndarray | None = None
 
     def __post_init__(self):
@@ -295,54 +281,14 @@ class PhiSpec:
             raise ValueError(f"weight function returned {v} at sigma={sigma}")
         return v
 
-    def potential(self, i: int, j: int, r: float) -> float:
-        """Phi^{ij}(r), from the closed form when given, else by quadrature."""
-        anti = self.antiderivative
-        v = anti(r) if anti is not None else _trapezoid_antiderivative(self.phi, r)
-        return float(v if self.reputations is None else self.reputations[j] * v)
-
-
-def _trapezoid_antiderivative(f, r: float) -> float:
-    """Trapezoid rule for the integral of f over [0, r] on 64 cells, doubling
-    the cells until two estimates differ by less than _TRAPEZOID_TARGET. Each
-    pass evaluates f only at the new midpoints, so a call costs at most
-    64 * 2**_TRAPEZOID_DOUBLINGS + 1 evaluations; raises NonConvergentError
-    when the last pass still misses the target (e.g. f has a jump and no
-    closed-form antiderivative)."""
-    if r <= 0:
-        return 0.0
-    n = 64
-    grid = np.linspace(0.0, r, n + 1)
-    vals = np.array([f(g) for g in grid], dtype=float)
-    est = np.trapezoid(vals, grid)
-    for _ in range(_TRAPEZOID_DOUBLINGS):
-        n *= 2
-        grid = np.linspace(0.0, r, n + 1)
-        finer = np.empty(n + 1)
-        finer[::2] = vals  # grid[2k] is the previous grid[k], bit for bit
-        finer[1::2] = [f(g) for g in grid[1::2]]
-        vals = finer
-        nxt = np.trapezoid(vals, grid)
-        if abs(nxt - est) < _TRAPEZOID_TARGET:
-            return float(nxt)
-        est = nxt
-    raise NonConvergentError(
-        f"trapezoid quadrature of phi on [0, {r}] did not settle within {_TRAPEZOID_TARGET} "
-        f"after {_TRAPEZOID_DOUBLINGS} doublings; give a closed-form antiderivative",
-        iterations=_TRAPEZOID_DOUBLINGS,
-    )
-
 
 def hk_indicator_phi(d: float) -> PhiSpec:
     """Weights reproducing the plain bounded-confidence step: the indicator
-    of squared distances up to d^2, with the exact antiderivative min(r, d^2)."""
+    of squared distances up to d^2."""
     if not d > 0:
         raise ValueError("confidence bound must be positive")
     dsq = d * d
-    return PhiSpec(
-        phi=lambda sigma: 1.0 if sigma <= dsq else 0.0,
-        antiderivative=lambda r: min(r, dsq),
-    )
+    return PhiSpec(phi=lambda sigma: 1.0 if sigma <= dsq else 0.0)
 
 
 def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
@@ -360,31 +306,23 @@ def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
             return b
         return 0.0
 
-    def anti(r):
-        return a * min(r, s1) + b * min(max(r - s1, 0.0), s2 - s1)
-
-    return PhiSpec(phi=phi, antiderivative=anti)
+    return PhiSpec(phi=phi)
 
 
 def reputation_phi(w, d: float) -> PhiSpec:
     """Weights phi^{ij}(sigma) = w_j for sigma < d^2 (0 beyond): every agent
     inside the confidence ball counts with its own positive reputation w_j,
-    as the indicator of sigma < d^2 (Phi(r) = min(r, d^2)) scaled by w."""
+    as the indicator of sigma < d^2 scaled by w."""
     if not d > 0:
         raise ValueError("confidence bound must be positive")
     dsq = d * d
-    return PhiSpec(phi=lambda sigma: 1.0 if sigma < dsq else 0.0,
-                   antiderivative=lambda r: min(r, dsq), reputations=w)
-
-
-def _phi_sq(x: OpinionState, phi: PhiSpec) -> np.ndarray:
-    if phi.n not in (None, x.n):
-        raise ValueError("reputation count must match the agent count")
-    return _pairwise_sq(x.values)
+    return PhiSpec(phi=lambda sigma: 1.0 if sigma < dsq else 0.0, reputations=w)
 
 
 def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
-    sq = _phi_sq(x, phi)
+    if phi.n not in (None, x.n):
+        raise ValueError("reputation count must match the agent count")
+    sq = _pairwise_sq(x.values)
     n = x.n
     w = np.empty((n, n))
     for i in range(n):
@@ -449,15 +387,6 @@ def hk_energy(x: OpinionState, d: float) -> float:
     return float(np.minimum(sq, d * d).sum())
 
 
-def phi_energy(x: OpinionState, phi: PhiSpec) -> float:
-    """Interaction energy sum_{i,j} Phi(|x_i - x_j|^2) with Phi the
-    antiderivative of the weight function; non-increasing weights make this
-    a Lyapunov function of the weighted step."""
-    sq = _phi_sq(x, phi)
-    n = x.n
-    return float(sum(phi.potential(i, j, sq[i, j]) for i in range(n) for j in range(n)))
-
-
 @dataclass(frozen=True)
 class DChainPartition:
     """Maximal runs of sorted scalar opinions with consecutive gaps <= d.
@@ -493,28 +422,3 @@ def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     diameters = sorted_v[cuts[1:] - 1] - sorted_v[cuts[:-1]]
     chains = tuple(tuple(c.tolist()) for c in np.split(order, splits + 1))
     return DChainPartition(chains, tuple(diameters.tolist()), d)
-
-
-def smooth_hk_simulate(
-    x0: OpinionState, s: Callable[[float], float], t_end: float, dt: float | None = None
-) -> Trajectory:
-    """Continuous-time bounded-confidence flow with a smooth influence
-    profile: dx_i/dt = sum_j s(x_j - x_i) (x_j - x_i) for scalar opinions,
-    s even, continuous, and nonnegative. The even profile makes the
-    coupling symmetric, so the mean opinion is conserved. Delegates to the
-    Laplacian-flow integrator with the state-dependent matrix
-    A(x)_ij = s(x_j - x_i)."""
-    if x0.m != 1:
-        raise ValueError("the smoothed model is defined for scalar opinions")
-
-    def rule(t, state):
-        v = state[:, 0]
-        gap = v[None, :] - v[:, None]
-        a = np.vectorize(s, otypes=[float])(gap)
-        if np.any(a < 0):
-            raise ValueError("influence profile must be nonnegative")
-        np.fill_diagonal(a, 0.0)
-        return a
-
-    spec = WeightSpec.from_rule(KIND_NONNEGATIVE, rule, n=x0.n)
-    return flow_simulate(spec, x0, t_end=t_end, dt=dt)

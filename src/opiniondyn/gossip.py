@@ -14,9 +14,8 @@ draws never look at the state, so every model is split into a block draw
 and an update loop. The simulator consumes randomness in blocks of up to
 2**20 steps: within a block it first draws all activation indices, then
 all partner draws, in the order documented on each model, and then applies
-the block step by step. ``gossip_step`` is a one-step block, so a single
-step consumes the stream exactly as ``simulate_gossip(steps=1)`` does;
-replaying a simulation's recorded events reproduces its states.
+the block step by step. Replaying a simulation's recorded events
+reproduces its states.
 
 The three bounded-confidence pair dynamics are one rule: agent i moves by
 mu times the gap when the gap is within its bound d_i, and in the symmetric
@@ -31,7 +30,7 @@ sum exactly.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import inf
@@ -51,7 +50,6 @@ __all__ = [
     "DeffuantWeisbuch",
     "DWHeterogeneous",
     "build_gammas",
-    "gossip_step",
     "simulate_gossip",
     "dw_run_exact",
     "DWExactRun",
@@ -431,21 +429,6 @@ def _stamps(steps: int, thin: int) -> list:
     if steps % thin:
         stamps.append(steps)
     return stamps
-
-
-def gossip_step(x: OpinionState, model, rng, u=None):
-    """One randomized interaction; returns (new state, event record).
-
-    The event is the tuple (i, j, interacted) naming the sampled agents and
-    whether an update actually happened. Exactly the agents designated by
-    the model variant change; for GossipFJ the prejudice vector defaults to
-    the one stored on the model. The step is a one-step block of
-    ``simulate_gossip`` and consumes the generator exactly as it does.
-    """
-    if u is not None and isinstance(model, GossipFJ):
-        model = replace(model, u=u)
-    traj = simulate_gossip(model, x, steps=1, seed=rng)
-    return traj.final, traj.events[0]
 
 
 def simulate_gossip(

@@ -3,9 +3,10 @@
 Discrete-time recursions x(k+1) = W(k) x(k) with row-stochastic W (opinion
 pooling) or with signed W whose moduli are row-stochastic (antagonistic
 pooling), the continuous-time Laplacian flow dx/dt = -L[A(t, x)] x integrated
-with classical fixed-step RK4, the prejudice-anchored averaging model with
-its fixed point, and executable checks for the premises under which the
-time-varying recursion is known to converge.
+with classical fixed-step RK4 and its predicted limit on a static signed
+graph, the prejudice-anchored averaging model with its fixed point, and an
+executable check of the premises under which the discrete time-varying
+recursion is known to converge.
 """
 
 from __future__ import annotations
@@ -35,15 +36,11 @@ __all__ = [
     "FJSpec",
     "PremiseReport",
     "BipartitePrediction",
-    "degroot_step",
     "simulate_discrete",
-    "matrix_product_limit",
     "verify_convergence_premises",
-    "verify_uqsc",
     "fj_fixed_point",
     "flow_simulate",
     "predict_bipartite_consensus",
-    "check_type_symmetry",
     "left_null_vector",
 ]
 
@@ -200,11 +197,6 @@ class WeightSpec:
     def is_constant(self) -> bool:
         return self.matrix is not None
 
-    @property
-    def end_time(self) -> float | None:
-        """Last breakpoint of a scheduled provider; None otherwise."""
-        return None if self.schedule is None else self.schedule[-1][0]
-
     def matrix_at(self, t: float, x: np.ndarray | None = None) -> np.ndarray:
         """Active coupling matrix at time/step t (state x for rule providers)."""
         for until, mat in self._segments:
@@ -213,14 +205,6 @@ class WeightSpec:
         if self.rule is not None:
             return self._validated(self.rule(t, x))
         return self._segments[-1][1]
-
-    def segment_index(self, t: float) -> int:
-        """Index of the schedule segment active at t (constant and rule specs give 0)."""
-        idx = 0
-        for idx, (until, _) in enumerate(self._segments):
-            if t < until:
-                break
-        return idx
 
 
 @dataclass(frozen=True)
@@ -259,12 +243,10 @@ class PremiseReport:
     violation: dict | None = None
 
 
-def degroot_step(w, x: OpinionState) -> OpinionState:
-    """One synchronous averaging step x' = W x, applied per opinion dimension."""
-    w = check_stochastic(w)
-    if w.shape[0] != x.n:
-        raise ValueError(f"matrix size {w.shape[0]} != agent count {x.n}")
-    return OpinionState(w @ x.values)
+def _check_size(spec: WeightSpec, x0: OpinionState) -> None:
+    """ValueError unless the spec's matrices act on x0's agents."""
+    if spec.n != x0.n:
+        raise ValueError(f"matrix size {spec.n} != agent count {x0.n}")
 
 
 def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Trajectory:
@@ -273,13 +255,13 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
     Signed matrices are applied as-is; each one must have row-stochastic
     moduli and nonnegative diagonal. For a constant matrix the run stops
     early at an exact fixed point (time-varying schedules are run to the
-    horizon, since a momentary fixed point need not persist). Events record
-    the active schedule segment per step.
+    horizon, since a momentary fixed point need not persist).
     """
     if spec.kind == KIND_NONNEGATIVE:
         raise ValueError("discrete iteration takes a stochastic or signed spec")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_size(spec, x0)
     signed = spec.kind == KIND_SIGNED
     check = check_signed_row_stochastic if signed else check_stochastic
     for _, mat in spec._segments:
@@ -287,7 +269,6 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
 
     x = x0.values
     states = [x]
-    events = []
     terminated_at = None
     for k in range(steps):
         w = spec.matrix_at(k, x)
@@ -295,7 +276,6 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
             # matrix_at already checked a stochastic rule's matrix
             check(w)
         x_next = w @ x
-        events.append({"segment": spec.segment_index(k)})
         states.append(x_next)
         if spec.is_constant and np.array_equal(x_next, x):
             terminated_at = k
@@ -305,31 +285,6 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
         np.stack(states),
         np.arange(len(states), dtype=float),
         terminated_at=terminated_at,
-        events=events,
-    )
-
-
-def matrix_product_limit(spec: WeightSpec, tol: float = 1e-12, max_iter: int = 100000) -> np.ndarray:
-    """Limit of the backward products W(k) ... W(1) W(0) for a stochastic spec.
-
-    Multiplies until the max-norm difference of successive products drops
-    below tol; raises NonConvergentError when the budget is exhausted (for
-    example on a periodic matrix).
-    """
-    if spec.kind != KIND_STOCHASTIC:
-        raise ValueError("matrix products are defined for stochastic specs")
-    if not tol > 0:  # NaN fails this too; at 0 no difference is below tol
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    prod = spec.matrix_at(0).copy()
-    for k in range(1, max_iter + 1):
-        nxt = spec.matrix_at(k) @ prod
-        if np.max(np.abs(nxt - prod)) < tol:
-            return nxt
-        prod = nxt
-    raise NonConvergentError(
-        f"matrix products did not settle within {max_iter} iterations", iterations=max_iter
     )
 
 
@@ -367,56 +322,6 @@ def verify_convergence_premises(matrices, delta: float) -> PremiseReport:
             i, j = hit
             return PremiseReport(False, {"condition": "reciprocity", "step": k, "i": i, "j": j})
     return PremiseReport(True)
-
-
-def verify_uqsc(spec: WeightSpec, window_t: float, eps: float, bound_m: float) -> PremiseReport:
-    """Uniform quasi-strong connectivity of a nonnegative schedule.
-
-    Integrates the schedule exactly over sliding windows [t, t + T] (start
-    points: every breakpoint plus a T/4 grid, clipped to the horizon),
-    keeps entries whose integral exceeds eps, and requires the resulting
-    graph to contain a directed spanning tree for every window. Also checks
-    the amplitude bound 0 <= a_ij(t) <= M on every segment.
-    """
-    if spec.kind != KIND_NONNEGATIVE or spec.schedule is None:
-        raise ValueError("uniform connectivity check takes a nonnegative schedule")
-    if not window_t > 0:
-        raise ValueError("window length must be positive")
-    for idx, (_, mat) in enumerate(spec.schedule):
-        if not np.all(mat <= bound_m):
-            return PremiseReport(
-                False, {"condition": "amplitude_bound", "segment": idx, "max": float(mat.max())}
-            )
-    end = spec.end_time
-    if end < window_t:
-        raise ValueError("schedule shorter than one window")
-    starts = {0.0, end - window_t}
-    for until, _ in spec.schedule[:-1]:
-        if until <= end - window_t:
-            starts.add(until)
-    t = 0.0
-    while t < end - window_t:
-        starts.add(t)
-        t += window_t / 4
-    for start in sorted(starts):
-        window = _integrate_schedule(spec.schedule, start, start + window_t)
-        graph = SignedGraph(window, zero_tol=eps)
-        if not connectivity(graph).has_spanning_tree:
-            return PremiseReport(False, {"condition": "no_spanning_tree", "window_start": start})
-    return PremiseReport(True)
-
-
-def _integrate_schedule(schedule, t0: float, t1: float) -> np.ndarray:
-    """Exact integral of a piecewise-constant schedule over [t0, t1]."""
-    total = np.zeros_like(schedule[0][1])
-    prev = 0.0
-    for until, mat in schedule:
-        lo = max(prev, t0)
-        hi = min(until, t1)
-        if hi > lo:
-            total = total + (hi - lo) * mat
-        prev = until
-    return total
 
 
 def fj_fixed_point(spec: FJSpec) -> OpinionState:
@@ -465,6 +370,7 @@ def flow_simulate(
     """
     if not 0 < t_end < math.inf:  # NaN fails this too
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    _check_size(spec, x0)
     x = x0.values
     if dt is None:
         dt = default_flow_step(spec.matrix_at(0.0, x))
@@ -566,28 +472,3 @@ def predict_bipartite_consensus(g: SignedGraph, x0: OpinionState) -> BipartitePr
     if conn.strongly_connected and not balance.balanced:
         return BipartitePrediction(kind="zero", values=np.zeros_like(x0.values))
     return BipartitePrediction(kind="unsupported")
-
-
-def check_type_symmetry(spec: WeightSpec, k_bound: float) -> PremiseReport:
-    """Verify K^-1 |a_ji| <= |a_ij| <= K |a_ji| on every schedule segment
-    (or the constant matrix). Pairs with both entries absent pass; a
-    one-sided arc fails for every K."""
-    if not k_bound >= 1:
-        raise ValueError("the symmetry constant must be >= 1")
-    if spec.rule is not None:
-        raise ValueError("type symmetry is checked on explicit matrices, not rules")
-    for idx, (_, mat) in enumerate(spec._segments):
-        a = np.abs(mat)
-        lo = np.minimum(a, a.T)
-        # an absent reverse arc bounds its pair by 0, so a one-sided arc
-        # fails for K = inf as well, with no inf * 0; a K * |a_ji| that
-        # overflows is the bound inf, which no entry exceeds
-        with np.errstate(over="ignore"):
-            bound = np.where(lo > 0, k_bound, 1.0) * lo
-        hit = _first_hit(np.triu(np.maximum(a, a.T) > bound, 1))
-        if hit:
-            i, j = hit
-            return PremiseReport(
-                False, {"condition": "type_symmetry", "segment": idx, "i": i, "j": j}
-            )
-    return PremiseReport(True)

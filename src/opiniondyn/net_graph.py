@@ -25,7 +25,6 @@ __all__ = [
     "UndirectedGraph",
     "signed_laplacian",
     "signed_laplacian_matrix",
-    "is_sign_symmetric",
     "structural_balance",
     "gauge_apply",
     "gauge_from_balance",
@@ -161,12 +160,6 @@ def _first_hit(mask: np.ndarray) -> tuple | None:
     of Python ints, or None when there is none."""
     hits = np.argwhere(mask)
     return tuple(hits[0].tolist()) if len(hits) else None
-
-
-def is_sign_symmetric(g: SignedGraph) -> bool:
-    """True iff a_ij * a_ji >= 0 for every off-diagonal pair (entries below
-    zero_tol treated as zero, so one-sided arcs are allowed)."""
-    return not _sign_asymmetry(g).any()
 
 
 def _mirror_signs(g: SignedGraph):

@@ -6,71 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from opiniondyn import (
     ConfidenceSpec,
-    DeffuantWeisbuch,
     OpinionState,
     classify,
     clusters,
-    hk_energy,
     hk_step,
-    modulus_consensus,
-    s_energy,
     simulate_bc,
-    simulate_gossip,
     trajectory_from_states,
     two_r_experiment,
 )
-from opiniondyn.analysis import event_pairs_per_step, support_pairs_per_step, trust_pairs_per_step
-from opiniondyn.linear_dynamics import WeightSpec
-from opiniondyn.state import Trajectory
-
-
-class TestSEnergy:
-    def test_constant_trajectory_has_zero_kinetic_energy(self):
-        traj = trajectory_from_states([[0.0, 1.0]] * 4)
-        pairs = [[(0, 1), (1, 0)]] * 3
-        res = s_energy(traj, pairs, s=2.0)
-        assert res.kinetic == 0.0
-        assert res.total == pytest.approx(3 * 2.0)
-
-    def test_one_step_consensus_kinetic_two_energy(self):
-        traj = trajectory_from_states([[0.0, 1.0], [0.5, 0.5]])
-        res = s_energy(traj, [[(0, 1), (1, 0)]], s=2.0)
-        assert res.kinetic == pytest.approx(0.5)
-
-    def test_hk_kinetic_two_energy_bounded(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(3, 15))
-            d = float(rng.uniform(0.05, 0.5))
-            spec = ConfidenceSpec.symmetric(d)
-            x0 = OpinionState(rng.uniform(0, 1, size=n))
-            traj = simulate_bc(lambda s: hk_step(s, spec), x0, max_steps=2 * n**3)
-            res = s_energy(traj, trust_pairs_per_step(traj, spec), s=2.0)
-            assert res.kinetic <= hk_energy(traj.initial, d) + 1e-12
-            assert res.kinetic <= d * d * n * (n - 1) + 1e-12
-
-    def test_gossip_pairs_come_from_events(self):
-        model = DeffuantWeisbuch(d=0.4, mu=0.5)
-        traj = simulate_gossip(model, OpinionState(np.linspace(0, 1, 6)), steps=50, seed=1)
-        pairs = list(event_pairs_per_step(traj))
-        assert len(pairs) == 50
-        for (i, j, interacted), plist in zip(traj.events, pairs):
-            assert plist == ([(i, j)] if interacted else [])
-        s_energy(traj, pairs, s=1.0)  # consumes without error
-
-    def test_support_pairs_for_discrete_runs(self):
-        from opiniondyn import simulate_discrete
-
-        w = np.array([[0.5, 0.5], [0.0, 1.0]])
-        spec = WeightSpec.constant("stochastic", w)
-        traj = simulate_discrete(spec, OpinionState([0.0, 1.0]), steps=3)
-        pairs = list(support_pairs_per_step(spec, traj))
-        assert all(p == [(0, 1)] for p in pairs)
-
-    def test_missing_pair_records_rejected(self):
-        traj = trajectory_from_states([[0.0, 1.0]] * 4)
-        with pytest.raises(ValueError):
-            s_energy(traj, [[(0, 1)]], s=2.0)
 
 
 def reference_scalar_clusters(x, gap_tol):
@@ -306,18 +249,6 @@ class TestClassify:
         traj = trajectory_from_states([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             classify(traj, tol=tol)
-
-
-class TestModulusConsensus:
-    def test_polarized_state(self):
-        assert modulus_consensus(OpinionState([0.7, -0.7, 0.7]), tol=1e-9)
-
-    def test_disagreeing_magnitudes(self):
-        assert not modulus_consensus(OpinionState([1.0, 0.5]), tol=1e-3)
-
-    def test_three_agent_interval_regime_is_not_modulus_consensus(self):
-        xi = 0.6
-        assert not modulus_consensus(OpinionState([xi, -xi, xi / 3]), tol=1e-3)
 
 
 class TestTwoRExperiment:

@@ -1053,3 +1053,16 @@ class TestConfigContract:
         assert message in payload["message"]
         out = tmp_path / "out"
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("model, settings", [("degroot", {"horizon": 0}), ("flow", {})],
+                             ids=["degroot", "flow"])
+    def test_matrix_size_must_match_the_agent_count(self, tmp_path, capsys, model, settings):
+        # the degroot run used to write summary.json, and the flow to fail in numpy
+        config = {"model": model, "params": {"matrix": np.full((3, 3), 1 / 3).tolist()},
+                  "x0": [0.0, 1.0], "outputs": ["summary"], **settings}
+        code, payload = _simulate(tmp_path, capsys, config)
+        assert code == 2
+        assert payload["stage"] == "validate"
+        assert payload["message"] == "matrix size 3 != agent count 2"
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []

@@ -250,9 +250,14 @@ GOLDEN = {
 }
 
 
-def _digests(case, tmp_path, monkeypatch):
+def in_matrix_dir(tmp_path, monkeypatch):
+    """Work in tmp_path, where the configs' ``{"file": "w.csv"}`` matrix is."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "w.csv").write_text(MATRIX_CSV)
+
+
+def _digests(case, tmp_path, monkeypatch):
+    in_matrix_dir(tmp_path, monkeypatch)
     out = tmp_path / "out"
     written = run(json.loads(json.dumps(CONFIGS[case])), out_dir=out)
     assert sorted(written) == sorted(str(p) for p in out.iterdir())

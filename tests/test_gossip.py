@@ -23,7 +23,6 @@ from opiniondyn import (
     cesaro,
     dw_run_exact,
     fj_fixed_point,
-    gossip_step,
     make_rng,
     simulate_gossip,
 )
@@ -164,35 +163,35 @@ class TestBuildGammas:
 
 
 class TestGossipStep:
+    """The model semantics of single steps: ``simulate_gossip(steps=1)``."""
+
     def test_pair_average_moves_both_to_midpoint(self):
         model = SymmetricPairGossip(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out, event = gossip_step(OpinionState([0.0, 1.0]), model, rng=0)
-        i, j, interacted = event
+        traj = simulate_gossip(model, OpinionState([0.0, 1.0]), steps=1, seed=0)
+        (i, j, interacted), = traj.events
         assert interacted and {i, j} == {0, 1}
-        assert np.array_equal(out.values[:, 0], [0.5, 0.5])
+        assert np.array_equal(traj.final.values[:, 0], [0.5, 0.5])
 
     def test_dw_within_bound_meets_halfway(self):
         model = DeffuantWeisbuch(d=0.5, mu=0.5)
-        x = OpinionState([0.0, 0.4])
-        out, event = gossip_step(x, model, rng=1)
-        assert event[2]
-        assert np.array_equal(out.values[:, 0], [0.2, 0.2])
+        traj = simulate_gossip(model, OpinionState([0.0, 0.4]), steps=1, seed=1)
+        assert traj.events[0][2]
+        assert np.array_equal(traj.final.values[:, 0], [0.2, 0.2])
 
     def test_dw_beyond_bound_unchanged(self):
         model = DeffuantWeisbuch(d=0.5, mu=0.5)
         x = OpinionState([0.0, 0.6])
-        out, event = gossip_step(x, model, rng=1)
-        assert not event[2]
-        assert np.array_equal(out.values, x.values)
+        traj = simulate_gossip(model, x, steps=1, seed=1)
+        assert not traj.events[0][2]
+        assert np.array_equal(traj.final.values, x.values)
 
     @pytest.mark.parametrize(
         "run",
         [
-            lambda model, x: gossip_step(x, model, rng=0),
             lambda model, x: simulate_gossip(model, x, steps=5, seed=0),
             lambda model, x: dw_run_exact(model, x, steps=5, seed=0),
         ],
-        ids=["gossip_step", "simulate_gossip", "dw_run_exact"],
+        ids=["simulate_gossip", "dw_run_exact"],
     )
     @pytest.mark.parametrize(
         "model",
@@ -211,9 +210,9 @@ class TestGossipStep:
         model = GossipFJ.from_fj(lam, w, u)
         x = OpinionState([0.3, 0.1])
         for seed in range(20):
-            out, (i, j, _) = gossip_step(x, model, rng=seed)
-            if i == 0:
-                assert out.values[0, 0] == 0.3
+            traj = simulate_gossip(model, x, steps=1, seed=seed)
+            if traj.events[0][0] == 0:
+                assert traj.final.values[0, 0] == 0.3
 
     def test_only_designated_agents_change(self):
         rng = np.random.default_rng(3)
@@ -227,7 +226,8 @@ class TestGossipStep:
         ]
         for model in models:
             for seed in range(10):
-                out, (i, j, _) = gossip_step(x0, model, rng=seed)
+                traj = simulate_gossip(model, x0, steps=1, seed=seed)
+                out, (i, j, _) = traj.final, traj.events[0]
                 untouched = [a for a in range(8) if a not in (i, j)]
                 assert np.array_equal(out.values[untouched], x0.values[untouched])
                 if isinstance(model, DeffuantWeisbuch) and model.mode == "asymmetric":
@@ -239,7 +239,8 @@ class TestGossipStep:
         x = OpinionState([0.0, 0.4])
         moved = set()
         for seed in range(10):
-            out, (i, j, interacted) = gossip_step(x, model, rng=seed)
+            traj = simulate_gossip(model, x, steps=1, seed=seed)
+            out, (i, j, interacted) = traj.final, traj.events[0]
             assert interacted
             if i == 0 or j == 0:
                 moved.add((out.values[0, 0], out.values[1, 0]))
@@ -674,11 +675,12 @@ class TestMoreGossipSurfaces:
 
         model = GossipFJ.from_fj(FJ4_LAMBDA, FJ4_W, FJ4_U)
         x = OpinionState(FJ4_U)
-        base, (i, j, _) = gossip_step(x, model, rng=2)
-        override, (i2, j2, _) = gossip_step(x, model, rng=2, u=FJ4_U + 10.0)
-        assert (i, j) == (i2, j2)
+        base = simulate_gossip(model, x, steps=1, seed=2)
+        override = simulate_gossip(replace(model, u=FJ4_U + 10.0), x, steps=1, seed=2)
+        (i, j, _), = base.events
+        assert override.events == base.events
         if model.gamma2[i, j] > 0:
-            assert not np.array_equal(base.values, override.values)
+            assert not np.array_equal(base.final.values, override.final.values)
 
     def test_empty_arc_list_rejected(self):
         with pytest.raises(ValueError):
@@ -697,9 +699,6 @@ class TestMoreGossipSurfaces:
         w = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="prejudice values must be finite"):
             GossipFJ.from_fj([0.5, 0.5], w, u)
-        model = GossipFJ.from_fj([0.5, 0.5], w, [0.0, 1.0])
-        with pytest.raises(ValueError, match="prejudice values must be finite"):
-            gossip_step(OpinionState([0.0, 1.0]), model, rng=1, u=u)
 
     @pytest.mark.parametrize("arcs, bad", [
         (((0, 0), (0, 2), (2, 1), (1, 1)), "(0, 2)"),
@@ -789,27 +788,14 @@ class TestBlockKernels:
         assert traj.events == events
 
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
-    def test_gossip_step_is_a_one_step_block(self, name):
+    def test_one_step_run_matches_reference(self, name):
         model = KERNEL_MODELS[name]
         x0 = OpinionState(np.random.default_rng(3).uniform(0.0, 1.0, 6))
         for seed in range(50):
-            out, event = gossip_step(x0, model, rng=seed)
             traj = simulate_gossip(model, x0, steps=1, seed=seed)
-            assert np.array_equal(out.values, traj.final.values)
-            assert event == traj.events[0]
             array, _, events = reference_simulate(model, x0, 1, seed, 1, True, block=1)
-            assert np.array_equal(out.values, array[-1])
-            assert event == events[0]
-
-    def test_gossip_step_prejudice_override(self):
-        model = KERNEL_MODELS["fj"]
-        x0 = OpinionState(np.random.default_rng(4).uniform(0.0, 1.0, 6))
-        override = model.u + 10.0
-        for seed in range(50):
-            out, event = gossip_step(x0, model, rng=seed, u=override)
-            traj = simulate_gossip(replace(model, u=override), x0, steps=1, seed=seed)
-            assert np.array_equal(out.values, traj.final.values)
-            assert event == traj.events[0]
+            assert np.array_equal(traj.final.values, array[-1])
+            assert traj.events == events
 
     @pytest.mark.parametrize("name", ["dw-symmetric", "dw-asymmetric", "dw-heterogeneous"])
     def test_pair_rule_on_the_bound_matches_reference(self, monkeypatch, name):
@@ -844,8 +830,9 @@ class TestBlockKernels:
         rng = make_rng(9)
         events = []
         for _ in range(40):
-            x, event = gossip_step(x, model, rng=rng)
-            events.append(event)
+            traj = simulate_gossip(model, x, steps=1, seed=rng)
+            x = traj.final
+            events.extend(traj.events)
         array, _, ref_events = reference_simulate(
             model, OpinionState(np.random.default_rng(5).uniform(0.0, 1.0, 6)), 40, 9, 40,
             True, block=1,

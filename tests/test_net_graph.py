@@ -10,7 +10,6 @@ from opiniondyn import (
     connectivity,
     gauge_apply,
     gauge_from_balance,
-    is_sign_symmetric,
     persistent_graph,
     signed_laplacian,
     structural_balance,
@@ -67,15 +66,22 @@ class TestSignedLaplacian:
                     assert row_sums[i] > 0
 
 
+def sign_asymmetric(g):
+    """Whether structural_balance rejects g for a pair with a_ij * a_ji < 0."""
+    witness = structural_balance(g).witness
+    return witness is not None and witness.kind == "sign_asymmetry"
+
+
 class TestSignSymmetry:
     def test_positive_dyad(self):
-        assert is_sign_symmetric(SignedGraph(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        assert not sign_asymmetric(SignedGraph(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
     def test_opposite_signs(self):
-        assert not is_sign_symmetric(SignedGraph(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+        g = SignedGraph(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert structural_balance(g).witness == BalanceWitness("sign_asymmetry", (0, 1))
 
     def test_one_sided_arc(self):
-        assert is_sign_symmetric(SignedGraph(np.array([[0.0, -1.0], [0.0, 0.0]])))
+        assert not sign_asymmetric(SignedGraph(np.array([[0.0, -1.0], [0.0, 0.0]])))
 
 
 def triad(a12, a13, a23):
@@ -561,8 +567,7 @@ class TestMaskKernelsMatchTheLoops:
             assert all_python_ints(result.camps or ()) and all_python_ints(
                 result.witness.nodes if result.witness else ())
             kinds.add(result.witness.kind if result.witness else "balanced")
-            symmetric = is_sign_symmetric(g)
-            assert type(symmetric) is bool and symmetric == reference_is_sign_symmetric(g)
+            assert sign_asymmetric(g) == (not reference_is_sign_symmetric(g))
             report = connectivity(g)
             assert report == reference_connectivity(g)
             assert type(report.strongly_connected) is bool
