@@ -77,6 +77,22 @@ class TestTrustSet:
         with pytest.raises(ValueError):
             ConfidenceSpec.shifted(0.2, [0.0, 0.3])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ConfidenceSpec.norm_ball(1.0, norm="taxicab"), "norm must be one of"),
+        (lambda: ConfidenceSpec.symmetric(0.0), "confidence bounds must be positive"),
+        (lambda: ConfidenceSpec.symmetric(float("nan")), "confidence bounds must be positive"),
+        (lambda: ConfidenceSpec.asymmetric(0.0, 0.5), "confidence bounds must be positive"),
+        (lambda: ConfidenceSpec.per_agent([0.1, -0.2]), "confidence bounds must be positive"),
+        (lambda: ConfidenceSpec(lo=(-0.1, -0.2), hi=(0.1,)),
+         "left and right bound lists must have equal length"),
+        (lambda: ConfidenceSpec.shifted(0.2, [-0.1, 0.0]),
+         "shifts must satisfy 0 <= eta_i and max eta_i < d"),
+    ], ids=["unknown-norm", "zero", "nan", "zero-left", "negative-per-agent", "lengths",
+            "negative-shift"])
+    def test_invalid_windows_are_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_interval_variant_rejects_vector_opinions(self):
         with pytest.raises(ValueError, match="scalar opinions"):
             bc.trust_matrix(OpinionState([[0.0, 1.0], [1.0, 0.0]]), ConfidenceSpec.symmetric(1.0))
@@ -140,6 +156,13 @@ class TestPhiStep:
             hk_indicator_phi(d)
         with pytest.raises(ValueError, match="confidence bound must be positive"):
             reputation_phi([1.0, 2.0], d)
+
+    @pytest.mark.parametrize("a, b, d1, d2", [(2.0, 1.0, 0.1, 0.3), (0.0, 1.0, 0.1, 0.3),
+                                              (1.0, 2.0, 0.3, 0.3), (1.0, 2.0, 0.0, 0.3)],
+                             ids=["a-above-b", "zero-a", "equal-radii", "zero-inner-radius"])
+    def test_heterophily_levels_and_radii_must_increase(self, a, b, d1, d2):
+        with pytest.raises(ValueError, match="need 0 < a < b and 0 < d1 < d2"):
+            heterophily_phi(a, b, d1, d2)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_reputation_weights_must_be_positive(self, bad):
@@ -246,6 +269,11 @@ class TestTruthStep:
         out = truth_step(x, np.zeros(2), [0.4], ConfidenceSpec.symmetric(0.2))
         assert np.array_equal(out.values[:, 0], [0.4, 0.4])
 
+    def test_target_must_be_a_point_of_the_opinion_space(self):
+        with pytest.raises(ValueError, match="target must be a point in opinion space"):
+            truth_step(OpinionState([0.1, 0.9]), [1.0, 0.5], [0.2, 0.3],
+                       ConfidenceSpec.symmetric(0.2))
+
     def test_all_seekers_approach_target(self):
         rng = np.random.default_rng(4)
         spec = ConfidenceSpec.symmetric(0.3)
@@ -342,6 +370,12 @@ class TestSimulateBc:
         with pytest.raises(MaxStepsError) as info:
             run_hk([0.0, 0.4, 0.8, 1.2, 1.6, 2.0], d=0.5, max_steps=1)
         assert len(info.value.trajectory) == 2
+        assert str(info.value) == "no fixed point within 1 steps"
+
+    def test_budget_must_allow_one_step(self):
+        spec = ConfidenceSpec.symmetric(0.3)
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            simulate_bc(lambda s: hk_step(s, spec), OpinionState([0.0, 0.1, 0.9]), max_steps=0)
 
     @pytest.mark.parametrize("stop_tol", [float("nan"), -1.0, -1e-300])
     def test_nan_or_negative_stop_tol_rejected(self, stop_tol):
@@ -378,6 +412,23 @@ class TestEnergies:
                 moved = ((traj.array[k + 1] - traj.array[k]) ** 2).sum()
                 assert drop >= 4.0 * moved - 1e-9
 
+    def test_smooth_weights_decrease_their_potential_energy(self):
+        # phi(s) = exp(-s) is non-increasing, with potential Phi(r) = 1 - exp(-r)
+        # of the squared distance; each step lowers sum_ij Phi(|x_i - x_j|^2)
+        # by at least 4 phi(0) times the squared movement
+        phi = PhiSpec(phi=lambda s: np.exp(-s))
+
+        def energy(x):
+            return float((1.0 - np.exp(-bc._pairwise_sq(x.values))).sum())
+
+        rng = np.random.default_rng(12)
+        x = OpinionState(rng.uniform(0, 1, size=6))
+        for _ in range(40):
+            x_next = phi_step(x, phi)
+            moved = ((x_next.values - x.values) ** 2).sum()
+            assert energy(x) - energy(x_next) >= 4.0 * moved - 1e-9
+            x = x_next
+
 
 class TestDChains:
     def test_three_chain_figure(self):
@@ -393,6 +444,10 @@ class TestDChains:
     def test_single_chain_when_all_close(self):
         part = d_chain_partition(OpinionState([0.0, 0.1, 0.2]), d=0.5)
         assert part.chains == ((0, 1, 2),)
+
+    def test_chains_need_scalar_opinions(self):
+        with pytest.raises(ValueError, match="chains are defined for scalar opinions"):
+            d_chain_partition(OpinionState([[0.0, 1.0], [0.1, 0.9]]), d=0.5)
 
     def test_chains_never_merge_along_runs(self):
         rng = np.random.default_rng(13)

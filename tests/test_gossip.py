@@ -662,6 +662,16 @@ class TestBernoulliConvolution:
     def test_boolean_bits_accepted(self):
         assert bernoulli_convolution(0.5, 3, None, bits=[True, False, True]) == 0.625
 
+    @pytest.mark.parametrize("gamma, depth, bits, message", [
+        (0.0, 3, None, r"gamma must lie in \(0, 1\)"),
+        (1.0, 3, None, r"gamma must lie in \(0, 1\)"),
+        (0.5, 0, None, "depth must be >= 1"),
+        (0.5, 3, [0, 1], "bits must have length depth"),
+    ], ids=["zero-gamma", "unit-gamma", "zero-depth", "short-bits"])
+    def test_invalid_arguments_rejected(self, gamma, depth, bits, message):
+        with pytest.raises(ValueError, match=message):
+            bernoulli_convolution(gamma, depth, 0, bits=bits)
+
     def test_uniform_moments_at_half(self):
         rng = make_rng(123)
         samples = np.array([bernoulli_convolution(0.5, 60, rng) for _ in range(100_000)])
@@ -736,6 +746,59 @@ class TestMoreGossipSurfaces:
             DeffuantWeisbuch(d=d, mu=0.5)
         with pytest.raises(ValueError, match="positive"):
             DWHeterogeneous(d=np.array([0.3, d]), mu=0.5)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DegrootGossip(np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([0.5, 0.5])),
+         "partner matrix must have a zero diagonal"),
+        (lambda: SymmetricPairGossip(np.array([[0.0, 1.0], [0.5, 0.5]])),
+         "partner matrix must have a zero diagonal"),
+        (lambda: DegrootGossip(ring_matrix(3), np.array([0.5, 0.5])),
+         "one gain per agent required"),
+        (lambda: GossipFJ(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), ((0, 1),)),
+         "gamma factors must be equal-size square matrices"),
+        (lambda: GossipFJ(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(2), ((0, 1),)),
+         "gamma factors must be equal-size square matrices"),
+        (lambda: GossipFJ(np.diag([0.6, 0.0]), np.diag([0.6, 0.0]), np.zeros(2), ((0, 0),)),
+         "gamma1 \\+ gamma2 must not exceed 1 entrywise"),
+        (lambda: GossipFJ(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(3), ((0, 1),)),
+         "prejudice vector length must match matrix size"),
+        (lambda: DeffuantWeisbuch(d=0.3, mu=1.0), r"the move fraction must lie in \(0, 1\)"),
+        (lambda: DWHeterogeneous(d=np.array([0.3, 0.3]), mu=float("nan")),
+         r"the move fraction must lie in \(0, 1\)"),
+        (lambda: DeffuantWeisbuch(d=0.3, mu=0.5, mode="both"),
+         "mode must be 'symmetric' or 'asymmetric'"),
+        (lambda: DWHeterogeneous(d=np.array([[0.3, 0.3]]), mu=0.5),
+         "per-agent bounds must be a positive vector"),
+    ], ids=["degroot-self-partner", "symmetric-self-partner", "gain-count", "rectangular-gamma",
+            "gamma-sizes", "gamma-sum", "prejudice-length", "unit-mu", "nan-mu", "mode",
+            "bounds-matrix"])
+    def test_invalid_models_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("run, error, message", [
+        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5),
+                                 OpinionState([[0.0, 1.0], [1.0, 0.0]]), steps=5, seed=0),
+         ValueError, "gossip models act on scalar opinions"),
+        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                                 steps=0, seed=0),
+         ValueError, "steps must be >= 1"),
+        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                                 steps=5, seed=0, thin=0),
+         ValueError, "thin must be >= 1"),
+        (lambda: simulate_gossip(object(), OpinionState([0.0, 1.0]), steps=5, seed=0),
+         TypeError, "unknown gossip model object"),
+        (lambda: simulate_gossip(SymmetricPairGossip(ring_matrix(3)), OpinionState([0.0, 1.0]),
+                                 steps=5, seed=0),
+         ValueError, "model size must match the state"),
+        (lambda: dw_run_exact(SymmetricPairGossip(ring_matrix(3)), OpinionState([0.0, 1.0, 2.0]),
+                              steps=5, seed=0),
+         TypeError, "exact runs are provided for the pair dynamics"),
+    ], ids=["vector-opinions", "zero-steps", "zero-thin", "unknown-model", "model-size",
+            "exact-non-pair"])
+    def test_invalid_runs_rejected(self, run, error, message):
+        with pytest.raises(error, match=message):
+            run()
 
     def test_dw_dichotomy_at_long_horizon(self):
         # per-pair gaps settle to coincidence or distrust at horizon 1e5 * n

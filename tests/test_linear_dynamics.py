@@ -79,6 +79,19 @@ class TestWeightSpec:
         with pytest.raises(ValueError, match="strictly increasing"):
             WeightSpec.scheduled("stochastic", [(u, w) for u in untils])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: WeightSpec.constant("doubly", np.eye(2)), "unknown kind 'doubly'"),
+        (lambda: WeightSpec("stochastic", rule=lambda t, x: np.eye(2)),
+         "rule provider requires the agent count n"),
+        (lambda: WeightSpec.constant("nonnegative", [[0.0, -1.0], [1.0, 0.0]]),
+         "nonnegative spec has negative entries"),
+        (lambda: WeightSpec.scheduled("stochastic", [(1.0, np.eye(2)), (2.0, np.eye(3))]),
+         "all scheduled matrices must share one size"),
+    ], ids=["unknown-kind", "rule-without-n", "negative-contact-rate", "mixed-sizes"])
+    def test_invalid_specs_are_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestCheckStochastic:
     @pytest.mark.parametrize("matrix,message", [
@@ -317,6 +330,20 @@ class TestSimulateDiscrete:
         with pytest.raises(ValueError):
             simulate_discrete(WeightSpec.constant("signed", w), OpinionState([1.0, 2.0]), 3)
 
+    def test_signed_requires_a_nonnegative_diagonal(self):
+        w = np.array([[-0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="diagonal entries must be nonnegative"):
+            simulate_discrete(WeightSpec.constant("signed", w), OpinionState([1.0, 2.0]), 3)
+
+    @pytest.mark.parametrize("kind, steps, message", [
+        ("nonnegative", 1, "discrete iteration takes a stochastic or signed spec"),
+        ("stochastic", -1, "steps must be >= 0"),
+    ], ids=["nonnegative-kind", "negative-steps"])
+    def test_kind_and_steps_are_checked_before_any_step(self, kind, steps, message):
+        spec = WeightSpec.constant(kind, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match=message):
+            simulate_discrete(spec, OpinionState([0.0, 1.0]), steps)
+
     def test_signed_rule_matrices_are_checked_every_step(self):
         good = np.array([[0.5, -0.5], [-0.5, 0.5]])
         bad = np.array([[0.5, -1.0], [-0.5, 0.5]])
@@ -360,6 +387,71 @@ class TestSimulateDiscrete:
                 for dim in range(2):
                     assert traj.array[k][:, dim].min() >= traj.array[k - 1][:, dim].min() - 1e-12
                     assert traj.array[k][:, dim].max() <= traj.array[k - 1][:, dim].max() + 1e-12
+
+    def test_each_segment_is_applied_in_turn(self):
+        # step k applies the matrix active at t = k; the last one stays on
+        rng = np.random.default_rng(5)
+        w, v = random_stochastic(rng, 4), random_stochastic(rng, 4)
+        x0 = OpinionState(rng.uniform(-1, 1, size=4))
+        traj = simulate_discrete(WeightSpec.scheduled("stochastic", [(1.0, w), (3.0, v)]), x0, 5)
+        x = x0.values
+        expected = [x]
+        for mat in (w, v, v, v, v):
+            x = mat @ x
+            expected.append(x)
+        assert traj.array.tobytes() == np.stack(expected).tobytes()
+
+    def test_a_momentary_fixed_point_does_not_stop_a_schedule(self):
+        spec = WeightSpec.scheduled("stochastic", [(2.0, np.eye(2)), (3.0, np.full((2, 2), 0.5))])
+        traj = simulate_discrete(spec, OpinionState([0.0, 1.0]), 4)
+        assert traj.terminated_at is None and len(traj) == 5
+        assert np.array_equal(traj.array[2], traj.array[0])
+        assert np.array_equal(traj.final.values[:, 0], [0.5, 0.5])
+
+
+def perron_vector(w):
+    """Left eigenvector of w for the eigenvalue 1, summing to 1, from a dense
+    eigendecomposition."""
+    vals, vecs = np.linalg.eig(w.T)
+    p = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    return p / p.sum()
+
+
+def positive_stochastic(rng, n):
+    w = rng.uniform(0.1, 1.0, size=(n, n))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestConstantMatrixLimit:
+    """The limit of W^k x0 for a constant stochastic W, as the run reaches it."""
+
+    def test_identity_run_stops_at_its_first_step(self):
+        x0 = OpinionState([0.3, -1.2, 4.0])
+        traj = simulate_discrete(WeightSpec.constant("stochastic", np.eye(3)), x0, 100)
+        assert traj.terminated_at == 0 and len(traj) == 2
+        assert np.array_equal(traj.final.values, x0.values)
+
+    def test_positive_matrix_agrees_on_the_perron_average(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            w = positive_stochastic(rng, n)
+            x0 = OpinionState(rng.uniform(-1, 1, size=n))
+            p = perron_vector(w)
+            assert np.all(p > 0)
+            traj = simulate_discrete(WeightSpec.constant("stochastic", w), x0, 2000)
+            assert np.max(np.abs(traj.final.values - p @ x0.values)) < 1e-10
+
+    def test_block_diagonal_blocks_reach_their_own_agreements(self):
+        rng = np.random.default_rng(4)
+        w1, w2 = positive_stochastic(rng, 2), positive_stochastic(rng, 3)
+        w = np.block([[w1, np.zeros((2, 3))], [np.zeros((3, 2)), w2]])
+        x0 = rng.uniform(-1, 1, size=5)
+        final = simulate_discrete(WeightSpec.constant("stochastic", w), OpinionState(x0), 2000)
+        final = final.final.values[:, 0]
+        for block, rows in ((w1, slice(0, 2)), (w2, slice(2, 5))):
+            assert np.max(np.abs(final[rows] - perron_vector(block) @ x0[rows])) < 1e-10
+        assert abs(final[0] - final[2]) > 0.1
 
 
 class TestConvergencePremises:
@@ -414,6 +506,10 @@ class TestFJ:
     def test_nan_or_out_of_range_susceptibility_is_rejected(self, lam):
         with pytest.raises(ValueError, match=r"susceptibilities must lie in \[0, 1\]"):
             FJSpec(lam=lam, w=np.full((2, 2), 0.5), u=[0.0, 1.0])
+
+    def test_prejudice_length_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match="prejudice vector length must match matrix size"):
+            FJSpec(lam=[0.5, 0.5], w=np.full((2, 2), 0.5), u=[0.0, 1.0, 2.0])
 
     def test_unit_susceptibility_unstable(self):
         w = np.full((2, 2), 0.5)
@@ -546,6 +642,90 @@ class TestFlow:
         assert default.stamps.tobytes() == explicit.stamps.tobytes()
 
 
+def bump_rule(d):
+    """Contact rates s(x_j - x_i) of an even bump supported on |gap| < d."""
+    def rule(t, state):
+        z = np.abs(state[:, 0][None, :] - state[:, 0][:, None]) / d
+        a = np.zeros_like(z)
+        inside = z < 1.0
+        a[inside] = np.exp(-1.0 / (1.0 - z[inside] ** 2))
+        np.fill_diagonal(a, 0.0)
+        return a
+    return rule
+
+
+class TestFlowOnSchedulesAndRules:
+    """Agreement of the cooperative and antagonistic flows when the contact
+    graph switches or follows the state."""
+
+    def test_constant_complete_schedule_reaches_the_mean(self):
+        spec = WeightSpec.scheduled("nonnegative", [(10.0, np.ones((3, 3)) - np.eye(3))])
+        traj = flow_simulate(spec, OpinionState([0.0, 0.4, 1.1]), t_end=10.0, dt=0.01)
+        assert np.max(np.abs(traj.final.values - 0.5)) < 1e-9
+
+    def test_alternating_arcs_whose_union_holds_a_tree_reach_the_root(self):
+        # arc 0 -> 1 in one phase, 1 -> 2 in the other: only their union
+        # over a full period holds a spanning tree, rooted at agent 0
+        a1, a2 = np.zeros((3, 3)), np.zeros((3, 3))
+        a1[1, 0] = a2[2, 1] = 1.0
+        spec = WeightSpec.scheduled("nonnegative", [(k + 1.0, (a1, a2)[k % 2]) for k in range(40)])
+        traj = flow_simulate(spec, OpinionState([0.3, -1.0, 2.0]), t_end=40.0, dt=0.01)
+        assert np.all(traj.array[:, 0, 0] == 0.3)
+        assert np.max(np.abs(traj.final.values - 0.3)) < 1e-6
+
+    def test_one_phase_alone_leaves_an_agent_unreached(self):
+        a1 = np.zeros((3, 3))
+        a1[1, 0] = 1.0
+        traj = flow_simulate(WeightSpec.constant("nonnegative", a1), OpinionState([0.3, -1.0, 2.0]),
+                             t_end=40.0, dt=0.01)
+        assert np.all(traj.array[:, 2, 0] == 2.0)
+        assert abs(traj.final.values[1, 0] - 0.3) < 1e-12
+
+    def test_disconnected_dyads_reach_two_agreements(self):
+        a = np.zeros((4, 4))
+        a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 1.0
+        traj = flow_simulate(WeightSpec.constant("nonnegative", a),
+                             OpinionState([0.0, 1.0, 2.0, 4.0]), t_end=10.0, dt=0.01)
+        assert np.max(np.abs(traj.final.values[:, 0] - [0.5, 0.5, 3.0, 3.0])) < 1e-8
+
+    def test_switching_between_graphs_of_one_partition_polarizes(self):
+        # camps {0, 1} and {2} in both graphs; the gauged flow is cooperative,
+        # symmetric, and connected over a period, so it agrees on its mean
+        g1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+        g2 = np.array([[0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
+        for g in (g1, g2):
+            assert structural_balance(SignedGraph(g)).camps == ((0, 1), (2,))
+        delta = np.array([1.0, 1.0, -1.0])
+        x0 = np.array([0.2, -0.7, 0.9])
+        spec = WeightSpec.scheduled("signed", [(k + 1.0, (g1, g2)[k % 2]) for k in range(40)])
+        traj = flow_simulate(spec, OpinionState(x0), t_end=40.0, dt=0.01)
+        assert np.max(np.abs(traj.final.values[:, 0] - delta * (delta @ x0) / 3)) < 1e-9
+
+    def test_constant_rule_flows_to_the_mean(self):
+        spec = WeightSpec.from_rule("nonnegative", lambda t, x: np.ones((2, 2)) - np.eye(2), n=2)
+        traj = flow_simulate(spec, OpinionState([0.0, 1.0]), t_end=15.0, dt=0.01)
+        assert np.max(np.abs(traj.final.values - 0.5)) < 1e-8
+
+    def test_even_bump_rule_conserves_the_mean(self):
+        rng = np.random.default_rng(14)
+        x0 = OpinionState(rng.uniform(0, 1, size=8))
+        traj = flow_simulate(WeightSpec.from_rule("nonnegative", bump_rule(0.3), n=8), x0,
+                             t_end=10.0, dt=0.02)
+        means = traj.array[:, :, 0].mean(axis=1)
+        assert np.max(np.abs(means - means[0])) < 1e-12
+        assert np.ptp(traj.final.values) < np.ptp(x0.values)
+
+    def test_compact_bump_leaves_clusters_at_least_its_width_apart(self):
+        rng = np.random.default_rng(15)
+        d = 0.25
+        for _ in range(3):
+            x0 = OpinionState(rng.uniform(0, 1, size=10))
+            traj = flow_simulate(WeightSpec.from_rule("nonnegative", bump_rule(d), n=10), x0,
+                                 t_end=200.0, dt=0.05)
+            gaps = np.diff(np.sort(traj.final.values[:, 0]))
+            assert np.all((gaps < 1e-3) | (gaps >= d - 1e-3))
+
+
 def reference_flow(spec, x0, t_end, dt):
     """RK4 with the Laplacian rebuilt at every stage, as flow_simulate did
     before it computed each constant or scheduled Laplacian once."""
@@ -636,6 +816,28 @@ class TestBipartitePrediction:
         pred = predict_bipartite_consensus(SignedGraph(ALTAFINI3_A), OpinionState([1.0, 0.0, 0.0]))
         assert pred.kind == "unsupported"
 
+    def test_graph_and_state_must_agree_on_the_agent_count(self):
+        g = SignedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="graph and state disagree on agent count"):
+            predict_bipartite_consensus(g, OpinionState([0.0, 1.0, 2.0]))
+
+    def test_left_null_vector_matches_the_eigen_oracle(self):
+        # complete and one-way ring graphs, both strongly connected
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            a = rng.uniform(0.5, 2.0, size=(n, n))
+            if rng.random() < 0.5:
+                a *= np.roll(np.eye(n), 1, axis=1)
+            np.fill_diagonal(a, 0.0)
+            lap = signed_laplacian_matrix(a)
+            p = linear_dynamics.left_null_vector(lap)
+            assert np.all(p >= 0) and abs(p.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(p @ lap)) < 1e-12
+            vals, vecs = np.linalg.eig(lap.T)
+            q = np.real(vecs[:, np.argmin(np.abs(vals))])
+            assert np.max(np.abs(p - q / q.sum())) < 1e-9
+
 
 class TestFlowErrors:
     @pytest.mark.parametrize("t_end, dt, message", [
@@ -649,6 +851,12 @@ class TestFlowErrors:
         x0 = OpinionState([0.0, 1.0])
         with pytest.raises(ValueError, match=message):
             flow_simulate(a, x0, t_end=t_end, dt=dt)
+
+    def test_each_rule_matrix_is_checked_against_the_kind(self):
+        spec = WeightSpec.from_rule("nonnegative", lambda t, x: np.array([[0.0, -1.0], [1.0, 0.0]]),
+                                    n=2)
+        with pytest.raises(ValueError, match="nonnegative spec has negative entries"):
+            flow_simulate(spec, OpinionState([0.0, 1.0]), t_end=1.0, dt=0.1)
 
     def test_horizon_beyond_memory_is_a_value_error(self):
         # 10**15 steps of two agents need 14.2 PiB, which numpy refuses

@@ -34,6 +34,17 @@ def random_balanced_graph(rng, n, extra_arcs=None, strongly_connected=True):
 
 
 class TestSignedLaplacian:
+    @pytest.mark.parametrize("weights, message", [
+        (np.zeros((2, 3)), r"weights must be square, got shape \(2, 3\)"),
+        (np.zeros(3), r"weights must be square, got shape \(3,\)"),
+        (np.zeros((0, 0)), "need at least one agent"),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), "weights must be finite"),
+        (np.array([[0.0, -np.inf], [1.0, 0.0]]), "weights must be finite"),
+    ], ids=["rectangular", "1-d", "no-agent", "nan", "-inf"])
+    def test_invalid_weights_are_rejected(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            SignedGraph(weights)
+
     def test_unsigned_symmetric_dyad(self):
         g = SignedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.array_equal(signed_laplacian(g), np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -205,6 +216,17 @@ class TestGauge:
     def test_gauge_length_mismatch(self):
         with pytest.raises(ValueError):
             gauge_apply(triad(1, 1, 1), GaugeVector((1, -1)))
+
+    @pytest.mark.parametrize("signs", [(1, 0, -1), (1, 2), (1.0, -0.5)])
+    def test_gauge_entries_must_be_signs(self, signs):
+        with pytest.raises(ValueError, match=r"gauge entries must be \+1 or -1"):
+            GaugeVector(signs)
+
+    def test_an_imbalanced_graph_has_no_gauge(self):
+        res = structural_balance(triad(1, 1, -1))
+        assert not res.balanced
+        with pytest.raises(ValueError, match="gauge vector requires a balanced result"):
+            gauge_from_balance(res, 3)
 
 
 class TestConnectivity:
