@@ -16,7 +16,7 @@ import numpy as np
 from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split
 from .gossip import make_rng
 from .net_graph import _component_labels, _tarjan_scc
-from .state import MaxStepsError, OpinionState, Trajectory, _pairwise_sq
+from .state import OpinionState, Trajectory, _pairwise_sq
 
 __all__ = [
     "ClusterProfile",
@@ -40,7 +40,6 @@ class ClusterProfile:
 
     clusters: tuple
     min_separation: float
-    gap_tol: float
 
     @property
     def count(self) -> int:
@@ -79,7 +78,7 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     reps = []
     for g in groups:
         reps.append((x.values[g].mean(axis=0), tuple(sorted(g))))
-    return ClusterProfile(tuple(reps), min_sep, gap_tol)
+    return ClusterProfile(tuple(reps), min_sep)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class OutcomeLabel:
     kind: str
     count: int | None = None
     camps: tuple | None = None
-    value: np.ndarray | None = None
 
 
 def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -> OutcomeLabel:
@@ -115,7 +113,7 @@ def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -
             return OutcomeLabel(kind="not_converged")
     final = trajectory.final
     if final.diameter() < tol:
-        return OutcomeLabel(kind="consensus", count=1, value=final.values.mean(axis=0))
+        return OutcomeLabel(kind="consensus", count=1)
     if gap_tol is None:
         init_diam = trajectory.initial.diameter()
         gap_tol = 1e-4 * init_diam if init_diam > 0 else tol
@@ -154,7 +152,8 @@ def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
     [0, 1] (independent sub-stream per (d, trial)), run the plain
     bounded-confidence model to exact termination, and count clusters at
     scale d. Deterministic given the seed. Raises ValueError unless every
-    d is finite and positive.
+    d is finite and positive, and MaxStepsError if a run misses the
+    termination bound 2 n^3 - 2 (n - 1)^2.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -170,10 +169,7 @@ def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
         for trial in range(trials):
             rng = make_rng(seed, d_idx, trial)
             x0 = OpinionState(rng.uniform(0.0, 1.0, size=n))
-            try:
-                traj = simulate_bc(lambda s: hk_step(s, spec), x0, max_steps=bound)
-            except MaxStepsError as exc:  # pragma: no cover - bound is generous
-                traj = exc.trajectory
+            traj = simulate_bc(lambda s: hk_step(s, spec), x0, max_steps=bound)
             counts.append(clusters(traj.final, gap_tol=d).count)
         counts_arr = np.array(counts, dtype=float)
         rows.append(

@@ -24,7 +24,6 @@ __all__ = [
     "ConfidenceSpec",
     "PhiSpec",
     "DChainPartition",
-    "trust_matrix",
     "hk_step",
     "phi_step",
     "truth_step",
@@ -397,7 +396,6 @@ class DChainPartition:
 
     chains: tuple[tuple[int, ...], ...]
     diameters: tuple[float, ...]
-    d: float
 
 
 def sorted_split(v: np.ndarray, tol: float):
@@ -421,4 +419,4 @@ def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     cuts = np.concatenate(([0], splits + 1, [x.n]))
     diameters = sorted_v[cuts[1:] - 1] - sorted_v[cuts[:-1]]
     chains = tuple(tuple(c.tolist()) for c in np.split(order, splits + 1))
-    return DChainPartition(chains, tuple(diameters.tolist()), d)
+    return DChainPartition(chains, tuple(diameters.tolist()))

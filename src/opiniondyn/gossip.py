@@ -42,7 +42,6 @@ from .net_graph import _first_hit
 from .state import OpinionState, Trajectory, _frozen, _unit_weights
 
 __all__ = [
-    "RngSeed",
     "make_rng",
     "DegrootGossip",
     "SymmetricPairGossip",
@@ -62,22 +61,12 @@ _CHUNK = 1 << 14  # steps or states converted to Python lists at a time
 _HEADROOM = 256  # bits the exact runs' shared scale grows by beyond the need
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """Seed plus a derived sub-stream index for parallel trials."""
-
-    seed: int
-    stream: int = 0
-
-
 def make_rng(seed, *spawn_key) -> np.random.Generator:
-    """Philox generator of SeedSequence(seed, spawn_key=spawn_key); an RngSeed
-    or (seed, stream) tuple, or a bare seed (stream 0), has the spawn key
+    """Philox generator of SeedSequence(seed, spawn_key=spawn_key); a
+    (seed, stream) tuple, or a bare seed (stream 0), has the spawn key
     (stream,). A Generator is returned as it is."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, RngSeed):
-        return make_rng(seed.seed, seed.stream)
     if isinstance(seed, tuple):
         return make_rng(*seed)
     if not spawn_key:
@@ -606,23 +595,16 @@ def cesaro(trajectory: Trajectory) -> np.ndarray:
     return out
 
 
-def bernoulli_convolution(gamma: float, depth: int, rng, bits=None) -> float:
+def bernoulli_convolution(gamma: float, depth: int, rng) -> float:
     """One sample of the stationary opinion of an agent torn between two
     fixed sources at 0 and 1: (gamma / (1 - gamma)) * sum_{s=1..depth}
-    (1 - gamma)^s xi_s with fair coin flips xi_s. At gamma = 1/2 the
-    distribution is uniform on [0, 1]. ``bits`` may inject explicit coin
-    flips (mainly for testing)."""
+    (1 - gamma)^s xi_s with fair coin flips xi_s, drawn as
+    ``make_rng(rng).integers(0, 2, size=depth)``. At gamma = 1/2 the
+    distribution is uniform on [0, 1]."""
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if bits is None:
-        bits = make_rng(rng).integers(0, 2, size=depth)
-    else:
-        bits = np.asarray(bits)
-        if bits.shape != (depth,):
-            raise ValueError("bits must have length depth")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be 0 or 1")
+    bits = make_rng(rng).integers(0, 2, size=depth)
     powers = np.cumprod(np.full(depth, 1.0 - gamma))
     return float(gamma / (1.0 - gamma) * (powers * bits).sum())

@@ -41,7 +41,6 @@ __all__ = [
     "fj_fixed_point",
     "flow_simulate",
     "predict_bipartite_consensus",
-    "left_null_vector",
 ]
 
 STOCHASTIC_TOL = 1e-9
@@ -63,27 +62,27 @@ def _as_square(matrix) -> np.ndarray:
     return w
 
 
-def check_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
+def check_stochastic(matrix) -> np.ndarray:
     """The matrix as a float array, or ValueError unless it is square,
-    finite, entrywise nonnegative and has row sums within tol of 1.
+    finite, entrywise nonnegative and has row sums within STOCHASTIC_TOL
+    of 1.
 
     A pass of a C-ordered matrix of at most 256 entries is remembered by its
-    content (shape, bytes and tol), so a schedule that repeats a few small
+    content (shape and bytes), so a schedule that repeats a few small
     matrices pays for each check once. What is accepted does not change: a
     matrix changed in place has new content and is checked again."""
     w = np.asarray(matrix, dtype=float)
-    if (w.size <= _REMEMBERED_ENTRIES and w.flags.c_contiguous
-            and isinstance(tol, (int, float))):  # a tol that can be a key
-        if _remembered_pass(w.shape, w.tobytes(), tol):
+    if w.size <= _REMEMBERED_ENTRIES and w.flags.c_contiguous:
+        if _remembered_pass(w.shape, w.tobytes()):
             return w
-    elif _passes(w, tol):
+    elif _passes(w):
         return w
     w = _as_square(w)
     if np.any(w < 0):
         raise ValueError("stochastic matrix must be entrywise nonnegative")
     rows = w.sum(axis=1)
-    if not np.all(np.abs(rows - 1.0) <= tol):  # a NaN tol accepts nothing
-        raise ValueError(f"row sums deviate from 1 by more than {tol}: {rows}")
+    if not np.all(np.abs(rows - 1.0) <= STOCHASTIC_TOL):
+        raise ValueError(f"row sums deviate from 1 by more than {STOCHASTIC_TOL}: {rows}")
     return w
 
 
@@ -92,28 +91,29 @@ def check_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
 _REMEMBERED_ENTRIES = 256
 
 
-def _passes(w: np.ndarray, tol) -> bool:
+def _passes(w: np.ndarray) -> bool:
     """Whether check_stochastic accepts the float array w in one pass. A NaN
     or -inf entry fails the min test, and a +inf entry makes its row sum fail
-    the tolerance test as long as tol is finite. Input that fails here meets
-    check_stochastic's full checks, which word the error."""
+    the tolerance test. Input that fails here meets check_stochastic's full
+    checks, which word the error."""
     return bool(w.ndim == 2 and w.shape[0] == w.shape[1] and w.size and w.min() >= 0
-                and np.abs(w.sum(axis=1) - 1.0).max() <= tol < math.inf)
+                and np.abs(w.sum(axis=1) - 1.0).max() <= STOCHASTIC_TOL)
 
 
 @functools.lru_cache(maxsize=64)
-def _remembered_pass(shape: tuple, data: bytes, tol) -> bool:
+def _remembered_pass(shape: tuple, data: bytes) -> bool:
     """_passes for the C-ordered float64 matrix of this shape and content
     (C order, since the row sums of another layout may round differently)."""
-    return _passes(np.frombuffer(data).reshape(shape), tol)
+    return _passes(np.frombuffer(data).reshape(shape))
 
 
-def check_signed_row_stochastic(matrix, tol: float = STOCHASTIC_TOL) -> np.ndarray:
-    """Signed one-step matrix: |entries| sum to 1 per row, nonnegative diagonal."""
+def check_signed_row_stochastic(matrix) -> np.ndarray:
+    """Signed one-step matrix: |entries| sum to 1 per row within
+    STOCHASTIC_TOL, nonnegative diagonal."""
     w = _as_square(matrix)
     rows = np.abs(w).sum(axis=1)
-    if not np.all(np.abs(rows - 1.0) <= tol):
-        raise ValueError(f"modulus row sums deviate from 1 by more than {tol}: {rows}")
+    if not np.all(np.abs(rows - 1.0) <= STOCHASTIC_TOL):
+        raise ValueError(f"modulus row sums deviate from 1 by more than {STOCHASTIC_TOL}: {rows}")
     if np.any(np.diag(w) < 0):
         raise ValueError("diagonal entries must be nonnegative")
     return w
@@ -366,7 +366,8 @@ def flow_simulate(
     matrices. The step defaults to 0.01 / (1 + max modulus row sum of the
     initial matrix) and is then shrunk minimally so the horizon is an exact
     multiple; every step is recorded. Aborts with IntegrationError on a
-    non-finite state; ValueError when the steps do not fit in memory.
+    non-finite state (numpy's overflow warnings on the way there are
+    silenced); ValueError when the steps do not fit in memory.
     """
     if not 0 < t_end < math.inf:  # NaN fails this too
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -397,18 +398,19 @@ def flow_simulate(
                          "too many states to hold in memory") from exc
     states[0] = x
     t = 0.0
-    for k in range(n_steps):
-        k1 = rhs(t, x)
-        k2 = rhs(t + h / 2, x + (h / 2) * k1)
-        k3 = rhs(t + h / 2, x + (h / 2) * k2)
-        k4 = rhs(t + h, x + h * k3)
-        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = (k + 1) * h
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError(
-                f"non-finite state at step {k + 1} (t={t:.6g}); reduce dt", step=k + 1, time=t
-            )
-        states[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            k1 = rhs(t, x)
+            k2 = rhs(t + h / 2, x + (h / 2) * k1)
+            k3 = rhs(t + h / 2, x + (h / 2) * k2)
+            k4 = rhs(t + h, x + h * k3)
+            x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            t = (k + 1) * h
+            if not np.all(np.isfinite(x)):
+                raise IntegrationError(
+                    f"non-finite state at step {k + 1} (t={t:.6g}); reduce dt", step=k + 1, time=t
+                )
+            states[k + 1] = x
     stamps = np.arange(n_steps + 1) * h
     return Trajectory(states, stamps)
 

@@ -35,15 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """Weighted directed graph on n agents given by its coupling matrix.
-
-    ``zero_tol`` is the magnitude below which an entry counts as absent;
-    the default 0.0 means an exact zero test (inputs are user-specified
-    matrices, not noisy data).
-    """
+    """Weighted directed graph on n agents given by its coupling matrix;
+    every nonzero entry is an arc."""
 
     weights: np.ndarray
-    zero_tol: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -53,8 +48,6 @@ class SignedGraph:
             raise ValueError("need at least one agent")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if not self.zero_tol >= 0:
-            raise ValueError("zero_tol must be nonnegative")
         object.__setattr__(self, "weights", _frozen(w))
 
     @property
@@ -64,7 +57,7 @@ class SignedGraph:
     @property
     def arc_mask(self) -> np.ndarray:
         """Boolean matrix: entry (i, j) True iff the arc j -> i is present."""
-        return np.abs(self.weights) > self.zero_tol
+        return self.weights != 0
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,8 @@ def signed_laplacian(g: SignedGraph) -> np.ndarray:
 
 
 def _sign_asymmetry(g: SignedGraph) -> np.ndarray:
-    """Upper-triangle mask of the pairs i < j with a_ij * a_ji < 0 (entries
-    below zero_tol treated as zero)."""
-    w = np.where(g.arc_mask, g.weights, 0.0)
-    return np.triu(w * w.T < 0, 1)
+    """Upper-triangle mask of the pairs i < j with a_ij * a_ji < 0."""
+    return np.triu(g.weights * g.weights.T < 0, 1)
 
 
 def _first_hit(mask: np.ndarray) -> tuple | None:
@@ -168,8 +159,7 @@ def _mirror_signs(g: SignedGraph):
     Returns (adjacency bool matrix, sign matrix in {-1, 0, +1}). Requires a
     sign-symmetric graph; callers must check first.
     """
-    mask = g.arc_mask
-    w = np.where(mask, g.weights, 0.0)
+    mask, w = g.arc_mask, g.weights
     sym_mask = mask | mask.T
     # for each undirected pair, take the sign of whichever direction is present
     combined = np.where(mask, w, w.T)
@@ -255,7 +245,7 @@ def gauge_apply(g: SignedGraph, delta: GaugeVector) -> SignedGraph:
     if len(delta.signs) != g.n:
         raise ValueError(f"gauge length {len(delta.signs)} != agent count {g.n}")
     d = delta.diagonal
-    return SignedGraph(d[:, None] * g.weights * d[None, :], zero_tol=g.zero_tol)
+    return SignedGraph(d[:, None] * g.weights * d[None, :])
 
 
 def _tarjan_scc(adj: np.ndarray) -> list:
@@ -317,7 +307,7 @@ def _component_labels(comps, n: int) -> np.ndarray:
 
 
 def connectivity(g: SignedGraph) -> ConnectivityReport:
-    """Directed connectivity of the arc structure |a_ij| > zero_tol.
+    """Directed connectivity of the arc structure a_ij != 0.
 
     ``has_spanning_tree`` is True when some root reaches every node along
     arcs (equivalently, the condensation has a single source component).

@@ -6,6 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "SimulationError",
+    "NonConvergentError",
+    "UnstableError",
+    "IntegrationError",
+    "MaxStepsError",
+    "OpinionState",
+    "Trajectory",
+    "trajectory_from_states",
+]
+
 
 class SimulationError(Exception):
     """Base class for simulation failures."""
@@ -13,10 +24,6 @@ class SimulationError(Exception):
 
 class NonConvergentError(SimulationError):
     """An iterative computation did not converge within its iteration budget."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
 
 
 class UnstableError(SimulationError):
@@ -148,11 +155,6 @@ class Trajectory:
 
     def state(self, k: int) -> OpinionState:
         return OpinionState(self.array[k])
-
-    @property
-    def states(self) -> tuple:
-        """All states as OpinionState objects (materializes; avoid on huge runs)."""
-        return tuple(OpinionState(self.array[k]) for k in range(len(self)))
 
     @property
     def initial(self) -> OpinionState:

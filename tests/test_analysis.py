@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opiniondyn import analysis
 from opiniondyn import (
     ConfidenceSpec,
+    MaxStepsError,
     OpinionState,
     classify,
     clusters,
@@ -270,6 +272,13 @@ class TestTwoRExperiment:
     def test_conjecture_column_rounds_half_up(self):
         rows = two_r_experiment(n=5, d_list=[0.05, 0.06, 0.11, 0.12, 0.2, 0.25], trials=1, seed=0)
         assert [r.conjecture for r in rows] == [10, 8, 5, 4, 3, 2]
+
+    def test_a_run_that_misses_the_termination_bound_raises(self, monkeypatch):
+        # the bound is the theorem the counts rest on, so a run that misses it
+        # is an error, not a partial trajectory to count clusters on
+        monkeypatch.setattr(analysis, "_hk_step_bound", lambda n: 1)
+        with pytest.raises(MaxStepsError, match="no fixed point within 1 steps"):
+            two_r_experiment(n=20, d_list=[0.3], trials=1, seed=0)
 
     @pytest.mark.parametrize("d", [float("inf"), float("nan"), 0.0, -0.2])
     def test_bound_that_is_not_finite_and_positive_rejected(self, d):

@@ -601,6 +601,23 @@ class TestInputErrors:
         assert "t_end=1000000000000.0 with dt=0.001 takes 1000000000000000 steps" in payload["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_diverging_flow_is_one_run_stage_line(self, tmp_path, capsys):
+        # dt far beyond the stability limit: the state overflows, and stderr
+        # carries the payload alone, with no numpy overflow warning before it
+        config = {"model": "flow", "x0": [0.0, 1e12],
+                  "params": {"matrix": [[0, 50], [50, 0]], "t_end": 4000, "dt": 1.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert set(payload) == {"stage", "message", "hint"}
+        assert payload["stage"] == "run"
+        assert payload["message"] == "non-finite state at step 45 (t=45); reduce dt"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "config",
         [

@@ -15,7 +15,6 @@ from opiniondyn import (
     FJSpec,
     GossipFJ,
     OpinionState,
-    RngSeed,
     SymmetricPairGossip,
     Trajectory,
     bernoulli_convolution,
@@ -261,8 +260,8 @@ class TestSimulateGossip:
     def test_stream_index_gives_independent_runs(self):
         model = DeffuantWeisbuch(d=0.4, mu=0.5)
         x0 = OpinionState(np.linspace(0, 1, 6))
-        a = simulate_gossip(model, x0, steps=500, seed=RngSeed(7, stream=0))
-        b = simulate_gossip(model, x0, steps=500, seed=RngSeed(7, stream=1))
+        a = simulate_gossip(model, x0, steps=500, seed=(7, 0))
+        b = simulate_gossip(model, x0, steps=500, seed=(7, 1))
         assert not np.array_equal(a.array, b.array)
 
     def test_seed_forms_share_one_stream_derivation(self):
@@ -273,9 +272,8 @@ class TestSimulateGossip:
         def draw(rng):
             return rng.integers(1 << 62, size=4).tolist()
 
-        assert draw(make_rng(7)) == draw(make_rng((7, 0))) == draw(make_rng(RngSeed(7))) \
-            == philox(7, 0)
-        assert draw(make_rng((7, 3))) == draw(make_rng(RngSeed(7, 3))) == philox(7, 3)
+        assert draw(make_rng(7)) == draw(make_rng((7, 0))) == philox(7, 0)
+        assert draw(make_rng((7, 3))) == philox(7, 3)
         assert draw(make_rng(7, 3, 2)) == philox(7, 3, 2)
 
     def test_event_replay_reproduces_states(self):
@@ -647,30 +645,32 @@ class TestCesaro:
 
 
 class TestBernoulliConvolution:
-    def test_all_zero_bits(self):
-        assert bernoulli_convolution(0.5, 10, rng=0, bits=np.zeros(10, dtype=int)) == 0.0
+    @pytest.mark.parametrize("seed", [0, 1, 7, (7, 3), (2024, 1)])
+    def test_value_is_the_binary_fraction_of_the_seeded_flips(self, seed):
+        # at gamma = 1/2 the sample is 0.xi_1 xi_2 ... xi_depth in binary,
+        # exact in a double for depth <= 53
+        for depth in (1, 10, 53):
+            flips = make_rng(seed).integers(0, 2, size=depth).tolist()
+            want = sum(Fraction(xi, 2**s) for s, xi in enumerate(flips, 1))
+            assert bernoulli_convolution(0.5, depth, seed) == want
 
-    def test_all_one_bits_geometric_sum(self):
-        val = bernoulli_convolution(0.5, 60, rng=0, bits=np.ones(60, dtype=int))
-        assert val == pytest.approx(1.0, abs=1e-15)
+    @pytest.mark.parametrize("gamma", [0.1, 0.25, 0.9])
+    def test_value_is_the_weighted_sum_of_the_seeded_flips(self, gamma):
+        g = Fraction(gamma)
+        for seed in range(5):
+            flips = make_rng(seed).integers(0, 2, size=40).tolist()
+            want = g / (1 - g) * sum((1 - g) ** s * xi for s, xi in enumerate(flips, 1))
+            got = bernoulli_convolution(gamma, 40, make_rng(seed))
+            assert got == pytest.approx(float(want), rel=1e-14, abs=1e-300)
 
-    @pytest.mark.parametrize("bits", [[2, 7, -1], [1, 0, 2], [0.5, 0, 1], [1, np.nan, 0]])
-    def test_bits_other_than_zero_or_one_rejected(self, bits):
-        with pytest.raises(ValueError, match="0 or 1"):
-            bernoulli_convolution(0.5, 3, None, bits=bits)
-
-    def test_boolean_bits_accepted(self):
-        assert bernoulli_convolution(0.5, 3, None, bits=[True, False, True]) == 0.625
-
-    @pytest.mark.parametrize("gamma, depth, bits, message", [
-        (0.0, 3, None, r"gamma must lie in \(0, 1\)"),
-        (1.0, 3, None, r"gamma must lie in \(0, 1\)"),
-        (0.5, 0, None, "depth must be >= 1"),
-        (0.5, 3, [0, 1], "bits must have length depth"),
-    ], ids=["zero-gamma", "unit-gamma", "zero-depth", "short-bits"])
-    def test_invalid_arguments_rejected(self, gamma, depth, bits, message):
+    @pytest.mark.parametrize("gamma, depth, message", [
+        (0.0, 3, r"gamma must lie in \(0, 1\)"),
+        (1.0, 3, r"gamma must lie in \(0, 1\)"),
+        (0.5, 0, "depth must be >= 1"),
+    ], ids=["zero-gamma", "unit-gamma", "zero-depth"])
+    def test_invalid_arguments_rejected(self, gamma, depth, message):
         with pytest.raises(ValueError, match=message):
-            bernoulli_convolution(gamma, depth, 0, bits=bits)
+            bernoulli_convolution(gamma, depth, 0)
 
     def test_uniform_moments_at_half(self):
         rng = make_rng(123)

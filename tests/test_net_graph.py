@@ -211,7 +211,7 @@ class TestGauge:
         for _ in range(30):
             g, _ = random_balanced_graph(rng, int(rng.integers(3, 8)))
             delta = gauge_from_balance(structural_balance(g), g.n)
-            assert np.all(gauge_apply(g, delta).weights >= -g.zero_tol)
+            assert np.all(gauge_apply(g, delta).weights >= 0)
 
     def test_gauge_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -313,11 +313,6 @@ class TestPersistentGraph:
     def test_threshold_must_be_positive(self, threshold):
         with pytest.raises(ValueError, match="threshold must be positive"):
             persistent_graph([np.ones((2, 2))], threshold=threshold)
-
-    @pytest.mark.parametrize("zero_tol", [np.nan, -1.0])
-    def test_signed_graph_zero_tol_must_be_nonnegative(self, zero_tol):
-        with pytest.raises(ValueError, match="zero_tol must be nonnegative"):
-            SignedGraph(np.ones((2, 2)), zero_tol=zero_tol)
 
     def test_constant_coupling_reaches_threshold(self):
         w = np.zeros((2, 2))
@@ -558,8 +553,8 @@ def all_python_ints(nested):
 
 def random_signed_graph(rng):
     """A small signed graph: sparse, with self-loops of either sign, one-sided
-    arcs, entries at and just above zero_tol, and, half the time, a sign
-    pattern that is symmetric (so the traversal is reached) or balanced."""
+    arcs, zero entries of either sign, and, half the time, a sign pattern
+    that is symmetric (so the traversal is reached) or balanced."""
     n = int(rng.integers(1, 9))
     mag = rng.choice([0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 0.25], size=(n, n))
     mag *= rng.random((n, n)) < rng.uniform(0.1, 0.9)
@@ -575,7 +570,7 @@ def random_signed_graph(rng):
     if rng.random() < 0.2:  # flip one entry, possibly to an asymmetric pair
         i, j = rng.integers(n, size=2)
         signs[i, j] = -signs[i, j]
-    return SignedGraph(mag * signs, zero_tol=float(rng.choice([0.0, 0.25, 0.5])))
+    return SignedGraph(mag * signs)
 
 
 class TestMaskKernelsMatchTheLoops:
