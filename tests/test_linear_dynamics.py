@@ -111,6 +111,31 @@ class TestCheckStochastic:
             linear_dynamics.check_stochastic(matrix)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("check", [linear_dynamics.check_stochastic,
+                                       linear_dynamics.check_signed_row_stochastic])
+    def test_nan_entries_are_rejected(self, check):
+        for matrix in ([[np.nan]], [[0.5, np.nan], [0.5, 0.5]]):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                check(matrix)
+
+    @pytest.mark.parametrize("check, sign", [
+        (linear_dynamics.check_stochastic, 1.0),
+        (linear_dynamics.check_signed_row_stochastic, -1.0),
+    ], ids=["check_stochastic", "check_signed_row_stochastic"])
+    def test_row_sums_are_held_to_stochastic_tol(self, check, sign):
+        # |row sum - 1| = 5e-10 is within STOCHASTIC_TOL = 1e-9; 2e-9 is not
+        near = [[0.5, sign * (0.5 + 5e-10)], [0.5, 0.5]]
+        far = [[0.5, sign * (0.5 + 2e-9)], [0.5, 0.5]]
+        assert np.array_equal(check(near), np.array(near))
+        with pytest.raises(ValueError, match="deviate from 1 by more than 1e-09"):
+            check(far)
+
+    def test_signed_check_rejects_a_negative_diagonal(self):
+        w = [[0.5, -0.5], [-0.5, 0.5]]
+        assert np.array_equal(linear_dynamics.check_signed_row_stochastic(w), np.array(w))
+        with pytest.raises(ValueError, match="diagonal entries must be nonnegative"):
+            linear_dynamics.check_signed_row_stochastic([[-0.5, 0.5], [0.5, 0.5]])
+
     def test_empty_matrix_is_accepted(self):
         w = linear_dynamics.check_stochastic(np.zeros((0, 0)))
         assert w.shape == (0, 0)

@@ -45,6 +45,11 @@ class TestSignedLaplacian:
         with pytest.raises(ValueError, match=message):
             SignedGraph(weights)
 
+    @pytest.mark.parametrize("entry", [5e-324, -5e-324, 1e-300])
+    def test_every_nonzero_entry_is_an_arc(self, entry):
+        g = SignedGraph(np.array([[0.0, entry], [-0.0, 0.0]]))
+        assert np.array_equal(g.arc_mask, np.array([[False, True], [False, False]]))
+
     def test_unsigned_symmetric_dyad(self):
         g = SignedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.array_equal(signed_laplacian(g), np.array([[1.0, -1.0], [-1.0, 1.0]]))
