@@ -11,12 +11,12 @@ energy are included.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
 from .state import _frozen, _pairwise_sq, _unit_weights
 
@@ -106,6 +106,8 @@ class ConfidenceSpec:
     def shifted(cls, d: float, eta, closed: bool = True) -> "ConfidenceSpec":
         """Intervals [x_i - d + eta_i, x_i + d] with 0 <= eta_i and max eta_i < d."""
         eta = tuple(float(e) for e in eta)
+        if not eta:
+            raise ValueError("eta must hold one shift per agent, got an empty list")
         # a bound d <= 0 is left to the positivity check
         if not d <= 0 and (any(e < 0 for e in eta) or max(eta) >= d):
             raise ValueError("shifts must satisfy 0 <= eta_i and max eta_i < d")
@@ -249,9 +251,10 @@ def inertial_step(x: OpinionState, lam, spec: ConfidenceSpec) -> OpinionState:
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Distance-responsive interaction weights: one weight function
-    phi(sigma) >= 0 of the squared distance, with phi(0) > 0 (the diagonal's
-    sigma), scaled to w_j phi(sigma) by agent j's positive reputation when
+    """Distance-responsive interaction weights: one weight function ``phi``
+    that maps an array of squared distances sigma to the weights
+    phi(sigma) >= 0 elementwise, with phi(0) > 0 (the diagonal's sigma),
+    scaled to w_j phi(sigma) by agent j's positive reputation when
     ``reputations`` w is given."""
 
     phi: Callable
@@ -272,14 +275,6 @@ class PhiSpec:
     def n(self) -> int | None:
         return None if self.reputations is None else len(self.reputations)
 
-    def weight(self, i: int, j: int, sigma: float) -> float:
-        v = float(self.phi(sigma))
-        if v and self.reputations is not None:  # a zero weight stays 0, also for w_j = inf
-            v = float(self.reputations[j] * v)
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"weight function returned {v} at sigma={sigma}")
-        return v
-
 
 def hk_indicator_phi(d: float) -> PhiSpec:
     """Weights reproducing the plain bounded-confidence step: the indicator
@@ -287,7 +282,7 @@ def hk_indicator_phi(d: float) -> PhiSpec:
     if not d > 0:
         raise ValueError("confidence bound must be positive")
     dsq = d * d
-    return PhiSpec(phi=lambda sigma: 1.0 if sigma <= dsq else 0.0)
+    return PhiSpec(phi=lambda sigma: np.where(sigma <= dsq, 1.0, 0.0))
 
 
 def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
@@ -297,15 +292,7 @@ def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
     if not (0 < a < b and 0 < d1 < d2):
         raise ValueError("need 0 < a < b and 0 < d1 < d2")
     s1, s2 = d1 * d1, d2 * d2
-
-    def phi(sigma):
-        if sigma <= s1:
-            return a
-        if sigma < s2:
-            return b
-        return 0.0
-
-    return PhiSpec(phi=phi)
+    return PhiSpec(phi=lambda sigma: np.where(sigma <= s1, a, np.where(sigma < s2, b, 0.0)))
 
 
 def reputation_phi(w, d: float) -> PhiSpec:
@@ -315,18 +302,21 @@ def reputation_phi(w, d: float) -> PhiSpec:
     if not d > 0:
         raise ValueError("confidence bound must be positive")
     dsq = d * d
-    return PhiSpec(phi=lambda sigma: 1.0 if sigma < dsq else 0.0, reputations=w)
+    return PhiSpec(phi=lambda sigma: np.where(sigma < dsq, 1.0, 0.0), reputations=w)
 
 
 def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
+    """The n x n weights; ValueError at the row-major first weight that is
+    negative or not finite."""
     if phi.n not in (None, x.n):
         raise ValueError("reputation count must match the agent count")
     sq = _pairwise_sq(x.values)
-    n = x.n
-    w = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            w[i, j] = phi.weight(i, j, sq[i, j])
+    w = np.array(phi.phi(sq), dtype=float)
+    if phi.reputations is not None:  # a zero weight stays 0, also for w_j = inf
+        np.multiply(w, phi.reputations, out=w, where=w != 0)
+    hit = _first_hit(~np.isfinite(w) | (w < 0))
+    if hit:
+        raise ValueError(f"weight function returned {w[hit]} at sigma={sq[hit]}")
     return w
 
 

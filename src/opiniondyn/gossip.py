@@ -2,9 +2,10 @@
 
 At every step a random agent or pair is activated and only the activated
 opinions change: one-sided averaging toward a sampled neighbor, symmetric
-pair averaging, prejudice-anchored updates on a sampled arc, and the
-bounded-confidence pair dynamics in its symmetric, asymmetric, and
-heterogeneous forms.
+pair averaging, prejudice-anchored updates on a sampled arc of the
+Friedkin-Johnsen model (``GossipFJ`` runs the ``FJSpec`` whose fixed point
+``fj_fixed_point`` computes), and the bounded-confidence pair dynamics
+(``DeffuantWeisbuch``).
 
 Randomness is fully reproducible: every run is driven by a Philox
 counter-based generator keyed through numpy's SeedSequence with
@@ -17,14 +18,13 @@ all partner draws, in the order documented on each model, and then applies
 the block step by step. Replaying a simulation's recorded events
 reproduces its states.
 
-The three bounded-confidence pair dynamics are one rule: agent i moves by
-mu times the gap when the gap is within its bound d_i, and in the symmetric
-dynamics agent j moves back by the same amount when the gap is within d_j.
-They differ only in the bounds (one d, or one per agent) and in whether j
-moves, so they share one float update loop, and the exact run
-(``dw_run_exact``) reads the same rule. It costs more per step as the run
-goes on; the symmetric dynamics, where both agents move, then conserves the
-sum exactly.
+The bounded-confidence pair dynamics is one rule: agent i moves by mu
+times the gap when the gap is within its bound d_i, and in the symmetric
+mode agent j moves back by the same amount when the gap is within d_j. The
+bound is one d shared by all agents or one per agent. One float update loop
+applies the rule, and the exact run (``dw_run_exact``) reads the same
+bounds. It costs more per step as the run goes on; the symmetric mode, where
+both agents move, then conserves the sum exactly.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from math import inf
 
 import numpy as np
 
-from .linear_dynamics import check_stochastic
-from .net_graph import _first_hit
-from .state import OpinionState, Trajectory, _frozen, _unit_weights
+from .linear_dynamics import FJSpec, check_stochastic
+from .state import OpinionState, Trajectory, _frozen
 
 __all__ = [
     "make_rng",
@@ -47,8 +46,6 @@ __all__ = [
     "SymmetricPairGossip",
     "GossipFJ",
     "DeffuantWeisbuch",
-    "DWHeterogeneous",
-    "build_gammas",
     "simulate_gossip",
     "dw_run_exact",
     "DWExactRun",
@@ -149,77 +146,47 @@ class SymmetricPairGossip(_RowPartners):
 
 @dataclass(frozen=True)
 class GossipFJ:
-    """Asynchronous prejudice-anchored averaging.
+    """Asynchronous prejudice-anchored averaging of the prejudice model
+    ``spec`` (lam, W, u), whose fixed point ``fj_fixed_point`` computes.
 
-    An arc (i, j) is sampled uniformly from the arc list and only agent i
-    updates: x_i' = x_i + gamma1_ij (x_j - x_i) + gamma2_ij (u_i - x_i).
-    The arc list defaults to the full nonzero support of the coupling
-    matrix the gamma factors were built from; a positive self-weight
-    contributes the self-arc (i, i), on which the agent re-anchors toward
-    its prejudice. Dropping the self-arcs would bias the ergodic limit away
-    from the anchored-averaging fixed point.
+    An arc (i, j) is sampled uniformly from the nonzero support of W, in
+    ``np.nonzero`` order, and only agent i updates:
+    x_i' = x_i + lam_i w_ij (x_j - x_i) + (1 - lam_i) w_ij (u_i - x_i).
+    A positive self-weight contributes the self-arc (i, i), on which the
+    agent re-anchors toward its prejudice. Dropping the self-arcs would bias
+    the ergodic limit away from the anchored-averaging fixed point.
     Draw order: one uniform arc index per step.
     """
 
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    u: np.ndarray
-    arcs: tuple
-    _by_arc: tuple = field(default=(), init=False, repr=False)  # tails, heads, gamma1, gamma2
+    spec: FJSpec
+    # per arc: tail i, head j, lam_i w_ij and (1 - lam_i) w_ij
+    _by_arc: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        g1 = np.asarray(self.gamma1, dtype=float)
-        g2 = np.asarray(self.gamma2, dtype=float)
-        if g1.shape != g2.shape or g1.ndim != 2 or g1.shape[0] != g1.shape[1]:
-            raise ValueError("gamma factors must be equal-size square matrices")
-        if not (np.all(g1 >= 0) and np.all(g2 >= 0)):
-            raise ValueError("gamma factors must be entrywise nonnegative")
-        if not np.all(g1 + g2 <= 1 + 1e-12):
-            raise ValueError("gamma1 + gamma2 must not exceed 1 entrywise")
-        u = np.asarray(self.u, dtype=float).reshape(-1)
-        if u.shape[0] != g1.shape[0]:
-            raise ValueError("prejudice vector length must match matrix size")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("prejudice values must be finite")
-        arcs = tuple((int(i), int(j)) for i, j in self.arcs)
-        if not arcs:
-            raise ValueError("arc list must be nonempty")
-        n = g1.shape[0]
-        ends = np.array(arcs)
-        hit = _first_hit(((ends < 0) | (ends >= n)).any(axis=1))
-        if hit:
-            raise ValueError("invalid arc ({}, {})".format(*arcs[hit[0]]))
-        ai, aj = ends.T
-        listed = np.zeros((n, n), dtype=bool)
-        listed[ai, aj] = True
-        if np.any((g1 + g2 != 0) & ~listed):
-            raise ValueError("gamma factors are supported outside the arc list")
-        for name, arr in (("gamma1", g1), ("gamma2", g2), ("u", u)):
-            object.__setattr__(self, name, _frozen(arr))
-        object.__setattr__(self, "arcs", arcs)
-        by_arc = (_frozen(ai, int), _frozen(aj, int), _frozen(g1[ai, aj]), _frozen(g2[ai, aj]))
+        lam, w, u = self.spec.lam, self.spec.w, self.spec.u
+        if u.shape[1] != 1:
+            raise ValueError(f"gossip prejudices must be scalar, got u of shape {u.shape}")
+        ai, aj = np.nonzero(w)
+        w_arc, lam_arc = w[ai, aj], lam[ai]
+        by_arc = (_frozen(ai, int), _frozen(aj, int), _frozen(lam_arc * w_arc),
+                  _frozen((1.0 - lam_arc) * w_arc))
         object.__setattr__(self, "_by_arc", by_arc)
 
     @classmethod
     def from_fj(cls, lam, w, u) -> "GossipFJ":
-        """Canonical construction from susceptibilities and a stochastic
-        matrix: the arc list is the full nonzero support of w, self-arcs
-        included."""
-        g1, g2 = build_gammas(lam, w)
-        w = np.asarray(w, dtype=float)
-        arcs = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(w)))
-        return cls(gamma1=g1, gamma2=g2, u=u, arcs=arcs)
+        """The gossip of ``FJSpec(lam=lam, w=w, u=u)``."""
+        return cls(FJSpec(lam=lam, w=w, u=u))
 
     @property
     def n(self) -> int:
-        return self.gamma1.shape[0]
+        return self.spec.n
 
     def _draw(self, rng, n, count):
-        arc = rng.integers(len(self.arcs), size=count)
+        arc = rng.integers(len(self._by_arc[0]), size=count)
         return tuple(a[arc] for a in self._by_arc)
 
     def _apply(self, x, draws, snap, keep):
-        u = self.u.tolist()
+        u = self.spec.u[:, 0].tolist()
         for i, j, g1, g2, s in zip(*draws, snap):
             xi = x[i]
             x[i] = xi + g1 * (x[j] - xi) + g2 * (u[i] - xi)
@@ -228,25 +195,49 @@ class GossipFJ:
         return repeat(True)
 
 
-class _PairDynamics:
-    """The bounded-confidence pair rule shared by the pair models.
+@dataclass(frozen=True)
+class DeffuantWeisbuch:
+    """Bounded-confidence pair dynamics.
 
-    A uniformly random pair (i, j) meets. Agent i moves by mu times the gap
-    x_j - x_i when the gap is within its bound d_i; in the symmetric rule
+    A random pair (i, j) meets. Agent i moves by mu times the gap
+    x_j - x_i when the gap is within its bound d_i; in the symmetric mode
     agent j moves by the same amount the other way when the gap is within
-    d_j. ``_rule(n)`` gives the per-agent bounds as a list of floats and
-    whether j moves too; the float loop and ``dw_run_exact`` both read it.
+    d_j. ``d`` is one bound shared by all agents or a positive per-agent
+    vector. mode "symmetric": both agents of a uniformly random unordered
+    pair may move. mode "asymmetric": only the first agent of a uniformly
+    random ordered pair moves.
+    Draw order per step: first index uniform on n, second uniform on the
+    remaining n-1 (skipping the first).
     """
 
-    def _check_mu(self):
+    d: float | np.ndarray
+    mu: float
+    mode: str = "symmetric"
+
+    def __post_init__(self):
+        d = float(self.d) if np.ndim(self.d) == 0 else _frozen(self.d)
+        if np.ndim(d) > 1 or not np.all(d > 0):  # NaN fails "> 0" too
+            raise ValueError("confidence bounds must be a positive number or vector")
         if not 0 < self.mu < 1:
             raise ValueError("the move fraction must lie in (0, 1)")
+        if self.mode not in ("symmetric", "asymmetric"):
+            raise ValueError("mode must be 'symmetric' or 'asymmetric'")
+        object.__setattr__(self, "d", d)
+
+    @property
+    def n(self) -> int | None:
+        """The agent count of per-agent bounds; None for a shared bound."""
+        return None if isinstance(self.d, float) else len(self.d)
+
+    def _bounds(self, n: int) -> list:
+        """The bound of each of n agents as a list of floats."""
+        return np.broadcast_to(self.d, n).tolist()
 
     def _draw(self, rng, n, count):
         return _draw_pairs(rng, n, count)
 
     def _apply(self, x, draws, snap, keep):
-        bounds, symmetric = self._rule(len(x))
+        bounds, symmetric = self._bounds(len(x)), self.mode == "symmetric"
         mu = float(self.mu)
         moved = []
         flag = moved.append
@@ -268,66 +259,6 @@ class _PairDynamics:
         return moved
 
 
-@dataclass(frozen=True)
-class DeffuantWeisbuch(_PairDynamics):
-    """Bounded-confidence pair dynamics.
-
-    A random pair meets; the move happens only when the gap is within the
-    confidence bound d, in which case the mover shifts by mu times the gap.
-    mode "symmetric": both agents of a uniformly random unordered pair move
-    toward each other. mode "asymmetric": only the first agent of a
-    uniformly random ordered pair moves.
-    Draw order per step: first index uniform on n, second uniform on the
-    remaining n-1 (skipping the first).
-    """
-
-    d: float
-    mu: float
-    mode: str = "symmetric"
-
-    def __post_init__(self):
-        if not self.d > 0:  # NaN fails this too
-            raise ValueError("confidence bound must be positive")
-        self._check_mu()
-        if self.mode not in ("symmetric", "asymmetric"):
-            raise ValueError("mode must be 'symmetric' or 'asymmetric'")
-
-    def _rule(self, n):
-        return [float(self.d)] * n, self.mode == "symmetric"
-
-
-@dataclass(frozen=True)
-class DWHeterogeneous(_PairDynamics):
-    """Pair dynamics with per-agent confidence bounds: each side of the
-    sampled pair moves iff the gap is within its own bound.
-    Draw order as in the homogeneous pair dynamics."""
-
-    d: np.ndarray
-    mu: float
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1 or not np.all(d > 0):
-            raise ValueError("per-agent bounds must be a positive vector")
-        self._check_mu()
-        object.__setattr__(self, "d", _frozen(d))
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
-
-    def _rule(self, n):
-        return self.d.tolist(), True
-
-
-def build_gammas(lam, w):
-    """Split a stochastic coupling matrix into the opinion and prejudice
-    factors: gamma1 = diag(lam) W, gamma2 = (I - diag(lam)) W."""
-    w = check_stochastic(w)
-    lam = _unit_weights(lam, w.shape[0], "susceptibilities")
-    return lam[:, None] * w, (1.0 - lam)[:, None] * w
-
-
 # ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
@@ -338,11 +269,9 @@ def build_gammas(lam, w):
 # ``_apply(x, draws, snap, keep)`` runs the steps on the list of Python
 # floats ``x`` in place, given the draws as lists; after each step whose
 # ``snap`` flag is set it calls ``keep(x)``. It returns the per-step
-# ``interacted`` flags. The pair models share both: their ``_rule(n)`` gives
-# the per-agent bounds and whether the partner moves too, and one loop in
-# ``_PairDynamics._apply`` applies it.
+# ``interacted`` flags.
 
-_MODELS = (_RowPartners, GossipFJ, _PairDynamics)
+_MODELS = (_RowPartners, GossipFJ, DeffuantWeisbuch)
 
 
 def _draw_row_partners(p: np.ndarray, rng, count: int):
@@ -386,9 +315,9 @@ def _check_run(model, x0: OpinionState, steps: int, thin: int) -> None:
     if not isinstance(model, _MODELS):
         raise TypeError(f"unknown gossip model {type(model).__name__}")
     n = x0.n
-    if isinstance(model, _PairDynamics) and n < 2:
+    if isinstance(model, DeffuantWeisbuch) and n < 2:
         raise ValueError(f"pair dynamics needs at least two agents, got {n}")
-    if getattr(model, "n", n) != n:
+    if model.n not in (None, n):
         raise ValueError("model size must match the state")
 
 
@@ -488,8 +417,8 @@ def dw_run_exact(
     model, x0: OpinionState, steps: int, seed, thin: int | None = None,
     record_events: bool = False,
 ) -> DWExactRun:
-    """Run the pair dynamics (symmetric, asymmetric or heterogeneous) in
-    exact arithmetic.
+    """Run the pair dynamics (symmetric or asymmetric, with a shared or a
+    per-agent bound) in exact arithmetic.
 
     Floats and the move fraction are dyadic rationals, so every opinion
     stays an integer over one shared scale 2**E. ``exps`` bounds the
@@ -502,14 +431,14 @@ def dw_run_exact(
     draws are the float simulator's, so a run is comparable draw-for-draw
     with its float twin. ``thin`` defaults to keeping the ends only.
     """
-    if not isinstance(model, _PairDynamics):
+    if not isinstance(model, DeffuantWeisbuch):
         raise TypeError("exact runs are provided for the pair dynamics")
     if thin is None:
         thin = steps
     _check_run(model, x0, steps, thin)
     rng = make_rng(seed)
     n = x0.n
-    bounds, symmetric = model._rule(n)
+    bounds, symmetric = model._bounds(n), model.mode == "symmetric"
     dyadic = [_to_dyadic(v) for v in x0.flat.tolist()]
     initial = tuple(Fraction(p, 1 << e) for p, e in dyadic)
     exps = [e for _, e in dyadic]

@@ -170,16 +170,14 @@ def phi_from_params(preset: str = "hk", **params) -> bc.PhiSpec:
     return PHI_PRESETS[preset](**params)
 
 
+# "dw-heterogeneous" is the older name of "dw" with a per-agent d
 GOSSIP_MODELS = {"gossip-degroot": gp.DegrootGossip, "gossip-pair": gp.SymmetricPairGossip,
                  "gossip-fj": gp.GossipFJ.from_fj, "dw": gp.DeffuantWeisbuch,
-                 "dw-heterogeneous": gp.DWHeterogeneous}
+                 "dw-heterogeneous": gp.DeffuantWeisbuch}
 
 
 def gossip_model_from_params(model: str, params: dict):
-    """The gossip model named ``model``, built from its params by keyword;
-    ``gossip-fj`` takes lam, w and u, or gamma1, gamma2, u and arcs."""
-    if model == "gossip-fj" and "gamma1" in params:
-        return gp.GossipFJ(**params)
+    """The gossip model named ``model``, built from its params by keyword."""
     return GOSSIP_MODELS[model](**params)
 
 

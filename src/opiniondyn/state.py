@@ -14,7 +14,6 @@ __all__ = [
     "MaxStepsError",
     "OpinionState",
     "Trajectory",
-    "trajectory_from_states",
 ]
 
 
@@ -163,13 +162,3 @@ class Trajectory:
     @property
     def final(self) -> OpinionState:
         return self.state(len(self) - 1)
-
-
-def trajectory_from_states(states, stamps=None, terminated_at=None, events=None) -> Trajectory:
-    """Build a Trajectory from a list of (n, m) arrays or OpinionState objects."""
-    arrays = [s.values if isinstance(s, OpinionState) else as_state_array(s) for s in states]
-    if not arrays:
-        raise ValueError("need at least one state")
-    if stamps is None:
-        stamps = np.arange(len(arrays), dtype=float)
-    return Trajectory(np.stack(arrays), stamps, terminated_at=terminated_at, events=events)

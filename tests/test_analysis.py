@@ -12,8 +12,8 @@ from opiniondyn import (
     classify,
     clusters,
     hk_step,
+    Trajectory,
     simulate_bc,
-    trajectory_from_states,
     two_r_experiment,
 )
 
@@ -214,14 +214,19 @@ class TestClusters:
             clusters(OpinionState(pts), gap_tol=gap_tol)
 
 
+def scalar_run(states):
+    """A trajectory of scalar states stamped 0, 1, 2, ..."""
+    return Trajectory(np.array(states, dtype=float)[:, :, None], np.arange(len(states)))
+
+
 class TestClassify:
     def test_consensus_label(self):
-        traj = trajectory_from_states([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
+        traj = scalar_run([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
         label = classify(traj, tol=1e-6)
         assert label.kind == "consensus"
 
     def test_polarization_label(self):
-        traj = trajectory_from_states(
+        traj = scalar_run(
             [[1.0, -1.0, 0.9], [0.95, -0.95001, 0.95], [0.95, -0.95001, 0.95]]
         )
         label = classify(traj, tol=1e-3)
@@ -229,26 +234,26 @@ class TestClassify:
         assert set(label.camps) == {(0, 2), (1,)}
 
     def test_clusters_label(self):
-        traj = trajectory_from_states([[0.0, 0.4, 1.0], [0.0, 0.4, 1.0]])
+        traj = scalar_run([[0.0, 0.4, 1.0], [0.0, 0.4, 1.0]])
         label = classify(traj, tol=1e-6)
         assert label.kind == "clusters"
         assert label.count == 3
 
     def test_not_converged_label(self):
-        traj = trajectory_from_states([[0.0, 1.0], [1.0, 0.0]])
+        traj = scalar_run([[0.0, 1.0], [1.0, 0.0]])
         assert classify(traj, tol=1e-6).kind == "not_converged"
 
     def test_sign_flip_swaps_camps_only(self):
         states = [[0.8, -0.8, 0.8], [0.8, -0.8, 0.8]]
-        label = classify(trajectory_from_states(states), tol=1e-6)
-        flipped = classify(trajectory_from_states([[-v for v in s] for s in states]), tol=1e-6)
+        label = classify(scalar_run(states), tol=1e-6)
+        flipped = classify(scalar_run([[-v for v in s] for s in states]), tol=1e-6)
         assert label.kind == flipped.kind == "polarization"
         assert set(label.camps) == set(flipped.camps)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1e-6, -math.inf])
     def test_tol_must_be_nonnegative(self, tol):
         # at NaN an exact consensus at (0.5, 0.5) used to read as "clusters", count 1
-        traj = trajectory_from_states([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
+        traj = scalar_run([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             classify(traj, tol=tol)
 

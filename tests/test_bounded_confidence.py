@@ -137,8 +137,25 @@ class TestPhiStep:
         out = phi_step(x, phi).values[:, 0]
         v = x.values[:, 0]
         for i in range(4):
-            w = np.array([phi.weight(i, j, (v[j] - v[i]) ** 2) for j in range(4)])
+            w = np.array([0.5 if s <= 0.2**2 else 1.5 if s < 0.6**2 else 0.0
+                          for s in (v - v[i]) ** 2])
             assert out[i] == pytest.approx((w @ v) / w.sum())
+
+    @pytest.mark.parametrize("name", ["hk", "heterophily"])
+    def test_array_weights_give_the_bits_of_the_per_pair_loop(self, name):
+        # the per-pair scalar weight functions the array presets replaced
+        phi, scalar = {
+            "hk": (hk_indicator_phi(0.3), lambda s: 1.0 if s <= 0.3 * 0.3 else 0.0),
+            "heterophily": (heterophily_phi(0.5, 1.5, 0.2, 0.6),
+                            lambda s: 0.5 if s <= 0.2 * 0.2 else 1.5 if s < 0.6 * 0.6 else 0.0),
+        }[name]
+        rng = np.random.default_rng(4)
+        for m in (1, 2):
+            x = OpinionState(rng.uniform(0, 1, size=(9, m)))
+            sq = bc._pairwise_sq(x.values)
+            w = np.array([[scalar(s) for s in row] for row in sq])
+            want = (w @ x.values) / w.sum(axis=1)[:, None]
+            assert phi_step(x, phi).values.tobytes() == want.tobytes()
 
     def test_reputation_weights_match_weighted_trust_average(self):
         weights = [1.0, 2.0, 3.0]

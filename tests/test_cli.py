@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opiniondyn import DeffuantWeisbuch, OpinionState, SignedGraph, simulate_gossip
-from opiniondyn import structural_balance, trajectory_from_states
+from opiniondyn import DeffuantWeisbuch, OpinionState, SignedGraph, Trajectory, simulate_gossip
+from opiniondyn import structural_balance
 from opiniondyn.cli import main, run
 from opiniondyn.presets import list_presets, preset_config
 from opiniondyn.serialize import (
@@ -18,6 +18,9 @@ from opiniondyn.serialize import (
     load_schedule,
     trajectory_csv,
 )
+
+W2 = [[0.5, 0.5], [0.5, 0.5]]
+
 
 
 class TestSerialize:
@@ -48,7 +51,7 @@ class TestSerialize:
         assert np.array_equal(schedule[0][1], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_trajectory_csv_schema(self):
-        traj = trajectory_from_states([[0.0, 1.0], [0.5, 0.5]])
+        traj = Trajectory(np.array([[[0.0], [1.0]], [[0.5], [0.5]]]), [0, 1])
         text = trajectory_csv(traj)
         lines = text.strip().splitlines()
         assert lines[0] == "step,time,agent,dim,value"
@@ -427,7 +430,8 @@ class TestMainEntry:
     ])
     def test_analyze_rejects_a_nan_or_negative_scale(self, tmp_path, capsys, flags, message):
         path = tmp_path / "trajectory.csv"
-        path.write_text(trajectory_csv(trajectory_from_states([[0.0, 1.0], [0.5, 0.5]])))
+        traj = Trajectory(np.array([[[0.0], [1.0]], [[0.5], [0.5]]]), [0, 1])
+        path.write_text(trajectory_csv(traj))
         code = main(["analyze", "--trajectory", str(path), *flags, "--out", str(tmp_path)])
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
@@ -541,6 +545,16 @@ class TestMoreRunModels:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert sorted(a for group in summary["clusters"] for a in group) == list(range(8))
         assert scales == [0.05]  # clustered at the smallest bound
+
+    def test_dw_takes_a_per_agent_d_as_dw_heterogeneous_does(self, tmp_path):
+        config = {"params": {"d": [0.3, 0.1, 0.25, 0.2, 0.15], "mu": 0.5},
+                  "x0": {"uniform": [0.0, 1.0, 5]}, "horizon": 300, "seed": 4,
+                  "outputs": ["trajectory", "events", "summary"]}
+        texts = []
+        for model in ("dw", "dw-heterogeneous"):
+            files = run({**config, "model": model}, out_dir=tmp_path / model)
+            texts.append([Path(f).read_text() for f in files])
+        assert texts[0] == texts[1]
 
     def test_per_agent_ball_d_writes_clusters(self, tmp_path):
         config = {"model": "hk", "params": {"d": [0.3, 0.5, 0.4], "norm": "max"},
@@ -683,6 +697,43 @@ class TestInputErrors:
         assert "positive" in payload["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_empty_eta_is_a_validation_error_that_names_it(self, tmp_path):
+        from opiniondyn.cli import CliError
+
+        config = {"model": "hk", "params": {"d": 0.2, "eta": []}, "x0": [0, 1]}
+        with pytest.raises(CliError) as info:
+            run(config, out_dir=tmp_path)
+        assert info.value.stage == "validate"
+        assert str(info.value) == "eta must hold one shift per agent, got an empty list"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("params", [
+        pytest.param({"lam": [0.5, 0.5], "w": [[0.5, 0.6], [0.5, 0.5]], "u": [0.0, 1.0]},
+                     id="non-stochastic-w"),
+        pytest.param({"lam": [0.5, 1.5], "w": W2, "u": [0.0, 1.0]}, id="lam-above-one"),
+        pytest.param({"lam": [0.5, -0.5], "w": W2, "u": [0.0, 1.0]}, id="lam-below-zero"),
+        pytest.param({"lam": [0.5, 0.5], "w": W2, "u": [0.0, 1.0, 2.0]}, id="u-length"),
+        pytest.param({"lam": [0.5, 0.5], "w": W2, "u": [0.0, float("nan")]}, id="u-nan"),
+    ])
+    def test_fj_and_gossip_fj_reject_bad_params_alike(self, tmp_path, capsys, params):
+        code, fj = _simulate(tmp_path, capsys, {"model": "fj", "params": params})
+        assert code == 2 and fj["stage"] == "validate"
+        code, gossip = _simulate(tmp_path, capsys, {"model": "gossip-fj", "params": params,
+                                                    "x0": [0.0, 1.0], "horizon": 10})
+        assert code == 2
+        assert gossip == fj
+        assert not (tmp_path / "out").exists()
+
+    def test_gossip_fj_rejects_vector_prejudices(self, tmp_path, capsys):
+        params = {"lam": [0.5, 0.5], "w": W2, "u": [[0.0, 1.0], [1.0, 0.0]]}
+        assert _simulate(tmp_path, capsys, {"model": "fj", "params": params}) == (0, None)
+        code, payload = _simulate(tmp_path, capsys, {"model": "gossip-fj", "params": params,
+                                                     "x0": [0.0, 1.0], "horizon": 10})
+        assert code == 2
+        assert payload["stage"] == "validate"
+        assert payload["message"] == "gossip prejudices must be scalar, got u of shape (2, 2)"
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     @pytest.mark.parametrize("params", [{"preset": "reputation", "w": [1.0, 1.0, 1.0], "d": -0.5},
                                         {"preset": "hk", "d": -0.5}])
     def test_negative_phi_bound_is_a_validation_error(self, tmp_path, capsys, params):
@@ -779,7 +830,7 @@ class TestModelTable:
             "flow": [pr.weight_spec_from_params, ld.flow_simulate],
             "signed-flow": [pr.weight_spec_from_params, ld.flow_simulate],
             "degroot": [pr.weight_spec_from_params], "fj": [ld.FJSpec],
-            "balance": [cli._balance], "gossip-fj": [gp.GossipFJ.from_fj, gp.GossipFJ],
+            "balance": [cli._balance], "gossip-fj": [gp.GossipFJ.from_fj],
             "two-r": [analysis.two_r_experiment], "hk-sweep": [cli._hk_sweep],
             **{model: [pr.GOSSIP_MODELS[model]]
                for model in ("gossip-degroot", "gossip-pair", "dw", "dw-heterogeneous")},
@@ -837,9 +888,6 @@ def _simulate(tmp_path, capsys, config, command="simulate"):
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     return code, json.loads(err) if err else None
-
-
-W2 = [[0.5, 0.5], [0.5, 0.5]]
 
 
 class TestConfigContract:

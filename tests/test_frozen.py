@@ -1,12 +1,14 @@
 """Every type that holds arrays stores read-only copies of them, so a caller's
 later writes to its own arrays reach neither the stored values nor a run."""
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
 from opiniondyn import (
     ConfidenceSpec,
-    DWHeterogeneous,
+    DeffuantWeisbuch,
     DegrootGossip,
     FJSpec,
     GossipFJ,
@@ -14,7 +16,6 @@ from opiniondyn import (
     SignedGraph,
     SymmetricPairGossip,
     WeightSpec,
-    build_gammas,
     fj_fixed_point,
     hk_step,
     phi_step,
@@ -33,12 +34,7 @@ def _gossip(model):
     return simulate_gossip(model, X0, steps=50, seed=(7, 1)).array
 
 
-def _fj_gossip(g1, g2, u):
-    arcs = tuple(zip(*(a.tolist() for a in np.nonzero(W))))
-    return GossipFJ(gamma1=g1, gamma2=g2, u=u, arcs=arcs)
-
-
-# name: (the caller's arrays, constructor, stored attributes, run)
+# name: (the caller's arrays, constructor, stored attributes as attrgetter names, run)
 CASES = {
     "OpinionState": (lambda: [np.array([0.1, 0.2, 0.9])], OpinionState, ("values",),
                      lambda s: hk_step(s, ConfidenceSpec.symmetric(0.3)).values),
@@ -53,10 +49,10 @@ CASES = {
     "DegrootGossip": (lambda: [P.copy(), np.array([0.5, 0.3, 0.6])], DegrootGossip,
                       ("p", "gains"), _gossip),
     "SymmetricPairGossip": (lambda: [P.copy()], SymmetricPairGossip, ("p",), _gossip),
-    "GossipFJ": (lambda: [*build_gammas(np.array([0.5, 0.9, 0.2]), W), np.array([1.0, 0.0, 0.5])],
-                 _fj_gossip, ("gamma1", "gamma2", "u"), _gossip),
-    "DWHeterogeneous": (lambda: [np.array([0.3, 0.5, 0.2])], lambda d: DWHeterogeneous(d, 0.5),
-                        ("d",), _gossip),
+    "GossipFJ": (lambda: [np.array([0.5, 0.9, 0.2]), W.copy(), np.array([1.0, 0.0, 0.5])],
+                 GossipFJ.from_fj, ("spec.lam", "spec.w", "spec.u"), _gossip),
+    "DeffuantWeisbuch": (lambda: [np.array([0.3, 0.5, 0.2])], lambda d: DeffuantWeisbuch(d, 0.5),
+                         ("d",), _gossip),
     "PhiSpec": (lambda: [np.array([1.0, 2.0, 0.5])], lambda w: reputation_phi(w, 0.45),
                 ("reputations",), lambda spec: phi_step(X0, spec).values),
 }
@@ -67,14 +63,14 @@ def test_stored_arrays_are_frozen_copies(name):
     make_arrays, build, attrs, run = CASES[name]
     arrays = make_arrays()
     held = build(*arrays)
-    stored = {attr: getattr(held, attr).copy() for attr in attrs}
+    stored = {attr: attrgetter(attr)(held).copy() for attr in attrs}
     expected = run(held)
     for attr in attrs:
-        value = getattr(held, attr)
+        value = attrgetter(attr)(held)
         assert not value.flags.writeable
         assert not any(np.shares_memory(value, arr) for arr in arrays)
     for arr in arrays:
         arr.fill(-5.0)
     for attr in attrs:
-        assert np.array_equal(getattr(held, attr), stored[attr])
+        assert np.array_equal(attrgetter(attr)(held), stored[attr])
     assert np.array_equal(run(held), expected)

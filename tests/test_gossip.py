@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from opiniondyn import gossip
 from opiniondyn import (
-    DWHeterogeneous,
     DeffuantWeisbuch,
     DegrootGossip,
     FJSpec,
@@ -18,7 +17,6 @@ from opiniondyn import (
     SymmetricPairGossip,
     Trajectory,
     bernoulli_convolution,
-    build_gammas,
     cesaro,
     dw_run_exact,
     fj_fixed_point,
@@ -48,11 +46,16 @@ def reference_simulate(model, x0, steps, seed, thin, record_events, block):
     events = [] if record_events else None
     if isinstance(model, (DegrootGossip, SymmetricPairGossip)):
         cum_rows = [list(np.cumsum(row)) for row in model.p]
+    if isinstance(model, GossipFJ):
+        lam, w, u = model.spec.lam, model.spec.w, model.spec.u[:, 0]
+        arcs = list(zip(*np.nonzero(w)))
+    if isinstance(model, DeffuantWeisbuch):
+        bounds = np.broadcast_to(model.d, n)
     done = 0
     while done < steps:
         count = min(block, steps - done)
         if isinstance(model, GossipFJ):
-            arc_idx = rng.integers(len(model.arcs), size=count)
+            arc_idx = rng.integers(len(arcs), size=count)
         else:
             act = rng.integers(n, size=count)
             if isinstance(model, (DegrootGossip, SymmetricPairGossip)):
@@ -62,12 +65,9 @@ def reference_simulate(model, x0, steps, seed, thin, record_events, block):
         for b in range(count):
             moved = True
             if isinstance(model, GossipFJ):
-                i, j = model.arcs[arc_idx[b]]
-                x[i] = (
-                    x[i]
-                    + model.gamma1[i, j] * (x[j] - x[i])
-                    + model.gamma2[i, j] * (model.u[i] - x[i])
-                )
+                i, j = arcs[arc_idx[b]]
+                x[i] = (x[i] + lam[i] * w[i, j] * (x[j] - x[i])
+                        + (1 - lam[i]) * w[i, j] * (u[i] - x[i]))
             elif isinstance(model, (DegrootGossip, SymmetricPairGossip)):
                 i = act[b]
                 j = min(bisect_right(cum_rows[i], unif[b]), n - 1)
@@ -82,14 +82,9 @@ def reference_simulate(model, x0, steps, seed, thin, record_events, block):
                 j = partner[b]
                 if j >= i:
                     j += 1
-                if isinstance(model, DeffuantWeisbuch):
-                    d_i = d_j = model.d
-                    symmetric = model.mode == "symmetric"
-                else:
-                    d_i, d_j, symmetric = model.d[i], model.d[j], True
                 gap = x[j] - x[i]
-                moved_i = abs(gap) <= d_i
-                moved_j = symmetric and abs(gap) <= d_j
+                moved_i = abs(gap) <= bounds[i]
+                moved_j = model.mode == "symmetric" and abs(gap) <= bounds[j]
                 shift = model.mu * gap
                 if moved_i:
                     x[i] = x[i] + shift
@@ -121,25 +116,33 @@ def kernel_models(n):
         "fj": GossipFJ.from_fj(rng.uniform(0.0, 1.0, n), w, rng.uniform(-1.0, 1.0, n)),
         "dw-symmetric": DeffuantWeisbuch(d=0.3, mu=0.37),
         "dw-asymmetric": DeffuantWeisbuch(d=0.3, mu=0.37, mode="asymmetric"),
-        "dw-heterogeneous": DWHeterogeneous(d=rng.uniform(0.05, 0.6, n), mu=0.41),
+        "dw-heterogeneous": DeffuantWeisbuch(d=rng.uniform(0.05, 0.6, n), mu=0.41),
+        "dw-heterogeneous-asymmetric": DeffuantWeisbuch(d=rng.uniform(0.05, 0.6, n), mu=0.41,
+                                                        mode="asymmetric"),
     }
 
 
 KERNEL_MODELS = kernel_models(6)
 
 
-class TestBuildGammas:
+def fj_factors(lam, w):
+    """GossipFJ's per-arc opinion and prejudice factors."""
+    _, _, g1, g2 = GossipFJ.from_fj(lam, w, np.zeros(len(lam)))._by_arc
+    return g1, g2
+
+
+class TestGossipFJFactors:
     def test_full_susceptibility_kills_prejudice_factor(self):
         w = ring_matrix(4)
-        g1, g2 = build_gammas(np.ones(4), w)
-        assert np.array_equal(g1, w)
+        g1, g2 = fj_factors(np.ones(4), w)
+        assert np.array_equal(g1, w[np.nonzero(w)])
         assert np.max(np.abs(g2)) == 0
 
     def test_zero_susceptibility_kills_opinion_factor(self):
         w = ring_matrix(4)
-        g1, g2 = build_gammas(np.zeros(4), w)
+        g1, g2 = fj_factors(np.zeros(4), w)
         assert np.max(np.abs(g1)) == 0
-        assert np.array_equal(g2, w)
+        assert np.array_equal(g2, w[np.nonzero(w)])
 
     @pytest.mark.parametrize("lam", [[0.5, np.nan], [0.5, 1.5]])
     def test_nan_or_out_of_range_susceptibility_is_rejected(self, lam):
@@ -155,10 +158,15 @@ class TestBuildGammas:
 
     def test_half_half_swap(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        g1, g2 = build_gammas(np.array([0.5, 0.5]), w)
-        expected = np.array([[0.0, 0.5], [0.5, 0.0]])
-        assert np.array_equal(g1, expected)
-        assert np.array_equal(g2, expected)
+        g1, g2 = fj_factors(np.array([0.5, 0.5]), w)
+        assert g1.tolist() == g2.tolist() == [0.5, 0.5]
+
+    def test_one_column_prejudices_run_as_a_vector(self):
+        model = GossipFJ.from_fj(FJ4_LAMBDA, FJ4_W, FJ4_U[:, None])
+        x0 = OpinionState(FJ4_U)
+        assert np.array_equal(simulate_gossip(model, x0, steps=500, seed=3).array,
+                              simulate_gossip(GossipFJ.from_fj(FJ4_LAMBDA, FJ4_W, FJ4_U), x0,
+                                              steps=500, seed=3).array)
 
 
 class TestGossipStep:
@@ -194,7 +202,7 @@ class TestGossipStep:
     )
     @pytest.mark.parametrize(
         "model",
-        [DeffuantWeisbuch(d=0.5, mu=0.5), DWHeterogeneous(d=np.array([0.5]), mu=0.5)],
+        [DeffuantWeisbuch(d=0.5, mu=0.5), DeffuantWeisbuch(d=np.array([0.5]), mu=0.5)],
         ids=["dw", "dw-heterogeneous"],
     )
     def test_pair_dynamics_rejects_one_agent(self, run, model):
@@ -221,7 +229,8 @@ class TestGossipStep:
             SymmetricPairGossip(ring_matrix(8)),
             DeffuantWeisbuch(d=0.3, mu=0.4, mode="symmetric"),
             DeffuantWeisbuch(d=0.3, mu=0.4, mode="asymmetric"),
-            DWHeterogeneous(d=rng.uniform(0.1, 0.5, size=8), mu=0.4),
+            DeffuantWeisbuch(d=rng.uniform(0.1, 0.5, size=8), mu=0.4),
+            DeffuantWeisbuch(d=rng.uniform(0.1, 0.5, size=8), mu=0.4, mode="asymmetric"),
         ]
         for model in models:
             for seed in range(10):
@@ -234,7 +243,7 @@ class TestGossipStep:
 
     def test_heterogeneous_bounds_one_sided_move(self):
         # gap 0.4: inside agent 0's bound, outside agent 1's
-        model = DWHeterogeneous(d=np.array([0.5, 0.3]), mu=0.5)
+        model = DeffuantWeisbuch(d=np.array([0.5, 0.3]), mu=0.5)
         x = OpinionState([0.0, 0.4])
         moved = set()
         for seed in range(10):
@@ -244,6 +253,19 @@ class TestGossipStep:
             if i == 0 or j == 0:
                 moved.add((out.values[0, 0], out.values[1, 0]))
         assert moved == {(0.2, 0.4)}
+
+    def test_asymmetric_per_agent_bounds_move_only_the_first_by_its_own_bound(self):
+        # gap 0.4: inside agent 0's bound, outside agent 1's; only i may move
+        model = DeffuantWeisbuch(d=np.array([0.5, 0.3]), mu=0.5, mode="asymmetric")
+        x = OpinionState([0.0, 0.4])
+        seen = set()
+        for seed in range(20):
+            traj = simulate_gossip(model, x, steps=1, seed=seed)
+            (i, _, interacted), = traj.events
+            seen.add(i)
+            assert interacted == (i == 0)
+            assert traj.final.values[:, 0].tolist() == ([0.2, 0.4] if i == 0 else [0.0, 0.4])
+        assert seen == {0, 1}
 
 
 class TestSimulateGossip:
@@ -298,11 +320,9 @@ class TestSimulateGossip:
                     x[i] = mid
                     x[j] = mid
                 elif isinstance(model, GossipFJ):
-                    x[i] = (
-                        x[i]
-                        + model.gamma1[i, j] * (x[j] - x[i])
-                        + model.gamma2[i, j] * (model.u[i] - x[i])
-                    )
+                    lam, w, u = model.spec.lam, model.spec.w, model.spec.u[:, 0]
+                    x[i] = (x[i] + lam[i] * w[i, j] * (x[j] - x[i])
+                            + (1 - lam[i]) * w[i, j] * (u[i] - x[i]))
                 elif interacted:
                     t = model.mu * (x[j] - x[i])
                     x[i] = x[i] + t
@@ -369,12 +389,12 @@ class TestExactPairDynamics:
         mu = data.draw(st.sampled_from([0.5, 0.25, 0.3, 0.1, 0.49999])
                        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), label="mu")
         bound = st.just(inf) | st.floats(1e-3, 2.5)
-        kind = data.draw(st.sampled_from(["symmetric", "asymmetric", "heterogeneous"]))
-        if kind == "heterogeneous":
-            d = data.draw(st.lists(bound, min_size=n, max_size=n), label="d")
-            model = DWHeterogeneous(d=np.array(d), mu=mu)
+        mode = data.draw(st.sampled_from(["symmetric", "asymmetric"]), label="mode")
+        if data.draw(st.booleans(), label="per-agent d"):
+            d = np.array(data.draw(st.lists(bound, min_size=n, max_size=n), label="d"))
         else:
-            model = DeffuantWeisbuch(d=data.draw(bound, label="d"), mu=mu, mode=kind)
+            d = data.draw(bound, label="d")
+        model = DeffuantWeisbuch(d=d, mu=mu, mode=mode)
         steps = data.draw(st.integers(1, 60), label="steps")
         res = dw_run_exact(model, OpinionState(np.array(x0)), steps=steps,
                            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
@@ -385,14 +405,14 @@ class TestExactPairDynamics:
         for k, (i, j, interacted) in enumerate(res.trajectory.events, 1):
             gap = x[j] - x[i]
             moved_i = abs(gap) <= bounds[i]
-            moved_j = kind != "asymmetric" and abs(gap) <= bounds[j]
+            moved_j = mode == "symmetric" and abs(gap) <= bounds[j]
             assert interacted == (moved_i or moved_j)
             if moved_i:
                 x[i] += mu * gap
             if moved_j:
                 x[j] -= mu * gap
             assert res.trajectory.array[k, :, 0].tolist() == [float(v) for v in x]
-            if kind == "symmetric":
+            if mode == "symmetric" and np.ndim(d) == 0:
                 assert sum(x) == total
         assert tuple(x) == res.final_exact
 
@@ -406,13 +426,25 @@ class TestExactPairDynamics:
     @pytest.mark.parametrize("model", [
         DeffuantWeisbuch(d=inf, mu=0.3),
         DeffuantWeisbuch(d=inf, mu=0.3, mode="asymmetric"),
-        DWHeterogeneous(d=np.array([inf, 0.2, inf, 0.05, 0.4, inf]), mu=0.3),
+        DeffuantWeisbuch(d=np.array([inf, 0.2, inf, 0.05, 0.4, inf]), mu=0.3),
     ], ids=["symmetric", "asymmetric", "heterogeneous"])
     def test_infinite_bound_trusts_every_gap(self, model):
         x0 = OpinionState(np.random.default_rng(10).uniform(-1.0, 1.0, 6))
         fl = simulate_gossip(model, x0, steps=400, seed=4)
         ex = dw_run_exact(model, x0, steps=400, seed=4, thin=1, record_events=True)
         assert ex.trajectory.events == fl.events
+        assert np.allclose(ex.trajectory.array, fl.array, rtol=0.0, atol=1e-12)
+
+    def test_asymmetric_per_agent_exact_run_matches_the_float_run(self):
+        # opinions on the 1/16 grid and bounds on the 1/8 grid put many gaps
+        # exactly on a bound; the runs draw the same pairs and move alike
+        n = 12
+        model = DeffuantWeisbuch(d=np.resize([0.125, 0.25, 0.375], n), mu=0.5, mode="asymmetric")
+        x0 = OpinionState(np.random.default_rng(8).permutation(n) / 16)
+        fl = simulate_gossip(model, x0, steps=2000, seed=6)
+        ex = dw_run_exact(model, x0, steps=2000, seed=6, thin=1, record_events=True)
+        assert ex.trajectory.events == fl.events
+        assert {moved for _, _, moved in fl.events} == {True, False}
         assert np.allclose(ex.trajectory.array, fl.array, rtol=0.0, atol=1e-12)
 
 
@@ -425,12 +457,9 @@ def reference_dw_run_exact(model, x0, steps, seed, thin, record_events):
     nums, exps = map(list, zip(*[gossip._to_dyadic(v) for v in x0.flat.tolist()]))
     initial = tuple(Fraction(p, 1 << e) for p, e in zip(nums, exps))
     mu_num, mu_exp = gossip._to_dyadic(model.mu)
-    if isinstance(model, DeffuantWeisbuch):
-        bound_nums, bound_exps = map(list, zip(*[gossip._to_dyadic(model.d)] * n))
-        symmetric = model.mode == "symmetric"
-    else:
-        bound_nums, bound_exps = map(list, zip(*map(gossip._to_dyadic, model.d.tolist())))
-        symmetric = True
+    bounds = np.broadcast_to(model.d, n).tolist()
+    bound_nums, bound_exps = map(list, zip(*map(gossip._to_dyadic, bounds)))
+    symmetric = model.mode == "symmetric"
 
     def snapshot():
         return np.array([float(Fraction(p, 1 << e)) for p, e in zip(nums, exps)])
@@ -478,8 +507,10 @@ def exact_models(mu):
     return {
         "symmetric": DeffuantWeisbuch(d=0.3, mu=mu),
         "asymmetric": DeffuantWeisbuch(d=0.3, mu=mu, mode="asymmetric"),
-        "heterogeneous": DWHeterogeneous(d=np.random.default_rng(11).uniform(0.05, 0.6, 6),
-                                         mu=mu),
+        "heterogeneous": DeffuantWeisbuch(d=np.random.default_rng(11).uniform(0.05, 0.6, 6),
+                                          mu=mu),
+        "heterogeneous-asymmetric": DeffuantWeisbuch(
+            d=np.random.default_rng(11).uniform(0.05, 0.6, 6), mu=mu, mode="asymmetric"),
     }
 
 
@@ -504,7 +535,8 @@ class TestExactKernelParity:
         assert np.array_equal(res.trajectory.stamps, stamps)
         assert res.trajectory.events == events
 
-    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "heterogeneous"])
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "heterogeneous",
+                                      "heterogeneous-asymmetric"])
     @pytest.mark.parametrize("mu", [0.5, 0.25, 0.3, 0.1])
     @pytest.mark.parametrize("opinions", sorted(EXACT_OPINIONS))
     @pytest.mark.parametrize("thin", [1, 4])
@@ -583,17 +615,13 @@ class TestCesaro:
         assert got.shape == (0, 2, 1)
 
     def test_constant_trajectory(self):
-        from opiniondyn import trajectory_from_states
-
-        traj = trajectory_from_states([[1.0, 2.0]] * 5)
+        traj = Trajectory(np.tile([1.0, 2.0], (5, 1))[:, :, None], np.arange(5))
         avg = cesaro(traj)
         assert np.array_equal(avg[-1][:, 0], [1.0, 2.0])
 
     def test_alternating_sequence_approaches_half(self):
-        from opiniondyn import trajectory_from_states
-
-        states = [[float(k % 2)] for k in range(10_001)]
-        avg = cesaro(trajectory_from_states(states))
+        states = np.arange(10_001) % 2
+        avg = cesaro(Trajectory(states[:, None, None], np.arange(10_001)))
         assert avg[-1][0, 0] == pytest.approx(0.5, abs=1e-4)
 
     def test_gossip_fj_cesaro_tracks_fixed_point(self):
@@ -617,15 +645,13 @@ class TestCesaro:
         w = np.array([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [0.1, 0.6, 0.3]])
         u = np.array([0.0, 1.0, 0.5])
         model = GossipFJ.from_fj(lam, w, u)
-        n, arcs = 3, model.arcs
+        n, arcs = 3, list(zip(*np.nonzero(w)))
         m = np.eye(n)
         b = np.zeros(n)
         for i, j in arcs:
-            e_i = np.zeros(n)
-            e_i[i] = 1.0
-            m[i, i] -= (model.gamma1[i, j] + model.gamma2[i, j]) / len(arcs)
-            m[i, j] += model.gamma1[i, j] / len(arcs)
-            b[i] += model.gamma2[i, j] * u[i] / len(arcs)
+            m[i, i] -= w[i, j] / len(arcs)
+            m[i, j] += lam[i] * w[i, j] / len(arcs)
+            b[i] += (1 - lam[i]) * w[i, j] * u[i] / len(arcs)
         checkpoints = (100, 1000)
         samples = {k: [] for k in checkpoints}
         for seed in range(500):
@@ -686,66 +712,35 @@ class TestMoreGossipSurfaces:
         model = GossipFJ.from_fj(FJ4_LAMBDA, FJ4_W, FJ4_U)
         x = OpinionState(FJ4_U)
         base = simulate_gossip(model, x, steps=1, seed=2)
-        override = simulate_gossip(replace(model, u=FJ4_U + 10.0), x, steps=1, seed=2)
+        override = simulate_gossip(replace(model, spec=replace(model.spec, u=FJ4_U + 10.0)), x,
+                                   steps=1, seed=2)
         (i, j, _), = base.events
         assert override.events == base.events
-        if model.gamma2[i, j] > 0:
+        if (1 - FJ4_LAMBDA[i]) * FJ4_W[i, j] > 0:
             assert not np.array_equal(base.final.values, override.final.values)
-
-    def test_empty_arc_list_rejected(self):
-        with pytest.raises(ValueError):
-            GossipFJ(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), arcs=())
-
-    def test_nan_gamma_factor_rejected(self):
-        arcs = ((0, 0), (0, 1), (1, 0), (1, 1))
-        g1 = np.array([[0.5, np.nan], [0.25, 0.25]])
-        with pytest.raises(ValueError, match="entrywise nonnegative"):
-            GossipFJ(g1, np.zeros((2, 2)), np.zeros(2), arcs)
-        with pytest.raises(ValueError, match="entrywise nonnegative"):
-            GossipFJ(np.zeros((2, 2)), g1, np.zeros(2), arcs)
 
     @pytest.mark.parametrize("u", [[np.nan, 1.0], [0.0, np.inf]])
     def test_non_finite_prejudice_rejected_at_construction(self, u):
         w = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="prejudice values must be finite"):
+        with pytest.raises(ValueError, match="opinion values must be finite"):
             GossipFJ.from_fj([0.5, 0.5], w, u)
 
-    @pytest.mark.parametrize("arcs, bad", [
-        (((0, 0), (0, 2), (2, 1), (1, 1)), "(0, 2)"),
-        (((0, 1), (-1, 0), (1, 5)), "(-1, 0)"),
-    ])
-    def test_arc_outside_the_agents_rejected(self, arcs, bad):
-        g = np.zeros((2, 2))
-        with pytest.raises(ValueError) as info:
-            GossipFJ(g, g, np.zeros(2), arcs)
-        assert str(info.value) == f"invalid arc {bad}"
-
-    def test_gamma_support_outside_the_arc_list_rejected(self):
-        g1, g2 = build_gammas(FJ4_LAMBDA, FJ4_W)
-        arcs = tuple(zip(*(a.tolist() for a in np.nonzero(FJ4_W))))
-        GossipFJ(g1, g2, FJ4_U, arcs)  # the full support is accepted
-        for k in range(len(arcs)):
-            with pytest.raises(ValueError, match="supported outside the arc list"):
-                GossipFJ(g1, g2, FJ4_U, arcs[:k] + arcs[k + 1:])
-
-    def test_arc_draws_match_a_lookup_of_the_arc_list(self):
-        # arcs listed twice and out of order draw as the list says
-        g1, g2 = build_gammas(FJ4_LAMBDA, FJ4_W)
-        arcs = tuple(zip(*(a.tolist() for a in np.nonzero(FJ4_W))))[::-1] + ((2, 2), (0, 3))
-        model = GossipFJ(g1, g2, FJ4_U, arcs)
-        ai, aj = np.array(arcs).T
-        arc = make_rng(5).integers(len(arcs), size=1000)
-        expected = (ai[arc], aj[arc], g1[ai, aj][arc], g2[ai, aj][arc])
+    def test_arcs_are_the_support_of_w_in_nonzero_order(self):
+        model = GossipFJ.from_fj(FJ4_LAMBDA, FJ4_W, FJ4_U)
+        ai, aj = np.nonzero(FJ4_W)
+        arc = make_rng(5).integers(len(ai), size=1000)
+        w = FJ4_W[ai, aj]
+        expected = (ai[arc], aj[arc], (FJ4_LAMBDA[ai] * w)[arc], ((1 - FJ4_LAMBDA[ai]) * w)[arc])
         for got, want in zip(model._draw(make_rng(5), model.n, 1000), expected, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert model.arcs == arcs and all(type(k) is int for arc in model.arcs for k in arc)
+        assert (2, 2) in zip(ai.tolist(), aj.tolist())  # the self-arc of the stubborn agent
 
     @pytest.mark.parametrize("d", [0.0, -0.1, float("nan")])
     def test_pair_dynamics_reject_bounds_that_are_not_positive(self, d):
         with pytest.raises(ValueError, match="positive"):
             DeffuantWeisbuch(d=d, mu=0.5)
         with pytest.raises(ValueError, match="positive"):
-            DWHeterogeneous(d=np.array([0.3, d]), mu=0.5)
+            DeffuantWeisbuch(d=np.array([0.3, d]), mu=0.5)
 
     @pytest.mark.parametrize("make, message", [
         (lambda: DegrootGossip(np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([0.5, 0.5])),
@@ -754,24 +749,19 @@ class TestMoreGossipSurfaces:
          "partner matrix must have a zero diagonal"),
         (lambda: DegrootGossip(ring_matrix(3), np.array([0.5, 0.5])),
          "one gain per agent required"),
-        (lambda: GossipFJ(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), ((0, 1),)),
-         "gamma factors must be equal-size square matrices"),
-        (lambda: GossipFJ(np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(2), ((0, 1),)),
-         "gamma factors must be equal-size square matrices"),
-        (lambda: GossipFJ(np.diag([0.6, 0.0]), np.diag([0.6, 0.0]), np.zeros(2), ((0, 0),)),
-         "gamma1 \\+ gamma2 must not exceed 1 entrywise"),
-        (lambda: GossipFJ(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(3), ((0, 1),)),
+        (lambda: GossipFJ.from_fj([0.5, 0.5], np.eye(2), np.zeros(3)),
          "prejudice vector length must match matrix size"),
+        (lambda: GossipFJ.from_fj([0.5, 0.5], np.eye(2), np.zeros((2, 3))),
+         r"gossip prejudices must be scalar, got u of shape \(2, 3\)"),
         (lambda: DeffuantWeisbuch(d=0.3, mu=1.0), r"the move fraction must lie in \(0, 1\)"),
-        (lambda: DWHeterogeneous(d=np.array([0.3, 0.3]), mu=float("nan")),
+        (lambda: DeffuantWeisbuch(d=np.array([0.3, 0.3]), mu=float("nan")),
          r"the move fraction must lie in \(0, 1\)"),
         (lambda: DeffuantWeisbuch(d=0.3, mu=0.5, mode="both"),
          "mode must be 'symmetric' or 'asymmetric'"),
-        (lambda: DWHeterogeneous(d=np.array([[0.3, 0.3]]), mu=0.5),
-         "per-agent bounds must be a positive vector"),
-    ], ids=["degroot-self-partner", "symmetric-self-partner", "gain-count", "rectangular-gamma",
-            "gamma-sizes", "gamma-sum", "prejudice-length", "unit-mu", "nan-mu", "mode",
-            "bounds-matrix"])
+        (lambda: DeffuantWeisbuch(d=np.array([[0.3, 0.3]]), mu=0.5),
+         "confidence bounds must be a positive number or vector"),
+    ], ids=["degroot-self-partner", "symmetric-self-partner", "gain-count", "prejudice-length",
+            "prejudice-columns", "unit-mu", "nan-mu", "mode", "bounds-matrix"])
     def test_invalid_models_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -860,7 +850,8 @@ class TestBlockKernels:
             assert np.array_equal(traj.final.values, array[-1])
             assert traj.events == events
 
-    @pytest.mark.parametrize("name", ["dw-symmetric", "dw-asymmetric", "dw-heterogeneous"])
+    @pytest.mark.parametrize("name", ["dw-symmetric", "dw-asymmetric", "dw-heterogeneous",
+                                      "dw-heterogeneous-asymmetric"])
     def test_pair_rule_on_the_bound_matches_reference(self, monkeypatch, name):
         # opinions on the 1/16 grid of [0, 1], mu = 1/2 and bounds that are
         # multiples of 1/8: gaps equal the bounds exactly at many steps,
@@ -871,7 +862,9 @@ class TestBlockKernels:
         model = {
             "dw-symmetric": DeffuantWeisbuch(d=0.25, mu=0.5),
             "dw-asymmetric": DeffuantWeisbuch(d=0.25, mu=0.5, mode="asymmetric"),
-            "dw-heterogeneous": DWHeterogeneous(d=np.resize([0.125, 0.25, 0.375], n), mu=0.5),
+            "dw-heterogeneous": DeffuantWeisbuch(d=np.resize([0.125, 0.25, 0.375], n), mu=0.5),
+            "dw-heterogeneous-asymmetric": DeffuantWeisbuch(
+                d=np.resize([0.125, 0.25, 0.375], n), mu=0.5, mode="asymmetric"),
         }[name]
         bounds = np.broadcast_to(model.d, n)
         x0 = OpinionState(np.random.default_rng(8).permutation(n) / 16)
@@ -903,7 +896,8 @@ class TestBlockKernels:
         assert np.array_equal(x.values, array[-1])
         assert events == ref_events
 
-    @pytest.mark.parametrize("name", ["dw-symmetric", "dw-asymmetric", "dw-heterogeneous"])
+    @pytest.mark.parametrize("name", ["dw-symmetric", "dw-asymmetric", "dw-heterogeneous",
+                                      "dw-heterogeneous-asymmetric"])
     def test_exact_run_shares_the_block_draw(self, monkeypatch, name):
         monkeypatch.setattr(gossip, "_BLOCK", 7)
         monkeypatch.setattr(gossip, "_CHUNK", 3)
