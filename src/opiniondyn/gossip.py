@@ -32,13 +32,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import inf
+from operator import index
 
 import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
-from .state import OpinionState, Trajectory, _frozen
+from .state import Events, OpinionState, Trajectory, _frozen
 
 __all__ = [
     "make_rng",
@@ -123,7 +123,6 @@ class DegrootGossip(_RowPartners):
             x[i] = xi + gains[i] * (x[j] - xi)
             if s:
                 keep(x)
-        return repeat(True)
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,6 @@ class SymmetricPairGossip(_RowPartners):
             x[j] = mid
             if s:
                 keep(x)
-        return repeat(True)
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,6 @@ class GossipFJ:
             x[i] = xi + g1 * (x[j] - xi) + g2 * (u[i] - xi)
             if s:
                 keep(x)
-        return repeat(True)
 
 
 @dataclass(frozen=True)
@@ -269,7 +266,7 @@ class DeffuantWeisbuch:
 # ``_apply(x, draws, snap, keep)`` runs the steps on the list of Python
 # floats ``x`` in place, given the draws as lists; after each step whose
 # ``snap`` flag is set it calls ``keep(x)``. It returns the per-step
-# ``interacted`` flags.
+# ``interacted`` flags as a list of bools, or None when every step interacts.
 
 _MODELS = (_RowPartners, GossipFJ, DeffuantWeisbuch)
 
@@ -305,9 +302,19 @@ def _draw_pairs(rng, n: int, count: int):
     return act, partner
 
 
-def _check_run(model, x0: OpinionState, steps: int, thin: int) -> None:
+def _integer(name: str, value) -> int:
+    """A count as an int (numpy integers too); ValueError naming it otherwise."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_run(model, x0: OpinionState, steps, thin) -> tuple:
+    """The run's (steps, thin) as ints, once the run is checked."""
     if x0.m != 1:
         raise ValueError("gossip models act on scalar opinions")
+    steps, thin = _integer("steps", steps), _integer("thin", thin)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if thin < 1:
@@ -319,12 +326,14 @@ def _check_run(model, x0: OpinionState, steps: int, thin: int) -> None:
         raise ValueError(f"pair dynamics needs at least two agents, got {n}")
     if model.n not in (None, n):
         raise ValueError("model size must match the state")
+    return steps, thin
 
 
 def _chunks(draw, rng, n: int, steps: int, thin: int):
     """Draw ``steps`` steps in blocks of _BLOCK and yield them in chunks of
-    at most _CHUNK steps as (draws as lists, snap flags). A step's flag is
-    set when the state after it is kept: every thin-th step and the last."""
+    at most _CHUNK steps as (the chunk's slice of the run, its draws as
+    array slices, snap flags). A step's flag is set when the state after it
+    is kept: every thin-th step and the last."""
     done = 0
     while done < steps:
         count = min(_BLOCK, steps - done)
@@ -337,8 +346,32 @@ def _chunks(draw, rng, n: int, steps: int, thin: int):
             snap[first::thin] = [True] * len(range(first, size, thin))
             if before + size == steps:
                 snap[-1] = True
-            yield [a[lo:lo + size].tolist() for a in arrays], snap
+            yield slice(before, before + size), [a[lo:lo + size] for a in arrays], snap
         done += count
+
+
+class _EventLog:
+    """The event columns of a run of ``steps`` steps, filled a chunk at a
+    time: the draws' agent and partner, and the interacted flags."""
+
+    def __init__(self, steps: int):
+        try:
+            self.agent = np.empty(steps, np.int64)
+            self.partner = np.empty(steps, np.int64)
+            self.interacted = np.ones(steps, bool)
+        except MemoryError as exc:
+            raise ValueError(f"{steps} steps are too many events to hold in memory") from exc
+
+    def add(self, at: slice, draws, moved) -> None:
+        self.agent[at] = draws[0]
+        self.partner[at] = draws[1]
+        if moved is not None:
+            # bytes() of a bool list is its 0/1 bytes, three times faster
+            # than numpy's conversion of the list
+            self.interacted[at] = np.frombuffer(bytes(moved), bool)
+
+    def events(self) -> Events:
+        return Events(self.agent, self.partner, self.interacted)
 
 
 def _stamps(steps: int, thin: int) -> list:
@@ -356,25 +389,25 @@ def simulate_gossip(
 
     Deterministic given (seed, model, x0). ``thin`` keeps every thin-th
     state (the initial and final states are always kept); events, when
-    recorded, cover every step as (i, j, interacted) tuples.
+    recorded, cover every step as (i, j, interacted) records.
     """
-    _check_run(model, x0, steps, thin)
+    steps, thin = _check_run(model, x0, steps, thin)
     rng = make_rng(seed)
     n = x0.n
     x = x0.flat.tolist()
     # kept states as raw doubles: 8 bytes a value, and no float object
     # outlives its step
     kept = array("d", x)
-    events = [] if record_events else None
-    for draws, snap in _chunks(model._draw, rng, n, steps, thin):
-        moved = model._apply(x, draws, snap, kept.extend)
-        if events is not None:
-            events.extend(zip(draws[0], draws[1], moved))
+    log = _EventLog(steps) if record_events else None
+    for at, draws, snap in _chunks(model._draw, rng, n, steps, thin):
+        moved = model._apply(x, [a.tolist() for a in draws], snap, kept.extend)
+        if log is not None:
+            log.add(at, draws, moved)
     stamps = _stamps(steps, thin)
     return Trajectory(
         np.frombuffer(kept).reshape(len(stamps), n, 1),
         np.array(stamps, dtype=float),
-        events=events,
+        events=None if log is None else log.events(),
     )
 
 
@@ -433,9 +466,7 @@ def dw_run_exact(
     """
     if not isinstance(model, DeffuantWeisbuch):
         raise TypeError("exact runs are provided for the pair dynamics")
-    if thin is None:
-        thin = steps
-    _check_run(model, x0, steps, thin)
+    steps, thin = _check_run(model, x0, steps, steps if thin is None else thin)
     rng = make_rng(seed)
     n = x0.n
     bounds, symmetric = model._bounds(n), model.mode == "symmetric"
@@ -449,8 +480,9 @@ def dw_run_exact(
     mu_num, mu_exp = _to_dyadic(model.mu)
     # kept states as raw doubles; p / scale is correctly rounded
     kept = array("d", [p / scale for p in nums])
-    events = [] if record_events else None
-    for (act, partner), snap in _chunks(_draw_pairs, rng, n, steps, thin):
+    log = _EventLog(steps) if record_events else None
+    for at, draws, snap in _chunks(_draw_pairs, rng, n, steps, thin):
+        act, partner = (a.tolist() for a in draws)
         moved = []
         flag = moved.append
         for i, j, s in zip(act, partner, snap):
@@ -478,12 +510,13 @@ def dw_run_exact(
             flag(moved_i or moved_j)
             if s:
                 kept.extend([p / scale for p in nums])
-        if events is not None:
-            events.extend(zip(act, partner, moved))
+        if log is not None:
+            log.add(at, draws, moved)
 
     final = tuple(Fraction(p, scale) for p in nums)
     stamps = _stamps(steps, thin)
-    traj = Trajectory(np.frombuffer(kept).reshape(len(stamps), n, 1), stamps, events=events)
+    traj = Trajectory(np.frombuffer(kept).reshape(len(stamps), n, 1), stamps,
+                      events=None if log is None else log.events())
     return DWExactRun(trajectory=traj, initial_exact=initial, final_exact=final)
 
 

@@ -304,13 +304,22 @@ def _grid_gap(step, agent, dim, n: int, m: int) -> str | None:
 
 
 def events_csv(traj: Trajectory) -> str:
-    """Gossip event records: step,i,j,interacted(0/1)."""
-    if traj.events is None:
+    """Gossip event records: step,i,j,interacted(0/1), one row per step.
+
+    Formatted from the event columns, ``_WRITE_CHUNK`` cells per ``%``
+    operation, as ``trajectory_csv`` formats its states.
+    """
+    events = traj.events
+    if events is None:
         raise ValueError("trajectory carries no event records")
-    lines = ["step,i,j,interacted"]
-    for step, (i, j, interacted) in enumerate(traj.events):
-        lines.append(f"{step},{i},{j},{1 if interacted else 0}")
-    return "\n".join(lines) + "\n"
+    parts = ["step,i,j,interacted\n"]
+    per_chunk = max(1, _WRITE_CHUNK // 4)  # rows
+    for lo in range(0, len(events), per_chunk):
+        hi = min(lo + per_chunk, len(events))
+        rows = np.column_stack((np.arange(lo, hi), events.agent[lo:hi], events.partner[lo:hi],
+                                events.interacted[lo:hi]))
+        parts.append("%d,%d,%d,%d\n" * (hi - lo) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def balance_json(result: BalanceResult) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +116,65 @@ class OpinionState:
         return float(np.sqrt(_pairwise_sq(self.values)).max())
 
 
+# records converted to Python objects at a time when iterating events
+_ITER_CHUNK = 1 << 14
+
+
+@dataclass(frozen=True, eq=False)
+class Events(Sequence):
+    """The per-step records of a gossip run, held as three read-only columns:
+    the active agent, its partner and whether the step interacted.
+
+    As a sequence, record k is the tuple ``(agent, partner, interacted)`` of
+    Python scalars (int, int, bool); it equals a list or tuple of such
+    tuples with the same records. ``np.asarray(events)`` is the (S, 3) int64
+    array of those rows, the flag as 0 or 1.
+    """
+
+    agent: np.ndarray
+    partner: np.ndarray
+    interacted: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("agent", np.int64), ("partner", np.int64), ("interacted", bool)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    def __len__(self) -> int:
+        return len(self.agent)
+
+    def __getitem__(self, k: int) -> tuple:
+        return self.agent.item(k), self.partner.item(k), self.interacted.item(k)
+
+    def __iter__(self):
+        for lo in range(0, len(self), _ITER_CHUNK):
+            hi = lo + _ITER_CHUNK
+            yield from zip(self.agent[lo:hi].tolist(), self.partner[lo:hi].tolist(),
+                           self.interacted[lo:hi].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Events):
+            return (np.array_equal(self.agent, other.agent)
+                    and np.array_equal(self.partner, other.partner)
+                    and np.array_equal(self.interacted, other.interacted))
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("events are stored as columns; their array is always a copy")
+        rows = np.column_stack((self.agent, self.partner, self.interacted))
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
 @dataclass
 class Trajectory:
     """Time-ordered sequence of opinion states with optional per-step events.
 
     States are held stacked in one (S, n, m) array to keep long runs cheap;
-    ``state(k)`` materializes a single :class:`OpinionState`. ``events[k]``
-    describes the transition from state k to state k+1 (len S-1 when present).
+    ``state(k)`` materializes a single :class:`OpinionState`. ``events``,
+    kept by the gossip runs, holds one record per simulated step, thinned
+    or not: ``events[k]`` is step k + 1, so ``len(events) == stamps[-1]``.
     ``terminated_at`` is the first step index whose state is a fixed point of
     the generating map (within the run's stop tolerance), or None.
     """
@@ -129,7 +182,7 @@ class Trajectory:
     array: np.ndarray  # (S, n, m)
     stamps: np.ndarray  # (S,)
     terminated_at: int | None = None
-    events: list | None = None
+    events: Events | None = None
 
     def __post_init__(self):
         self.array = np.asarray(self.array, dtype=float)

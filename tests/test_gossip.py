@@ -1,5 +1,6 @@
+import tracemalloc
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import inf
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opiniondyn import gossip
+from opiniondyn import gossip, state
 from opiniondyn import (
     DeffuantWeisbuch,
     DegrootGossip,
@@ -473,7 +474,8 @@ def reference_dw_run_exact(model, x0, steps, seed, thin, record_events):
 
     kept = [snapshot()]
     events = [] if record_events else None
-    for (act, partner), snap in gossip._chunks(gossip._draw_pairs, rng, n, steps, thin):
+    for _, draws, snap in gossip._chunks(gossip._draw_pairs, rng, n, steps, thin):
+        act, partner = (a.tolist() for a in draws)
         moved = []
         for i, j, s in zip(act, partner, snap):
             e_i, e_j = exps[i], exps[j]
@@ -784,11 +786,38 @@ class TestMoreGossipSurfaces:
         (lambda: dw_run_exact(SymmetricPairGossip(ring_matrix(3)), OpinionState([0.0, 1.0, 2.0]),
                               steps=5, seed=0),
          TypeError, "exact runs are provided for the pair dynamics"),
+        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                                 steps=2.5, seed=0),
+         ValueError, "steps must be an integer, got 2.5"),
+        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                                 steps=5, seed=0, thin=2.0),
+         ValueError, "thin must be an integer, got 2.0"),
+        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                                 steps=5, seed=0, thin=inf),
+         ValueError, "thin must be an integer, got inf"),
+        (lambda: dw_run_exact(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                              steps=2.5, seed=0),
+         ValueError, "steps must be an integer, got 2.5"),
+        (lambda: dw_run_exact(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                              steps=5, seed=0, thin=inf),
+         ValueError, "thin must be an integer, got inf"),
+        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
+                                 steps=10**15, seed=0, thin=10**15),
+         ValueError, "1000000000000000 steps are too many events to hold in memory"),
     ], ids=["vector-opinions", "zero-steps", "zero-thin", "unknown-model", "model-size",
-            "exact-non-pair"])
+            "exact-non-pair", "fractional-steps", "float-thin", "infinite-thin",
+            "exact-fractional-steps", "exact-infinite-thin", "events-beyond-memory"])
     def test_invalid_runs_rejected(self, run, error, message):
         with pytest.raises(error, match=message):
             run()
+
+    def test_numpy_integer_counts_are_accepted(self):
+        model, x0 = DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 0.2, 0.9])
+        traj = simulate_gossip(model, x0, steps=np.int64(5), seed=0, thin=np.int32(2))
+        assert traj.stamps.tolist() == [0.0, 2.0, 4.0, 5.0]
+        assert traj.events == simulate_gossip(model, x0, steps=5, seed=0).events
+        res = dw_run_exact(model, x0, steps=np.int64(5), seed=0, thin=np.int64(2))
+        assert np.array_equal(res.trajectory.array, traj.array)
 
     def test_dw_dichotomy_at_long_horizon(self):
         # per-pair gaps settle to coincidence or distrust at horizon 1e5 * n
@@ -938,3 +967,112 @@ class TestBlockKernels:
         assert np.array_equal(drawn_act, act)
         assert partner.tolist() == expected
         assert n - 1 in [e for e, u in zip(expected, unif) if u == 1.0 - 1e-10]
+
+
+def events_and_oracle(name: str, thin: int, seed):
+    """A 101-step run of the named gossip model (``exact-<kind>``: the exact
+    pair dynamics) with events, and its list-of-tuples oracle."""
+    x0 = OpinionState(np.random.default_rng(1).uniform(0.0, 1.0, 6))
+    if name.startswith("exact-"):
+        model = exact_models(0.5)[name.removeprefix("exact-")]
+        res = dw_run_exact(model, x0, steps=101, seed=seed, thin=thin, record_events=True)
+        return res.trajectory, reference_dw_run_exact(model, x0, 101, seed, thin, True)[2]
+    model = KERNEL_MODELS[name]
+    traj = simulate_gossip(model, x0, steps=101, seed=seed, thin=thin)
+    return traj, reference_simulate(model, x0, 101, seed, thin, True, block=7)[2]
+
+
+class TestEvents:
+    """Trajectory.events, three read-only columns, against the list-of-tuples
+    oracles: every gossip model and the exact pair dynamics, with blocks,
+    list chunks and iteration chunks that the 101 steps cross many times."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(gossip, "_BLOCK", 7)
+        monkeypatch.setattr(gossip, "_CHUNK", 3)
+        monkeypatch.setattr(state, "_ITER_CHUNK", 4)
+
+    RUNS = sorted(KERNEL_MODELS) + [f"exact-{kind}" for kind in sorted(exact_models(0.5))]
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_equal_to_the_oracle_both_ways_and_to_a_rerun(self, name, thin):
+        traj, oracle = events_and_oracle(name, thin, (3, 2))
+        events = traj.events
+        assert len(events) == len(oracle) == traj.stamps[-1] == 101
+        assert events == oracle and oracle == events
+        assert events == tuple(oracle) and tuple(oracle) == events
+        assert list(events) == oracle
+        assert events == events_and_oracle(name, thin, (3, 2))[0].events
+        other, other_oracle = events_and_oracle(name, thin, (4, 2))
+        assert other_oracle != oracle
+        assert events != other.events and events != other_oracle and other_oracle != events
+        flipped = oracle[:-1] + [(*oracle[-1][:2], not oracle[-1][2])]
+        assert events != flipped and events != oracle[:-1]
+        assert events != np.asarray(events).tolist()  # rows of lists are not records
+        assert not events == 101
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_records_are_python_scalars(self, name, thin):
+        traj, oracle = events_and_oracle(name, thin, (3, 2))
+        events = traj.events
+        for k in (0, 1, 50, 100, -1, -101):
+            assert events[k] == oracle[k]
+            assert [type(v) for v in events[k]] == [int, int, bool]
+        for record in events:
+            assert [type(v) for v in record] == [int, int, bool]
+        for k in (101, -102):
+            with pytest.raises(IndexError):
+                events[k]
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_array_form_has_the_bytes_of_the_oracle(self, name, thin):
+        # filterwarnings = error: numpy 2 warns when __array__ lacks copy
+        traj, oracle = events_and_oracle(name, thin, (3, 2))
+        expected = np.array(oracle, dtype=np.int64)
+        for array in (np.array(traj.events, dtype=np.int64), np.asarray(traj.events),
+                      np.array(traj.events, copy=True)):
+            assert array.dtype == np.int64 and array.shape == (101, 3)
+            assert array.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="always a copy"):
+            np.array(traj.events, copy=False)
+
+    def test_columns_are_read_only(self):
+        traj, oracle = events_and_oracle("dw-symmetric", 1, (3, 2))
+        events = traj.events
+        for name in ("agent", "partner", "interacted"):
+            column = getattr(events, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+            with pytest.raises(FrozenInstanceError):
+                setattr(events, name, column.copy())
+        assert events == oracle
+
+    def test_events_cover_every_step_whatever_the_thinning(self):
+        traj = simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 0.2, 0.9]),
+                               steps=5, seed=0, thin=3)
+        assert traj.stamps.tolist() == [0.0, 3.0, 5.0]
+        assert len(traj) == 3
+        assert len(traj.events) == traj.stamps[-1] == 5
+
+
+def test_dw_events_retain_at_most_24_bytes_each():
+    # 200000 steps on 2000 agents, keeping only the ends: the events are
+    # nearly all the run retains (17 bytes each as int64/int64/bool columns,
+    # about 130 as a list of (int, int, bool) tuples)
+    steps = 200_000
+    x0 = OpinionState(np.random.default_rng(0).uniform(0.0, 1.0, 2000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), x0, steps=steps, seed=1,
+                               thin=steps)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.events) == steps
+    assert retained <= 24 * steps, f"{retained / steps:.1f} bytes per event"

@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from opiniondyn import OpinionState, WeightSpec, flow_simulate, serialize
-from opiniondyn.serialize import fmt_float, load_trajectory, trajectory_csv
+from opiniondyn import (
+    DeffuantWeisbuch,
+    OpinionState,
+    SymmetricPairGossip,
+    WeightSpec,
+    flow_simulate,
+    serialize,
+    simulate_gossip,
+)
+from opiniondyn.serialize import events_csv, fmt_float, load_trajectory, trajectory_csv
 from opiniondyn.state import Trajectory
 
 
@@ -135,6 +143,46 @@ def test_writer_spans_chunks():
 def test_writer_matches_reference_at_any_chunk(traj, chunk):
     with mock.patch.object(serialize, "_WRITE_CHUNK", chunk):
         assert trajectory_csv(traj) == reference_trajectory_csv(traj)
+
+
+def reference_events_csv(traj: Trajectory) -> str:
+    """The per-record writer the column writer replaced; the format's oracle."""
+    lines = ["step,i,j,interacted"]
+    for step, (i, j, interacted) in enumerate(traj.events):
+        lines.append(f"{step},{i},{j},{1 if interacted else 0}")
+    return "\n".join(lines) + "\n"
+
+
+EVENT_RUNS = {
+    # 20000 steps: two chunks of _WRITE_CHUNK cells at four cells a row
+    "dw": lambda: simulate_gossip(DeffuantWeisbuch(d=0.2, mu=0.5),
+                                  OpinionState(np.linspace(0.0, 1.0, 300)), 20_000, 4, thin=7),
+    "pair": lambda: simulate_gossip(SymmetricPairGossip(1.0 - np.eye(2)),
+                                    OpinionState([0.0, 1.0]), 20_000, 5, thin=20_000),
+}
+
+
+@pytest.mark.parametrize("name", list(EVENT_RUNS))
+def test_events_writer_matches_reference(name):
+    traj = EVENT_RUNS[name]()
+    assert 4 * len(traj.events) > serialize._WRITE_CHUNK
+    text = events_csv(traj)
+    assert text == reference_events_csv(traj)
+    assert len(text.splitlines()) == 1 + traj.stamps[-1]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 5, 8, 13, 40])
+def test_events_writer_matches_reference_at_any_chunk(chunk):
+    traj = simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 0.2, 0.5, 0.9]),
+                           steps=61, seed=2, thin=3)
+    with mock.patch.object(serialize, "_WRITE_CHUNK", chunk):
+        assert events_csv(traj) == reference_events_csv(traj)
+
+
+def test_events_writer_needs_events():
+    traj = Trajectory(np.zeros((1, 2, 1)), [0.0])
+    with pytest.raises(ValueError, match="trajectory carries no event records"):
+        events_csv(traj)
 
 
 # ---------------------------------------------------------------------------
