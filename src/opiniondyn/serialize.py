@@ -16,13 +16,15 @@ those bytes numpy's tokenizer accepts exactly the cells ``int`` and
 ``float`` accept, with the same bits. Every other file, and every file the
 C parse declines, goes through the per-cell tokenizer, so each file reads
 to the same bits or fails with the same message whichever path it takes.
+Rows that stand in written order, as every written file's do, are read
+without sorting; any other order is sorted first, to the same result.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 import warnings
 from functools import partial
 from itertools import repeat
@@ -53,12 +55,17 @@ def fmt_float(v: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to a new temp file beside ``path`` (mode 0666 less the
+    umask, as a plain write gives), ``_WRITE_SLICE`` characters at a time so
+    no encoded copy holds the whole text, then rename it over ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for lo in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[lo : lo + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,6 +142,9 @@ _CHECK_BYTES = 1 << 20
 # the argument tuple.
 _WRITE_CHUNK = 1 << 16
 
+# Characters handed to the file per write: bounds the encoded copy.
+_WRITE_SLICE = 1 << 20
+
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Long-format CSV: step,time,agent,dim,value, one row per (step, agent,
@@ -166,14 +176,14 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV as written by :func:`trajectory_csv`.
 
     Rows may come in any order, and CRLF line ends and trailing blank lines
-    are accepted. Values are parsed as ``float`` parses them, so a written
-    trajectory reads back bit for bit; a plain file is parsed in C (see the
-    module docstring). Raises ``OSError`` when the file cannot be read,
-    and ``ValueError`` naming the problem when it holds no complete
-    trajectory: an empty file, a bad header, a row without five fields, a
-    cell that is not a number, an agent or dim id outside the rows' range,
-    a missing or duplicate (step, agent, dim) row, or rows of one step that
-    disagree on its time.
+    are accepted; rows in written order are read without sorting. Values
+    are parsed as ``float`` parses them, so a written trajectory reads back
+    bit for bit; a plain file is parsed in C (see the module docstring).
+    Raises ``OSError`` when the file cannot be read, and ``ValueError``
+    naming the problem when it holds no complete trajectory: an empty file,
+    a bad header, a row without five fields, a cell that is not a number,
+    an agent or dim id outside the rows' range, a missing or duplicate
+    (step, agent, dim) row, or rows of one step that disagree on its time.
     """
     columns = _plain_columns(path)
     if columns is None:
@@ -188,12 +198,16 @@ def load_trajectory(path) -> Trajectory:
                 f"is out of range for a file of {total} rows"
             )
 
-    order = np.lexsort((columns[3], columns[2], columns[0]))
-    step, stamp, agent, dim, value = (col[order] for col in columns)
-    n, m = int(agent.max()) + 1, int(dim.max()) + 1
-    gap = _grid_gap(step, agent, dim, n, m)
-    if gap:
-        raise ValueError(f"{path}: {gap}")
+    n, m = int(columns[2].max()) + 1, int(columns[3].max()) + 1
+    if _in_grid_order(columns[0], columns[2], columns[3], n, m):
+        # the sort would keep this order; copying the values frees loadtxt's rows
+        step, stamp, value = columns[0], columns[1], np.ascontiguousarray(columns[4])
+    else:
+        order = np.lexsort((columns[3], columns[2], columns[0]))
+        step, stamp, agent, dim, value = (col[order] for col in columns)
+        gap = _grid_gap(step, agent, dim, n, m)
+        if gap:
+            raise ValueError(f"{path}: {gap}")
     times = stamp.reshape(-1, n * m)
     differ = np.any(times != times[:, :1], axis=1)
     if differ.any():
@@ -279,6 +293,23 @@ def _parses(cell: str, parse, dtype) -> bool:
     except (ValueError, OverflowError):
         return False
     return True
+
+
+def _in_grid_order(step, agent, dim, n: int, m: int) -> bool:
+    """Whether the rows stand as sorting would leave a complete grid: whole
+    steps of n*m rows in (agent, dim) order, with strictly increasing steps.
+    Each check compares a (rows / n*m, n*m) reshape, so its temporary is bool."""
+    per_step = n * m
+    if len(step) % per_step:
+        return False
+    cells = np.arange(per_step)
+    steps = step.reshape(-1, per_step)
+    return bool(
+        (agent.reshape(-1, per_step) == cells // m).all()
+        and (dim.reshape(-1, per_step) == cells % m).all()
+        and (steps == steps[:, :1]).all()
+        and (steps[1:, 0] > steps[:-1, 0]).all()
+    )
 
 
 def _grid_gap(step, agent, dim, n: int, m: int) -> str | None:

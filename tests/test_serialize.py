@@ -1,10 +1,15 @@
 """Trajectory CSV codec: the batched writer against the per-row reference,
-the reader's round trip, and the C-parsed reader against the per-cell one."""
+the reader's round trip, the C-parsed reader against the per-cell one, the
+unsorted read of rows in written order, and the atomic writer's memory and
+file mode."""
 
+import os
 import random
 import re
+import stat
+import tracemalloc
 import warnings
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 from unittest import mock
 
@@ -451,3 +456,119 @@ def test_a_warning_from_loadtxt_sends_the_file_to_the_per_cell_path(tmp_path):
         warnings.simplefilter("ignore")
         assert serialize._plain_columns(path) is None
         assert_bit_equal(load_trajectory(path), EXAMPLES["vector_opinions"])
+
+
+# ---------------------------------------------------------------------------
+# rows in written order: read without sorting
+
+
+def _step_blocks(rows):
+    """The rows of a written file, one list per step block."""
+    return [list(block) for _, block in groupby(rows, key=lambda row: row.split(",")[0])]
+
+
+def _swap_dims(blocks):
+    """The first step with the rows of agent 0's dims 0 and 1 swapped."""
+    first = list(blocks[0])
+    first[0], first[1] = first[1], first[0]
+    return [first, *blocks[1:]]
+
+
+ORDERINGS = {
+    "as written": lambda blocks: blocks,
+    "step blocks descending": lambda blocks: blocks[::-1],
+    "repeated step block": lambda blocks: [*blocks[:2], blocks[1], *blocks[2:]],
+    "rows not a multiple of n*m": lambda blocks: [*blocks[:-1], blocks[-1][:-1]],
+    "dims swapped in one step": _swap_dims,
+}
+
+
+@pytest.mark.parametrize("ordering", list(ORDERINGS))
+@pytest.mark.parametrize("name", ["vector_opinions", "special_values", "flow_stamps"])
+def test_in_order_check_matches_the_sorting_reader(name, ordering, tmp_path):
+    header, *rows = trajectory_csv(EXAMPLES[name]).splitlines()
+    blocks = ORDERINGS[ordering](_step_blocks(rows))
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join([header, *(row for block in blocks for row in block)]) + "\n")
+    columns = serialize._plain_columns(path)
+    traj = EXAMPLES[name]
+    in_order = serialize._in_grid_order(columns[0], columns[2], columns[3], traj.n, traj.m)
+    assert in_order == (ordering == "as written")
+    assert new_outcome(path) == outcome(reference_load_trajectory, path)
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["written", "shuffled"])
+def test_only_rows_out_of_order_are_sorted(shuffle, tmp_path):
+    traj = EXAMPLES["flow_stamps"]
+    header, *rows = trajectory_csv(traj).splitlines()
+    if shuffle:
+        random.Random(3).shuffle(rows)
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert_bit_equal(load_trajectory(path), traj)
+    assert (lexsort.call_count >= 1) if shuffle else (lexsort.call_count == 0)
+
+
+# ---------------------------------------------------------------------------
+# memory guards: tracemalloc's peak over what was allocated at the call
+
+MiB = 1 << 20
+
+
+def traced_peak(call) -> int:
+    """Bytes the call allocated at its peak, over what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_atomic_write_peaks_at_a_slice_not_the_text(tmp_path):
+    # measured 2.0 MiB on numpy 2.4 / CPython 3.11: the 1 MiB str slice and
+    # its encoded bytes; writing the whole text at once peaked at 8.0 MiB
+    text = "0123456789abcde\n" * (8 * MiB // 16)
+    path = tmp_path / "big.txt"
+    assert traced_peak(lambda: serialize.atomic_write_text(path, text)) <= 2 * MiB + MiB // 2
+    assert path.read_text() == text
+
+
+def test_loading_a_written_trajectory_peaks_near_its_record_array(tmp_path):
+    # measured 4.1 MiB, 1.0 MiB over loadtxt's 3.05 MiB of rows (the value
+    # copy, bool temporaries, loadtxt's buffers); the sorting path peaked
+    # at 8.8 MiB
+    traj = Trajectory(np.random.default_rng(0).normal(size=(20001, 4, 1)), np.arange(20001) / 3.0)
+    path = tmp_path / "trajectory.csv"
+    serialize.atomic_write_text(path, trajectory_csv(traj))
+    record_array = 20001 * 4 * serialize._ROW_DTYPE.itemsize
+    loaded = []
+    assert traced_peak(lambda: loaded.append(load_trajectory(path))) <= record_array + 3 * MiB // 2
+    assert_bit_equal(loaded[0], traj)
+
+
+# ---------------------------------------------------------------------------
+# the atomic writer
+
+
+def test_atomic_write_spans_slices_byte_for_byte(tmp_path):
+    text = trajectory_csv(EXAMPLES["special_values"])
+    path = tmp_path / "out" / "trajectory.csv"
+    with mock.patch.object(serialize, "_WRITE_SLICE", 7):
+        serialize.atomic_write_text(path, text)
+    assert path.read_bytes() == text.encode()
+    serialize.atomic_write_text(path, "")
+    assert path.read_bytes() == b""
+    assert [p.name for p in path.parent.iterdir()] == ["trajectory.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_applies_the_umask(umask, mode, tmp_path):
+    previous = os.umask(umask)
+    try:
+        serialize.atomic_write_text(tmp_path / "a.json", "{}\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "a.json").stat().st_mode) == mode
