@@ -136,6 +136,23 @@ def _rows(bound, rows: slice):
 # Rows per pass of the trust test and the settled-row test: their float and
 # bool temporaries are _BLOCK x n (x m), small enough to stay in cache.
 _BLOCK = 32
+# Mask entries per float block of the scalar trust-set sums and of the
+# signed-zero maximum in _masked_mean (1 MiB of float64).
+_PRODUCT_ENTRIES = 2**17
+
+
+def _product_blocks(n: int) -> list[slice]:
+    """Row blocks of the scalar trust-set sums in ``_masked_mean``.
+
+    Each block starts at a multiple of ``_BLOCK`` and holds about
+    ``_PRODUCT_ENTRIES`` mask entries, at least ``_BLOCK`` rows, so n <= 353
+    is one block. A lone last row joins the block before it.
+    """
+    size = max(_BLOCK, _PRODUCT_ENTRIES // n // _BLOCK * _BLOCK)
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
 def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
@@ -180,16 +197,45 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     summation), and a row whose trusted opinions already coincide returns
     that value exactly, so collapsed groups are exact fixed points.
 
+    Scalar opinions (m = 1) take ``mask @ values`` one ``_product_blocks``
+    block at a time, so the float copy of the mask that the product needs is
+    one block of about ``_PRODUCT_ENTRIES`` entries, never n x n. The sums
+    keep the bits of the single product on one OpenBLAS thread, by two rules:
+
+    - Every block starts at a multiple of 4. numpy sends a block of two or
+      more rows to BLAS gemv, whose kernel takes rows four at a time and
+      sums each row in the same order wherever it sits, as long as the
+      groups of four line up with the single product's. Blocks that start
+      at other rows change bits.
+    - No block has one row unless n == 1. numpy sends a 1 x n block to BLAS
+      dot, which sums in another order, so a lone last row joins the block
+      before it.
+
+    Unlike the single product, the sums do not depend on the OpenBLAS
+    thread count for n < 14 400: OpenBLAS splits a gemv of 460 800 entries
+    or more between threads, at rows that need not be a multiple of 4, and
+    every block stays under that size. Vector opinions keep the single gemm
+    call, because OpenBLAS's dgemm sums the row blocks of a large product
+    (n of about 1000) in a different order.
+
     Row i is settled iff no trusted j has x_j != x_i in any dimension (the
     mask holds i itself); the test runs ``_BLOCK`` rows at a time with bool
     temporaries of O(_BLOCK * n). A settled row takes x_i. A settled row
     with a zero component instead takes the componentwise maximum over its
     trust set, as the earlier max == min test did: numpy's reduction picks
-    which of +0.0 and -0.0 a mixed zero becomes.
+    which of +0.0 and -0.0 a mixed zero becomes. That maximum is exact, so
+    it is taken over blocks of such rows of about ``_PRODUCT_ENTRIES``
+    entries.
     """
     n, m = values.shape
     counts = mask.sum(axis=1)
-    means = (mask @ values) / counts[:, None]
+    if m == 1:
+        sums = np.empty((n, 1))
+        for rows in _product_blocks(n):
+            sums[rows] = mask[rows] @ values
+    else:
+        sums = mask @ values
+    means = sums / counts[:, None]
     settled = np.empty(n, dtype=bool)
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
@@ -201,9 +247,11 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if settled.any():
         means[settled] = values[settled]
         zero = np.flatnonzero(settled & (values == 0).any(axis=1))
-        if zero.size:
-            trusted = np.where(mask[zero, :, None], values[None, :, :], -np.inf)
-            means[zero] = trusted.max(axis=1)
+        size = max(1, _PRODUCT_ENTRIES // (n * m))
+        for start in range(0, zero.size, size):
+            part = zero[start:start + size]
+            trusted = np.where(mask[part, :, None], values[None, :, :], -np.inf)
+            means[part] = trusted.max(axis=1)
     return means
 
 

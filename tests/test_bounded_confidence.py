@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -596,7 +600,10 @@ def assert_matches_dense(x, spec, lam, target):
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7e308,
            1.7976931348623157e308, 0.5, 1.0)
-BLOCK_EDGES = (1, 255, 256, 257, 600)
+# Sizes at the edges of the 32-row trust blocks and of _masked_mean's scalar
+# product blocks: 353 rows are one block of 352 and its lone last row, 354
+# leave a 2-row last block and 355 a 3-row one, n not a multiple of 4.
+BLOCK_EDGES = (1, 255, 256, 257, 353, 354, 355, 600)
 opinion = st.one_of(st.integers(-16, 16).map(lambda k: k / 16), st.sampled_from(SPECIAL),
                     st.floats(-1e3, 1e3))
 radius = st.one_of(st.integers(1, 16).map(lambda k: k / 16),
@@ -736,3 +743,81 @@ class TestBlockedKernels:
             tracemalloc.stop()
         assert mask.shape == (n, n)
         assert peak < limit * n * n
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "half-at-zero"])
+    def test_scalar_step_peak_memory(self, zeros):
+        # the single product's float copy of the mask peaked at 9 n^2 bytes,
+        # and the signed-zero maximum over all of half the rows at 5.5 n^2;
+        # the mask itself is n^2
+        n = 2000
+        values = np.random.default_rng(5).uniform(0.5 if zeros else 0.0, 1.0, size=n)
+        if zeros:
+            values[: n // 2] = 0.0  # settled rows with a zero component
+        x = OpinionState(values)
+        tracemalloc.start()
+        try:
+            hk_step(x, ConfidenceSpec.symmetric(0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n
+
+
+class TestScalarProductBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 352, 353, 354, 355, 801, 4096, 4097, 5000])
+    def test_blocks_start_on_four_and_never_hold_one_row(self, n):
+        blocks = bc._product_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(block.start % 4 == 0 for block in blocks)
+        assert all(block.stop - block.start >= 2 for block in blocks) or n == 1
+        assert all(block.stop - block.start <= max(32, bc._PRODUCT_ENTRIES // n) + 1
+                   for block in blocks)
+
+    def test_sums_equal_the_single_product_on_one_thread(self):
+        # uniform opinions, so the order of each row's sum shows in its bits;
+        # 160-row blocks with a last row of their own (801, 1057 in 96-row
+        # blocks), a 2-row and a 3-row last block
+        out = run_with_openblas_threads(1, EDGE_SUMS)
+        assert out.split() == ["True"] * 4
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_scalar_runs_equal_at_one_and_two_threads(self):
+        # the single product split its rows between two threads at an
+        # unaligned row: this run stopped at step 5 on one thread, 9 on two
+        one, two = (run_with_openblas_threads(threads, SCALAR_RUNS) for threads in (1, 2))
+        assert one == two
+
+
+SRC = Path(bc.__file__).resolve().parents[1]
+EDGE_SUMS = """
+import numpy as np
+from opiniondyn import ConfidenceSpec, OpinionState
+from opiniondyn import bounded_confidence as bc
+for n in (801, 802, 803, 1057):
+    x = OpinionState(np.random.default_rng(n).uniform(size=n))
+    mask = bc.trust_matrix(x, ConfidenceSpec.symmetric(0.5))
+    dense = (mask @ x.values) / mask.sum(axis=1)[:, None]
+    print(bc._masked_mean(x.values, mask).tobytes() == dense.tobytes())
+"""
+SCALAR_RUNS = """
+import hashlib
+import numpy as np
+from opiniondyn import ConfidenceSpec, OpinionState, hk_step, simulate_bc
+spec = ConfidenceSpec.symmetric(0.3)
+x0 = OpinionState(np.random.default_rng(1500).uniform(size=1500))
+traj = simulate_bc(lambda s: hk_step(s, spec), x0, max_steps=100)
+print(traj.terminated_at, hashlib.sha256(traj.array.tobytes()).hexdigest())
+for n in (1003, 2501):
+    x = OpinionState(np.random.default_rng(n).uniform(size=n))
+    print(hashlib.sha256(hk_step(x, spec).values.tobytes()).hexdigest())
+"""
+
+
+def run_with_openblas_threads(threads, script):
+    """Standard output of ``script`` in a new interpreter whose OpenBLAS
+    runs ``threads`` threads."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
