@@ -67,8 +67,9 @@ def make_rng(seed, *spawn_key) -> np.random.Generator:
     if isinstance(seed, tuple):
         return make_rng(*seed)
     if not spawn_key:
-        return make_rng(int(seed), 0)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+        return make_rng(seed, 0)
+    seed_seq = np.random.SeedSequence(_integer("seed", seed), spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seed_seq))
 
 
 # ---------------------------------------------------------------------------

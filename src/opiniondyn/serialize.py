@@ -7,27 +7,21 @@ partial file. The trajectory CSV is known only here: ``trajectory_csv``
 writes it and ``load_trajectory`` reads it back bit for bit.
 
 ``trajectory_csv`` formats a bounded chunk of states per ``%`` operation,
-not a state at a time. ``load_trajectory`` parses a plain file in C with
-one ``np.loadtxt`` call: a file that starts with the exact header line,
-holds no blank line, not even a trailing one, and uses no byte other than
-digits, ``+``, ``-``, ``.``, ``,``, the letters of ``e``, ``inf`` and
-``nan``, and ``\n``. That is every file ``trajectory_csv`` writes. Over
-those bytes numpy's tokenizer accepts exactly the cells ``int`` and
-``float`` accept, with the same bits. Every other file, and every file the
-C parse declines, goes through the per-cell tokenizer, so each file reads
-to the same bits or fails with the same message whichever path it takes.
-Rows that stand in written order, as every written file's do, are read
-without sorting; any other order is sorted first, to the same result.
+not a state at a time. ``load_trajectory`` parses the rows under the
+header line with one ``np.loadtxt`` call, in C; only a file it rejects is
+read again, to name the rejected row's file line. Rows that stand in
+written order, as every written file's do, are read without sorting; any
+other order is sorted first, to the same result.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import secrets
 import warnings
-from functools import partial
-from itertools import repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +73,18 @@ def load_matrix(path) -> np.ndarray:
     defaulting to CSV."""
     path = Path(path)
     text = path.read_text()
-    if path.suffix.lower() == ".json":
-        data = json.loads(text)
-    else:
-        data = [
-            [float(cell) for cell in line.split(",")]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-    mat = np.asarray(data, dtype=float)
+    try:
+        if path.suffix.lower() == ".json":
+            data = json.loads(text)
+        else:
+            data = [
+                [float(cell) for cell in line.split(",")]
+                for line in text.strip().splitlines()
+                if line.strip()
+            ]
+        mat = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: expected a square matrix of reals: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {mat.shape}")
     return mat
@@ -109,34 +106,24 @@ def load_schedule(source) -> list:
         entries = json.loads(Path(source).read_text())
     else:
         entries = source
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"a schedule is a list of {{until, matrix}} entries, got {entries!r}")
     schedule = []
-    for entry in entries:
-        matrix = resolve_matrix(entry["matrix"])
-        schedule.append((float(entry["until"]), np.asarray(matrix, dtype=float)))
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and "until" in entry and "matrix" in entry):
+            raise ValueError(f"schedule entry {i} needs 'until' and 'matrix', got {entry!r}")
+        try:
+            matrix = np.asarray(resolve_matrix(entry["matrix"]), dtype=float)
+            schedule.append((float(entry["until"]), matrix))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"schedule entry {i}: {exc}") from None
     return schedule
 
 
 _TRAJECTORY_HEADER = "step,time,agent,dim,value"
-_HEADER_LINE = (_TRAJECTORY_HEADER + "\n").encode()
 
-_TRAJECTORY_COLUMNS = (
-    ("step", int, np.int64),
-    ("time", float, np.float64),
-    ("agent", int, np.int64),
-    ("dim", int, np.int64),
-    ("value", float, np.float64),
-)
-
-_ROW_DTYPE = np.dtype([(name, dtype) for name, _, dtype in _TRAJECTORY_COLUMNS])
-
-# Every byte of a plain trajectory row but the newline.
-_PLAIN_BYTES = b"0123456789+-.,einfa"
-
-# Rows tokenised per block on the per-cell path: bounds the temporary cell lists.
-_READ_BLOCK = 1 << 16
-
-# Bytes read per block by the plain-file check.
-_CHECK_BYTES = 1 << 20
+_ROW_DTYPE = np.dtype({"names": _TRAJECTORY_HEADER.split(","),
+                       "formats": [np.int64, np.float64, np.int64, np.int64, np.float64]})
 
 # Cells formatted per ``%`` operation when writing: bounds the template and
 # the argument tuple.
@@ -175,26 +162,25 @@ def trajectory_csv(traj: Trajectory) -> str:
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV as written by :func:`trajectory_csv`.
 
-    Rows may come in any order, and CRLF line ends and trailing blank lines
-    are accepted; rows in written order are read without sorting. Values
-    are parsed as ``float`` parses them, so a written trajectory reads back
-    bit for bit; a plain file is parsed in C (see the module docstring).
-    Raises ``OSError`` when the file cannot be read, and ``ValueError``
-    naming the problem when it holds no complete trajectory: an empty file,
-    a bad header, a row without five fields, a cell that is not a number,
-    an agent or dim id outside the rows' range, a missing or duplicate
-    (step, agent, dim) row, or rows of one step that disagree on its time.
+    The first line must be the header itself. Rows may come in any order
+    (rows in written order are read without sorting); CRLF line ends and
+    empty lines are passed over. numpy's tokenizer parses the cells, so a
+    written trajectory reads back bit for bit. Raises ``OSError`` when the
+    file cannot be read, and ``ValueError`` naming the problem, and its file
+    line, when it holds no complete trajectory: an empty file, a bad header,
+    a row without five fields, a cell that is not an ASCII number (an int
+    column takes integers only), an agent or dim id outside the rows' range,
+    a missing or duplicate (step, agent, dim) row, or rows of one step that
+    disagree on its time.
     """
-    columns = _plain_columns(path)
-    if columns is None:
-        columns = _cell_columns(path)
+    columns = _read_columns(path)
     total = len(columns[0])
     for c in (2, 3):
         outside = (columns[c] < 0) | (columns[c] >= total)
         if outside.any():
             i = int(np.argmax(outside))
             raise ValueError(
-                f"{path}: line {i + 2}: {_TRAJECTORY_COLUMNS[c][0]} {columns[c][i]} "
+                f"{path}: line {_data_line(path, i)[0]}: {_ROW_DTYPE.names[c]} {columns[c][i]} "
                 f"is out of range for a file of {total} rows"
             )
 
@@ -219,80 +205,54 @@ def load_trajectory(path) -> Trajectory:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _plain_columns(path) -> list | None:
-    """The five columns of a plain file (see the module docstring), parsed
-    by one ``np.loadtxt`` call on the handle that was checked; None for any
-    other file, or when ``loadtxt`` declines it."""
-    lines = 0
-    last = b"\n"
-    with Path(path).open("rb") as fh:
-        if fh.readline() != _HEADER_LINE:
-            return None
-        for block in iter(partial(fh.read, _CHECK_BYTES), b""):
-            rest = block.translate(None, _PLAIN_BYTES)  # newlines, unless a byte is not plain
-            if rest.count(b"\n") != len(rest):
-                return None
-            lines += len(rest)
-            last = block[-1:]
-        lines += last != b"\n"
-        fh.seek(0)
-        # A warning is an error here: loadtxt warns on a file without rows,
-        # and older numpy releases warn where they parse an int cell such as
-        # '2.7' through float and truncate it.
+def _read_columns(path) -> list:
+    """The five columns, parsed by one ``np.loadtxt`` call on the handle
+    whose first line was checked as the header."""
+    with Path(path).open() as fh:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"{path}: empty trajectory file")
+        header = header.removesuffix("\n")
+        if header != _TRAJECTORY_HEADER:
+            raise ValueError(
+                f"{path}: unexpected trajectory header {header!r}, expected {_TRAJECTORY_HEADER!r}"
+            )
+        # loadtxt warns on a file without rows, and numpy 2.0 warns where it
+        # truncates an int cell such as '2.7': a warning is an error here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                rows = np.loadtxt(
-                    fh, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, ndmin=1
-                )
-            except (ValueError, Warning):
-                return None
-    # loadtxt skips blank lines; the per-cell path names or strips them
-    if len(rows) != lines:
-        return None
+                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+            except Warning as warning:
+                if "input contained no data" in str(warning):
+                    raise ValueError(f"{path}: the trajectory has a header but no rows") from None
+                raise ValueError(f"{path}: {warning}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: {_row_error(path, str(exc))}") from None
     return [rows[field] for field in _ROW_DTYPE.names]
 
 
-def _cell_columns(path) -> list:
-    """The five columns, tokenised in Python a block of rows at a time."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty trajectory file")
-    if lines[0] != _TRAJECTORY_HEADER:
-        raise ValueError(
-            f"{path}: unexpected trajectory header {lines[0]!r}, expected {_TRAJECTORY_HEADER!r}"
-        )
-    rows = lines[1:]
-    total = len(rows)
-    if not total:
-        raise ValueError(f"{path}: the trajectory has a header but no rows")
-    if set(map(str.count, rows, repeat(","))) != {4}:
-        line = next(i for i, row in enumerate(rows, 2) if row.count(",") != 4)
-        raise ValueError(f"{path}: line {line} does not hold the five fields {_TRAJECTORY_HEADER}")
-
-    columns = [np.empty(total, dtype) for _, _, dtype in _TRAJECTORY_COLUMNS]
-    for lo in range(0, total, _READ_BLOCK):
-        block = rows[lo : lo + _READ_BLOCK]
-        cells = ",".join(block).split(",")
-        for c, ((name, parse, dtype), col) in enumerate(zip(_TRAJECTORY_COLUMNS, columns)):
-            try:
-                col[lo : lo + len(block)] = np.fromiter(map(parse, cells[c::5]), dtype, len(block))
-            except (ValueError, OverflowError):
-                column = cells[c::5]
-                i = next(i for i, cell in enumerate(column) if not _parses(cell, parse, dtype))
-                raise ValueError(
-                    f"{path}: line {lo + i + 2}: {name} {column[i]!r} "
-                    f"does not parse as {parse.__name__}"
-                ) from None
-    return columns
+def _row_error(path, message: str) -> str:
+    """loadtxt's message for a bad row, restated with the row's file line;
+    any other message as it is."""
+    if bad := re.search(r"at row (\d+), column (\d+)\.$", message):
+        line, text = _data_line(path, int(bad[1]))
+        c = int(bad[2]) - 1
+        kind = "int" if _ROW_DTYPE[c] == np.int64 else "float"
+        return f"line {line}: {_ROW_DTYPE.names[c]} {text.split(',')[c]!r} does not parse as {kind}"
+    if short := re.search(r"were found at row (\d+);", message):
+        line, _ = _data_line(path, int(short[1]) - 1)
+        return f"line {line} does not hold the five fields {_TRAJECTORY_HEADER}"
+    return message
 
 
-def _parses(cell: str, parse, dtype) -> bool:
-    try:
-        np.fromiter(map(parse, (cell,)), dtype, 1)
-    except (ValueError, OverflowError):
-        return False
-    return True
+def _data_line(path, row: int) -> tuple:
+    """The file line number and text of data row ``row`` (from 0), counted
+    as loadtxt counts rows: after the header, passing over empty lines.
+    Only error messages need it, so only they read the file again."""
+    with Path(path).open() as fh:
+        rows = ((line, text.removesuffix("\n")) for line, text in enumerate(fh, 1) if text != "\n")
+        return next(islice(rows, row + 1, None))  # row + 1: past the header
 
 
 def _in_grid_order(step, agent, dim, n: int, m: int) -> bool:

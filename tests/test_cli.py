@@ -50,6 +50,37 @@ class TestSerialize:
         assert schedule[0][0] == 2.0
         assert np.array_equal(schedule[0][1], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "name, text, call, message",
+        [
+            ("m.json", '{"a": 1}', load_matrix, "{path}: expected a square matrix of reals"),
+            ("m.csv", "1,2\n3\n", load_matrix, "{path}: expected a square matrix of reals"),
+            ("m.csv", "1,x\n3,4\n", load_matrix, "{path}: expected a square matrix of reals"),
+            ("m.json", "[[1, 2]", load_matrix, "{path}: expected a square matrix of reals"),
+            ("s.json", '{"until": 1}', load_schedule, "a schedule is a list of"),
+            ("s.json", '[{"matrix": [[1.0]]}]', load_schedule,
+             "schedule entry 0 needs 'until' and 'matrix'"),
+            ("s.json", "[1]", load_schedule, "schedule entry 0 needs 'until' and 'matrix'"),
+            ("s.json", '[{"until": 1, "matrix": [[1.0]]}, {"until": "soon", "matrix": [[1.0]]}]',
+             load_schedule, "schedule entry 1: could not convert"),
+            ("s.json", '[{"until": [1], "matrix": [[1.0]]}]', load_schedule, "schedule entry 0: "),
+            ("s.json", '[{"until": 1, "matrix": [[1, 2], [3]]}]', load_schedule,
+             "schedule entry 0: "),
+            ("s.json", '[{"until": 1, "matrix": {"file": "{dir}/m.json"}}]', load_schedule,
+             "schedule entry 0: {dir}/m.json: expected a square matrix of reals"),
+        ],
+    )
+    def test_malformed_matrix_or_schedule_is_a_value_error(self, tmp_path, name, text, call,
+                                                           message):
+        (tmp_path / "m.json").write_text('{"a": 1}')
+        path = tmp_path / name
+        path.write_text(text.replace("{dir}", str(tmp_path)))
+        expected = message.replace("{path}", str(path)).replace("{dir}", str(tmp_path))
+        with pytest.raises(ValueError) as info:
+            call(path)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(expected)
+
     def test_trajectory_csv_schema(self):
         traj = Trajectory(np.array([[[0.0], [1.0]], [[0.5], [0.5]]]), [0, 1])
         text = trajectory_csv(traj)
@@ -346,6 +377,18 @@ class TestMainEntry:
         assert payload["stage"] == "config"
         assert message in payload["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_malformed_matrix_file_is_a_validation_error(self, tmp_path, capsys):
+        matrix = tmp_path / "w.json"
+        matrix.write_text('{"a": 1}')
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": "flow", "x0": [0.0, 1.0],
+                                    "params": {"matrix": {"file": str(matrix)}, "t_end": 1.0}}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["stage"] == "validate"
+        assert payload["message"].startswith(f"{matrix}: expected a square matrix of reals")
 
     def test_infinite_horizon_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"

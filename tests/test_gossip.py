@@ -299,6 +299,21 @@ class TestSimulateGossip:
         assert draw(make_rng((7, 3))) == philox(7, 3)
         assert draw(make_rng(7, 3, 2)) == philox(7, 3, 2)
 
+    def test_numpy_integer_seeds_keep_their_stream(self):
+        def draw(rng):
+            return rng.integers(1 << 62, size=4).tolist()
+
+        assert draw(make_rng(np.int64(7))) == draw(make_rng(7))
+        assert draw(make_rng((np.uint32(7), 3))) == draw(make_rng((7, 3)))
+
+    @pytest.mark.parametrize("seed", [1.5, (1.5, 0), "3", None], ids=repr)
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            make_rng(seed)
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]), steps=5,
+                            seed=seed)
+
     def test_event_replay_reproduces_states(self):
         # replaying the recorded pair sequence through the update formulas
         # must give the same trajectory as the simulator's internal loop

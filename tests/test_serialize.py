@@ -1,7 +1,7 @@
 """Trajectory CSV codec: the batched writer against the per-row reference,
-the reader's round trip, the C-parsed reader against the per-cell one, the
-unsorted read of rows in written order, and the atomic writer's memory and
-file mode."""
+the reader's round trip, the reader against the per-cell one it replaced
+and the messages it gives, the unsorted read of rows in written order, and
+the atomic writer's memory and file mode."""
 
 import os
 import random
@@ -191,7 +191,7 @@ def test_events_writer_needs_events():
 
 
 # ---------------------------------------------------------------------------
-# the reader's two paths
+# the reader against the per-cell reader it replaced
 
 
 _TRAJECTORY_HEADER = "step,time,agent,dim,value"
@@ -208,8 +208,8 @@ _READ_BLOCK = 1 << 16
 
 
 def reference_load_trajectory(path) -> Trajectory:
-    """The per-cell reader the C parse sits in front of, as it was before;
-    the reader's oracle for bits and messages."""
+    """The per-cell reader that once read every file the C parse declined;
+    the oracle for bits and messages on the files both readers accept."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty trajectory file")
@@ -371,6 +371,65 @@ def new_outcome(path):
     return got
 
 
+def _names_a_mutated_cell(path, got, written):
+    """Whether the message names a cell that does not parse, on its true
+    file line, at a place the mutation changed."""
+    found = re.fullmatch(rf"{re.escape(str(path))}: line (\d+): (\w+) (.*) does not parse as "
+                         r"(int|float)", got) if isinstance(got, str) else None
+    if not found:
+        return False
+    line, column = int(found[1]), serialize._ROW_DTYPE.names.index(found[2])
+    kind = "int" if serialize._ROW_DTYPE[column] == np.int64 else "float"
+    cells = path.read_bytes().decode().replace("\r\n", "\n").split("\n")[line - 1].split(",")
+    before = written.read_text().split("\n")[line - 1].split(",")
+    return found[4] == kind and found[3] == repr(cells[column]) and cells[column] != before[column]
+
+
+# What the reader makes of each mutation, against the per-cell reader it
+# replaced. "reference": that reader's bits or message; "written": the bits of
+# the file before the mutation; "header": an unexpected-header message;
+# "cell": a message naming a cell the mutation changed, on its file line. Two
+# entries mean the outcome depends on where the mutation lands.
+MUTATION_OUTCOMES = {
+    "as written": {"reference"},
+    "shuffled rows": {"reference"},
+    "trailing blank lines": {"reference"},
+    "middle blank line": {"written"},  # was: "does not hold the five fields"
+    "leading whitespace": {"header"},  # was: read, the whole text stripped
+    "leading whitespace in a row": {"reference"},
+    "padded cell": {"reference"},
+    "underscore": {"cell"},  # was: '1_5' read as 15.0, '0_' rejected
+    "plus sign": {"reference"},
+    "float in an int column": {"reference"},
+    "hash": {"reference"},
+    "comment line": {"reference"},
+    "non-ASCII digit": {"cell"},  # was: read as its ASCII digit
+    "form feed": {"written", "cell"},  # was: a line break
+    "record separator": {"written", "cell"},  # was: a line break
+    "empty cell": {"reference"},
+    "header only": {"reference"},
+    "empty file": {"reference"},
+}
+
+
+def assert_mutation_outcome(path, traj, mutation, rnd, crlf):
+    written = path.with_name("written.csv")
+    written.write_text(trajectory_csv(traj))
+    write_mutant(path, traj, mutation, rnd, crlf)
+    got = new_outcome(path)
+    checks = {
+        "reference": lambda: got == outcome(reference_load_trajectory, path),
+        "written": lambda: got == outcome(reference_load_trajectory, written),
+        "header": lambda: got.startswith(f"{path}: unexpected trajectory header "),
+        "cell": lambda: _names_a_mutated_cell(path, got, written),
+    }
+    assert any(checks[kind]() for kind in MUTATION_OUTCOMES[mutation]), (mutation, got)
+
+
+def test_every_mutation_has_an_outcome():
+    assert sorted(MUTATION_OUTCOMES) == sorted(MUTATIONS)
+
+
 @settings(max_examples=400, deadline=None, database=None)
 @given(
     traj=trajectories(allow_nan=True),
@@ -378,43 +437,91 @@ def new_outcome(path):
     crlf=st.booleans(),
     rnd=st.randoms(use_true_random=False),
 )
-def test_reader_matches_per_cell_reader(traj, mutation, crlf, rnd, tmp_path_factory):
-    path = write_mutant(tmp_path_factory.mktemp("traj") / "trajectory.csv", traj, mutation, rnd,
-                        crlf)
-    assert new_outcome(path) == outcome(reference_load_trajectory, path)
+def test_reader_against_the_per_cell_reader(traj, mutation, crlf, rnd, tmp_path_factory):
+    path = tmp_path_factory.mktemp("traj") / "trajectory.csv"
+    assert_mutation_outcome(path, traj, mutation, rnd, crlf)
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
-def test_each_mutation_takes_the_expected_path(mutation, crlf, tmp_path):
+def test_each_mutation_has_its_outcome(mutation, crlf, tmp_path):
     traj = Trajectory(np.arange(12, dtype=float).reshape(3, 2, 2) / 7.0, [0.0, 0.5, 2.0])
-    path = write_mutant(tmp_path / "trajectory.csv", traj, mutation, random.Random(5), crlf)
-    plain = mutation in ("as written", "shuffled rows", "plus sign") and not crlf
-    assert (serialize._plain_columns(path) is not None) == plain
-    assert new_outcome(path) == outcome(reference_load_trajectory, path)
+    assert_mutation_outcome(tmp_path / "trajectory.csv", traj, mutation, random.Random(5), crlf)
 
 
+FIVE_FIELDS = f"does not hold the five fields {_TRAJECTORY_HEADER}"
+BAD_HEADER = f"unexpected trajectory header '', expected {_TRAJECTORY_HEADER!r}"
 
-def test_c_path_reads_a_large_file_and_names_its_errors(tmp_path):
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+def test_blank_lines_between_rows_are_passed_over(crlf, tmp_path):
+    traj = EXAMPLES["vector_opinions"]
+    header, *rows = trajectory_csv(traj).splitlines()
+    end = "\r\n" if crlf else "\n"
+    path = tmp_path / "trajectory.csv"
+
+    def write(lines):
+        path.write_bytes("".join(line + end for line in lines).encode())
+
+    # the file's lines 1-3, then two blank lines 4 and 5; rows[2] is line 6
+    write([header, *rows[:2], "", "", *rows[2:]])
+    assert_bit_equal(load_trajectory(path), traj)
+    bad = rows[3].split(",")
+    bad[4] = "x"
+    write([header, *rows[:2], "", "", *rows[2:3], ",".join(bad), *rows[4:]])
+    assert new_outcome(path) == f"{path}: line 7: value 'x' does not parse as float"
+    write([header, *rows[:2], "", "", *rows[2:3], "0,0,1", *rows[4:]])
+    assert new_outcome(path) == f"{path}: line 7 {FIVE_FIELDS}"
+    write([header, *rows[:2], "", "", *rows[2:3], "0,0,99,0,1", *rows[4:]])
+    assert new_outcome(path) == (
+        f"{path}: line 7: agent 99 is out of range for a file of {len(rows)} rows"
+    )
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        pytest.param([], "empty trajectory file", id="empty"),
+        pytest.param([""], BAD_HEADER, id="blank-line"),
+        pytest.param(["", _TRAJECTORY_HEADER, "0,0,0,0,1"], BAD_HEADER, id="blank-line-first"),
+        pytest.param([_TRAJECTORY_HEADER], "the trajectory has a header but no rows",
+                     id="header-only"),
+        pytest.param([_TRAJECTORY_HEADER, "", "\r"], "the trajectory has a header but no rows",
+                     id="header-and-blank-lines"),
+        pytest.param([_TRAJECTORY_HEADER, "0,0,0,0,1_5"],
+                     "line 2: value '1_5' does not parse as float", id="underscore"),
+        pytest.param([_TRAJECTORY_HEADER, "0,0,0,0,1", "\t"], f"line 3 {FIVE_FIELDS}",
+                     id="whitespace-line"),
+        pytest.param([_TRAJECTORY_HEADER, "0,0,0,0, 1x\t"],
+                     "line 2: value ' 1x\\t' does not parse as float", id="padded-bad-cell"),
+    ],
+)
+def test_reader_messages(lines, message, tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode())
+    assert new_outcome(path) == f"{path}: {message}"
+
+
+def test_reads_a_large_file_and_names_its_errors(tmp_path):
     rng = np.random.default_rng(4)
     traj = Trajectory(rng.normal(size=(3000, 3, 2)), np.cumsum(rng.random(3000) + 0.1))
     path = tmp_path / "trajectory.csv"
     text = trajectory_csv(traj)
     path.write_text(text)
-    assert serialize._plain_columns(path) is not None
     assert_bit_equal(load_trajectory(path), traj)
-    # a range error late in a plain file: same line number on both paths
+    # a range error late in the file: the per-cell reader's line number
     path.write_text(text + "0,0,99999,0,1\n")
-    assert serialize._plain_columns(path) is not None
     assert new_outcome(path) == outcome(reference_load_trajectory, path)
     assert "line 18002: agent 99999 is out of range for a file of 18001 rows" in new_outcome(path)
+    # a bad cell late in the file, past loadtxt's first read
+    path.write_text(text + "0,0,0,0,1\n" * 3 + "0,0,0,0,y\n")
+    assert new_outcome(path) == f"{path}: line 18005: value 'y' does not parse as float"
 
 
-def test_c_path_reads_a_file_without_a_final_newline(tmp_path):
+def test_reads_a_file_without_a_final_newline(tmp_path):
     traj = EXAMPLES["special_values"]
     path = tmp_path / "trajectory.csv"
     path.write_text(trajectory_csv(traj).rstrip("\n"))
-    assert serialize._plain_columns(path) is not None
     assert_bit_equal(load_trajectory(path), traj)
 
 
@@ -437,9 +544,10 @@ def test_int_column_cells_fail_whatever_the_warning_filters(cell, column, action
     assert got == outcome(reference_load_trajectory, path)
 
 
-def test_a_warning_from_loadtxt_sends_the_file_to_the_per_cell_path(tmp_path):
-    # older numpy releases parse an int cell such as '2.7' through float,
-    # truncate it and only warn; that warning must not let the result through
+@pytest.mark.parametrize("action", ["ignore", "default"])
+def test_a_warning_from_loadtxt_is_an_error(action, tmp_path):
+    # numpy 2.0 parses an int cell such as '2.7' through float, truncates it
+    # and only warns; that warning must not let the result through
     header, *rows = trajectory_csv(EXAMPLES["vector_opinions"]).splitlines()
     path = tmp_path / "trajectory.csv"
     path.write_text("\n".join([header, *rows]) + "\n")
@@ -453,9 +561,12 @@ def test_a_warning_from_loadtxt_sends_the_file_to_the_per_cell_path(tmp_path):
         return out
 
     with mock.patch.object(np, "loadtxt", truncating_loadtxt), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert serialize._plain_columns(path) is None
-        assert_bit_equal(load_trajectory(path), EXAMPLES["vector_opinions"])
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError) as info:
+            load_trajectory(path)
+    assert str(info.value) == (
+        f"{path}: loadtxt(): Parsing an integer via a float is deprecated."
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +601,7 @@ def test_in_order_check_matches_the_sorting_reader(name, ordering, tmp_path):
     blocks = ORDERINGS[ordering](_step_blocks(rows))
     path = tmp_path / "trajectory.csv"
     path.write_text("\n".join([header, *(row for block in blocks for row in block)]) + "\n")
-    columns = serialize._plain_columns(path)
+    columns = serialize._read_columns(path)
     traj = EXAMPLES[name]
     in_order = serialize._in_grid_order(columns[0], columns[2], columns[3], traj.n, traj.m)
     assert in_order == (ordering == "as written")
