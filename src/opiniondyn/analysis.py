@@ -16,7 +16,7 @@ import numpy as np
 from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split
 from .gossip import make_rng
 from .net_graph import _component_labels, _tarjan_scc
-from .state import OpinionState, Trajectory, _pairwise_sq
+from .state import OpinionState, Trajectory, _count, _pairwise_sq
 
 __all__ = [
     "ClusterProfile",
@@ -155,8 +155,7 @@ def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
     d is finite and positive, and MaxStepsError if a run misses the
     termination bound 2 n^3 - 2 (n - 1)^2.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n, trials = _count("n", n, 1), _count("trials", trials, 1)
     d_list = list(d_list)
     for d in d_list:
         if not (math.isfinite(d) and d > 0):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
-from .state import _frozen, _pairwise_sq, _unit_weights
+from .state import _count, _frozen, _pairwise_sq, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -396,8 +396,7 @@ def simulate_bc(
     Raises MaxStepsError carrying the partial trajectory when the budget
     runs out first, and ValueError for a NaN or negative stop_tol.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    max_steps = _count("max_steps", max_steps, 1)
     if not stop_tol >= 0:
         raise ValueError(f"stop_tol must be nonnegative, got {stop_tol}")
     states = [x0.values]

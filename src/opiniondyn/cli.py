@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -25,7 +26,7 @@ from . import linear_dynamics as ld
 from . import presets as pr
 from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
-from .state import MaxStepsError, OpinionState, SimulationError, Trajectory
+from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _count
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
 # Keys every config may carry, given to a run function that names them.
@@ -43,16 +44,6 @@ class CliError(Exception):
         return {"stage": self.stage, "message": str(self), "hint": self.hint}
 
 
-def _whole(name: str, value) -> int:
-    """A count given as a whole number, 3 or 3.0, as an int; ValueError
-    otherwise, where int() would truncate 3.9 to 3."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
 def _initial_state(x0, seed: int) -> OpinionState:
     """x0 as opinions, or ``{"uniform": [lo, hi, n]}`` drawn on stream 1 of the seed.
     CliError with stage config for a dict of any other form."""
@@ -65,7 +56,7 @@ def _initial_state(x0, seed: int) -> OpinionState:
                            hint)
         lo, hi, n = x0["uniform"]
         rng = gp.make_rng((seed, 1))
-        return OpinionState(rng.uniform(float(lo), float(hi), size=_whole("uniform n", n)))
+        return OpinionState(rng.uniform(float(lo), float(hi), size=_count("uniform n", n, 1)))
     return OpinionState(np.asarray(x0, dtype=float))
 
 
@@ -189,7 +180,7 @@ def _run_bc(spec_fn, step, params, seed, x0, horizon=HORIZON, stop_tol=0.0, tol=
     checked = _checked(params, x0.n, tol, family_check, gap_tol)
     try:
         traj = bc.simulate_bc(lambda s: step_fn(s, spec=spec, **step_params), x0,
-                              max_steps=_whole("horizon", horizon), stop_tol=stop_tol)
+                              max_steps=_count("horizon", horizon, 0), stop_tol=stop_tol)
     except MaxStepsError as exc:
         traj = exc.trajectory
     return _Run(traj, params, seed, **checked)
@@ -201,9 +192,7 @@ def _confidence(params, x0):
 
 def _run_flow(kind, params, seed, x0, record_every=1, tol=TOL, family_check=None) -> _Run:
     x0 = _initial_state(x0, seed)
-    every = _whole("record_every", record_every)
-    if every < 1:
-        raise ValueError(f"record_every must be >= 1, got {every}")
+    every = _count("record_every", record_every, 1)
     flow_params, spec_params = _split(params, ld.flow_simulate)
     spec = pr.weight_spec_from_params(kind, **spec_params)
     checked = _checked(params, x0.n, tol, family_check, None)
@@ -215,7 +204,7 @@ def _run_degroot(params, seed, x0, horizon=1000, tol=TOL, family_check=None) -> 
     x0 = _initial_state(x0, seed)
     spec = pr.weight_spec_from_params(**params)
     checked = _checked(params, x0.n, tol, family_check, None)
-    traj = ld.simulate_discrete(spec, x0, steps=_whole("horizon", horizon))
+    traj = ld.simulate_discrete(spec, x0, steps=_count("horizon", horizon, 0))
     return _Run(traj, params, seed, **checked)
 
 
@@ -224,8 +213,8 @@ def _run_gossip(model, params, seed, outputs, x0, horizon=HORIZON, thin=1,
     x0 = _initial_state(x0, seed)
     gmodel = pr.gossip_model_from_params(model, params)
     checked = _checked(params, x0.n, None, None, gap_tol)
-    traj = gp.simulate_gossip(gmodel, x0, steps=_whole("horizon", horizon), seed=seed,
-                              thin=_whole("thin", thin), record_events="events" in outputs)
+    traj = gp.simulate_gossip(gmodel, x0, steps=_count("horizon", horizon, 0), seed=seed,
+                              thin=thin, record_events="events" in outputs)
     return _Run(traj, params, seed, **checked)
 
 
@@ -243,8 +232,7 @@ def _balance(matrix) -> tuple:
 
 
 def _run_two_r(params, seed, format) -> tuple:
-    counts = {key: _whole(key, params[key]) for key in ("n", "trials") if key in params}
-    rows = analysis.two_r_experiment(**{**params, **counts}, seed=seed)
+    rows = analysis.two_r_experiment(**params, seed=seed)
     if format == "json":
         return "table.json", io.two_r_json(rows)
     return "table.csv", io.two_r_csv(rows)
@@ -252,10 +240,10 @@ def _run_two_r(params, seed, format) -> tuple:
 
 def _hk_sweep(seed, instances=25, n_range=(2, 30), d_range=(0.05, 0.5)) -> tuple:
     rng = gp.make_rng((seed, 2))
-    n_lo, n_hi = (_whole("n_range", n) for n in n_range)
+    n_lo, n_hi = (_count("n_range", n, 1) for n in n_range)
     d_lo, d_hi = d_range
     rows = ["instance,n,d,terminated_at,bound"]
-    for idx in range(_whole("instances", instances)):
+    for idx in range(_count("instances", instances, 0)):
         n = int(rng.integers(n_lo, n_hi + 1))
         d = float(rng.uniform(d_lo, d_hi))
         x0 = OpinionState(rng.uniform(0.0, 1.0, size=n))
@@ -332,7 +320,7 @@ def _prepare(config: dict) -> tuple:
     if not isinstance(params, dict):
         raise CliError("config", f"params must be a JSON object, got {params!r}")
     try:
-        seed = _whole("seed", config.get("seed", 0))
+        seed = _count("seed", config.get("seed", 0), -math.inf)  # make_rng checks its range
     except ValueError:
         raise CliError("config", f"seed must be an integer, got {config['seed']!r}") from None
     if model not in MODELS:

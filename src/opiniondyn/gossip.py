@@ -33,12 +33,11 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from operator import index
 
 import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
-from .state import Events, OpinionState, Trajectory, _frozen
+from .state import Events, OpinionState, Trajectory, _count, _frozen
 
 __all__ = [
     "make_rng",
@@ -61,14 +60,16 @@ _HEADROOM = 256  # bits the exact runs' shared scale grows by beyond the need
 def make_rng(seed, *spawn_key) -> np.random.Generator:
     """Philox generator of SeedSequence(seed, spawn_key=spawn_key); a
     (seed, stream) tuple, or a bare seed (stream 0), has the spawn key
-    (stream,). A Generator is returned as it is."""
+    (stream,). Seed and stream are counts >= 0 (``state._count``). A
+    Generator is returned as it is."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, tuple):
         return make_rng(*seed)
     if not spawn_key:
         return make_rng(seed, 0)
-    seed_seq = np.random.SeedSequence(_integer("seed", seed), spawn_key=spawn_key)
+    seed_seq = np.random.SeedSequence(_count("seed", seed, 0),
+                                      spawn_key=[_count("stream", key, 0) for key in spawn_key])
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
@@ -303,23 +304,11 @@ def _draw_pairs(rng, n: int, count: int):
     return act, partner
 
 
-def _integer(name: str, value) -> int:
-    """A count as an int (numpy integers too); ValueError naming it otherwise."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_run(model, x0: OpinionState, steps, thin) -> tuple:
     """The run's (steps, thin) as ints, once the run is checked."""
     if x0.m != 1:
         raise ValueError("gossip models act on scalar opinions")
-    steps, thin = _integer("steps", steps), _integer("thin", thin)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    steps, thin = _count("steps", steps, 1), _count("thin", thin, 1)
     if not isinstance(model, _MODELS):
         raise TypeError(f"unknown gossip model {type(model).__name__}")
     n = x0.n
@@ -566,8 +555,7 @@ def bernoulli_convolution(gamma: float, depth: int, rng) -> float:
     distribution is uniform on [0, 1]."""
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = _count("depth", depth, 1)
     bits = make_rng(rng).integers(0, 2, size=depth)
     powers = np.cumprod(np.full(depth, 1.0 - gamma))
     return float(gamma / (1.0 - gamma) * (powers * bits).sum())

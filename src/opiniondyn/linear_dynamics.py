@@ -26,6 +26,7 @@ from .state import (
     OpinionState,
     Trajectory,
     UnstableError,
+    _count,
     _frozen,
     _unit_weights,
     as_state_array,
@@ -259,8 +260,7 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
     """
     if spec.kind == KIND_NONNEGATIVE:
         raise ValueError("discrete iteration takes a stochastic or signed spec")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps = _count("steps", steps, 0)
     _check_size(spec, x0)
     signed = spec.kind == KIND_SIGNED
     check = check_signed_row_stochastic if signed else check_stochastic

@@ -103,7 +103,10 @@ def load_schedule(source) -> list:
     JSON file path or an already-decoded list; each M is given inline or as
     ``{"file": path}`` (see ``resolve_matrix``)."""
     if isinstance(source, (str, Path)):
-        entries = json.loads(Path(source).read_text())
+        try:
+            entries = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{source}: expected a JSON schedule: {exc}") from None
     else:
         entries = source
     if not isinstance(entries, (list, tuple)):

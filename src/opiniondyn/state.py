@@ -47,6 +47,18 @@ class MaxStepsError(SimulationError):
         self.trajectory = trajectory
 
 
+def _count(name: str, value, least) -> int:
+    """A count or seed as an int: an int, a numpy integer or a whole float
+    (3.0), not a bool, and at least ``least``; ValueError naming it otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _pairwise_sq(values: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of an (n, m) array."""
     diff = values[:, None, :] - values[None, :, :]

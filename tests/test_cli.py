@@ -57,6 +57,7 @@ class TestSerialize:
             ("m.csv", "1,2\n3\n", load_matrix, "{path}: expected a square matrix of reals"),
             ("m.csv", "1,x\n3,4\n", load_matrix, "{path}: expected a square matrix of reals"),
             ("m.json", "[[1, 2]", load_matrix, "{path}: expected a square matrix of reals"),
+            ("s.json", "[{", load_schedule, "{path}: expected a JSON schedule"),
             ("s.json", '{"until": 1}', load_schedule, "a schedule is a list of"),
             ("s.json", '[{"matrix": [[1.0]]}]', load_schedule,
              "schedule entry 0 needs 'until' and 'matrix'"),

@@ -1,6 +1,6 @@
 """Fuzz guard of the config contract: the golden configs of
 ``test_cli_golden``, each with one numeric leaf or one top-level key set to
-NaN, -1, 0, inf or 0.5, run through ``cli.main``.
+NaN, -1, 0, inf, 0.5, 2.5 or true, run through ``cli.main``.
 
 A mutated config either runs (exit 0), and then every JSON file it wrote is
 strict JSON with no NaN or Infinity, or it is refused (exit 2) with one
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from opiniondyn.cli import main
 from test_cli_golden import CONFIGS, in_matrix_dir
 
-VALUES = (float("nan"), -1, 0, float("inf"), 0.5)
+VALUES = (float("nan"), -1, 0, float("inf"), 0.5, 2.5, True)
 
 
 def numeric_leaves(node, path=()):

@@ -305,12 +305,20 @@ class TestSimulateGossip:
 
         assert draw(make_rng(np.int64(7))) == draw(make_rng(7))
         assert draw(make_rng((np.uint32(7), 3))) == draw(make_rng((7, 3)))
+        # a stream is a count too: numpy integers and whole floats keep theirs
+        assert draw(make_rng((7, np.uint32(3)))) == draw(make_rng((7, 3)))
+        assert draw(make_rng((7, 3.0))) == draw(make_rng((7, 3)))
+        for key in ((7, 1.5), (7, "3"), (7, True)):
+            with pytest.raises(ValueError, match="^stream must be a whole number, got "):
+                make_rng(key)
+        with pytest.raises(ValueError, match="^stream must be a whole number, got '3'"):
+            make_rng(7, "3")
 
-    @pytest.mark.parametrize("seed", [1.5, (1.5, 0), "3", None], ids=repr)
+    @pytest.mark.parametrize("seed", [1.5, (1.5, 0), "3", None, True], ids=repr)
     def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
-        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        with pytest.raises(ValueError, match="^seed must be a whole number, got "):
             make_rng(seed)
-        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        with pytest.raises(ValueError, match="^seed must be a whole number, got "):
             simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]), steps=5,
                             seed=seed)
 
@@ -803,24 +811,21 @@ class TestMoreGossipSurfaces:
          TypeError, "exact runs are provided for the pair dynamics"),
         (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
                                  steps=2.5, seed=0),
-         ValueError, "steps must be an integer, got 2.5"),
-        (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
-                                 steps=5, seed=0, thin=2.0),
-         ValueError, "thin must be an integer, got 2.0"),
+         ValueError, "steps must be a whole number, got 2.5"),
         (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
                                  steps=5, seed=0, thin=inf),
-         ValueError, "thin must be an integer, got inf"),
+         ValueError, "thin must be a whole number, got inf"),
         (lambda: dw_run_exact(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
                               steps=2.5, seed=0),
-         ValueError, "steps must be an integer, got 2.5"),
+         ValueError, "steps must be a whole number, got 2.5"),
         (lambda: dw_run_exact(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
                               steps=5, seed=0, thin=inf),
-         ValueError, "thin must be an integer, got inf"),
+         ValueError, "thin must be a whole number, got inf"),
         (lambda: simulate_gossip(DeffuantWeisbuch(d=0.3, mu=0.5), OpinionState([0.0, 1.0]),
                                  steps=10**15, seed=0, thin=10**15),
          ValueError, "1000000000000000 steps are too many events to hold in memory"),
     ], ids=["vector-opinions", "zero-steps", "zero-thin", "unknown-model", "model-size",
-            "exact-non-pair", "fractional-steps", "float-thin", "infinite-thin",
+            "exact-non-pair", "fractional-steps", "infinite-thin",
             "exact-fractional-steps", "exact-infinite-thin", "events-beyond-memory"])
     def test_invalid_runs_rejected(self, run, error, message):
         with pytest.raises(error, match=message):
@@ -831,6 +836,8 @@ class TestMoreGossipSurfaces:
         traj = simulate_gossip(model, x0, steps=np.int64(5), seed=0, thin=np.int32(2))
         assert traj.stamps.tolist() == [0.0, 2.0, 4.0, 5.0]
         assert traj.events == simulate_gossip(model, x0, steps=5, seed=0).events
+        whole = simulate_gossip(model, x0, steps=5, seed=0, thin=2.0)
+        assert np.array_equal(whole.array, traj.array) and whole.events == traj.events
         res = dw_run_exact(model, x0, steps=np.int64(5), seed=0, thin=np.int64(2))
         assert np.array_equal(res.trajectory.array, traj.array)
 
