@@ -16,7 +16,7 @@ import numpy as np
 from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split
 from .gossip import make_rng
 from .net_graph import _component_labels, _tarjan_scc
-from .state import OpinionState, Trajectory, _count, _pairwise_sq
+from .state import OpinionState, Trajectory, _count, _pairwise_sq, _real
 
 __all__ = [
     "ClusterProfile",
@@ -158,7 +158,7 @@ def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
     n, trials = _count("n", n, 1), _count("trials", trials, 1)
     d_list = list(d_list)
     for d in d_list:
-        if not (math.isfinite(d) and d > 0):
+        if not (math.isfinite(_real("confidence bound d", d)) and d > 0):
             raise ValueError(f"confidence bound d must be finite and positive, got {d}")
     bound = _hk_step_bound(n)
     rows = []

@@ -18,7 +18,7 @@ import numpy as np
 
 from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
-from .state import _count, _frozen, _pairwise_sq, _unit_weights
+from .state import _count, _frozen, _pairwise_sq, _real, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -41,7 +41,9 @@ _NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
 
 def _offsets(bound):
     """One float shared by all agents, or a tuple of per-agent floats."""
-    return float(bound) if np.ndim(bound) == 0 else tuple(float(b) for b in bound)
+    if np.ndim(bound) == 0:
+        return _real("confidence bound", bound)
+    return tuple(_real("confidence bound", b) for b in bound)
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,9 @@ class ConfidenceSpec:
     def __post_init__(self):
         if self.norm not in _NORM_ORDS:
             raise ValueError(f"norm must be one of {sorted(_NORM_ORDS)}")
-        for name in ("lo", "hi"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _offsets(getattr(self, name)))
+        if self.lo is not None:  # a norm ball has no left offset
+            object.__setattr__(self, "lo", _offsets(self.lo))
+        object.__setattr__(self, "hi", _offsets(self.hi))
         lo, hi = self.lo, self.hi
         # "not > 0" rather than "<= 0", so that a NaN bound is rejected too
         if not np.all(np.asarray(hi) > 0) or (lo is not None and not np.all(np.asarray(lo) < 0)):
@@ -89,23 +91,24 @@ class ConfidenceSpec:
     @classmethod
     def symmetric(cls, d: float, closed: bool = True) -> "ConfidenceSpec":
         """Trust all opinions within distance d of one's own."""
+        d = _real("d", d)
         return cls(lo=-d, hi=d, closed=closed)
 
     @classmethod
     def asymmetric(cls, d_left: float, d_right: float, closed: bool = True) -> "ConfidenceSpec":
         """Trust opinions in [x_i - d_left, x_i + d_right]."""
-        return cls(lo=-d_left, hi=d_right, closed=closed)
+        return cls(lo=-_real("d_left", d_left), hi=d_right, closed=closed)
 
     @classmethod
     def per_agent(cls, d_per_agent, closed: bool = True) -> "ConfidenceSpec":
         """Symmetric intervals with an individual bound per agent."""
-        bounds = tuple(float(b) for b in d_per_agent)
+        bounds = tuple(_real("d_per_agent", b) for b in d_per_agent)
         return cls(lo=tuple(-b for b in bounds), hi=bounds, closed=closed)
 
     @classmethod
     def shifted(cls, d: float, eta, closed: bool = True) -> "ConfidenceSpec":
         """Intervals [x_i - d + eta_i, x_i + d] with 0 <= eta_i and max eta_i < d."""
-        eta = tuple(float(e) for e in eta)
+        d, eta = _real("d", d), tuple(_real("eta", e) for e in eta)
         if not eta:
             raise ValueError("eta must hold one shift per agent, got an empty list")
         # a bound d <= 0 is left to the positivity check
@@ -119,38 +122,47 @@ class ConfidenceSpec:
         return cls(lo=None, hi=d, closed=closed, norm=norm)
 
 
-def _column(bound, n: int):
-    """A shared offset as is, per-agent offsets as an (n, 1) column."""
+def _per_agent(bound, n: int):
+    """A shared offset as is, per-agent offsets as an (n,) array."""
     if isinstance(bound, float):
         return bound
     if len(bound) != n:
         raise ValueError("per-agent bounds must match the agent count")
-    return np.asarray(bound)[:, None]
+    return np.asarray(bound)
 
 
 def _rows(bound, rows: slice):
-    """The part of a ``_column`` bound that applies to a block of rows."""
-    return bound if isinstance(bound, float) else bound[rows]
+    """The part of a ``_per_agent`` bound that applies to a block of rows,
+    as a column."""
+    return bound if isinstance(bound, float) else bound[rows, None]
 
 
 # Rows per pass of the trust test and the settled-row test: their float and
 # bool temporaries are _BLOCK x n (x m), small enough to stay in cache.
 _BLOCK = 32
 # Mask entries per float block of the scalar trust-set sums and of the
-# signed-zero maximum in _masked_mean (1 MiB of float64).
+# signed-zero maximum in _mean (1 MiB of float64).
 _PRODUCT_ENTRIES = 2**17
+# Interval steps of fewer agents build the trust mask, whose few numpy calls
+# cost less than the sort and the window searches. The measured crossover
+# of one hk_step (uniform start, d = 0.2; numpy 2.4, OpenBLAS 0.3.31,
+# x86-64): the mask is 18 % faster at 64 agents, the two tie from 65 (the
+# mask's third _BLOCK) to about 72, and the windows are 16 % faster at 112.
+_WINDOW_MIN_N = 65
 
 
 def _product_blocks(n: int) -> list[slice]:
-    """Row blocks of the scalar trust-set sums in ``_masked_mean``.
+    """Row blocks of the scalar trust-set sums in ``_mean``.
 
     Each block starts at a multiple of ``_BLOCK`` and holds about
     ``_PRODUCT_ENTRIES`` mask entries, at least ``_BLOCK`` rows, so n <= 353
     is one block. A lone last row joins the block before it.
     """
     size = max(_BLOCK, _PRODUCT_ENTRIES // n // _BLOCK * _BLOCK)
+    if n <= size + 1:
+        return [slice(0, n)]
     starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] == 1:
+    if n - starts[-1] == 1:
         starts.pop()
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
@@ -161,11 +173,12 @@ def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     Row i is agent i's trust set; the diagonal is always True. The mask is
     filled ``_BLOCK`` rows at a time, so besides the mask itself the
     temporaries (the gaps x_j - x_i, or the differences x_i - x_j and their
-    norms) are O(_BLOCK * n * m).
+    norms) are O(_BLOCK * n * m). Interval steps of ``_WINDOW_MIN_N`` or
+    more agents use the ``_windows`` of the sorted opinions instead.
     """
     n = x.n
     if spec.lo is None:
-        lo, hi = None, _column(spec.hi, n)
+        lo, hi = None, _per_agent(spec.hi, n)
         values, order = x.values, _NORM_ORDS[spec.norm]
 
         def distance(rows):
@@ -173,7 +186,7 @@ def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     else:
         if x.m != 1:
             raise ValueError("interval confidence variants require scalar opinions")
-        lo, hi = _column(spec.lo, n), _column(spec.hi, n)
+        lo, hi = _per_agent(spec.lo, n), _per_agent(spec.hi, n)
         v = x.flat
 
         def distance(rows):
@@ -190,17 +203,82 @@ def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     return mask
 
 
-def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _window_ends(s: np.ndarray, v: np.ndarray, bound, strict: bool) -> np.ndarray:
+    """Per agent i, how many sorted opinions s_k have the rounded gap
+    fl(s_k - x_i) below ``bound_i`` (``<`` if ``strict``, else ``<=``).
+
+    The rounded gap is monotone in s_k, so those opinions are the first ones
+    of s and the count is where agent i's trust window starts or stops. The
+    search starts from ``searchsorted`` of x_i + bound_i, which can land a
+    few values off, and moves each guess over whole runs of tied values
+    until the gap test holds just below it and fails at it, so the rounds
+    are bounded by the distinct values crossed, not by the ties.
+    """
+    below = np.less if strict else np.less_equal
+    n = s.size
+    k = np.searchsorted(s, v + bound, "left" if strict else "right")
+    while True:
+        up = (k < n) & below(s[np.minimum(k, n - 1)] - v, bound)
+        down = (k > 0) & ~below(s[k - 1] - v, bound)
+        if not (up.any() or down.any()):
+            return k
+        k[up] = np.searchsorted(s, s[k[up]], "right")
+        k[down] = np.searchsorted(s, s[k[down] - 1], "left")
+
+
+def _windows(x: OpinionState, spec: ConfidenceSpec):
+    """The interval trust sets as windows of the sorted opinions.
+
+    Returns (low, high, count): agent i trusts agent j iff
+    low_i <= x_j <= high_i, and it trusts count_i agents. Window i is the
+    run of sorted opinions s_k with lo_i <= fl(s_k - x_i) <= hi_i (``<`` for
+    open bounds): one sort and two ``_window_ends`` searches, no n x n
+    pass. The value bounds hold every tie of the end values and x_i itself,
+    so they select exactly the agents of the dense gap test.
+    """
+    if x.m != 1:
+        raise ValueError("interval confidence variants require scalar opinions")
+    n, v = x.n, x.flat
+    lo, hi = _per_agent(spec.lo, n), _per_agent(spec.hi, n)
+    s = np.sort(v)
+    with np.errstate(over="ignore"):  # an overflowing guess or gap is in order as an infinity
+        first = _window_ends(s, v, lo, spec.closed)
+        stop = _window_ends(s, v, hi, not spec.closed)
+    return s[first], s[stop - 1], stop - first
+
+
+def _settled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Rows of ``mask`` whose trusted opinions all equal their own in every
+    dimension, ``_BLOCK`` rows at a time with bool temporaries of
+    O(_BLOCK * n)."""
+    n, m = values.shape
+    settled = np.empty(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        differs = values[None, :, 0] != values[rows, None, 0]
+        for k in range(1, m):
+            differs |= values[None, :, k] != values[rows, None, k]
+        differs &= mask[rows]
+        settled[rows] = ~differs.any(axis=1)
+    return settled
+
+
+def _mean(values: np.ndarray, trusted: Callable, counts: np.ndarray,
+          settled: np.ndarray) -> np.ndarray:
     """Row-wise mean of the trusted opinions.
 
-    Agents with identical trust sets receive bit-identical means (shared
-    summation), and a row whose trusted opinions already coincide returns
-    that value exactly, so collapsed groups are exact fixed points.
+    ``trusted(rows)`` is the bool trust mask of a slice or an index array of
+    rows, ``counts`` the size of each trust set, and ``settled`` marks the
+    rows whose trusted opinions all equal their own (the set holds i
+    itself). Agents with identical trust sets receive bit-identical means
+    (shared summation), and a settled row returns its value exactly, so
+    collapsed groups are exact fixed points.
 
-    Scalar opinions (m = 1) take ``mask @ values`` one ``_product_blocks``
-    block at a time, so the float copy of the mask that the product needs is
-    one block of about ``_PRODUCT_ENTRIES`` entries, never n x n. The sums
-    keep the bits of the single product on one OpenBLAS thread, by two rules:
+    Scalar opinions (m = 1) take ``trusted(rows) @ values`` one
+    ``_product_blocks`` block at a time, so the float copy of the mask that
+    the product needs is one block of about ``_PRODUCT_ENTRIES`` entries,
+    never n x n. The sums keep the bits of the single product on one
+    OpenBLAS thread, by two rules:
 
     - Every block starts at a multiple of 4. numpy sends a block of two or
       more rows to BLAS gemv, whose kernel takes rows four at a time and
@@ -218,41 +296,52 @@ def _masked_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     call, because OpenBLAS's dgemm sums the row blocks of a large product
     (n of about 1000) in a different order.
 
-    Row i is settled iff no trusted j has x_j != x_i in any dimension (the
-    mask holds i itself); the test runs ``_BLOCK`` rows at a time with bool
-    temporaries of O(_BLOCK * n). A settled row takes x_i. A settled row
-    with a zero component instead takes the componentwise maximum over its
-    trust set, as the earlier max == min test did: numpy's reduction picks
-    which of +0.0 and -0.0 a mixed zero becomes. That maximum is exact, so
-    it is taken over blocks of such rows of about ``_PRODUCT_ENTRIES``
-    entries.
+    A settled row takes x_i. A settled row with a zero component instead
+    takes the componentwise maximum over its trust set, as the earlier
+    max == min test did: numpy's reduction picks which of +0.0 and -0.0 a
+    mixed zero becomes. That maximum is exact, so it is taken over blocks
+    of such rows of about ``_PRODUCT_ENTRIES`` entries.
     """
     n, m = values.shape
-    counts = mask.sum(axis=1)
     if m == 1:
         sums = np.empty((n, 1))
         for rows in _product_blocks(n):
-            sums[rows] = mask[rows] @ values
+            sums[rows] = trusted(rows) @ values
     else:
-        sums = mask @ values
+        sums = trusted(slice(None)) @ values
     means = sums / counts[:, None]
-    settled = np.empty(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        differs = values[None, :, 0] != values[rows, None, 0]
-        for k in range(1, m):
-            differs |= values[None, :, k] != values[rows, None, k]
-        differs &= mask[rows]
-        settled[rows] = ~differs.any(axis=1)
     if settled.any():
         means[settled] = values[settled]
         zero = np.flatnonzero(settled & (values == 0).any(axis=1))
         size = max(1, _PRODUCT_ENTRIES // (n * m))
         for start in range(0, zero.size, size):
             part = zero[start:start + size]
-            trusted = np.where(mask[part, :, None], values[None, :, :], -np.inf)
-            means[part] = trusted.max(axis=1)
+            trust = np.where(trusted(part)[:, :, None], values[None, :, :], -np.inf)
+            means[part] = trust.max(axis=1)
     return means
+
+
+def _trust_means(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
+    """Each agent's trust-set mean, as an (n, m) array.
+
+    An interval spec sums each ``_product_blocks`` block against a mask
+    built from the ``_windows`` value bounds: the same 0/1 operand as the
+    dense gap test, so the same bits, with the counts and the settled rows
+    read off the windows. A norm ball, and an interval spec of fewer than
+    ``_WINDOW_MIN_N`` agents, builds its ``trust_matrix`` and counts and
+    tests it row by row.
+    """
+    values = x.values
+    if spec.lo is None or x.n < _WINDOW_MIN_N:
+        mask = trust_matrix(x, spec)
+        return _mean(values, mask.__getitem__, mask.sum(axis=1), _settled(values, mask))
+    low, high, counts = _windows(x, spec)
+    v = x.flat
+
+    def trusted(rows):
+        return (v >= low[rows, None]) & (v <= high[rows, None])
+
+    return _mean(values, trusted, counts, low == high)
 
 
 def hk_step(x: OpinionState, spec: ConfidenceSpec) -> OpinionState:
@@ -261,7 +350,7 @@ def hk_step(x: OpinionState, spec: ConfidenceSpec) -> OpinionState:
     Equivalent to time-varying averaging with the state-dependent matrix
     whose rows are uniform over the trust sets.
     """
-    return OpinionState(_masked_mean(x.values, trust_matrix(x, spec)))
+    return OpinionState(_trust_means(x, spec))
 
 
 def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionState:
@@ -277,7 +366,7 @@ def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionSta
         raise ValueError("target must be a point in opinion space")
     if not np.all(np.isfinite(target)):
         raise ValueError(f"target must be finite, got {target.tolist()}")
-    means = _masked_mean(x.values, trust_matrix(x, spec))
+    means = _trust_means(x, spec)
     return OpinionState(lam[:, None] * means + (1.0 - lam)[:, None] * target[None, :])
 
 
@@ -288,7 +377,7 @@ def inertial_step(x: OpinionState, lam, spec: ConfidenceSpec) -> OpinionState:
     the agent, lam_i = 1 recovers the plain step.
     """
     lam = _unit_weights(lam, x.n, "inertia weights")
-    means = _masked_mean(x.values, trust_matrix(x, spec))
+    means = _trust_means(x, spec)
     return OpinionState((1.0 - lam)[:, None] * x.values + lam[:, None] * means)
 
 

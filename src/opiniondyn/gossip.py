@@ -37,7 +37,7 @@ from math import inf
 import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
-from .state import Events, OpinionState, Trajectory, _count, _frozen
+from .state import Events, OpinionState, Trajectory, _count, _frozen, _real
 
 __all__ = [
     "make_rng",
@@ -553,7 +553,7 @@ def bernoulli_convolution(gamma: float, depth: int, rng) -> float:
     (1 - gamma)^s xi_s with fair coin flips xi_s, drawn as
     ``make_rng(rng).integers(0, 2, size=depth)``. At gamma = 1/2 the
     distribution is uniform on [0, 1]."""
-    if not 0 < gamma < 1:
+    if not 0 < _real("gamma", gamma) < 1:
         raise ValueError("gamma must lie in (0, 1)")
     depth = _count("depth", depth, 1)
     bits = make_rng(rng).integers(0, 2, size=depth)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -57,6 +58,14 @@ def _count(name: str, value, least) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """A real number as a float: an int, a float or a numpy number, not a
+    str or None; ValueError naming it otherwise."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _pairwise_sq(values: np.ndarray) -> np.ndarray:

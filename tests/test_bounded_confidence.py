@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -525,8 +526,8 @@ class TestDChains:
 
 
 # ---------------------------------------------------------------------------
-# Row-blocked trust masks and the exact settled-row test, against the dense
-# kernels they replaced
+# Row-blocked trust masks, interval windows and the exact settled-row test,
+# against the dense kernels they replaced
 # ---------------------------------------------------------------------------
 
 
@@ -561,8 +562,9 @@ def dense_trust_matrix(x, spec):
 
 
 def dense_masked_mean(values, mask):
-    """``_masked_mean`` before the exact settled test: a row is settled when
-    the (n, n, m) maximum and minimum of its trusted opinions agree."""
+    """The trust-set mean before the row blocks, the windows and the exact
+    settled test: a row is settled when the (n, n, m) maximum and minimum of
+    its trusted opinions agree."""
     counts = mask.sum(axis=1)
     means = (mask @ values) / counts[:, None]
     hi = np.where(mask[:, :, None], values[None, :, :], -np.inf).max(axis=1)
@@ -583,19 +585,51 @@ def _outcome(step):
         return type(exc)
 
 
+def dense_steps(mask, x, lam, target):
+    """The outcomes of ``hk_step``, ``truth_step`` and ``inertial_step``
+    from a dense trust mask: ``dense_masked_mean`` composed as the truth and
+    inertial steps compose the trust-set mean."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = dense_masked_mean(x.values, mask)
+    target = np.asarray(target, dtype=float)
+    return [
+        _outcome(lambda: OpinionState(means)),
+        _outcome(lambda: OpinionState(lam[:, None] * means + (1.0 - lam)[:, None] * target[None, :])),
+        _outcome(lambda: OpinionState((1.0 - lam)[:, None] * x.values + lam[:, None] * means)),
+    ]
+
+
+def on_both_paths(run):
+    """``run()`` with every interval step on the window path, then with every
+    one on the mask path: the two sides of ``_WINDOW_MIN_N``."""
+    results = []
+    for cut in (0, np.inf):
+        with mock.patch.object(bc, "_WINDOW_MIN_N", cut):
+            results.append(run())
+    return results
+
+
+def window_mask(x, spec):
+    """The (n, n) trust mask that the ``_windows`` value bounds select, and
+    their counts."""
+    low, high, counts = bc._windows(x, spec)
+    return (x.flat >= low[:, None]) & (x.flat <= high[:, None]), counts
+
+
 def assert_matches_dense(x, spec, lam, target):
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense, mask = dense_trust_matrix(x, spec), bc.trust_matrix(x, spec)
+        assert mask.dtype == bool and mask.shape == (x.n, x.n)
+        assert np.array_equal(mask, dense)
+        if spec.lo is not None:
+            mask, counts = window_mask(x, spec)
+            assert np.array_equal(mask, dense)
+            assert np.array_equal(counts, dense.sum(axis=1))
+    old = dense_steps(dense, x, lam, target)
     steps = (lambda: hk_step(x, spec), lambda: truth_step(x, lam, target, spec),
              lambda: inertial_step(x, lam, spec))
-    with np.errstate(over="ignore", invalid="ignore"):
-        mask = bc.trust_matrix(x, spec)
-    assert mask.dtype == bool and mask.shape == (x.n, x.n)
-    new = [_outcome(step) for step in steps]
-    with mock.patch.multiple(bc, trust_matrix=dense_trust_matrix,
-                             _masked_mean=dense_masked_mean):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.array_equal(mask, bc.trust_matrix(x, spec))
-        old = [_outcome(step) for step in steps]
-    assert new == old
+    for new in on_both_paths(lambda: [_outcome(step) for step in steps]):
+        assert new == old
 
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7e308,
@@ -673,6 +707,9 @@ class TestBlockedKernels:
             pytest.param([1.7e308, -1.7e308, 1.7e308, 0.0, -1.7e308], id="overflowing-gaps"),
             pytest.param([1.7976931348623157e308] * 3 + [-1.7976931348623157e308] * 2,
                          id="extremes-tied"),
+            # 500 rows of mixed signed zeros, settled under the 1e-323
+            # bound: the +-0.0 maximum runs over three chunks of rows
+            pytest.param([0.0, -0.0] * 200 + [-0.0] * 100 + [1.0] * 101 + [0.25], id="zero-blocks"),
         ],
     )
     @pytest.mark.parametrize(
@@ -692,7 +729,7 @@ class TestBlockedKernels:
 
     def test_signed_zeros_of_a_settled_row_follow_the_maximum(self):
         x = OpinionState([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [2.0, 2.0]])
-        means = bc._masked_mean(x.values, bc.trust_matrix(x, ConfidenceSpec.norm_ball(0.5)))
+        means = bc._trust_means(x, ConfidenceSpec.norm_ball(0.5))
         assert means.tobytes() == dense_masked_mean(
             x.values, dense_trust_matrix(x, ConfidenceSpec.norm_ball(0.5))).tobytes()
         assert means[3].tolist() == [2.0, 2.0]
@@ -763,6 +800,40 @@ class TestBlockedKernels:
         assert peak < 2 * n * n
 
 
+class TestWindowEnds:
+    @pytest.mark.parametrize(
+        "pair,spec,expected",
+        [
+            # the gap 0.25 sits exactly on the bound: one group, or two
+            ((0.0, 0.25), ConfidenceSpec.symmetric(0.25), [0.125]),
+            ((0.0, 0.25), ConfidenceSpec.symmetric(0.25, closed=False), [0.0, 0.25]),
+            # 0.1 + 0.2 rounds up onto the upper group, but the gap from 0.1
+            # rounds above 0.2: the first guess lands past all 5000 ties
+            ((0.1, 0.1 + 0.2), ConfidenceSpec.symmetric(0.2), [0.1, 0.1 + 0.2]),
+        ],
+        ids=["closed", "open", "guess-past-the-ties"],
+    )
+    def test_ten_thousand_ties_on_a_window_end(self, pair, spec, expected):
+        x = OpinionState(np.repeat(pair, 5000))
+        start = time.perf_counter()
+        bc._windows(x, spec)
+        # a search that stepped one tie per round would take 5000 rounds
+        assert time.perf_counter() - start < 0.1
+        window, mask = on_both_paths(lambda: hk_step(x, spec).values.tobytes())
+        assert window == mask
+        assert np.unique(np.frombuffer(window)).tolist() == expected
+
+    def test_an_overflowing_guess_does_not_warn(self):
+        # x_i + hi overflows for the upper agent, but no gap does
+        x, spec = OpinionState([1.0, 1.5e308]), ConfidenceSpec.symmetric(1e308)
+        lam = np.array([0.5, 1.0])
+        steps = on_both_paths(lambda: [hk_step(x, spec), truth_step(x, lam, [1.0], spec),
+                                       inertial_step(x, lam, spec)])
+        for window, mask in zip(*steps):
+            assert window.values.tobytes() == mask.values.tobytes()
+        assert steps[0][0].values.tobytes() == x.values.tobytes()
+
+
 class TestScalarProductBlocks:
     @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 352, 353, 354, 355, 801, 4096, 4097, 5000])
     def test_blocks_start_on_four_and_never_hold_one_row(self, n):
@@ -796,9 +867,10 @@ from opiniondyn import ConfidenceSpec, OpinionState
 from opiniondyn import bounded_confidence as bc
 for n in (801, 802, 803, 1057):
     x = OpinionState(np.random.default_rng(n).uniform(size=n))
-    mask = bc.trust_matrix(x, ConfidenceSpec.symmetric(0.5))
+    spec = ConfidenceSpec.symmetric(0.5)
+    mask = bc.trust_matrix(x, spec)
     dense = (mask @ x.values) / mask.sum(axis=1)[:, None]
-    print(bc._masked_mean(x.values, mask).tobytes() == dense.tobytes())
+    print(bc._trust_means(x, spec).tobytes() == dense.tobytes())
 """
 SCALAR_RUNS = """
 import hashlib

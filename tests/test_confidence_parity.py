@@ -5,11 +5,12 @@ interval geometry became one (lo, hi) window: one branch per variant, each
 rebuilding its bounds. Hypothesis draws symmetric, asymmetric, per-agent,
 shifted and norm-ball geometries with open and closed boundaries, on a
 dyadic grid so that opinion gaps land exactly on the bounds, and checks
-that the masks and the steps built on them are bit-equal.
+that the masks and the interval windows equal the reference mask, and that
+the steps equal the ones built on it, on either side of the window
+cut-off.
 """
 
 from dataclasses import dataclass, fields
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from opiniondyn import bounded_confidence as bc
 from opiniondyn import ConfidenceSpec, OpinionState, hk_step, inertial_step, truth_step
+from test_bounded_confidence import dense_steps, on_both_paths, window_mask
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,16 @@ def geometries(draw):
     return (x, *pair)
 
 
-def _with_reference(ref):
-    return mock.patch.object(bc, "trust_matrix", lambda x, spec: reference_trust_matrix(x, ref))
-
-
 @settings(max_examples=400, deadline=None)
 @given(geometries())
 def test_trust_mask_matches_reference(case):
     x, spec, ref = case
-    assert np.array_equal(bc.trust_matrix(x, spec), reference_trust_matrix(x, ref))
+    reference = reference_trust_matrix(x, ref)
+    assert np.array_equal(bc.trust_matrix(x, spec), reference)
+    if spec.lo is not None:
+        mask, counts = window_mask(x, spec)
+        assert np.array_equal(mask, reference)
+        assert np.array_equal(counts, reference.sum(axis=1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,11 +142,10 @@ def test_steps_bit_equal_to_reference(case, data):
     lam = np.array(data.draw(st.lists(dyadic.map(lambda v: v / 2), min_size=x.n,
                                       max_size=x.n)))
     target = np.array(data.draw(st.lists(dyadic, min_size=x.m, max_size=x.m)))
-    new = [hk_step(x, spec), truth_step(x, lam, target, spec), inertial_step(x, lam, spec)]
-    with _with_reference(ref):
-        old = [hk_step(x, spec), truth_step(x, lam, target, spec), inertial_step(x, lam, spec)]
-    for a, b in zip(new, old):
-        assert a.values.tobytes() == b.values.tobytes()
+    old = dense_steps(reference_trust_matrix(x, ref), x, lam, target)
+    for new in on_both_paths(lambda: [hk_step(x, spec), truth_step(x, lam, target, spec),
+                                      inertial_step(x, lam, spec)]):
+        assert [state.values.tobytes() for state in new] == old
 
 
 @pytest.mark.parametrize(
@@ -160,8 +162,18 @@ def test_steps_bit_equal_to_reference(case, data):
     ],
 )
 def test_per_agent_length_mismatch_raises(spec):
+    x = OpinionState([0.0, 0.25, 1.0])
     with pytest.raises(ValueError, match="agent count"):
-        bc.trust_matrix(OpinionState([0.0, 0.25, 1.0]), spec)
+        bc.trust_matrix(x, spec)
+    lam = np.full(x.n, 0.5)
+    for step in (lambda: hk_step(x, spec), lambda: truth_step(x, lam, [0.5], spec),
+                 lambda: inertial_step(x, lam, spec)):
+
+        def raises():
+            with pytest.raises(ValueError, match="per-agent bounds must match the agent count"):
+                step()
+
+        on_both_paths(raises)
 
 
 class TestSpecForm:

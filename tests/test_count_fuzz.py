@@ -7,6 +7,10 @@ A call either returns, or raises ValueError or SimulationError; any other
 exception (or a warning) fails. A whole float, 3.0, and a numpy integer,
 np.int64(3), run bit for bit as the int 3 does; every other value, True
 and -1 included, is refused with a ValueError.
+
+The real-valued arguments (confidence bounds, shifts, gamma) get the same
+guard for ``NOT_REAL``: a str or None is not a real number, and is refused
+with a ValueError that says so.
 """
 
 import math
@@ -82,3 +86,28 @@ def test_a_count_or_seed_runs_or_raises_a_documented_error(case, value):
         assert outcome == _outcome(CALLS[case], 3)
     elif not (case == ("dw_run_exact", "thin") and value is None):  # thin=None means thin=steps
         assert isinstance(outcome, tuple) and outcome[0] == "ValueError", outcome
+
+
+NOT_REAL = ("0.3", None)
+
+# (function, argument) -> a call of the function with that real argument set to v
+REAL_CALLS = {
+    ("two_r_experiment", "d_list"): lambda v: two_r_experiment(4, [v], trials=2, seed=0),
+    ("bernoulli_convolution", "gamma"): lambda v: bernoulli_convolution(v, 4, 0),
+    ("ConfidenceSpec", "lo"): lambda v: ConfidenceSpec(lo=(-0.3, v), hi=0.3),
+    ("ConfidenceSpec", "hi"): lambda v: ConfidenceSpec(lo=(-0.3, -0.2), hi=(0.3, v)),
+    ("symmetric", "d"): lambda v: ConfidenceSpec.symmetric(v),
+    ("asymmetric", "d_left"): lambda v: ConfidenceSpec.asymmetric(v, 0.3),
+    ("asymmetric", "d_right"): lambda v: ConfidenceSpec.asymmetric(0.3, v),
+    ("per_agent", "d_per_agent"): lambda v: ConfidenceSpec.per_agent([0.3, v]),
+    ("shifted", "d"): lambda v: ConfidenceSpec.shifted(v, [0.0, 0.1]),
+    ("shifted", "eta"): lambda v: ConfidenceSpec.shifted(0.3, [0.0, v]),
+    ("norm_ball", "d"): lambda v: ConfidenceSpec.norm_ball(v),
+}
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+@pytest.mark.parametrize("case", sorted(REAL_CALLS), ids="-".join)
+def test_a_real_argument_that_is_not_a_number_is_refused(case, value):
+    with pytest.raises(ValueError, match=f"must be a real number, got {value!r}"):
+        REAL_CALLS[case](value)

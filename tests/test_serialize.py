@@ -304,7 +304,9 @@ def _edit_cell(edit, columns=range(5)):
     def mutate(header, rows, rnd):
         k = rnd.randrange(len(rows))
         cells = rows[k].split(",")
-        c = rnd.choice(list(columns))
+        # only cells the edit changes: a value cell "inf" or "nan" has no
+        # digit to replace, and would leave the file as written
+        c = rnd.choice([c for c in columns if edit(cells[c]) != cells[c]])
         cells[c] = edit(cells[c])
         return [header, *rows[:k], ",".join(cells), *rows[k + 1 :]]
 
