@@ -143,12 +143,6 @@ _BLOCK = 32
 # Mask entries per float block of the scalar trust-set sums and of the
 # signed-zero maximum in _mean (1 MiB of float64).
 _PRODUCT_ENTRIES = 2**17
-# Interval steps of fewer agents build the trust mask, whose few numpy calls
-# cost less than the sort and the window searches. The measured crossover
-# of one hk_step (uniform start, d = 0.2; numpy 2.4, OpenBLAS 0.3.31,
-# x86-64): the mask is 18 % faster at 64 agents, the two tie from 65 (the
-# mask's third _BLOCK) to about 72, and the windows are 16 % faster at 112.
-_WINDOW_MIN_N = 65
 
 
 def _product_blocks(n: int) -> list[slice]:
@@ -168,37 +162,23 @@ def _product_blocks(n: int) -> list[slice]:
 
 
 def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
-    """Boolean (n, n) matrix: entry (i, j) True iff agent i trusts agent j.
+    """Boolean (n, n) norm-ball trust mask: entry (i, j) True iff agent i
+    trusts agent j, ||x_j - x_i|| <= hi_i (``<`` for open balls).
 
     Row i is agent i's trust set; the diagonal is always True. The mask is
     filled ``_BLOCK`` rows at a time, so besides the mask itself the
-    temporaries (the gaps x_j - x_i, or the differences x_i - x_j and their
-    norms) are O(_BLOCK * n * m). Interval steps of ``_WINDOW_MIN_N`` or
-    more agents use the ``_windows`` of the sorted opinions instead.
+    temporaries (the differences x_i - x_j and their norms) are
+    O(_BLOCK * n * m). Interval specs use the ``_windows`` of the sorted
+    opinions instead.
     """
-    n = x.n
-    if spec.lo is None:
-        lo, hi = None, _per_agent(spec.hi, n)
-        values, order = x.values, _NORM_ORDS[spec.norm]
-
-        def distance(rows):
-            return np.linalg.norm(values[rows, None, :] - values[None, :, :], ord=order, axis=2)
-    else:
-        if x.m != 1:
-            raise ValueError("interval confidence variants require scalar opinions")
-        lo, hi = _per_agent(spec.lo, n), _per_agent(spec.hi, n)
-        v = x.flat
-
-        def distance(rows):
-            return v[None, :] - v[rows, None]  # gap[i, j] = x_j - x_i
-
+    n, values = x.n, x.values
+    hi, order = _per_agent(spec.hi, n), _NORM_ORDS[spec.norm]
+    inside = np.less_equal if spec.closed else np.less
     mask = np.empty((n, n), dtype=bool)
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        gap, out = distance(rows), mask[rows]
-        (np.less_equal if spec.closed else np.less)(gap, _rows(hi, rows), out=out)
-        if lo is not None:
-            out &= gap >= _rows(lo, rows) if spec.closed else gap > _rows(lo, rows)
+        distance = np.linalg.norm(values[rows, None, :] - values[None, :, :], ord=order, axis=2)
+        inside(distance, _rows(hi, rows), out=mask[rows])
     np.fill_diagonal(mask, True)
     return mask
 
@@ -227,14 +207,16 @@ def _window_ends(s: np.ndarray, v: np.ndarray, bound, strict: bool) -> np.ndarra
 
 
 def _windows(x: OpinionState, spec: ConfidenceSpec):
-    """The interval trust sets as windows of the sorted opinions.
+    """The interval trust sets as windows of the sorted opinions, for every
+    interval step at every agent count.
 
     Returns (low, high, count): agent i trusts agent j iff
     low_i <= x_j <= high_i, and it trusts count_i agents. Window i is the
     run of sorted opinions s_k with lo_i <= fl(s_k - x_i) <= hi_i (``<`` for
     open bounds): one sort and two ``_window_ends`` searches, no n x n
     pass. The value bounds hold every tie of the end values and x_i itself,
-    so they select exactly the agents of the dense gap test.
+    so they select exactly the agents of the dense gap test, also where a
+    gap overflows to an infinity.
     """
     if x.m != 1:
         raise ValueError("interval confidence variants require scalar opinions")
@@ -327,12 +309,11 @@ def _trust_means(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     An interval spec sums each ``_product_blocks`` block against a mask
     built from the ``_windows`` value bounds: the same 0/1 operand as the
     dense gap test, so the same bits, with the counts and the settled rows
-    read off the windows. A norm ball, and an interval spec of fewer than
-    ``_WINDOW_MIN_N`` agents, builds its ``trust_matrix`` and counts and
-    tests it row by row.
+    read off the windows. A norm ball builds its ``trust_matrix`` and
+    counts and tests it row by row.
     """
     values = x.values
-    if spec.lo is None or x.n < _WINDOW_MIN_N:
+    if spec.lo is None:
         mask = trust_matrix(x, spec)
         return _mean(values, mask.__getitem__, mask.sum(axis=1), _settled(values, mask))
     low, high, counts = _windows(x, spec)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -320,9 +319,9 @@ def _prepare(config: dict) -> tuple:
     if not isinstance(params, dict):
         raise CliError("config", f"params must be a JSON object, got {params!r}")
     try:
-        seed = _count("seed", config.get("seed", 0), -math.inf)  # make_rng checks its range
+        seed = _count("seed", config.get("seed", 0), 0)
     except ValueError:
-        raise CliError("config", f"seed must be an integer, got {config['seed']!r}") from None
+        raise CliError("config", f"seed must be an integer >= 0, got {config['seed']!r}") from None
     if model not in MODELS:
         raise CliError("config", f"unknown model {model!r}")
     run_fn, writers = MODELS[model]

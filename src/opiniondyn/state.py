@@ -62,8 +62,8 @@ def _count(name: str, value, least) -> int:
 
 def _real(name: str, value) -> float:
     """A real number as a float: an int, a float or a numpy number, not a
-    str or None; ValueError naming it otherwise."""
-    if not isinstance(value, numbers.Real):
+    bool, a str or None; ValueError naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

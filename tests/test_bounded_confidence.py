@@ -4,7 +4,6 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,18 +44,21 @@ def single_chain(rng, size, d):
 
 
 class TestTrustSet:
-    """Row i of the trust mask is agent i's trust set, itself included."""
+    """Row i of the trust mask is agent i's trust set, itself included: the
+    mask of a norm ball's ``trust_matrix``, or of an interval's windows."""
 
     def test_basic_membership(self):
         x = OpinionState([0.0, 0.05, 1.0])
-        mask = bc.trust_matrix(x, ConfidenceSpec.symmetric(0.1))
+        mask, _ = window_mask(x, ConfidenceSpec.symmetric(0.1))
         assert mask[0].tolist() == [True, True, False]
         assert mask[2].tolist() == [False, False, True]
 
     def test_boundary_closed_vs_open(self):
         x = OpinionState([0.0, 0.1])
-        assert bc.trust_matrix(x, ConfidenceSpec.symmetric(0.1, closed=True))[0].tolist() == [True, True]
-        assert bc.trust_matrix(x, ConfidenceSpec.symmetric(0.1, closed=False))[0].tolist() == [True, False]
+        closed, _ = window_mask(x, ConfidenceSpec.symmetric(0.1, closed=True))
+        opened, _ = window_mask(x, ConfidenceSpec.symmetric(0.1, closed=False))
+        assert closed[0].tolist() == [True, True]
+        assert opened[0].tolist() == [True, False]
 
     def test_euclidean_ball_boundary(self):
         x = OpinionState([[0.0, 0.0], [3.0, 4.0]])
@@ -70,12 +72,12 @@ class TestTrustSet:
 
     def test_asymmetric_interval(self):
         x = OpinionState([0.0, 0.3, -0.3])
-        mask = bc.trust_matrix(x, ConfidenceSpec.asymmetric(d_left=0.1, d_right=0.5))
+        mask, _ = window_mask(x, ConfidenceSpec.asymmetric(d_left=0.1, d_right=0.5))
         assert mask[0].tolist() == [True, True, False]
 
     def test_per_agent_bounds(self):
         x = OpinionState([0.0, 0.3, 0.6])
-        mask = bc.trust_matrix(x, ConfidenceSpec.per_agent([0.1, 0.3, 0.6]))
+        mask, _ = window_mask(x, ConfidenceSpec.per_agent([0.1, 0.3, 0.6]))
         assert mask.tolist() == [[True, False, False], [True, True, True], [True, True, True]]
 
     def test_shifted_requires_eta_below_d(self):
@@ -100,7 +102,7 @@ class TestTrustSet:
 
     def test_interval_variant_rejects_vector_opinions(self):
         with pytest.raises(ValueError, match="scalar opinions"):
-            bc.trust_matrix(OpinionState([[0.0, 1.0], [1.0, 0.0]]), ConfidenceSpec.symmetric(1.0))
+            hk_step(OpinionState([[0.0, 1.0], [1.0, 0.0]]), ConfidenceSpec.symmetric(1.0))
 
 
 class TestHkStep:
@@ -599,16 +601,6 @@ def dense_steps(mask, x, lam, target):
     ]
 
 
-def on_both_paths(run):
-    """``run()`` with every interval step on the window path, then with every
-    one on the mask path: the two sides of ``_WINDOW_MIN_N``."""
-    results = []
-    for cut in (0, np.inf):
-        with mock.patch.object(bc, "_WINDOW_MIN_N", cut):
-            results.append(run())
-    return results
-
-
 def window_mask(x, spec):
     """The (n, n) trust mask that the ``_windows`` value bounds select, and
     their counts."""
@@ -618,18 +610,17 @@ def window_mask(x, spec):
 
 def assert_matches_dense(x, spec, lam, target):
     with np.errstate(over="ignore", invalid="ignore"):
-        dense, mask = dense_trust_matrix(x, spec), bc.trust_matrix(x, spec)
-        assert mask.dtype == bool and mask.shape == (x.n, x.n)
-        assert np.array_equal(mask, dense)
-        if spec.lo is not None:
+        dense = dense_trust_matrix(x, spec)
+        if spec.lo is None:
+            mask = bc.trust_matrix(x, spec)
+            assert mask.dtype == bool and mask.shape == (x.n, x.n)
+        else:
             mask, counts = window_mask(x, spec)
-            assert np.array_equal(mask, dense)
             assert np.array_equal(counts, dense.sum(axis=1))
-    old = dense_steps(dense, x, lam, target)
+        assert np.array_equal(mask, dense)
     steps = (lambda: hk_step(x, spec), lambda: truth_step(x, lam, target, spec),
              lambda: inertial_step(x, lam, spec))
-    for new in on_both_paths(lambda: [_outcome(step) for step in steps]):
-        assert new == old
+    assert [_outcome(step) for step in steps] == dense_steps(dense, x, lam, target)
 
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7e308,
@@ -760,16 +751,13 @@ class TestBlockedKernels:
     @pytest.mark.parametrize(
         "spec,m,limit",
         [
-            (ConfidenceSpec.symmetric(0.1), 1, 4),
-            (ConfidenceSpec.per_agent(np.full(2000, 0.1), closed=False), 1, 4),
-            (ConfidenceSpec.shifted(0.1, np.full(2000, 0.05)), 1, 4),
             (ConfidenceSpec.norm_ball(0.1), 2, 12),
             (ConfidenceSpec.norm_ball(0.1, "max"), 2, 12),
         ],
     )
     def test_trust_matrix_peak_memory(self, spec, m, limit):
-        # the dense test peaked at about 10 n^2 bytes (intervals) and 48 n^2
-        # (a 2-D ball); the mask itself is n^2
+        # the dense test peaked at about 48 n^2 bytes (a 2-D ball); the mask
+        # itself is n^2
         n = 2000
         x = OpinionState(np.random.default_rng(3).uniform(0.0, 1.0, size=(n, m)))
         tracemalloc.start()
@@ -782,10 +770,19 @@ class TestBlockedKernels:
         assert peak < limit * n * n
 
     @pytest.mark.parametrize("zeros", [False, True], ids=["uniform", "half-at-zero"])
-    def test_scalar_step_peak_memory(self, zeros):
-        # the single product's float copy of the mask peaked at 9 n^2 bytes,
-        # and the signed-zero maximum over all of half the rows at 5.5 n^2;
-        # the mask itself is n^2
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ConfidenceSpec.symmetric(0.1),
+            ConfidenceSpec.per_agent(np.full(2000, 0.1), closed=False),
+            ConfidenceSpec.shifted(0.1, np.full(2000, 0.05)),
+        ],
+        ids=["symmetric", "per-agent-open", "shifted"],
+    )
+    def test_scalar_step_peak_memory(self, spec, zeros):
+        # the dense gap test peaked at about 10 n^2 bytes, the single
+        # product's float copy of the mask at 9 n^2, and the signed-zero
+        # maximum over all of half the rows at 5.5 n^2; the mask itself is n^2
         n = 2000
         values = np.random.default_rng(5).uniform(0.5 if zeros else 0.0, 1.0, size=n)
         if zeros:
@@ -793,7 +790,7 @@ class TestBlockedKernels:
         x = OpinionState(values)
         tracemalloc.start()
         try:
-            hk_step(x, ConfidenceSpec.symmetric(0.1))
+            hk_step(x, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -819,19 +816,32 @@ class TestWindowEnds:
         bc._windows(x, spec)
         # a search that stepped one tie per round would take 5000 rounds
         assert time.perf_counter() - start < 0.1
-        window, mask = on_both_paths(lambda: hk_step(x, spec).values.tobytes())
-        assert window == mask
-        assert np.unique(np.frombuffer(window)).tolist() == expected
+        assert np.unique(hk_step(x, spec).values).tolist() == expected
+        # the dense oracle's gaps at 10^4 agents are 800 MB; a few hundred
+        # ties take the same guesses
+        x = OpinionState(np.repeat(pair, 300))
+        assert_matches_dense(x, spec, np.full(x.n, 0.75), np.array([0.125]))
 
-    def test_an_overflowing_guess_does_not_warn(self):
-        # x_i + hi overflows for the upper agent, but no gap does
-        x, spec = OpinionState([1.0, 1.5e308]), ConfidenceSpec.symmetric(1e308)
-        lam = np.array([0.5, 1.0])
-        steps = on_both_paths(lambda: [hk_step(x, spec), truth_step(x, lam, [1.0], spec),
-                                       inertial_step(x, lam, spec)])
-        for window, mask in zip(*steps):
-            assert window.values.tobytes() == mask.values.tobytes()
-        assert steps[0][0].values.tobytes() == x.values.tobytes()
+    @pytest.mark.parametrize(
+        "values,spec",
+        [
+            # x_i + hi overflows for the upper agent, but no gap does
+            ((1.0, 1.5e308), ConfidenceSpec.symmetric(1e308)),
+            # the gaps between the outer agents overflow to -inf and +inf
+            ((-1.7e308, 1.7e308, 0.0), ConfidenceSpec.symmetric(0.5)),
+            # and the gaps of -1.7e308 to the middle agent lie on the bound
+            ((-1.7e308, 1.7e308, 0.0), ConfidenceSpec.asymmetric(1.7e308, 0.5)),
+            ((-1.7e308, 1.7e308, 0.0), ConfidenceSpec.asymmetric(1.7e308, 0.5, closed=False)),
+        ],
+        ids=["guess", "gap", "gap-on-the-bound", "gap-open"],
+    )
+    def test_an_overflow_does_not_warn(self, values, spec):
+        x = OpinionState(values)
+        lam = np.linspace(0.5, 1.0, x.n)
+        steps = [hk_step(x, spec), truth_step(x, lam, [1.0], spec), inertial_step(x, lam, spec)]
+        with np.errstate(over="ignore"):
+            dense = dense_steps(dense_trust_matrix(x, spec), x, lam, [1.0])
+        assert [step.values.tobytes() for step in steps] == dense
 
 
 class TestScalarProductBlocks:
@@ -868,7 +878,8 @@ from opiniondyn import bounded_confidence as bc
 for n in (801, 802, 803, 1057):
     x = OpinionState(np.random.default_rng(n).uniform(size=n))
     spec = ConfidenceSpec.symmetric(0.5)
-    mask = bc.trust_matrix(x, spec)
+    low, high, _ = bc._windows(x, spec)
+    mask = (x.flat >= low[:, None]) & (x.flat <= high[:, None])
     dense = (mask @ x.values) / mask.sum(axis=1)[:, None]
     print(bc._trust_means(x, spec).tobytes() == dense.tobytes())
 """

@@ -1086,13 +1086,13 @@ class TestConfigContract:
         assert payload["message"] == message
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("seed", [2.5, True])
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
     def test_a_fractional_seed_is_a_config_error(self, tmp_path, capsys, seed):
         config = {"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "seed": seed}
         code, payload = _simulate(tmp_path, capsys, config)
         assert code == 2
         assert payload["stage"] == "config"
-        assert payload["message"] == f"seed must be an integer, got {seed!r}"
+        assert payload["message"] == f"seed must be an integer >= 0, got {seed!r}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("model, params", [("hk", {"d": 0.3}), ("dw", {"d": 0.3, "mu": 0.5})])

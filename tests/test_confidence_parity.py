@@ -5,9 +5,8 @@ interval geometry became one (lo, hi) window: one branch per variant, each
 rebuilding its bounds. Hypothesis draws symmetric, asymmetric, per-agent,
 shifted and norm-ball geometries with open and closed boundaries, on a
 dyadic grid so that opinion gaps land exactly on the bounds, and checks
-that the masks and the interval windows equal the reference mask, and that
-the steps equal the ones built on it, on either side of the window
-cut-off.
+that the norm-ball masks and the interval windows equal the reference mask,
+and that the steps equal the ones built on it.
 """
 
 from dataclasses import dataclass, fields
@@ -18,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from opiniondyn import bounded_confidence as bc
 from opiniondyn import ConfidenceSpec, OpinionState, hk_step, inertial_step, truth_step
-from test_bounded_confidence import dense_steps, on_both_paths, window_mask
+from test_bounded_confidence import dense_steps, window_mask
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,9 @@ def geometries(draw):
 def test_trust_mask_matches_reference(case):
     x, spec, ref = case
     reference = reference_trust_matrix(x, ref)
-    assert np.array_equal(bc.trust_matrix(x, spec), reference)
-    if spec.lo is not None:
+    if spec.lo is None:
+        assert np.array_equal(bc.trust_matrix(x, spec), reference)
+    else:
         mask, counts = window_mask(x, spec)
         assert np.array_equal(mask, reference)
         assert np.array_equal(counts, reference.sum(axis=1))
@@ -142,10 +142,9 @@ def test_steps_bit_equal_to_reference(case, data):
     lam = np.array(data.draw(st.lists(dyadic.map(lambda v: v / 2), min_size=x.n,
                                       max_size=x.n)))
     target = np.array(data.draw(st.lists(dyadic, min_size=x.m, max_size=x.m)))
-    old = dense_steps(reference_trust_matrix(x, ref), x, lam, target)
-    for new in on_both_paths(lambda: [hk_step(x, spec), truth_step(x, lam, target, spec),
-                                      inertial_step(x, lam, spec)]):
-        assert [state.values.tobytes() for state in new] == old
+    new = [hk_step(x, spec), truth_step(x, lam, target, spec), inertial_step(x, lam, spec)]
+    assert [state.values.tobytes() for state in new] == dense_steps(
+        reference_trust_matrix(x, ref), x, lam, target)
 
 
 @pytest.mark.parametrize(
@@ -164,16 +163,12 @@ def test_steps_bit_equal_to_reference(case, data):
 def test_per_agent_length_mismatch_raises(spec):
     x = OpinionState([0.0, 0.25, 1.0])
     with pytest.raises(ValueError, match="agent count"):
-        bc.trust_matrix(x, spec)
+        bc.trust_matrix(x, spec) if spec.lo is None else window_mask(x, spec)
     lam = np.full(x.n, 0.5)
     for step in (lambda: hk_step(x, spec), lambda: truth_step(x, lam, [0.5], spec),
                  lambda: inertial_step(x, lam, spec)):
-
-        def raises():
-            with pytest.raises(ValueError, match="per-agent bounds must match the agent count"):
-                step()
-
-        on_both_paths(raises)
+        with pytest.raises(ValueError, match="per-agent bounds must match the agent count"):
+            step()
 
 
 class TestSpecForm:

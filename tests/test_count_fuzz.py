@@ -9,8 +9,8 @@ np.int64(3), run bit for bit as the int 3 does; every other value, True
 and -1 included, is refused with a ValueError.
 
 The real-valued arguments (confidence bounds, shifts, gamma) get the same
-guard for ``NOT_REAL``: a str or None is not a real number, and is refused
-with a ValueError that says so.
+guard for ``NOT_REAL``: a str, None, True or False is not a real number, and
+is refused with a ValueError that says so.
 """
 
 import math
@@ -88,7 +88,7 @@ def test_a_count_or_seed_runs_or_raises_a_documented_error(case, value):
         assert isinstance(outcome, tuple) and outcome[0] == "ValueError", outcome
 
 
-NOT_REAL = ("0.3", None)
+NOT_REAL = ("0.3", None, True, False)
 
 # (function, argument) -> a call of the function with that real argument set to v
 REAL_CALLS = {
