@@ -214,14 +214,16 @@ class DeffuantWeisbuch:
     mode: str = "symmetric"
 
     def __post_init__(self):
-        d = float(self.d) if np.ndim(self.d) == 0 else _frozen(self.d)
+        d = _real("d", self.d) if np.ndim(self.d) == 0 else _frozen(self.d)
         if np.ndim(d) > 1 or not np.all(d > 0):  # NaN fails "> 0" too
             raise ValueError("confidence bounds must be a positive number or vector")
-        if not 0 < self.mu < 1:
+        mu = _real("mu", self.mu)
+        if not 0 < mu < 1:
             raise ValueError("the move fraction must lie in (0, 1)")
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError("mode must be 'symmetric' or 'asymmetric'")
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def n(self) -> int | None:
@@ -237,7 +239,7 @@ class DeffuantWeisbuch:
 
     def _apply(self, x, draws, snap, keep):
         bounds, symmetric = self._bounds(len(x)), self.mode == "symmetric"
-        mu = float(self.mu)
+        mu = self.mu
         moved = []
         flag = moved.append
         for i, j, s in zip(*draws, snap):
@@ -450,7 +452,11 @@ def dw_run_exact(
     every update is exact. The symmetric dynamics, where both agents move,
     conserves the opinion sum exactly, not merely to roundoff. Each move
     lengthens a converging agent's numerator by mu_exp bits (1 at mu = 0.5,
-    54 at mu = 0.3), so time per step grows with the run length. Pair
+    54 at mu = 0.3), so time per step grows with the run length. A halving
+    move (mu = 1/2, both agents move) costs three big-integer operations:
+    the gap, its half, and the one midpoint both agents take. With one
+    shared bound, agent i's bound test is agent j's. The per-step
+    interacted flags are built only when ``record_events`` is set. Pair
     draws are the float simulator's, so a run is comparable draw-for-draw
     with its float twin. ``thin`` defaults to keeping the ends only.
     """
@@ -460,6 +466,8 @@ def dw_run_exact(
     rng = make_rng(seed)
     n = x0.n
     bounds, symmetric = model._bounds(n), model.mode == "symmetric"
+    # with one shared bound agent j's test is agent i's
+    tied = symmetric and model.n is None
     dyadic = [_to_dyadic(v) for v in x0.flat.tolist()]
     initial = tuple(Fraction(p, 1 << e) for p, e in dyadic)
     exps = [e for _, e in dyadic]
@@ -468,17 +476,17 @@ def dw_run_exact(
     nums = [p << (scale_exp - e) for p, e in dyadic]
     bnd, nbnd = _scaled_bounds(bounds, scale_exp)
     mu_num, mu_exp = _to_dyadic(model.mu)
+    halving = mu_num == 1 and mu_exp == 1
     # kept states as raw doubles; p / scale is correctly rounded
     kept = array("d", [p / scale for p in nums])
     log = _EventLog(steps) if record_events else None
     for at, draws, snap in _chunks(_draw_pairs, rng, n, steps, thin):
         act, partner = (a.tolist() for a in draws)
-        moved = []
-        flag = moved.append
+        moved = [] if log is not None else None
         for i, j, s in zip(act, partner, snap):
             gap = nums[j] - nums[i]
             moved_i = nbnd[i] <= gap <= bnd[i]
-            moved_j = symmetric and nbnd[j] <= gap <= bnd[j]
+            moved_j = moved_i if tied else symmetric and nbnd[j] <= gap <= bnd[j]
             if moved_i or moved_j:
                 e_i, e_j = exps[i], exps[j]
                 e_new = (e_i if e_i >= e_j else e_j) + mu_exp
@@ -491,13 +499,19 @@ def dw_run_exact(
                     bnd, nbnd = _scaled_bounds(bounds, scale_exp)
                 # exact: gap is a multiple of 2**mu_exp; a power-of-two mu needs no product
                 shift = (gap if mu_num == 1 else mu_num * gap) >> mu_exp
-                if moved_i:
-                    nums[i] += shift
-                    exps[i] = e_new
-                if moved_j:
-                    nums[j] -= shift
-                    exps[j] = e_new
-            flag(moved_i or moved_j)
+                if halving and moved_i and moved_j:
+                    # nums[j] - shift is the same midpoint
+                    nums[i] = nums[j] = nums[i] + shift
+                    exps[i] = exps[j] = e_new
+                else:
+                    if moved_i:
+                        nums[i] += shift
+                        exps[i] = e_new
+                    if moved_j:
+                        nums[j] -= shift
+                        exps[j] = e_new
+            if moved is not None:
+                moved.append(moved_i or moved_j)
             if s:
                 kept.extend([p / scale for p in nums])
         if log is not None:

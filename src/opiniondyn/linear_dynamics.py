@@ -28,6 +28,7 @@ from .state import (
     UnstableError,
     _count,
     _frozen,
+    _real,
     _unit_weights,
     as_state_array,
 )
@@ -365,16 +366,26 @@ def flow_simulate(
     Laplacian, which reduces to the conventional one on nonnegative
     matrices. The step defaults to 0.01 / (1 + max modulus row sum of the
     initial matrix) and is then shrunk minimally so the horizon is an exact
-    multiple; every step is recorded. Aborts with IntegrationError on a
-    non-finite state (numpy's overflow warnings on the way there are
-    silenced); ValueError when the steps do not fit in memory.
+    multiple; every step is recorded. ``t_end`` and ``dt`` are real
+    numbers (``state._real``); ``dt=None`` is the default step.
+
+    Each stage computes -(L y) as L y and then its negation (not as
+    (-L) y, which turns an exact -0.0 into +0.0), into one of four
+    preallocated stage buffers; stage inputs go to a fifth, and each
+    new state is written straight into the trajectory. The operations and
+    their order are those of x + (h/6) (((k1 + 2 k2) + 2 k3) + k4) with
+    fresh arrays, so every bit is the same. A constant or scheduled
+    matrix's Laplacian is built once; a rule's at every stage. Aborts with
+    IntegrationError on a non-finite state, tested after every step
+    (numpy's overflow warnings on the way there are silenced); ValueError
+    when the steps do not fit in memory.
     """
+    t_end = _real("t_end", t_end)
     if not 0 < t_end < math.inf:  # NaN fails this too
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     _check_size(spec, x0)
     x = x0.values
-    if dt is None:
-        dt = default_flow_step(spec.matrix_at(0.0, x))
+    dt = default_flow_step(spec.matrix_at(0.0, x)) if dt is None else _real("dt", dt)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
@@ -382,14 +393,16 @@ def flow_simulate(
 
     laplacians = {}  # a constant or scheduled matrix's Laplacian, by id
 
-    def rhs(t, state):
+    def rhs(t, state, out):
+        """out = -(L state) for the Laplacian L active at (t, state)."""
         a = spec.matrix_at(t, state)
         if spec.rule is not None:
-            return -(signed_laplacian_matrix(a) @ state)
-        lap = laplacians.get(id(a))
-        if lap is None:
-            lap = laplacians[id(a)] = signed_laplacian_matrix(a)
-        return -(lap @ state)
+            lap = signed_laplacian_matrix(a)
+        else:
+            lap = laplacians.get(id(a))
+            if lap is None:
+                lap = laplacians[id(a)] = signed_laplacian_matrix(a)
+        np.negative(np.matmul(lap, state, out), out)
 
     try:
         states = np.empty((n_steps + 1,) + x.shape)
@@ -397,20 +410,28 @@ def flow_simulate(
         raise ValueError(f"t_end={t_end} with dt={dt} takes {n_steps} steps, "
                          "too many states to hold in memory") from exc
     states[0] = x
+    x = states[0]
+    k1, k2, k3, k4, y = (np.empty_like(x) for _ in range(5))
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            k1 = rhs(t, x)
-            k2 = rhs(t + h / 2, x + (h / 2) * k1)
-            k3 = rhs(t + h / 2, x + (h / 2) * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            rhs(t, x, k1)
+            np.add(x, np.multiply(k1, h / 2, y), y)
+            rhs(t + h / 2, y, k2)
+            np.add(x, np.multiply(k2, h / 2, y), y)
+            rhs(t + h / 2, y, k3)
+            np.add(x, np.multiply(k3, h, y), y)
+            rhs(t + h, y, k4)
+            # x + (h / 6) * (((k1 + 2 k2) + 2 k3) + k4)
+            np.add(k1, np.multiply(k2, 2.0, k2), k1)
+            np.add(k1, np.multiply(k3, 2.0, k3), k1)
+            np.add(k1, k4, k1)
+            x = np.add(x, np.multiply(k1, h / 6, k1), states[k + 1])
             t = (k + 1) * h
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 raise IntegrationError(
                     f"non-finite state at step {k + 1} (t={t:.6g}); reduce dt", step=k + 1, time=t
                 )
-            states[k + 1] = x
     stamps = np.arange(n_steps + 1) * h
     return Trajectory(states, stamps)
 

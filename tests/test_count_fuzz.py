@@ -8,13 +8,15 @@ exception (or a warning) fails. A whole float, 3.0, and a numpy integer,
 np.int64(3), run bit for bit as the int 3 does; every other value, True
 and -1 included, is refused with a ValueError.
 
-The real-valued arguments (confidence bounds, shifts, gamma) get the same
-guard for ``NOT_REAL``: a str, None, True or False is not a real number, and
-is refused with a ValueError that says so.
+The real-valued arguments (confidence bounds, shifts, gamma, the pair
+dynamics' bound and move fraction, a flow's horizon) get the same guard for
+``NOT_REAL``: a str, None, True, False or a complex number is not a real
+number, and is refused with a ValueError that says so.
 """
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from opiniondyn import (
     WeightSpec,
     bernoulli_convolution,
     dw_run_exact,
+    flow_simulate,
     hk_step,
     make_rng,
     simulate_bc,
@@ -88,7 +91,8 @@ def test_a_count_or_seed_runs_or_raises_a_documented_error(case, value):
         assert isinstance(outcome, tuple) and outcome[0] == "ValueError", outcome
 
 
-NOT_REAL = ("0.3", None, True, False)
+NOT_REAL = ("0.3", None, True, False, 0.3 + 0j)
+PAIR = WeightSpec.constant("nonnegative", [[0.0, 1.0], [1.0, 0.0]])
 
 # (function, argument) -> a call of the function with that real argument set to v
 REAL_CALLS = {
@@ -103,11 +107,14 @@ REAL_CALLS = {
     ("shifted", "d"): lambda v: ConfidenceSpec.shifted(v, [0.0, 0.1]),
     ("shifted", "eta"): lambda v: ConfidenceSpec.shifted(0.3, [0.0, v]),
     ("norm_ball", "d"): lambda v: ConfidenceSpec.norm_ball(v),
+    ("DeffuantWeisbuch", "d"): lambda v: DeffuantWeisbuch(d=v, mu=0.5),
+    ("DeffuantWeisbuch", "mu"): lambda v: DeffuantWeisbuch(d=0.3, mu=v),
+    ("flow_simulate", "t_end"): lambda v: flow_simulate(PAIR, OpinionState([0.0, 1.0]), t_end=v),
 }
 
 
 @pytest.mark.parametrize("value", NOT_REAL, ids=repr)
 @pytest.mark.parametrize("case", sorted(REAL_CALLS), ids="-".join)
 def test_a_real_argument_that_is_not_a_number_is_refused(case, value):
-    with pytest.raises(ValueError, match=f"must be a real number, got {value!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"must be a real number, got {value!r}")):
         REAL_CALLS[case](value)

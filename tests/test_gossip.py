@@ -767,6 +767,27 @@ class TestMoreGossipSurfaces:
         with pytest.raises(ValueError, match="positive"):
             DeffuantWeisbuch(d=np.array([0.3, d]), mu=0.5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("d", np.array(0.3)), ("mu", "a"), ("mu", np.array(0.5)),
+    ])
+    def test_pair_dynamics_bound_and_move_fraction_must_be_real_numbers(self, name, value):
+        # str, None, bool and complex values: test_count_fuzz's REAL_CALLS
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            DeffuantWeisbuch(**{"d": 0.3, "mu": 0.5, name: value})
+
+    @pytest.mark.parametrize("mu", [0.5, 0.3])
+    def test_numpy_bound_and_move_fraction_run_as_floats(self, mu):
+        model = DeffuantWeisbuch(d=np.float64(0.3), mu=np.float64(mu))
+        assert type(model.d) is float and type(model.mu) is float
+        plain = DeffuantWeisbuch(d=0.3, mu=mu)
+        x0 = OpinionState(np.random.default_rng(4).uniform(0, 1, size=8))
+        for run in (lambda m: simulate_gossip(m, x0, steps=500, seed=3),
+                    lambda m: dw_run_exact(m, x0, steps=500, seed=3, thin=50,
+                                           record_events=True).trajectory):
+            got, want = run(model), run(plain)
+            assert got.array.tobytes() == want.array.tobytes()
+            assert got.events == want.events
+
     @pytest.mark.parametrize("make, message", [
         (lambda: DegrootGossip(np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([0.5, 0.5])),
          "partner matrix must have a zero diagonal"),

@@ -818,6 +818,43 @@ class TestFlowLaplacianReuse:
         assert len(calls) == 4 * 50
 
 
+class TestFlowStageBuffers:
+    """The RK4 loop that evaluates its stages into preallocated buffers and
+    writes each state into the trajectory, against the reference with fresh
+    arrays, at the benchmark's sizes and on signed zeros."""
+
+    def test_constant_nonnegative_flow_at_two_hundred_agents(self):
+        # the benchmark's cooperative flow: 5 % of the arcs, row sums up to 18
+        rng = np.random.default_rng(25)
+        a = np.where(rng.random((200, 200)) < 0.05, rng.uniform(0.5, 1.5, size=(200, 200)), 0.0)
+        np.fill_diagonal(a, 0.0)
+        a *= 18.0 / a.sum(axis=1).max()
+        spec = WeightSpec.constant("nonnegative", a)
+        x0 = OpinionState(rng.uniform(0.0, 1.0, size=200))
+        dt = linear_dynamics.default_flow_step(a)
+        traj = flow_simulate(spec, x0, t_end=0.2)
+        assert len(traj) == 381
+        assert traj.array.tobytes() == reference_flow(spec, x0, 0.2, dt).tobytes()
+
+    def test_constant_signed_flow_in_three_dimensions(self):
+        rng = np.random.default_rng(26)
+        g, _ = random_balanced_graph(rng, 6)
+        spec = WeightSpec.constant("signed", g.weights)
+        x0 = OpinionState(rng.normal(size=(6, 3)))
+        traj = flow_simulate(spec, x0, t_end=2.0, dt=0.01)
+        assert traj.array.tobytes() == reference_flow(spec, x0, 2.0, 0.01).tobytes()
+
+    def test_an_agent_at_negative_zero_with_no_in_arcs_stays_there(self):
+        # its derivative is an exact zero: -(L x) gives it -0.0, so the
+        # state keeps -0.0, where (-L) x would give +0.0 and the state +0.0
+        a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        spec = WeightSpec.constant("nonnegative", a)
+        x0 = OpinionState([-0.0, 1.0, -2.0])
+        traj = flow_simulate(spec, x0, t_end=0.5, dt=0.01)
+        assert np.all(np.signbit(traj.array[:, 0, 0]))
+        assert traj.array.tobytes() == reference_flow(spec, x0, 0.5, 0.01).tobytes()
+
+
 class TestBipartitePrediction:
     def test_positive_dyad_consensus(self):
         g = SignedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -912,7 +949,27 @@ class TestFlowErrors:
                 t_end=4000.0,
                 dt=1.0,
             )
-        assert info.value.step is not None
+        assert info.value.step == 45
+        assert info.value.time == 45.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("t_end", [1.0]), ("t_end", np.array(1.0)),
+        ("dt", "0.1"), ("dt", True), ("dt", 0.1 + 0j), ("dt", [0.1]),
+    ])
+    def test_horizon_and_step_must_be_real_numbers(self, name, value):
+        # t_end's str, None, bool and complex values: test_count_fuzz's REAL_CALLS
+        a = WeightSpec.constant("nonnegative", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            flow_simulate(a, OpinionState([0.0, 1.0]), **{"t_end": 1.0, "dt": 0.1, name: value})
+
+    @pytest.mark.parametrize("dt", [0.01, None])
+    def test_numpy_horizon_and_step_run_as_floats(self, dt):
+        a = WeightSpec.constant("signed", ALTAFINI3_A)
+        x0 = OpinionState([0.3, -1.0, 2.0])
+        ref = flow_simulate(a, x0, t_end=1.3, dt=dt)
+        run = flow_simulate(a, x0, t_end=np.float64(1.3), dt=None if dt is None else np.float64(dt))
+        assert run.array.tobytes() == ref.array.tobytes()
+        assert run.stamps.tobytes() == ref.stamps.tobytes()
 
 
 # The pair loops that the first-hit mask scans replaced, kept verbatim (apart
