@@ -55,9 +55,8 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     sorted and split at gaps exceeding gap_tol; vector opinions are grouped
     into the connected components of the mask of pairs within gap_tol
     (Euclidean), found by the package's one component kernel. Raises
-    ValueError unless gap_tol > 0 (so also for NaN)."""
-    if not gap_tol > 0:
-        raise ValueError(f"gap_tol must be positive, got {gap_tol}")
+    ValueError unless gap_tol is a positive real number (``state._real``)."""
+    gap_tol = _real("gap_tol", gap_tol, "positive")
     n = x.n
     min_sep = math.inf
     if x.m == 1:
@@ -103,10 +102,9 @@ def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -
     (nearly) zero are polarization; anything else reports the cluster
     count. The clustering scale defaults to 1e-4 times the initial
     diameter (bounded-confidence callers should pass their own bound).
-    Raises ValueError for a NaN or negative tol.
+    Raises ValueError unless tol is a nonnegative real number.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    tol = _real("tol", tol, "nonnegative")
     if len(trajectory) >= 2:
         step = np.abs(trajectory.array[-1] - trajectory.array[-2]).max()
         if step > tol and trajectory.terminated_at is None:

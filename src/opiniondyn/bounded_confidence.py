@@ -39,11 +39,19 @@ __all__ = [
 _NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
 
 
+def _reals(name: str, values) -> tuple:
+    """Each of ``values`` as a float (``state._real``), refusing a non-sequence too."""
+    try:
+        return tuple(_real(name, v) for v in values)
+    except TypeError:  # not iterable: _real raises only ValueError
+        raise ValueError(f"{name} must be a list of real numbers, got {values!r}") from None
+
+
 def _offsets(bound):
     """One float shared by all agents, or a tuple of per-agent floats."""
     if np.ndim(bound) == 0:
         return _real("confidence bound", bound)
-    return tuple(_real("confidence bound", b) for b in bound)
+    return _reals("confidence bound", bound)
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,13 @@ class ConfidenceSpec:
     @classmethod
     def per_agent(cls, d_per_agent, closed: bool = True) -> "ConfidenceSpec":
         """Symmetric intervals with an individual bound per agent."""
-        bounds = tuple(_real("d_per_agent", b) for b in d_per_agent)
+        bounds = _reals("d_per_agent", d_per_agent)
         return cls(lo=tuple(-b for b in bounds), hi=bounds, closed=closed)
 
     @classmethod
     def shifted(cls, d: float, eta, closed: bool = True) -> "ConfidenceSpec":
         """Intervals [x_i - d + eta_i, x_i + d] with 0 <= eta_i and max eta_i < d."""
-        d, eta = _real("d", d), tuple(_real("eta", e) for e in eta)
+        d, eta = _real("d", d), _reals("eta", eta)
         if not eta:
             raise ValueError("eta must hold one shift per agent, got an empty list")
         # a bound d <= 0 is left to the positivity check
@@ -379,6 +387,8 @@ class PhiSpec:
     reputations: np.ndarray | None = None
 
     def __post_init__(self):
+        if not callable(self.phi):
+            raise ValueError(f"phi must be callable, got {self.phi!r}")
         if self.phi(0.0) <= 0:
             raise ValueError("phi(0) must be positive")
         if self.reputations is not None:
@@ -397,8 +407,7 @@ class PhiSpec:
 def hk_indicator_phi(d: float) -> PhiSpec:
     """Weights reproducing the plain bounded-confidence step: the indicator
     of squared distances up to d^2."""
-    if not d > 0:
-        raise ValueError("confidence bound must be positive")
+    d = _real("confidence bound", d, "positive")
     dsq = d * d
     return PhiSpec(phi=lambda sigma: np.where(sigma <= dsq, 1.0, 0.0))
 
@@ -407,8 +416,9 @@ def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
     """Two-level weights attracting moderately distant opinions more than
     close ones: phi = a on [0, d1^2], b on (d1^2, d2^2), 0 beyond, with
     0 < a < b and 0 < d1 < d2."""
+    a, b, d1, d2 = _real("a", a), _real("b", b), _real("d1", d1), _real("d2", d2)
     if not (0 < a < b and 0 < d1 < d2):
-        raise ValueError("need 0 < a < b and 0 < d1 < d2")
+        raise ValueError(f"need 0 < a < b and 0 < d1 < d2, got a={a}, b={b}, d1={d1}, d2={d2}")
     s1, s2 = d1 * d1, d2 * d2
     return PhiSpec(phi=lambda sigma: np.where(sigma <= s1, a, np.where(sigma < s2, b, 0.0)))
 
@@ -417,8 +427,7 @@ def reputation_phi(w, d: float) -> PhiSpec:
     """Weights phi^{ij}(sigma) = w_j for sigma < d^2 (0 beyond): every agent
     inside the confidence ball counts with its own positive reputation w_j,
     as the indicator of sigma < d^2 scaled by w."""
-    if not d > 0:
-        raise ValueError("confidence bound must be positive")
+    d = _real("confidence bound", d, "positive")
     dsq = d * d
     return PhiSpec(phi=lambda sigma: np.where(sigma < dsq, 1.0, 0.0), reputations=w)
 
@@ -464,11 +473,11 @@ def simulate_bc(
     state's step index; the confirming successor is recorded too, so the
     returned trajectory is self-contained evidence of the fixed point.
     Raises MaxStepsError carrying the partial trajectory when the budget
-    runs out first, and ValueError for a NaN or negative stop_tol.
+    runs out first, and ValueError unless stop_tol is a nonnegative real
+    number (``state._real``).
     """
     max_steps = _count("max_steps", max_steps, 1)
-    if not stop_tol >= 0:
-        raise ValueError(f"stop_tol must be nonnegative, got {stop_tol}")
+    stop_tol = _real("stop_tol", stop_tol, "nonnegative")
     states = [x0.values]
     x = x0
     for k in range(max_steps + 1):
@@ -489,6 +498,7 @@ def simulate_bc(
 def hk_energy(x: OpinionState, d: float) -> float:
     """Quadratic interaction energy sum_{i,j} min(|x_i - x_j|^2, d^2) over
     all ordered pairs; zero exactly at consensus, bounded by d^2 n (n-1)."""
+    d = _real("confidence bound", d, "positive")
     sq = _pairwise_sq(x.values)
     return float(np.minimum(sq, d * d).sum())
 
@@ -518,8 +528,7 @@ def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     """Sort scalar opinions and split at gaps exceeding d."""
     if x.m != 1:
         raise ValueError("chains are defined for scalar opinions")
-    if not d > 0:
-        raise ValueError("confidence bound must be positive")
+    d = _real("confidence bound", d, "positive")
     v = x.flat
     order, _, splits = sorted_split(v, d)
     sorted_v = v[order]

@@ -25,7 +25,7 @@ from . import linear_dynamics as ld
 from . import presets as pr
 from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
-from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _count
+from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _count, _real
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
 # Keys every config may carry, given to a run function that names them.
@@ -55,7 +55,8 @@ def _initial_state(x0, seed: int) -> OpinionState:
                            hint)
         lo, hi, n = x0["uniform"]
         rng = gp.make_rng((seed, 1))
-        return OpinionState(rng.uniform(float(lo), float(hi), size=_count("uniform n", n, 1)))
+        return OpinionState(rng.uniform(_real("uniform lo", lo), _real("uniform hi", hi),
+                                        size=_count("uniform n", n, 1)))
     return OpinionState(np.asarray(x0, dtype=float))
 
 
@@ -78,10 +79,7 @@ def _family_check(n: int, ratios, tol=1e-6) -> tuple:
     if ratios.shape != (n,):
         raise ValueError(f"family_check needs one ratio per agent, got {ratios.tolist()} "
                          f"for {n} agents")
-    tol = float(tol)
-    if not tol >= 0:
-        raise ValueError(f"family_check tol must be nonnegative, got {tol}")
-    return ratios, tol
+    return ratios, _real("family_check tol", tol, "nonnegative")
 
 
 def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
@@ -90,14 +88,12 @@ def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
     model does not read. The clustering scale ``gap`` is the bound d, or
     ``gap_tol`` without one; a per-agent d clusters at its smallest bound:
     two clusters closer than that would still be interacting."""
-    gap = None if gap_tol is None else float(np.min(params.get("d", gap_tol)))
-    if tol is not None and not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    if gap is not None and not gap > 0:
-        raise ValueError(f"gap_tol must be positive, got {gap}")
+    tol = None if tol is None else _real("tol", tol, "nonnegative")
+    if gap_tol is not None:
+        gap_tol = _real("gap_tol", np.min(params["d"]) if "d" in params else gap_tol, "positive")
     if family_check is not None:
         family_check = _family_check(n, **family_check)
-    return {"tol": tol, "family_check": family_check, "gap": gap}
+    return {"tol": tol, "family_check": family_check, "gap": gap_tol}
 
 
 def _json(payload) -> str:
@@ -240,7 +236,7 @@ def _run_two_r(params, seed, format) -> tuple:
 def _hk_sweep(seed, instances=25, n_range=(2, 30), d_range=(0.05, 0.5)) -> tuple:
     rng = gp.make_rng((seed, 2))
     n_lo, n_hi = (_count("n_range", n, 1) for n in n_range)
-    d_lo, d_hi = d_range
+    d_lo, d_hi = (_real("d_range", d) for d in d_range)
     rows = ["instance,n,d,terminated_at,bound"]
     for idx in range(_count("instances", instances, 0)):
         n = int(rng.integers(n_lo, n_hi + 1))

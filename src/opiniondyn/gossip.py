@@ -118,7 +118,7 @@ class DegrootGossip(_RowPartners):
             raise ValueError("gains must lie strictly inside (0, 1)")
         object.__setattr__(self, "gains", _frozen(g))
 
-    def _apply(self, x, draws, snap, keep):
+    def _apply(self, x, draws, snap, keep, record):
         gains = self.gains.tolist()
         for i, j, s in zip(*draws, snap):
             xi = x[i]
@@ -135,7 +135,7 @@ class SymmetricPairGossip(_RowPartners):
 
     p: np.ndarray
 
-    def _apply(self, x, draws, snap, keep):
+    def _apply(self, x, draws, snap, keep, record):
         for i, j, s in zip(*draws, snap):
             mid = 0.5 * (x[i] + x[j])
             x[i] = mid
@@ -185,7 +185,7 @@ class GossipFJ:
         arc = rng.integers(len(self._by_arc[0]), size=count)
         return tuple(a[arc] for a in self._by_arc)
 
-    def _apply(self, x, draws, snap, keep):
+    def _apply(self, x, draws, snap, keep, record):
         u = self.spec.u[:, 0].tolist()
         for i, j, g1, g2, s in zip(*draws, snap):
             xi = x[i]
@@ -237,7 +237,7 @@ class DeffuantWeisbuch:
     def _draw(self, rng, n, count):
         return _draw_pairs(rng, n, count)
 
-    def _apply(self, x, draws, snap, keep):
+    def _apply(self, x, draws, snap, keep, record):
         bounds, symmetric = self._bounds(len(x)), self.mode == "symmetric"
         mu = self.mu
         moved = []
@@ -254,10 +254,11 @@ class DeffuantWeisbuch:
                 x[i] = xi + shift
             if moved_j:
                 x[j] = xj - shift
-            flag(moved_i or moved_j)
+            if record:
+                flag(moved_i or moved_j)
             if s:
                 keep(x)
-        return moved
+        return moved if record else None
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +268,11 @@ class DeffuantWeisbuch:
 # Every model has a block draw and an update loop. ``_draw(rng, n, count)``
 # makes the model's draws for ``count`` steps in the stream layout above and
 # returns them as per-step arrays, the agent i and the partner j first.
-# ``_apply(x, draws, snap, keep)`` runs the steps on the list of Python
-# floats ``x`` in place, given the draws as lists; after each step whose
-# ``snap`` flag is set it calls ``keep(x)``. It returns the per-step
-# ``interacted`` flags as a list of bools, or None when every step interacts.
+# ``_apply(x, draws, snap, keep, record)`` runs the steps on the list of
+# Python floats ``x`` in place, given the draws as lists; after each step
+# whose ``snap`` flag is set it calls ``keep(x)``. It returns the per-step
+# ``interacted`` flags as a list of bools, or None when every step interacts
+# or ``record`` is false (the run keeps no events).
 
 _MODELS = (_RowPartners, GossipFJ, DeffuantWeisbuch)
 
@@ -392,7 +394,7 @@ def simulate_gossip(
     kept = array("d", x)
     log = _EventLog(steps) if record_events else None
     for at, draws, snap in _chunks(model._draw, rng, n, steps, thin):
-        moved = model._apply(x, [a.tolist() for a in draws], snap, kept.extend)
+        moved = model._apply(x, [a.tolist() for a in draws], snap, kept.extend, log is not None)
         if log is not None:
             log.add(at, draws, moved)
     stamps = _stamps(steps, thin)

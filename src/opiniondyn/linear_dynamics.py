@@ -158,7 +158,7 @@ class WeightSpec:
             return
         segments, prev = [], -math.inf
         for until, mat in self.schedule if self.matrix is None else [(math.inf, self.matrix)]:
-            until = float(until)
+            until = _real("until", until)
             if not until > prev:  # also rejects NaN
                 raise ValueError("schedule breakpoints must be strictly increasing")
             prev = until
@@ -300,8 +300,9 @@ def verify_convergence_premises(matrices, delta: float) -> PremiseReport:
     Returns the first violation found, scanning steps in order and entries
     in ascending row-major order.
     """
+    delta = _real("delta", delta)
     if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     for k, mat in enumerate(matrices):
         w = check_stochastic(mat)
         hit = _first_hit(np.diag(w) < delta)
@@ -385,10 +386,14 @@ def flow_simulate(
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     _check_size(spec, x0)
     x = x0.values
-    dt = default_flow_step(spec.matrix_at(0.0, x)) if dt is None else _real("dt", dt)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    dt = default_flow_step(spec.matrix_at(0.0, x)) if dt is None else _real("dt", dt, "positive")
+    n_steps = t_end / dt - 1e-12  # inf when the ratio overflows
+    try:
+        n_steps = max(1, math.ceil(n_steps))
+        states = np.empty((n_steps + 1,) + x.shape)
+    except (OverflowError, MemoryError, ValueError) as exc:  # numpy: "array is too big"
+        raise ValueError(f"t_end={t_end} with dt={dt} takes {n_steps} steps, "
+                         "too many states to hold in memory") from exc
     h = t_end / n_steps
 
     laplacians = {}  # a constant or scheduled matrix's Laplacian, by id
@@ -404,11 +409,6 @@ def flow_simulate(
                 lap = laplacians[id(a)] = signed_laplacian_matrix(a)
         np.negative(np.matmul(lap, state, out), out)
 
-    try:
-        states = np.empty((n_steps + 1,) + x.shape)
-    except MemoryError as exc:
-        raise ValueError(f"t_end={t_end} with dt={dt} takes {n_steps} steps, "
-                         "too many states to hold in memory") from exc
     states[0] = x
     x = states[0]
     k1, k2, k3, k4, y = (np.empty_like(x) for _ in range(5))

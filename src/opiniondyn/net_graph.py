@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import _frozen
+from .state import _frozen, _real
 
 __all__ = [
     "SignedGraph",
@@ -335,8 +335,7 @@ def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
     size, summed one at a time in order. ValueError as soon as a matrix of
     another size, or one with a negative or NaN entry, is read.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    threshold = _real("threshold", threshold, "positive")
     total = None
     for w in w_seq:
         w = np.asarray(w, dtype=float)

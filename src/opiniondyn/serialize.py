@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .net_graph import BalanceResult
-from .state import Trajectory
+from .state import Trajectory, _real
 
 __all__ = [
     "fmt_float",
@@ -117,7 +117,7 @@ def load_schedule(source) -> list:
             raise ValueError(f"schedule entry {i} needs 'until' and 'matrix', got {entry!r}")
         try:
             matrix = np.asarray(resolve_matrix(entry["matrix"]), dtype=float)
-            schedule.append((float(entry["until"]), matrix))
+            schedule.append((_real("until", entry["until"]), matrix))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"schedule entry {i}: {exc}") from None
     return schedule

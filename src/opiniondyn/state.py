@@ -60,12 +60,19 @@ def _count(name: str, value, least) -> int:
     return int(value)
 
 
-def _real(name: str, value) -> float:
-    """A real number as a float: an int, a float or a numpy number, not a
-    bool, a str or None; ValueError naming it otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+def _real(name: str, value, sign=None) -> float:
+    """A real number as a float: an int, a float or a numpy number, not a bool,
+    a str, None or an int beyond the float range, and > 0 or >= 0 (never NaN)
+    for ``sign`` "positive" or "nonnegative"; ValueError naming it otherwise."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        real = float(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    if sign == "positive" and not real > 0 or sign == "nonnegative" and not real >= 0:
+        raise ValueError(f"{name} must be {sign}, got {real}")
+    return real
 
 
 def _pairwise_sq(values: np.ndarray) -> np.ndarray:

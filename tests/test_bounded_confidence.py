@@ -197,6 +197,19 @@ class TestPhiStep:
         with pytest.raises(ValueError):
             PhiSpec(phi=lambda s: 0.0)
 
+    def test_weight_function_must_be_callable(self):
+        with pytest.raises(ValueError, match="^phi must be callable, got None$"):
+            PhiSpec(phi=None)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: ConfidenceSpec.per_agent(None), "d_per_agent"),
+        (lambda: ConfidenceSpec.per_agent(0.3), "d_per_agent"),
+        (lambda: ConfidenceSpec.shifted(0.3, None), "eta"),
+    ], ids=["per-agent-none", "per-agent-scalar", "shifts-none"])
+    def test_bound_lists_that_are_not_lists_are_refused(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a list of real numbers, got "):
+            make()
+
     @pytest.mark.parametrize("w", [[[1.0, 2.0]], 3.0])
     def test_reputations_must_be_a_vector(self, w):
         with pytest.raises(ValueError, match="reputations must be a vector"):

@@ -63,7 +63,7 @@ class TestSerialize:
              "schedule entry 0 needs 'until' and 'matrix'"),
             ("s.json", "[1]", load_schedule, "schedule entry 0 needs 'until' and 'matrix'"),
             ("s.json", '[{"until": 1, "matrix": [[1.0]]}, {"until": "soon", "matrix": [[1.0]]}]',
-             load_schedule, "schedule entry 1: could not convert"),
+             load_schedule, "schedule entry 1: until must be a real number, got 'soon'"),
             ("s.json", '[{"until": [1], "matrix": [[1.0]]}]', load_schedule, "schedule entry 0: "),
             ("s.json", '[{"until": 1, "matrix": [[1, 2], [3]]}]', load_schedule,
              "schedule entry 0: "),
@@ -788,7 +788,7 @@ class TestInputErrors:
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["stage"] == "validate"
-        assert payload["message"] == "confidence bound must be positive"
+        assert payload["message"] == "confidence bound must be positive, got -0.5"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -810,6 +810,16 @@ class TestInputErrors:
                 {"until": float("nan"), "matrix": [[0.5, 0.5], [0.5, 0.5]]},
                 {"until": 4, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}},
                          "strictly increasing", id="nan-breakpoint"),
+            pytest.param("simulate", {"model": "degroot", "x0": [0.0, 1.0], "params": {"schedule": [
+                {"until": "1", "matrix": [[0.5, 0.5], [0.5, 0.5]]}]}},
+                         "schedule entry 0: until must be a real number, got '1'",
+                         id="str-breakpoint"),
+            pytest.param("simulate", {"model": "hk", "x0": {"uniform": ["0", "1", 5]},
+                                      "params": {"d": 0.3}},
+                         "uniform lo must be a real number, got '0'", id="str-uniform-bounds"),
+            pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.9], "params": {"d": 0.3},
+                                      "stop_tol": "0"},
+                         "stop_tol must be a real number, got '0'", id="str-stop-tol"),
             pytest.param("simulate", {"model": "flow", "x0": [0.0, 1.0], "record_every": -1,
                                       "params": {"matrix": [[0.0, 1.0], [1.0, 0.0]], "t_end": 1.0},
                                       "outputs": ["trajectory"]},

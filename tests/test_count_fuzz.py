@@ -8,10 +8,14 @@ exception (or a warning) fails. A whole float, 3.0, and a numpy integer,
 np.int64(3), run bit for bit as the int 3 does; every other value, True
 and -1 included, is refused with a ValueError.
 
-The real-valued arguments (confidence bounds, shifts, gamma, the pair
-dynamics' bound and move fraction, a flow's horizon) get the same guard for
-``NOT_REAL``: a str, None, True, False or a complex number is not a real
-number, and is refused with a ValueError that says so.
+Every real-valued setting (confidence bounds, shifts, gamma, the pair
+dynamics' bound and move fraction, a flow's horizon and step, tolerances,
+thresholds, schedule breakpoints and the CLI's bounds) gets the same guard
+for ``NOT_REAL``: a str, None, True, False, a complex number or an int
+beyond the float range is not a real number, and is refused with a
+ValueError that says so. A positive setting set to 0, -1 or NaN, and a
+nonnegative one set to -1e-300 or NaN, is refused with a ValueError that
+names the range and the value read.
 """
 
 import math
@@ -28,14 +32,24 @@ from opiniondyn import (
     SimulationError,
     WeightSpec,
     bernoulli_convolution,
+    classify,
+    clusters,
+    cli,
+    d_chain_partition,
     dw_run_exact,
     flow_simulate,
+    heterophily_phi,
+    hk_energy,
+    hk_indicator_phi,
     hk_step,
     make_rng,
+    persistent_graph,
+    reputation_phi,
     simulate_bc,
     simulate_discrete,
     simulate_gossip,
     two_r_experiment,
+    verify_convergence_premises,
 )
 
 VALUES = (2.5, math.inf, math.nan, -1, True, "3", None, 3.0, np.int64(3))
@@ -91,8 +105,9 @@ def test_a_count_or_seed_runs_or_raises_a_documented_error(case, value):
         assert isinstance(outcome, tuple) and outcome[0] == "ValueError", outcome
 
 
-NOT_REAL = ("0.3", None, True, False, 0.3 + 0j)
+NOT_REAL = ("0.3", None, True, False, 0.3 + 0j, 10**400)
 PAIR = WeightSpec.constant("nonnegative", [[0.0, 1.0], [1.0, 0.0]])
+TRAJ = simulate_bc(lambda s: hk_step(s, HK), X0, max_steps=50)
 
 # (function, argument) -> a call of the function with that real argument set to v
 REAL_CALLS = {
@@ -110,11 +125,69 @@ REAL_CALLS = {
     ("DeffuantWeisbuch", "d"): lambda v: DeffuantWeisbuch(d=v, mu=0.5),
     ("DeffuantWeisbuch", "mu"): lambda v: DeffuantWeisbuch(d=0.3, mu=v),
     ("flow_simulate", "t_end"): lambda v: flow_simulate(PAIR, OpinionState([0.0, 1.0]), t_end=v),
+    ("flow_simulate", "dt"): lambda v: flow_simulate(PAIR, OpinionState([0.0, 1.0]), t_end=1.0,
+                                                     dt=v),
+    ("simulate_bc", "stop_tol"): lambda v: simulate_bc(lambda s: hk_step(s, HK), X0, max_steps=50,
+                                                       stop_tol=v),
+    ("clusters", "gap_tol"): lambda v: clusters(X0, v),
+    ("classify", "tol"): lambda v: classify(TRAJ, tol=v),
+    ("hk_indicator_phi", "d"): hk_indicator_phi,
+    ("reputation_phi", "d"): lambda v: reputation_phi([1.0, 2.0], v),
+    ("d_chain_partition", "d"): lambda v: d_chain_partition(X0, v),
+    ("hk_energy", "d"): lambda v: hk_energy(X0, v),
+    ("heterophily_phi", "a"): lambda v: heterophily_phi(v, 1.0, 0.1, 0.2),
+    ("heterophily_phi", "b"): lambda v: heterophily_phi(0.5, v, 0.1, 0.2),
+    ("heterophily_phi", "d1"): lambda v: heterophily_phi(0.5, 1.0, v, 0.2),
+    ("heterophily_phi", "d2"): lambda v: heterophily_phi(0.5, 1.0, 0.1, v),
+    ("persistent_graph", "threshold"): lambda v: persistent_graph([np.eye(2)], v),
+    ("verify_convergence_premises", "delta"): lambda v: verify_convergence_premises([np.eye(2)],
+                                                                                    v),
+    ("WeightSpec", "until"): lambda v: WeightSpec.scheduled("stochastic", [(v, np.eye(2))]),
+    ("cli", "x0 uniform lo"): lambda v: cli._initial_state({"uniform": [v, 1.0, 3]}, 0),
+    ("cli", "x0 uniform hi"): lambda v: cli._initial_state({"uniform": [0.0, v, 3]}, 0),
+    ("cli", "hk-sweep d_range"): lambda v: cli._hk_sweep(0, instances=1, d_range=(0.1, v)),
+    ("cli", "tol"): lambda v: cli._checked({}, 4, v, None, None),
+    ("cli", "gap_tol"): lambda v: cli._checked({}, 4, None, None, v),
+    ("cli", "family_check tol"): lambda v: cli._family_check(4, [1, 1, 1, 1], v),
 }
 
+# dt=None is the default step; the CLI passes None for a setting the model does not read
+NONE_IS_A_DEFAULT = {("flow_simulate", "dt"), ("cli", "tol"), ("cli", "gap_tol")}
 
-@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
-@pytest.mark.parametrize("case", sorted(REAL_CALLS), ids="-".join)
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{'-'.join(case)}-{value!r}")
+    for case in sorted(REAL_CALLS) for value in NOT_REAL
+    if not (value is None and case in NONE_IS_A_DEFAULT)
+])
 def test_a_real_argument_that_is_not_a_number_is_refused(case, value):
     with pytest.raises(ValueError, match=re.escape(f"must be a real number, got {value!r}")):
+        REAL_CALLS[case](value)
+
+
+# (function, argument) of REAL_CALLS -> (the name its error gives, its range)
+RANGES = {
+    ("flow_simulate", "dt"): ("dt", "positive"),
+    ("clusters", "gap_tol"): ("gap_tol", "positive"),
+    ("hk_indicator_phi", "d"): ("confidence bound", "positive"),
+    ("reputation_phi", "d"): ("confidence bound", "positive"),
+    ("d_chain_partition", "d"): ("confidence bound", "positive"),
+    ("hk_energy", "d"): ("confidence bound", "positive"),
+    ("persistent_graph", "threshold"): ("threshold", "positive"),
+    ("cli", "gap_tol"): ("gap_tol", "positive"),
+    ("simulate_bc", "stop_tol"): ("stop_tol", "nonnegative"),
+    ("classify", "tol"): ("tol", "nonnegative"),
+    ("cli", "tol"): ("tol", "nonnegative"),
+    ("cli", "family_check tol"): ("family_check tol", "nonnegative"),
+}
+OUT_OF_RANGE = {"positive": (0.0, -1.0, math.nan), "nonnegative": (-1e-300, math.nan)}
+
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{'-'.join(case)}-{value!r}")
+    for case, (_, sign) in sorted(RANGES.items()) for value in OUT_OF_RANGE[sign]
+])
+def test_a_real_argument_out_of_its_range_is_refused(case, value):
+    name, sign = RANGES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {sign}, got {value}')}$"):
         REAL_CALLS[case](value)

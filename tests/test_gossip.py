@@ -901,6 +901,20 @@ class TestBlockKernels:
                 if events is not None:
                     assert all(type(flag) is bool for _, _, flag in traj.events)
 
+    @pytest.mark.parametrize("name", sorted(name for name in KERNEL_MODELS if "dw" in name))
+    @pytest.mark.parametrize("thin", [1, 999])
+    def test_pair_dynamics_states_do_not_depend_on_recording_events(self, name, thin):
+        # without events the pair loop keeps no interacted flags; the states,
+        # -0.0 included, are the same bytes
+        model = KERNEL_MODELS[name]
+        x0 = OpinionState([-0.0, 0.0, 0.05, -0.1, 0.2, 0.5])
+        with_events, without = (simulate_gossip(model, x0, steps=20_000, seed=8, thin=thin,
+                                                record_events=record)
+                                for record in (True, False))
+        assert without.events is None and len(with_events.events) == 20_000
+        assert with_events.array.tobytes() == without.array.tobytes()
+        assert with_events.stamps.tobytes() == without.stamps.tobytes()
+
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
     def test_default_block_matches_reference(self, name):
         model = KERNEL_MODELS[name]

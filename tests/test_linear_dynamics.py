@@ -962,6 +962,13 @@ class TestFlowErrors:
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
             flow_simulate(a, OpinionState([0.0, 1.0]), **{"t_end": 1.0, "dt": 0.1, name: value})
 
+    def test_step_count_beyond_the_float_range_is_a_value_error(self):
+        # t_end / dt overflows to inf, whose ceiling Python cannot take
+        a = WeightSpec.constant("nonnegative", np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"^t_end=1e\+308 with dt=1e-308 takes inf steps, "
+                                             "too many states to hold in memory$"):
+            flow_simulate(a, OpinionState([0.0, 1.0]), t_end=1e308, dt=1e-308)
+
     @pytest.mark.parametrize("dt", [0.01, None])
     def test_numpy_horizon_and_step_run_as_floats(self, dt):
         a = WeightSpec.constant("signed", ALTAFINI3_A)
