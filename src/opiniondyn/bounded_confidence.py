@@ -18,7 +18,7 @@ import numpy as np
 
 from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
-from .state import _count, _frozen, _pairwise_sq, _real, _unit_weights
+from .state import _array, _count, _frozen, _pairwise_sq, _real, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -350,11 +350,9 @@ def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionSta
     the target in one step.
     """
     lam = _unit_weights(lam, x.n, "attraction weights")
-    target = np.asarray(target, dtype=float).reshape(-1)
+    target = _array("target", target, finite=True).reshape(-1)
     if target.shape[0] != x.m:
         raise ValueError("target must be a point in opinion space")
-    if not np.all(np.isfinite(target)):
-        raise ValueError(f"target must be finite, got {target.tolist()}")
     means = _trust_means(x, spec)
     return OpinionState(lam[:, None] * means + (1.0 - lam)[:, None] * target[None, :])
 
@@ -392,7 +390,7 @@ class PhiSpec:
         if self.phi(0.0) <= 0:
             raise ValueError("phi(0) must be positive")
         if self.reputations is not None:
-            w = _frozen(self.reputations)
+            w = _frozen(_array("reputations", self.reputations))
             if w.ndim != 1:
                 raise ValueError("reputations must be a vector")
             if not np.all(w > 0):  # "not > 0" rejects NaN too
@@ -473,9 +471,11 @@ def simulate_bc(
     state's step index; the confirming successor is recorded too, so the
     returned trajectory is self-contained evidence of the fixed point.
     Raises MaxStepsError carrying the partial trajectory when the budget
-    runs out first, and ValueError unless stop_tol is a nonnegative real
-    number (``state._real``).
+    runs out first, and ValueError unless stepper is callable and stop_tol
+    is a nonnegative real number (``state._real``).
     """
+    if not callable(stepper):
+        raise ValueError(f"stepper must be callable, got {stepper!r}")
     max_steps = _count("max_steps", max_steps, 1)
     stop_tol = _real("stop_tol", stop_tol, "nonnegative")
     states = [x0.values]

@@ -25,7 +25,8 @@ from . import linear_dynamics as ld
 from . import presets as pr
 from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
-from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _count, _real
+from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _array, _count
+from .state import _real
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
 # Keys every config may carry, given to a run function that names them.
@@ -57,7 +58,7 @@ def _initial_state(x0, seed: int) -> OpinionState:
         rng = gp.make_rng((seed, 1))
         return OpinionState(rng.uniform(_real("uniform lo", lo), _real("uniform hi", hi),
                                         size=_count("uniform n", n, 1)))
-    return OpinionState(np.asarray(x0, dtype=float))
+    return OpinionState(_array("x0", x0))
 
 
 def _split(params: dict, fn) -> tuple:
@@ -71,9 +72,7 @@ def _family_check(n: int, ratios, tol=1e-6) -> tuple:
     """A ``family_check`` as (ratios, tol): how far the final state lies
     from its best multiple of ``ratios``. ValueError when there is no finite
     such multiple, or for a NaN or negative tol."""
-    ratios = np.asarray(ratios, dtype=float)
-    if not np.all(np.isfinite(ratios)):
-        raise ValueError(f"family_check ratios {ratios.tolist()} must be finite")
+    ratios = _array("family_check ratios", ratios, finite=True)
     if float(ratios @ ratios) == 0.0:
         raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
     if ratios.shape != (n,):
@@ -90,7 +89,8 @@ def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
     two clusters closer than that would still be interacting."""
     tol = None if tol is None else _real("tol", tol, "nonnegative")
     if gap_tol is not None:
-        gap_tol = _real("gap_tol", np.min(params["d"]) if "d" in params else gap_tol, "positive")
+        gap_tol = _real("gap_tol", gap_tol, "positive")
+        gap_tol = float(_array("d", params["d"]).min()) if "d" in params else gap_tol
     if family_check is not None:
         family_check = _family_check(n, **family_check)
     return {"tol": tol, "family_check": family_check, "gap": gap_tol}

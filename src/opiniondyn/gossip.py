@@ -37,7 +37,7 @@ from math import inf
 import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
-from .state import Events, OpinionState, Trajectory, _count, _frozen, _real
+from .state import Events, OpinionState, Trajectory, _array, _count, _frozen, _real
 
 __all__ = [
     "make_rng",
@@ -111,7 +111,7 @@ class DegrootGossip(_RowPartners):
 
     def __post_init__(self):
         super().__post_init__()
-        g = np.asarray(self.gains, dtype=float)
+        g = _array("gains", self.gains)
         if g.shape != (self.n,):
             raise ValueError("one gain per agent required")
         if not np.all((g > 0) & (g < 1)):
@@ -214,7 +214,8 @@ class DeffuantWeisbuch:
     mode: str = "symmetric"
 
     def __post_init__(self):
-        d = _real("d", self.d) if np.ndim(self.d) == 0 else _frozen(self.d)
+        per_agent = isinstance(self.d, (list, tuple)) or np.ndim(self.d)  # a ragged list too
+        d = _frozen(_array("d", self.d)) if per_agent else _real("d", self.d)
         if np.ndim(d) > 1 or not np.all(d > 0):  # NaN fails "> 0" too
             raise ValueError("confidence bounds must be a positive number or vector")
         mu = _real("mu", self.mu)
@@ -314,7 +315,7 @@ def _check_run(model, x0: OpinionState, steps, thin) -> tuple:
         raise ValueError("gossip models act on scalar opinions")
     steps, thin = _count("steps", steps, 1), _count("thin", thin, 1)
     if not isinstance(model, _MODELS):
-        raise TypeError(f"unknown gossip model {type(model).__name__}")
+        raise ValueError(f"unknown gossip model {type(model).__name__}")
     n = x0.n
     if isinstance(model, DeffuantWeisbuch) and n < 2:
         raise ValueError(f"pair dynamics needs at least two agents, got {n}")
@@ -463,7 +464,7 @@ def dw_run_exact(
     with its float twin. ``thin`` defaults to keeping the ends only.
     """
     if not isinstance(model, DeffuantWeisbuch):
-        raise TypeError("exact runs are provided for the pair dynamics")
+        raise ValueError("exact runs are provided for the pair dynamics")
     steps, thin = _check_run(model, x0, steps, steps if thin is None else thin)
     rng = make_rng(seed)
     n = x0.n

@@ -26,6 +26,7 @@ from .state import (
     OpinionState,
     Trajectory,
     UnstableError,
+    _array,
     _count,
     _frozen,
     _real,
@@ -55,15 +56,6 @@ KIND_SIGNED = "signed"
 _KINDS = (KIND_STOCHASTIC, KIND_NONNEGATIVE, KIND_SIGNED)
 
 
-def _as_square(matrix) -> np.ndarray:
-    w = np.asarray(matrix, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("matrix entries must be finite")
-    return w
-
-
 def check_stochastic(matrix) -> np.ndarray:
     """The matrix as a float array, or ValueError unless it is square,
     finite, entrywise nonnegative and has row sums within STOCHASTIC_TOL
@@ -73,13 +65,13 @@ def check_stochastic(matrix) -> np.ndarray:
     content (shape and bytes), so a schedule that repeats a few small
     matrices pays for each check once. What is accepted does not change: a
     matrix changed in place has new content and is checked again."""
-    w = np.asarray(matrix, dtype=float)
+    w = _array("matrix", matrix)
     if w.size <= _REMEMBERED_ENTRIES and w.flags.c_contiguous:
         if _remembered_pass(w.shape, w.tobytes()):
             return w
     elif _passes(w):
         return w
-    w = _as_square(w)
+    w = _array("matrix", w, square=True, finite=True)
     if np.any(w < 0):
         raise ValueError("stochastic matrix must be entrywise nonnegative")
     rows = w.sum(axis=1)
@@ -112,7 +104,7 @@ def _remembered_pass(shape: tuple, data: bytes) -> bool:
 def check_signed_row_stochastic(matrix) -> np.ndarray:
     """Signed one-step matrix: |entries| sum to 1 per row within
     STOCHASTIC_TOL, nonnegative diagonal."""
-    w = _as_square(matrix)
+    w = _array("matrix", matrix, square=True, finite=True)
     rows = np.abs(w).sum(axis=1)
     if not np.all(np.abs(rows - 1.0) <= STOCHASTIC_TOL):
         raise ValueError(f"modulus row sums deviate from 1 by more than {STOCHASTIC_TOL}: {rows}")
@@ -178,7 +170,7 @@ class WeightSpec:
     def _validated(self, mat) -> np.ndarray:
         if self.kind == KIND_STOCHASTIC:
             return check_stochastic(mat)
-        w = _as_square(mat)
+        w = _array("matrix", mat, square=True, finite=True)
         if self.kind == KIND_NONNEGATIVE and np.any(w < 0):
             raise ValueError("nonnegative spec has negative entries")
         return w
@@ -224,7 +216,7 @@ class FJSpec:
 
     def __post_init__(self):
         w = check_stochastic(self.w)
-        u = as_state_array(self.u)
+        u = as_state_array(self.u, "u")
         lam = _unit_weights(self.lam, w.shape[0], "susceptibilities")
         if u.shape[0] != w.shape[0]:
             raise ValueError("prejudice vector length must match matrix size")

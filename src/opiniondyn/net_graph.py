@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import _frozen, _real
+from .state import _array, _frozen, _real
 
 __all__ = [
     "SignedGraph",
@@ -41,13 +41,9 @@ class SignedGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weights must be square, got shape {w.shape}")
+        w = _array("weights", self.weights, square=True, finite=True)
         if w.shape[0] < 1:
             raise ValueError("need at least one agent")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         object.__setattr__(self, "weights", _frozen(w))
 
     @property
@@ -131,7 +127,7 @@ def signed_laplacian_matrix(weights: np.ndarray) -> np.ndarray:
     """Laplacian of a signed coupling matrix: off-diagonal -a_jk, diagonal
     sum_m |a_jm|. Reduces to the conventional Laplacian for nonnegative
     matrices with zero diagonal."""
-    w = np.asarray(weights, dtype=float)
+    w = _array("weights", weights, square=True)
     lap = -w.copy()
     np.fill_diagonal(lap, np.abs(w).sum(axis=1))
     return lap
@@ -338,9 +334,7 @@ def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
     threshold = _real("threshold", threshold, "positive")
     total = None
     for w in w_seq:
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weights must be square matrices, got shape {w.shape}")
+        w = _array("weights", w, square=True)
         if total is not None and w.shape != total.shape:
             raise ValueError(f"weights must all be {total.shape}, got shape {w.shape}")
         if w.size and not w.min() >= 0:  # NaN fails too

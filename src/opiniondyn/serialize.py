@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .net_graph import BalanceResult
-from .state import Trajectory, _real
+from .state import Trajectory, _array, _real
 
 __all__ = [
     "fmt_float",
@@ -82,12 +82,9 @@ def load_matrix(path) -> np.ndarray:
                 for line in text.strip().splitlines()
                 if line.strip()
             ]
-        mat = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return _array("matrix", data, square=True)
+    except ValueError as exc:
         raise ValueError(f"{path}: expected a square matrix of reals: {exc}") from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{path}: expected a square matrix, got shape {mat.shape}")
-    return mat
 
 
 def resolve_matrix(value):
@@ -116,7 +113,7 @@ def load_schedule(source) -> list:
         if not (isinstance(entry, dict) and "until" in entry and "matrix" in entry):
             raise ValueError(f"schedule entry {i} needs 'until' and 'matrix', got {entry!r}")
         try:
-            matrix = np.asarray(resolve_matrix(entry["matrix"]), dtype=float)
+            matrix = _array("matrix", resolve_matrix(entry["matrix"]))
             schedule.append((_real("until", entry["until"]), matrix))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"schedule entry {i}: {exc}") from None

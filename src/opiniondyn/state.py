@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -90,10 +91,38 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+_FLOAT = np.dtype(float)
+
+
+def _array(name: str, values, square=False, finite=False) -> np.ndarray:
+    """values as a float array: an int or float dtype cast as np.asarray(values,
+    dtype=float) casts it (a float64 ndarray as it is), an object array read
+    element by element by ``_real``. ValueError naming it for any other dtype
+    (str, bool, complex), a ragged list, a non-square matrix if ``square`` is
+    set or a NaN or infinite entry if ``finite`` is."""
+    arr = values
+    if not (type(arr) is np.ndarray and arr.dtype is _FLOAT):
+        try:
+            arr = np.asarray(values)
+            if arr.dtype.kind == "O":
+                arr = np.array([_real(name, v) for v in arr.flat]).reshape(arr.shape)
+            if arr.dtype.kind not in "fiu":
+                raise TypeError
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be an array of real numbers, "
+                             f"got {reprlib.repr(values)}") from None
+        arr = arr.astype(float, copy=False)
+    if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _unit_weights(lam, n: int, what: str) -> np.ndarray:
     """lam as a float vector of n per-agent weights in [0, 1]; ``what``
     names the weights in the error."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _array("lam", lam)
     if lam.shape != (n,):
         raise ValueError("lam must be a length-n vector")
     if not np.all((lam >= 0) & (lam <= 1)):
@@ -101,17 +130,15 @@ def _unit_weights(lam, n: int, what: str) -> np.ndarray:
     return lam
 
 
-def as_state_array(values) -> np.ndarray:
+def as_state_array(values, name: str = "opinion values") -> np.ndarray:
     """Coerce input to an (n, m) float array; 1-D input becomes (n, 1)."""
-    arr = np.asarray(values, dtype=float)
+    arr = _array(name, values, finite=True)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
-        raise ValueError(f"opinion values must be 1-D or 2-D, got shape {arr.shape}")
+        raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"need at least one agent and one dimension, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("opinion values must be finite")
     return arr
 
 

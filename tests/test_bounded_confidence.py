@@ -414,6 +414,12 @@ class TestSimulateBc:
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
             simulate_bc(lambda s: hk_step(s, spec), OpinionState([0.0, 0.1, 0.9]), max_steps=0)
 
+    @pytest.mark.parametrize("stepper", [None, ConfidenceSpec.symmetric(0.3)], ids=repr)
+    def test_stepper_must_be_callable(self, stepper):
+        with pytest.raises(ValueError, match="^stepper must be callable, got ") as info:
+            simulate_bc(stepper, OpinionState([0.0, 0.1, 0.9]), max_steps=5)
+        assert str(info.value).endswith(repr(stepper))
+
     @pytest.mark.parametrize("stop_tol", [float("nan"), -1.0, -1e-300])
     def test_nan_or_negative_stop_tol_rejected(self, stop_tol):
         # at NaN or below zero no state could ever count as a fixed point

@@ -16,11 +16,23 @@ beyond the float range is not a real number, and is refused with a
 ValueError that says so. A positive setting set to 0, -1 or NaN, and a
 nonnegative one set to -1e-300 or NaN, is refused with a ValueError that
 names the range and the value read.
+
+Every array argument (opinions, prejudices, weights and matrices, gains,
+per-agent bounds, targets, reputations, matrix files and the CLI's arrays)
+gets the same guard for ``NOT_ARRAYS``: numeric strings, a complex number,
+a dict, None, bools, an int beyond the float range and a ragged list are
+not an array of real numbers, and are refused with a ValueError that names
+the argument. Ints, ``Fraction``s, float32, numpy integers and nested lists
+are read with the bytes of ``np.asarray(values, dtype=float)``.
 """
 
+import json
 import math
 import pickle
 import re
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +40,11 @@ import pytest
 from opiniondyn import (
     ConfidenceSpec,
     DeffuantWeisbuch,
+    DegrootGossip,
+    FJSpec,
     OpinionState,
+    PhiSpec,
+    SignedGraph,
     SimulationError,
     WeightSpec,
     bernoulli_convolution,
@@ -42,15 +58,21 @@ from opiniondyn import (
     hk_energy,
     hk_indicator_phi,
     hk_step,
+    inertial_step,
     make_rng,
     persistent_graph,
     reputation_phi,
+    signed_laplacian_matrix,
     simulate_bc,
     simulate_discrete,
     simulate_gossip,
+    truth_step,
     two_r_experiment,
     verify_convergence_premises,
 )
+from opiniondyn.linear_dynamics import check_signed_row_stochastic, check_stochastic
+from opiniondyn.serialize import load_matrix, load_schedule
+from opiniondyn.state import _array
 
 VALUES = (2.5, math.inf, math.nan, -1, True, "3", None, 3.0, np.int64(3))
 
@@ -148,11 +170,13 @@ REAL_CALLS = {
     ("cli", "hk-sweep d_range"): lambda v: cli._hk_sweep(0, instances=1, d_range=(0.1, v)),
     ("cli", "tol"): lambda v: cli._checked({}, 4, v, None, None),
     ("cli", "gap_tol"): lambda v: cli._checked({}, 4, None, None, v),
+    ("cli", "gap_tol beside d"): lambda v: cli._checked({"d": 0.3}, 4, None, None, v),
     ("cli", "family_check tol"): lambda v: cli._family_check(4, [1, 1, 1, 1], v),
 }
 
 # dt=None is the default step; the CLI passes None for a setting the model does not read
-NONE_IS_A_DEFAULT = {("flow_simulate", "dt"), ("cli", "tol"), ("cli", "gap_tol")}
+NONE_IS_A_DEFAULT = {("flow_simulate", "dt"), ("cli", "tol"), ("cli", "gap_tol"),
+                     ("cli", "gap_tol beside d")}
 
 
 @pytest.mark.parametrize("case, value", [
@@ -175,6 +199,7 @@ RANGES = {
     ("hk_energy", "d"): ("confidence bound", "positive"),
     ("persistent_graph", "threshold"): ("threshold", "positive"),
     ("cli", "gap_tol"): ("gap_tol", "positive"),
+    ("cli", "gap_tol beside d"): ("gap_tol", "positive"),
     ("simulate_bc", "stop_tol"): ("stop_tol", "nonnegative"),
     ("classify", "tol"): ("tol", "nonnegative"),
     ("cli", "tol"): ("tol", "nonnegative"),
@@ -191,3 +216,109 @@ def test_a_real_argument_out_of_its_range_is_refused(case, value):
     name, sign = RANGES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {sign}, got {value}')}$"):
         REAL_CALLS[case](value)
+
+
+NOT_ARRAYS = (["0.3", "1"], [1 + 2j], {"a": 1}, [None], [True, False], [10**400],
+              [[0.5], [0.5, 0.5]])
+STOCHASTIC2 = [[0.5, 0.5], [0.5, 0.5]]
+
+
+def _matrix_file(v):
+    """load_matrix of a JSON file that holds v."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(v))
+        return load_matrix(path)
+
+
+# (function, argument) -> (the name its error gives, a call with that array set to v)
+ARRAY_CALLS = {
+    ("OpinionState", "values"): ("opinion values", OpinionState),
+    ("FJSpec", "u"): ("u", lambda v: FJSpec(lam=[0.5, 0.5], w=STOCHASTIC2, u=v)),
+    ("FJSpec", "lam"): ("lam", lambda v: FJSpec(lam=v, w=STOCHASTIC2, u=[0.0, 1.0])),
+    ("inertial_step", "lam"): ("lam", lambda v: inertial_step(X0, v, HK)),
+    ("truth_step", "target"): ("target", lambda v: truth_step(X0, [0.5] * 4, v, HK)),
+    ("check_stochastic", "matrix"): ("matrix", check_stochastic),
+    ("check_signed_row_stochastic", "matrix"): ("matrix", check_signed_row_stochastic),
+    ("WeightSpec", "stochastic matrix"): ("matrix", lambda v: WeightSpec.constant("stochastic",
+                                                                                  v)),
+    ("WeightSpec", "nonnegative matrix"): ("matrix", lambda v: WeightSpec.constant("nonnegative",
+                                                                                   v)),
+    ("SignedGraph", "weights"): ("weights", SignedGraph),
+    ("persistent_graph", "w_seq"): ("weights", lambda v: persistent_graph([v], 1.0)),
+    ("signed_laplacian_matrix", "weights"): ("weights", signed_laplacian_matrix),
+    ("load_matrix", "file"): ("matrix", _matrix_file),
+    ("load_schedule", "matrix"): ("matrix", lambda v: load_schedule([{"until": 1.0,
+                                                                      "matrix": v}])),
+    ("DegrootGossip", "gains"): ("gains", lambda v: DegrootGossip([[0, 1], [1, 0]], v)),
+    ("DeffuantWeisbuch", "d"): ("d", lambda v: DeffuantWeisbuch(d=v, mu=0.5)),
+    ("PhiSpec", "reputations"): ("reputations", lambda v: PhiSpec(hk_indicator_phi(0.3).phi,
+                                                                  reputations=v)),
+    ("cli", "x0"): ("x0", lambda v: cli._initial_state(v, 0)),
+    ("cli", "family_check ratios"): ("family_check ratios", lambda v: cli._family_check(2, v)),
+    ("cli", "d"): ("d", lambda v: cli._checked({"d": v}, 4, None, None, 1e-4)),
+}
+
+# JSON has no complex numbers; a dict x0 is the CLI's {"uniform": [lo, hi, n]} form
+NOT_A_CASE = {(("load_matrix", "file"), repr([1 + 2j])), (("cli", "x0"), repr({"a": 1}))}
+
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{'-'.join(case)}-{value!r}")
+    for case in sorted(ARRAY_CALLS) for value in NOT_ARRAYS
+    if (case, repr(value)) not in NOT_A_CASE
+])
+def test_an_array_argument_that_is_not_real_numbers_is_refused(case, value):
+    """A shared bound given as a dict, where the per-agent bound would be a
+    vector (DeffuantWeisbuch's d), meets the scalar rule's wording."""
+    name, call = ARRAY_CALLS[case]
+    with pytest.raises(ValueError, match=f"{re.escape(name)} must be "
+                                         "(an array of real numbers|a real number), got"):
+        call(value)
+
+
+ACCEPTED = [
+    [1, 2, 3],
+    [2**60 + 1, 2**63, 3],
+    [2**63, -1],
+    [2**64 + 1, 5],
+    [Fraction(1, 3), Fraction(-2, 7)],
+    [Fraction(1, 3), 0.5, 2**70],
+    np.float32([0.1, 0.3]),
+    [np.int64(3), 0.5],
+    [np.float32(0.1), 0.2],
+    [[1, 2], [3, 4]],
+    [[Fraction(1, 3), 0.0], [-0.0, 7]],
+    [-0.0, 0.0],
+    np.asfortranarray(np.arange(9.0).reshape(3, 3) / 7),
+    np.asfortranarray(np.arange(9, dtype=np.float32).reshape(3, 3) / 7),
+    np.arange(6, dtype=np.uint8),
+    np.arange(8.0)[::2],
+    np.arange(4.0).astype(">f8"),
+    [],
+]
+
+
+@pytest.mark.parametrize("values", ACCEPTED, ids=repr)
+def test_an_array_of_real_numbers_is_read_as_the_float_cast_reads_it(values):
+    got, want = _array("values", values), np.asarray(values, dtype=float)
+    assert (type(got), got.dtype, got.shape, got.strides) == (type(want), want.dtype,
+                                                               want.shape, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_float_array_is_returned_as_it_is():
+    for values in (np.arange(4.0), np.asfortranarray(np.eye(3)), np.arange(8.0)[::2]):
+        assert _array("values", values) is values
+
+
+@pytest.mark.parametrize("values", [[Fraction(1, 3), Fraction(-2, 7), -0.0, 2**63],
+                                    [np.int64(3), np.float32(0.1), 0.0, -0.0]], ids=repr)
+def test_sites_read_exact_forms_with_the_bytes_of_their_floats(values):
+    floats = np.asarray(values, dtype=float)
+    assert OpinionState(values).values.tobytes() == OpinionState(floats).values.tobytes()
+    matrix = [values, values[::-1], values, values[::-1]]
+    graph, float_graph = SignedGraph(matrix), SignedGraph(np.asarray(matrix, dtype=float))
+    assert graph.weights.tobytes() == float_graph.weights.tobytes()
+    assert (signed_laplacian_matrix(matrix).tobytes()
+            == signed_laplacian_matrix(float_graph.weights).tobytes())

@@ -98,9 +98,9 @@ class TestWeightSpec:
 
 class TestCheckStochastic:
     @pytest.mark.parametrize("matrix,message", [
-        ([[np.nan, 1.0], [0.5, 0.5]], "matrix entries must be finite"),
-        ([[np.inf, 0.0], [0.5, 0.5]], "matrix entries must be finite"),
-        ([[-np.inf, 1.0], [0.5, 0.5]], "matrix entries must be finite"),
+        ([[np.nan, 1.0], [0.5, 0.5]], "matrix must be finite"),
+        ([[np.inf, 0.0], [0.5, 0.5]], "matrix must be finite"),
+        ([[-np.inf, 1.0], [0.5, 0.5]], "matrix must be finite"),
         ([[-0.5, 1.5], [0.5, 0.5]], "stochastic matrix must be entrywise nonnegative"),
         ([[0.5, 0.5 + 2e-9], [0.5, 0.5]], "row sums deviate from 1 by more than 1e-09: [1. 1.]"),
         ([[0.5, 0.5]], "matrix must be square, got shape (1, 2)"),
@@ -115,7 +115,7 @@ class TestCheckStochastic:
                                        linear_dynamics.check_signed_row_stochastic])
     def test_nan_entries_are_rejected(self, check):
         for matrix in ([[np.nan]], [[0.5, np.nan], [0.5, 0.5]]):
-            with pytest.raises(ValueError, match="matrix entries must be finite"):
+            with pytest.raises(ValueError, match="matrix must be finite"):
                 check(matrix)
 
     @pytest.mark.parametrize("check, sign", [
@@ -156,7 +156,8 @@ class TestCheckStochastic:
 
 def reference_check_stochastic(matrix, tol=linear_dynamics.STOCHASTIC_TOL):
     """check_stochastic as it was before it remembered passes, kept verbatim
-    (apart from the name) as the oracle."""
+    (apart from the name) as the oracle, with the square and finite checks
+    it called inlined and worded as the array rule words them."""
     w = np.asarray(matrix, dtype=float)
     # Valid input is accepted here in one pass. A NaN or -inf entry fails the
     # min test, and a +inf entry makes its row sum fail the tolerance test as
@@ -165,7 +166,10 @@ def reference_check_stochastic(matrix, tol=linear_dynamics.STOCHASTIC_TOL):
     if (w.ndim == 2 and w.shape[0] == w.shape[1] and w.size and w.min() >= 0
             and np.abs(w.sum(axis=1) - 1.0).max() <= tol < math.inf):
         return w
-    w = linear_dynamics._as_square(w)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("matrix must be finite")
     if np.any(w < 0):
         raise ValueError("stochastic matrix must be entrywise nonnegative")
     rows = w.sum(axis=1)
