@@ -11,6 +11,7 @@ energy are included.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
-from .state import _array, _count, _frozen, _pairwise_sq, _real, _unit_weights
+from .state import _array, _bound, _count, _frozen, _pairwise_sq, _real, _reals, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -37,21 +38,6 @@ __all__ = [
 ]
 
 _NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
-
-
-def _reals(name: str, values) -> tuple:
-    """Each of ``values`` as a float (``state._real``), refusing a non-sequence too."""
-    try:
-        return tuple(_real(name, v) for v in values)
-    except TypeError:  # not iterable: _real raises only ValueError
-        raise ValueError(f"{name} must be a list of real numbers, got {values!r}") from None
-
-
-def _offsets(bound):
-    """One float shared by all agents, or a tuple of per-agent floats."""
-    if np.ndim(bound) == 0:
-        return _real("confidence bound", bound)
-    return _reals("confidence bound", bound)
 
 
 @dataclass(frozen=True)
@@ -81,15 +67,15 @@ class ConfidenceSpec:
     def __post_init__(self):
         if self.norm not in _NORM_ORDS:
             raise ValueError(f"norm must be one of {sorted(_NORM_ORDS)}")
-        if self.lo is not None:  # a norm ball has no left offset
-            object.__setattr__(self, "lo", _offsets(self.lo))
-        object.__setattr__(self, "hi", _offsets(self.hi))
-        lo, hi = self.lo, self.hi
+        lo = None if self.lo is None else _bound("lo", self.lo)  # a norm ball has no lo
+        hi = _bound("hi", self.hi)
         # "not > 0" rather than "<= 0", so that a NaN bound is rejected too
-        if not np.all(np.asarray(hi) > 0) or (lo is not None and not np.all(np.asarray(lo) < 0)):
+        if not np.all(hi > 0) or (lo is not None and not np.all(lo < 0)):
             raise ValueError("confidence bounds must be positive")
-        if isinstance(lo, tuple) and isinstance(hi, tuple) and len(lo) != len(hi):
+        if isinstance(lo, np.ndarray) and isinstance(hi, np.ndarray) and lo.size != hi.size:
             raise ValueError("left and right bound lists must have equal length")
+        object.__setattr__(self, "lo", tuple(lo.tolist()) if isinstance(lo, np.ndarray) else lo)
+        object.__setattr__(self, "hi", tuple(hi.tolist()) if isinstance(hi, np.ndarray) else hi)
 
     @property
     def variant(self) -> str:
@@ -105,29 +91,27 @@ class ConfidenceSpec:
     @classmethod
     def asymmetric(cls, d_left: float, d_right: float, closed: bool = True) -> "ConfidenceSpec":
         """Trust opinions in [x_i - d_left, x_i + d_right]."""
-        return cls(lo=-_real("d_left", d_left), hi=d_right, closed=closed)
+        return cls(lo=-_real("d_left", d_left), hi=_real("d_right", d_right), closed=closed)
 
     @classmethod
     def per_agent(cls, d_per_agent, closed: bool = True) -> "ConfidenceSpec":
         """Symmetric intervals with an individual bound per agent."""
         bounds = _reals("d_per_agent", d_per_agent)
-        return cls(lo=tuple(-b for b in bounds), hi=bounds, closed=closed)
+        return cls(lo=-bounds, hi=bounds, closed=closed)
 
     @classmethod
     def shifted(cls, d: float, eta, closed: bool = True) -> "ConfidenceSpec":
         """Intervals [x_i - d + eta_i, x_i + d] with 0 <= eta_i and max eta_i < d."""
         d, eta = _real("d", d), _reals("eta", eta)
-        if not eta:
-            raise ValueError("eta must hold one shift per agent, got an empty list")
         # a bound d <= 0 is left to the positivity check
-        if not d <= 0 and (any(e < 0 for e in eta) or max(eta) >= d):
+        if not d <= 0 and (np.any(eta < 0) or eta.max() >= d):
             raise ValueError("shifts must satisfy 0 <= eta_i and max eta_i < d")
-        return cls(lo=tuple(-d + e for e in eta), hi=d, closed=closed)
+        return cls(lo=-d + eta, hi=d, closed=closed)
 
     @classmethod
     def norm_ball(cls, d, norm: str = "euclidean", closed: bool = True) -> "ConfidenceSpec":
         """Trust within a norm ball of radius d (scalar) or d_i (per agent)."""
-        return cls(lo=None, hi=d, closed=closed, norm=norm)
+        return cls(lo=None, hi=_bound("d", d), closed=closed, norm=norm)
 
 
 def _per_agent(bound, n: int):
@@ -169,6 +153,28 @@ def _product_blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
+# Largest |difference| whose Euclidean norm np.linalg.norm takes as it is:
+# its square neither overflows nor falls below the normal floats.
+_SQUARE_SAFE = 1e150
+# Distinct floats of magnitude 1e-130 or more are 1e-146 or more apart, so
+# only a nonzero opinion below it has a difference below 1 / _SQUARE_SAFE.
+_SPACED = 1e-130
+
+
+def _rescale(diff: np.ndarray, distance: np.ndarray) -> None:
+    """Recompute in place, as s * ||diff / s||, each Euclidean ``distance``
+    whose largest |difference| s is finite and nonzero but outside
+    [1/_SQUARE_SAFE, _SQUARE_SAFE], where the squares np.linalg.norm sums
+    overflow or underflow. The other entries keep their bits."""
+    scale = np.abs(diff[..., 0])
+    for k in range(1, diff.shape[-1]):
+        np.maximum(scale, np.abs(diff[..., k]), out=scale)
+    redo = (scale > 0) & (scale < 1 / _SQUARE_SAFE) | (scale > _SQUARE_SAFE) & (scale < np.inf)
+    if redo.any():
+        s = scale[redo]
+        distance[redo] = s * np.linalg.norm(diff[redo] / s[:, None], axis=1)
+
+
 def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     """Boolean (n, n) norm-ball trust mask: entry (i, j) True iff agent i
     trusts agent j, ||x_j - x_i|| <= hi_i (``<`` for open balls).
@@ -176,17 +182,26 @@ def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     Row i is agent i's trust set; the diagonal is always True. The mask is
     filled ``_BLOCK`` rows at a time, so besides the mask itself the
     temporaries (the differences x_i - x_j and their norms) are
-    O(_BLOCK * n * m). Interval specs use the ``_windows`` of the sorted
-    opinions instead.
+    O(_BLOCK * n * m). A Euclidean distance whose squares would overflow or
+    underflow is ``_rescale``d, where the spread or the smallest nonzero
+    magnitude of the opinions shows that one can, and a difference or a
+    distance that overflows counts as an infinity, without a warning.
+    Interval specs use the ``_windows`` of the sorted opinions instead.
     """
     n, values = x.n, x.values
     hi, order = _per_agent(spec.hi, n), _NORM_ORDS[spec.norm]
     inside = np.less_equal if spec.closed else np.less
     mask = np.empty((n, n), dtype=bool)
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        distance = np.linalg.norm(values[rows, None, :] - values[None, :, :], ord=order, axis=2)
-        inside(distance, _rows(hi, rows), out=mask[rows])
+    with np.errstate(over="ignore"):
+        rescale = order == 2 and (np.ptp(values, axis=0).max() > _SQUARE_SAFE
+                                  or np.any((values != 0) & (np.abs(values) < _SPACED)))
+        for start in range(0, n, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            diff = values[rows, None, :] - values[None, :, :]
+            distance = np.linalg.norm(diff, ord=order, axis=2)
+            if rescale:
+                _rescale(diff, distance)
+            inside(distance, _rows(hi, rows), out=mask[rows])
     np.fill_diagonal(mask, True)
     return mask
 
@@ -320,6 +335,10 @@ def _trust_means(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     read off the windows. A norm ball builds its ``trust_matrix`` and
     counts and tests it row by row.
     """
+    if not isinstance(x, OpinionState):
+        raise ValueError(f"x must be an OpinionState, got {reprlib.repr(x)}")
+    if not isinstance(spec, ConfidenceSpec):
+        raise ValueError(f"spec must be a ConfidenceSpec, got {reprlib.repr(spec)}")
     values = x.values
     if spec.lo is None:
         mask = trust_matrix(x, spec)
@@ -349,11 +368,11 @@ def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionSta
     lam_i = 1 behave as plain bounded-confidence agents; lam_i = 0 jumps to
     the target in one step.
     """
+    means = _trust_means(x, spec)
     lam = _unit_weights(lam, x.n, "attraction weights")
     target = _array("target", target, finite=True).reshape(-1)
     if target.shape[0] != x.m:
         raise ValueError("target must be a point in opinion space")
-    means = _trust_means(x, spec)
     return OpinionState(lam[:, None] * means + (1.0 - lam)[:, None] * target[None, :])
 
 
@@ -363,8 +382,8 @@ def inertial_step(x: OpinionState, lam, spec: ConfidenceSpec) -> OpinionState:
     x_i' = (1 - lam_i) * x_i + lam_i * (trust-set mean); lam_i = 0 freezes
     the agent, lam_i = 1 recovers the plain step.
     """
-    lam = _unit_weights(lam, x.n, "inertia weights")
     means = _trust_means(x, spec)
+    lam = _unit_weights(lam, x.n, "inertia weights")
     return OpinionState((1.0 - lam)[:, None] * x.values + lam[:, None] * means)
 
 
@@ -478,6 +497,8 @@ def simulate_bc(
         raise ValueError(f"stepper must be callable, got {stepper!r}")
     max_steps = _count("max_steps", max_steps, 1)
     stop_tol = _real("stop_tol", stop_tol, "nonnegative")
+    if not isinstance(x0, OpinionState):
+        raise ValueError(f"x0 must be an OpinionState, got {reprlib.repr(x0)}")
     states = [x0.values]
     x = x0
     for k in range(max_steps + 1):

@@ -26,7 +26,7 @@ from . import presets as pr
 from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
 from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _array, _count
-from .state import _real
+from .state import _bound, _real
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
 # Keys every config may carry, given to a run function that names them.
@@ -90,7 +90,7 @@ def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
     tol = None if tol is None else _real("tol", tol, "nonnegative")
     if gap_tol is not None:
         gap_tol = _real("gap_tol", gap_tol, "positive")
-        gap_tol = float(_array("d", params["d"]).min()) if "d" in params else gap_tol
+        gap_tol = float(np.min(_bound("d", params["d"]))) if "d" in params else gap_tol
     if family_check is not None:
         family_check = _family_check(n, **family_check)
     return {"tol": tol, "family_check": family_check, "gap": gap_tol}

@@ -37,7 +37,7 @@ from math import inf
 import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
-from .state import Events, OpinionState, Trajectory, _array, _count, _frozen, _real
+from .state import Events, OpinionState, Trajectory, _array, _bound, _count, _frozen, _real
 
 __all__ = [
     "make_rng",
@@ -214,16 +214,15 @@ class DeffuantWeisbuch:
     mode: str = "symmetric"
 
     def __post_init__(self):
-        per_agent = isinstance(self.d, (list, tuple)) or np.ndim(self.d)  # a ragged list too
-        d = _frozen(_array("d", self.d)) if per_agent else _real("d", self.d)
-        if np.ndim(d) > 1 or not np.all(d > 0):  # NaN fails "> 0" too
+        d = _bound("d", self.d)
+        if not np.all(d > 0):  # NaN fails "> 0" too
             raise ValueError("confidence bounds must be a positive number or vector")
         mu = _real("mu", self.mu)
         if not 0 < mu < 1:
             raise ValueError("the move fraction must lie in (0, 1)")
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError("mode must be 'symmetric' or 'asymmetric'")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", d if isinstance(d, float) else _frozen(d))
         object.__setattr__(self, "mu", mu)
 
     @property

@@ -119,6 +119,24 @@ def _array(name: str, values, square=False, finite=False) -> np.ndarray:
     return arr
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """values as a nonempty float vector: a list or tuple element by element
+    by ``_real``, anything else by ``_array``; ValueError naming it otherwise."""
+    vector = (np.array([_real(name, v) for v in values], dtype=float)
+              if isinstance(values, (list, tuple)) else _array(name, values))
+    if vector.ndim != 1 or not vector.size:
+        raise ValueError(f"{name} must be a nonempty list of real numbers, "
+                         f"got {reprlib.repr(values)}")
+    return vector
+
+
+def _bound(name: str, value):
+    """One bound shared by all agents (``_real``) or one per agent (``_reals``)."""
+    if isinstance(value, (list, tuple, range)) or isinstance(value, np.ndarray) and value.ndim:
+        return _reals(name, value)
+    return _real(name, value)
+
+
 def _unit_weights(lam, n: int, what: str) -> np.ndarray:
     """lam as a float vector of n per-agent weights in [0, 1]; ``what``
     names the weights in the error."""
@@ -240,11 +258,11 @@ class Trajectory:
     events: Events | None = None
 
     def __post_init__(self):
-        self.array = np.asarray(self.array, dtype=float)
-        self.stamps = np.asarray(self.stamps, dtype=float)
+        self.array = _array("trajectory array", self.array)
+        self.stamps = _array("stamps", self.stamps)
         if self.array.ndim != 3:
             raise ValueError(f"trajectory array must be (S, n, m), got {self.array.shape}")
-        if len(self.stamps) != self.array.shape[0]:
+        if self.stamps.shape != self.array.shape[:1]:
             raise ValueError("one stamp per state required")
         if len(self.stamps) > 1 and not np.all(np.diff(self.stamps) > 0):
             raise ValueError("stamps must be strictly increasing")

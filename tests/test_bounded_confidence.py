@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -65,6 +66,15 @@ class TestTrustSet:
         mask = bc.trust_matrix(x, ConfidenceSpec.norm_ball(5.0))
         assert mask.tolist() == [[True, True], [True, True]]
 
+    @pytest.mark.parametrize("gap, d", [(1e200, 1e300), (1e-200, 1e-250)],
+                             ids=["squares-overflow", "squares-underflow"])
+    def test_a_euclidean_ball_at_an_extreme_scale_agrees_with_the_interval(self, gap, d):
+        # the squared gap overflows to inf, or underflows to 0, where the gap does not
+        ball = hk_step(OpinionState([[0.0, 0.0], [gap, 0.0]]), ConfidenceSpec.norm_ball(d))
+        interval = hk_step(OpinionState([0.0, gap]), ConfidenceSpec.symmetric(d))
+        assert ball.values[:, 0].tolist() == interval.flat.tolist()
+        assert ball.values[:, 1].tolist() == [0.0, 0.0]
+
     def test_max_and_sum_norms(self):
         x = OpinionState([[0.0, 0.0], [3.0, 4.0]])
         assert bc.trust_matrix(x, ConfidenceSpec.norm_ball(4.5, norm="max"))[0].tolist() == [True, True]
@@ -99,6 +109,24 @@ class TestTrustSet:
     def test_invalid_windows_are_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("step", [
+        hk_step,
+        lambda x, spec: truth_step(x, [1.0, 1.0], [0.0], spec),
+        lambda x, spec: inertial_step(x, [1.0, 1.0], spec),
+    ], ids=["hk", "truth", "inertial"])
+    @pytest.mark.parametrize("x, spec, message", [
+        (OpinionState([0.0, 1.0]), None, "spec must be a ConfidenceSpec, got None"),
+        (OpinionState([0.0, 1.0]), bc.PhiSpec(lambda s: 1.0),
+         "spec must be a ConfidenceSpec, got PhiSpec("),
+        ([0.0, 1.0], ConfidenceSpec.symmetric(0.5), "x must be an OpinionState, got [0.0, 1.0]"),
+    ], ids=["spec-none", "spec-phi", "x-list"])
+    def test_a_state_or_spec_of_another_type_is_refused_by_name(self, step, x, spec, message):
+        # a ValueError, not the AttributeError of a missing field, under the
+        # suite's warnings-as-errors filter
+        with pytest.raises(ValueError) as info:
+            step(x, spec)
+        assert str(info.value).startswith(message)
 
     def test_interval_variant_rejects_vector_opinions(self):
         with pytest.raises(ValueError, match="scalar opinions"):
@@ -201,13 +229,16 @@ class TestPhiStep:
         with pytest.raises(ValueError, match="^phi must be callable, got None$"):
             PhiSpec(phi=None)
 
-    @pytest.mark.parametrize("make, name", [
-        (lambda: ConfidenceSpec.per_agent(None), "d_per_agent"),
-        (lambda: ConfidenceSpec.per_agent(0.3), "d_per_agent"),
-        (lambda: ConfidenceSpec.shifted(0.3, None), "eta"),
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ConfidenceSpec.per_agent(None),
+         "d_per_agent must be an array of real numbers, got None"),
+        (lambda: ConfidenceSpec.per_agent(0.3),
+         "d_per_agent must be a nonempty list of real numbers, got 0.3"),
+        (lambda: ConfidenceSpec.shifted(0.3, None),
+         "eta must be an array of real numbers, got None"),
     ], ids=["per-agent-none", "per-agent-scalar", "shifts-none"])
-    def test_bound_lists_that_are_not_lists_are_refused(self, make, name):
-        with pytest.raises(ValueError, match=f"^{name} must be a list of real numbers, got "):
+    def test_bound_lists_that_are_not_lists_are_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
     @pytest.mark.parametrize("w", [[[1.0, 2.0]], 3.0])
@@ -420,6 +451,12 @@ class TestSimulateBc:
             simulate_bc(stepper, OpinionState([0.0, 0.1, 0.9]), max_steps=5)
         assert str(info.value).endswith(repr(stepper))
 
+    @pytest.mark.parametrize("x0", [None, [0.0, 0.1]], ids=repr)
+    def test_start_must_be_an_opinion_state(self, x0):
+        with pytest.raises(ValueError, match="^x0 must be an OpinionState, got ") as info:
+            simulate_bc(lambda s: s, x0, max_steps=5)
+        assert str(info.value).endswith(repr(x0))
+
     @pytest.mark.parametrize("stop_tol", [float("nan"), -1.0, -1e-300])
     def test_nan_or_negative_stop_tol_rejected(self, stop_tol):
         # at NaN or below zero no state could ever count as a fixed point
@@ -554,7 +591,9 @@ class TestDChains:
 
 def dense_trust_matrix(x, spec):
     """``trust_matrix`` before the row blocks: one (n, n) gap, or one (n, n, m)
-    difference array and its norms."""
+    difference array and its norms, a Euclidean norm taken as
+    s * ||diff / s|| where the largest |difference| s is finite and nonzero
+    but outside [1e-150, 1e150]."""
 
     def column(bound):
         if isinstance(bound, float):
@@ -567,6 +606,11 @@ def dense_trust_matrix(x, spec):
         hi = column(spec.hi)
         diff = x.values[:, None, :] - x.values[None, :, :]
         dist = np.linalg.norm(diff, ord=bc._NORM_ORDS[spec.norm], axis=2)
+        scale = np.abs(diff).max(axis=2)
+        redo = (scale > 0) & (scale < np.inf) & ((scale < 1e-150) | (scale > 1e150))
+        if spec.norm == "euclidean" and redo.any():
+            s = scale[redo][:, None]
+            dist[redo] = s[:, 0] * np.linalg.norm(diff[redo] / s, axis=1)
         mask = dist <= hi if spec.closed else dist < hi
     else:
         if x.m != 1:

@@ -748,7 +748,7 @@ class TestInputErrors:
         with pytest.raises(CliError) as info:
             run(config, out_dir=tmp_path)
         assert info.value.stage == "validate"
-        assert str(info.value) == "eta must hold one shift per agent, got an empty list"
+        assert str(info.value) == "eta must be a nonempty list of real numbers, got []"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("params", [

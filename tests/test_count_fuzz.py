@@ -18,12 +18,19 @@ nonnegative one set to -1e-300 or NaN, is refused with a ValueError that
 names the range and the value read.
 
 Every array argument (opinions, prejudices, weights and matrices, gains,
-per-agent bounds, targets, reputations, matrix files and the CLI's arrays)
-gets the same guard for ``NOT_ARRAYS``: numeric strings, a complex number,
-a dict, None, bools, an int beyond the float range and a ragged list are
-not an array of real numbers, and are refused with a ValueError that names
-the argument. Ints, ``Fraction``s, float32, numpy integers and nested lists
-are read with the bytes of ``np.asarray(values, dtype=float)``.
+per-agent bounds and shifts, targets, reputations, trajectories, matrix
+files and the CLI's arrays) gets the same guard for ``NOT_ARRAYS``: numeric
+strings, a complex number, a dict, None, bools, an int beyond the float
+range and a ragged list are not an array of real numbers, and are refused
+with a ValueError that names the argument. Ints, ``Fraction``s, float32,
+numpy integers, ranges and nested lists are read with the bytes of
+``np.asarray(values, dtype=float)``.
+
+A bound that is one number or one per agent (``BOUND_SITES``: a
+``ConfidenceSpec``'s ``lo`` and ``hi``, a norm ball's radius, per-agent
+bounds and shifts, the pair dynamics' ``d`` and the CLI's) is read by one
+rule: a list or tuple element by element as a real number, so an empty
+list or a bool among numbers (``NOT_VECTORS``) is refused by name too.
 """
 
 import json
@@ -46,6 +53,7 @@ from opiniondyn import (
     PhiSpec,
     SignedGraph,
     SimulationError,
+    Trajectory,
     WeightSpec,
     bernoulli_convolution,
     classify,
@@ -257,6 +265,13 @@ ARRAY_CALLS = {
     ("cli", "x0"): ("x0", lambda v: cli._initial_state(v, 0)),
     ("cli", "family_check ratios"): ("family_check ratios", lambda v: cli._family_check(2, v)),
     ("cli", "d"): ("d", lambda v: cli._checked({"d": v}, 4, None, None, 1e-4)),
+    ("ConfidenceSpec", "lo"): ("lo", lambda v: ConfidenceSpec(lo=v, hi=0.3)),
+    ("ConfidenceSpec", "hi"): ("hi", lambda v: ConfidenceSpec(lo=None, hi=v)),
+    ("norm_ball", "d"): ("d", ConfidenceSpec.norm_ball),
+    ("per_agent", "d_per_agent"): ("d_per_agent", ConfidenceSpec.per_agent),
+    ("shifted", "eta"): ("eta", lambda v: ConfidenceSpec.shifted(0.3, v)),
+    ("Trajectory", "array"): ("trajectory array", lambda v: Trajectory(v, [0.0])),
+    ("Trajectory", "stamps"): ("stamps", lambda v: Trajectory(np.zeros((2, 1, 1)), v)),
 }
 
 # JSON has no complex numbers; a dict x0 is the CLI's {"uniform": [lo, hi, n]} form
@@ -269,11 +284,28 @@ NOT_A_CASE = {(("load_matrix", "file"), repr([1 + 2j])), (("cli", "x0"), repr({"
     if (case, repr(value)) not in NOT_A_CASE
 ])
 def test_an_array_argument_that_is_not_real_numbers_is_refused(case, value):
-    """A shared bound given as a dict, where the per-agent bound would be a
-    vector (DeffuantWeisbuch's d), meets the scalar rule's wording."""
+    """A list of bounds is read element by element, so its bad element meets
+    the scalar rule's wording, as does a shared bound given as a dict."""
     name, call = ARRAY_CALLS[case]
     with pytest.raises(ValueError, match=f"{re.escape(name)} must be "
                                          "(an array of real numbers|a real number), got"):
+        call(value)
+
+
+# the ARRAY_CALLS sites that take one number or a list of one per agent
+BOUND_SITES = (("ConfidenceSpec", "lo"), ("ConfidenceSpec", "hi"), ("norm_ball", "d"),
+               ("per_agent", "d_per_agent"), ("shifted", "eta"), ("DeffuantWeisbuch", "d"),
+               ("cli", "d"))
+NOT_VECTORS = {repr([]): "must be a nonempty list of real numbers, got []",
+               repr([0.3, True]): "must be a real number, got True"}
+
+
+@pytest.mark.parametrize("value", [[], [0.3, True]], ids=repr)
+@pytest.mark.parametrize("case", BOUND_SITES, ids="-".join)
+def test_an_empty_bound_list_or_a_bool_in_one_is_refused(case, value):
+    name, call = ARRAY_CALLS[case]
+    message = f"{name} {NOT_VECTORS[repr(value)]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 
 
@@ -295,6 +327,7 @@ ACCEPTED = [
     np.arange(6, dtype=np.uint8),
     np.arange(8.0)[::2],
     np.arange(4.0).astype(">f8"),
+    range(3),
     [],
 ]
 
@@ -322,3 +355,63 @@ def test_sites_read_exact_forms_with_the_bytes_of_their_floats(values):
     assert graph.weights.tobytes() == float_graph.weights.tobytes()
     assert (signed_laplacian_matrix(matrix).tobytes()
             == signed_laplacian_matrix(float_graph.weights).tobytes())
+
+
+def test_a_trajectory_keeps_float_arrays_as_they_are():
+    array, stamps = np.zeros((2, 3, 1)), np.arange(2.0)
+    traj = Trajectory(array, stamps)
+    assert traj.array is array and traj.stamps is stamps
+
+
+# positive per-agent forms: ints beyond 2^53 and beyond int64, Fractions,
+# float32 and numpy integers, mixed or as arrays, strided and byte-swapped
+# arrays, ranges and tuples
+BOUNDS = [
+    [1, 2, 3],
+    [2**60 + 1, 2**63, 3],
+    [2**64 + 1, 5],
+    [Fraction(1, 3), Fraction(2, 7)],
+    [Fraction(1, 3), 0.5, 2**70],
+    np.float32([0.1, 0.3]),
+    [np.int64(3), 0.5],
+    [np.float32(0.1), 0.2],
+    np.arange(1, 6, dtype=np.uint8),
+    np.arange(1.0, 9.0)[::2],
+    np.arange(1.0, 5.0).astype(">f8"),
+    range(1, 4),
+    (0.25, 0.5),
+]
+
+
+def _negated(values):
+    """The per-agent form of -values, of the same kind."""
+    if isinstance(values, range):
+        return range(-values.start, -values.stop, -values.step)
+    if isinstance(values, np.ndarray):
+        return -values.astype(np.int64) if values.dtype.kind == "u" else -values
+    return type(values)(-v for v in values)
+
+
+SHIFTED_D = 2.0**71  # above every shift in BOUNDS
+# BOUND_SITES -> (the floats the site stores or reads for the per-agent form
+# v, the same from the float cast of v)
+BOUND_READS = {
+    ("ConfidenceSpec", "lo"): (lambda v: ConfidenceSpec(lo=_negated(v), hi=0.3).lo, np.negative),
+    ("ConfidenceSpec", "hi"): (lambda v: ConfidenceSpec(lo=None, hi=v).hi, np.asarray),
+    ("norm_ball", "d"): (lambda v: ConfidenceSpec.norm_ball(v).hi, np.asarray),
+    ("per_agent", "d_per_agent"): (lambda v: ConfidenceSpec.per_agent(v).lo, np.negative),
+    ("shifted", "eta"): (lambda v: ConfidenceSpec.shifted(SHIFTED_D, v).lo,
+                         lambda floats: -SHIFTED_D + floats),
+    ("DeffuantWeisbuch", "d"): (lambda v: DeffuantWeisbuch(d=v, mu=0.5).d, np.asarray),
+    ("cli", "d"): (lambda v: cli._checked({"d": v}, 4, None, None, 1e-4)["gap"], np.min),
+}
+
+
+@pytest.mark.parametrize("values", BOUNDS, ids=repr)
+@pytest.mark.parametrize("case", BOUND_SITES, ids="-".join)
+def test_a_per_agent_bound_is_read_as_the_float_cast_reads_it(case, values):
+    """The bytes every earlier reader gave: a float per element for the
+    confidence bounds, the float cast for the pair dynamics' and the CLI's d."""
+    read, want = BOUND_READS[case]
+    expected = np.asarray(want(np.asarray(values, dtype=float)), dtype=float)
+    assert np.asarray(read(values), dtype=float).tobytes() == expected.tobytes()

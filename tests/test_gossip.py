@@ -805,7 +805,7 @@ class TestMoreGossipSurfaces:
         (lambda: DeffuantWeisbuch(d=0.3, mu=0.5, mode="both"),
          "mode must be 'symmetric' or 'asymmetric'"),
         (lambda: DeffuantWeisbuch(d=np.array([[0.3, 0.3]]), mu=0.5),
-         "confidence bounds must be a positive number or vector"),
+         r"^d must be a nonempty list of real numbers, got array\(\[\[0.3, 0.3\]\]\)$"),
     ], ids=["degroot-self-partner", "symmetric-self-partner", "gain-count", "prejudice-length",
             "prejudice-columns", "unit-mu", "nan-mu", "mode", "bounds-matrix"])
     def test_invalid_models_rejected(self, make, message):
