@@ -16,7 +16,7 @@ import numpy as np
 from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split
 from .gossip import make_rng
 from .net_graph import _component_labels, _tarjan_scc
-from .state import OpinionState, Trajectory, _count, _pairwise_sq, _real
+from .state import OpinionState, Trajectory, _count, _distances, _instance, _real
 
 __all__ = [
     "ClusterProfile",
@@ -34,8 +34,10 @@ class ClusterProfile:
 
     Each cluster is (representative value, member tuple) with the
     representative the mean of the members; ``min_separation`` is the
-    smallest distance between opinions in different clusters (inf for a
-    single cluster).
+    smallest Euclidean distance between opinions in different clusters (inf
+    for a single cluster), read off the distances that grouped them (the
+    ``state._distance_blocks`` kernel for vector opinions, the sorted gaps
+    for scalar ones), so it exceeds the clustering scale.
     """
 
     clusters: tuple
@@ -55,29 +57,25 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     sorted and split at gaps exceeding gap_tol; vector opinions are grouped
     into the connected components of the mask of pairs within gap_tol
     (Euclidean), found by the package's one component kernel. Raises
-    ValueError unless gap_tol is a positive real number (``state._real``)."""
+    ValueError unless x is an OpinionState and gap_tol is a positive real number."""
+    _instance("x", x, OpinionState)
     gap_tol = _real("gap_tol", gap_tol, "positive")
-    n = x.n
     min_sep = math.inf
     if x.m == 1:
         order, gaps, splits = sorted_split(x.flat, gap_tol)
         groups = [g.tolist() for g in np.split(order, splits + 1)]
         if splits.size:
-            # the closest opinions of different clusters meet at a split;
-            # the gap goes through the same norm as the vector path
-            min_sep = float(np.linalg.norm(gaps[splits].min(keepdims=True)))
+            # the closest opinions of different clusters meet at a split
+            min_sep = float(gaps[splits].min())
     else:
-        dist = np.sqrt(_pairwise_sq(x.values))
+        dist = _distances(x.values)
         groups = [list(c) for c in _tarjan_scc(dist <= gap_tol)]
-        label = _component_labels(groups, n)
-        rows = list(x.values)
-        for i, j in np.argwhere(label[:, None] < label[None, :]).tolist():
-            min_sep = min(min_sep, float(np.linalg.norm(rows[i] - rows[j])))
+        label = _component_labels(groups, x.n)
+        if len(groups) > 1:
+            min_sep = float(dist[label[:, None] != label[None, :]].min())
 
-    reps = []
-    for g in groups:
-        reps.append((x.values[g].mean(axis=0), tuple(sorted(g))))
-    return ClusterProfile(tuple(reps), min_sep)
+    reps = tuple((x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups)
+    return ClusterProfile(reps, min_sep)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ energy are included.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +18,8 @@ import numpy as np
 
 from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
-from .state import _array, _bound, _count, _frozen, _pairwise_sq, _real, _reals, _unit_weights
+from .state import _BLOCK, _NORMS, _array, _bound, _count, _distance_blocks, _distances, _frozen
+from .state import _instance, _real, _reals, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -36,9 +36,6 @@ __all__ = [
     "heterophily_phi",
     "reputation_phi",
 ]
-
-_NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
-
 
 @dataclass(frozen=True)
 class ConfidenceSpec:
@@ -65,8 +62,8 @@ class ConfidenceSpec:
     norm: str = "euclidean"
 
     def __post_init__(self):
-        if self.norm not in _NORM_ORDS:
-            raise ValueError(f"norm must be one of {sorted(_NORM_ORDS)}")
+        if self.norm not in _NORMS:
+            raise ValueError(f"norm must be one of {sorted(_NORMS)}")
         lo = None if self.lo is None else _bound("lo", self.lo)  # a norm ball has no lo
         hi = _bound("hi", self.hi)
         # "not > 0" rather than "<= 0", so that a NaN bound is rejected too
@@ -123,15 +120,6 @@ def _per_agent(bound, n: int):
     return np.asarray(bound)
 
 
-def _rows(bound, rows: slice):
-    """The part of a ``_per_agent`` bound that applies to a block of rows,
-    as a column."""
-    return bound if isinstance(bound, float) else bound[rows, None]
-
-
-# Rows per pass of the trust test and the settled-row test: their float and
-# bool temporaries are _BLOCK x n (x m), small enough to stay in cache.
-_BLOCK = 32
 # Mask entries per float block of the scalar trust-set sums and of the
 # signed-zero maximum in _mean (1 MiB of float64).
 _PRODUCT_ENTRIES = 2**17
@@ -153,57 +141,30 @@ def _product_blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
-# Largest |difference| whose Euclidean norm np.linalg.norm takes as it is:
-# its square neither overflows nor falls below the normal floats.
-_SQUARE_SAFE = 1e150
-# Distinct floats of magnitude 1e-130 or more are 1e-146 or more apart, so
-# only a nonzero opinion below it has a difference below 1 / _SQUARE_SAFE.
-_SPACED = 1e-130
-
-
-def _rescale(diff: np.ndarray, distance: np.ndarray) -> None:
-    """Recompute in place, as s * ||diff / s||, each Euclidean ``distance``
-    whose largest |difference| s is finite and nonzero but outside
-    [1/_SQUARE_SAFE, _SQUARE_SAFE], where the squares np.linalg.norm sums
-    overflow or underflow. The other entries keep their bits."""
-    scale = np.abs(diff[..., 0])
-    for k in range(1, diff.shape[-1]):
-        np.maximum(scale, np.abs(diff[..., k]), out=scale)
-    redo = (scale > 0) & (scale < 1 / _SQUARE_SAFE) | (scale > _SQUARE_SAFE) & (scale < np.inf)
-    if redo.any():
-        s = scale[redo]
-        distance[redo] = s * np.linalg.norm(diff[redo] / s[:, None], axis=1)
+def _ball(x: OpinionState, spec: ConfidenceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A norm ball's ``trust_matrix`` and its settled rows, those whose trusted
+    distances are all 0: with the kernel's rescale, their opinions are equal."""
+    n = x.n
+    inside = np.less_equal if spec.closed else np.less
+    mask, settled = np.empty((n, n), dtype=bool), np.empty(n, dtype=bool)
+    hi = np.empty((n, 1))
+    hi[:, 0] = _per_agent(spec.hi, n)  # the radii as a column
+    for rows, distance in _distance_blocks(x.values, spec.norm):
+        inside(distance, hi[rows], out=mask[rows])
+        settled[rows] = ~(mask[rows] & (distance != 0)).any(axis=1)
+    return mask, settled
 
 
 def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     """Boolean (n, n) norm-ball trust mask: entry (i, j) True iff agent i
     trusts agent j, ||x_j - x_i|| <= hi_i (``<`` for open balls).
 
-    Row i is agent i's trust set; the diagonal is always True. The mask is
-    filled ``_BLOCK`` rows at a time, so besides the mask itself the
-    temporaries (the differences x_i - x_j and their norms) are
-    O(_BLOCK * n * m). A Euclidean distance whose squares would overflow or
-    underflow is ``_rescale``d, where the spread or the smallest nonzero
-    magnitude of the opinions shows that one can, and a difference or a
-    distance that overflows counts as an infinity, without a warning.
-    Interval specs use the ``_windows`` of the sorted opinions instead.
+    Row i is agent i's trust set; the diagonal, at distance 0, is True. The
+    distances are ``state._distance_blocks``, with O(_BLOCK * n)
+    temporaries besides the mask. Interval specs use the ``_windows`` of
+    the sorted opinions instead.
     """
-    n, values = x.n, x.values
-    hi, order = _per_agent(spec.hi, n), _NORM_ORDS[spec.norm]
-    inside = np.less_equal if spec.closed else np.less
-    mask = np.empty((n, n), dtype=bool)
-    with np.errstate(over="ignore"):
-        rescale = order == 2 and (np.ptp(values, axis=0).max() > _SQUARE_SAFE
-                                  or np.any((values != 0) & (np.abs(values) < _SPACED)))
-        for start in range(0, n, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            diff = values[rows, None, :] - values[None, :, :]
-            distance = np.linalg.norm(diff, ord=order, axis=2)
-            if rescale:
-                _rescale(diff, distance)
-            inside(distance, _rows(hi, rows), out=mask[rows])
-    np.fill_diagonal(mask, True)
-    return mask
+    return _ball(x, spec)[0]
 
 
 def _window_ends(s: np.ndarray, v: np.ndarray, bound, strict: bool) -> np.ndarray:
@@ -250,22 +211,6 @@ def _windows(x: OpinionState, spec: ConfidenceSpec):
         first = _window_ends(s, v, lo, spec.closed)
         stop = _window_ends(s, v, hi, not spec.closed)
     return s[first], s[stop - 1], stop - first
-
-
-def _settled(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Rows of ``mask`` whose trusted opinions all equal their own in every
-    dimension, ``_BLOCK`` rows at a time with bool temporaries of
-    O(_BLOCK * n)."""
-    n, m = values.shape
-    settled = np.empty(n, dtype=bool)
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        differs = values[None, :, 0] != values[rows, None, 0]
-        for k in range(1, m):
-            differs |= values[None, :, k] != values[rows, None, k]
-        differs &= mask[rows]
-        settled[rows] = ~differs.any(axis=1)
-    return settled
 
 
 def _mean(values: np.ndarray, trusted: Callable, counts: np.ndarray,
@@ -333,16 +278,13 @@ def _trust_means(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
     built from the ``_windows`` value bounds: the same 0/1 operand as the
     dense gap test, so the same bits, with the counts and the settled rows
     read off the windows. A norm ball builds its ``trust_matrix`` and
-    counts and tests it row by row.
+    counts it row by row, with its settled rows.
     """
-    if not isinstance(x, OpinionState):
-        raise ValueError(f"x must be an OpinionState, got {reprlib.repr(x)}")
-    if not isinstance(spec, ConfidenceSpec):
-        raise ValueError(f"spec must be a ConfidenceSpec, got {reprlib.repr(spec)}")
-    values = x.values
+    values = _instance("x", x, OpinionState).values
+    _instance("spec", spec, ConfidenceSpec)
     if spec.lo is None:
-        mask = trust_matrix(x, spec)
-        return _mean(values, mask.__getitem__, mask.sum(axis=1), _settled(values, mask))
+        mask, settled = _ball(x, spec)
+        return _mean(values, mask.__getitem__, mask.sum(axis=1), settled)
     low, high, counts = _windows(x, spec)
     v = x.flat
 
@@ -454,7 +396,7 @@ def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
     negative or not finite."""
     if phi.n not in (None, x.n):
         raise ValueError("reputation count must match the agent count")
-    sq = _pairwise_sq(x.values)
+    sq = _distances(x.values, "squared")
     w = np.array(phi.phi(sq), dtype=float)
     if phi.reputations is not None:  # a zero weight stays 0, also for w_j = inf
         np.multiply(w, phi.reputations, out=w, where=w != 0)
@@ -468,7 +410,7 @@ def phi_step(x: OpinionState, spec: PhiSpec) -> OpinionState:
     """Weighted-averaging step x_i' = sum_j phi_ij x_j / sum_j phi_ij with
     phi_ij from ``spec`` evaluated at the squared pairwise distance. With
     indicator weights this coincides with the plain bounded-confidence step."""
-    w = _phi_weights(x, spec)
+    w = _phi_weights(_instance("x", x, OpinionState), _instance("spec", spec, PhiSpec))
     denom = w.sum(axis=1)
     if np.any(denom <= 0):
         raise ValueError("a row of interaction weights summed to zero")
@@ -497,12 +439,10 @@ def simulate_bc(
         raise ValueError(f"stepper must be callable, got {stepper!r}")
     max_steps = _count("max_steps", max_steps, 1)
     stop_tol = _real("stop_tol", stop_tol, "nonnegative")
-    if not isinstance(x0, OpinionState):
-        raise ValueError(f"x0 must be an OpinionState, got {reprlib.repr(x0)}")
-    states = [x0.values]
+    states = [_instance("x0", x0, OpinionState).values]
     x = x0
     for k in range(max_steps + 1):
-        x_next = stepper(x)
+        x_next = _instance("stepper result", stepper(x), OpinionState)
         if np.all(np.abs(x_next.values - x.values) <= stop_tol):
             states.append(x_next.values)
             return Trajectory(
@@ -520,7 +460,7 @@ def hk_energy(x: OpinionState, d: float) -> float:
     """Quadratic interaction energy sum_{i,j} min(|x_i - x_j|^2, d^2) over
     all ordered pairs; zero exactly at consensus, bounded by d^2 n (n-1)."""
     d = _real("confidence bound", d, "positive")
-    sq = _pairwise_sq(x.values)
+    sq = _distances(_instance("x", x, OpinionState).values, "squared")
     return float(np.minimum(sq, d * d).sum())
 
 

@@ -76,10 +76,71 @@ def _real(name: str, value, sign=None) -> float:
     return real
 
 
-def _pairwise_sq(values: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of an (n, m) array."""
-    diff = values[:, None, :] - values[None, :, :]
-    return (diff**2).sum(-1)
+def _instance(name: str, value, cls: type):
+    """value as it is if it is a ``cls``; ValueError naming it otherwise."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {reprlib.repr(value)}")
+    return value
+
+
+_NORMS = ("euclidean", "max", "sum")
+# Rows per block of the pairwise distances: temporaries of _BLOCK x n floats.
+_BLOCK = 32
+# Largest |difference| whose square neither overflows nor underflows.
+_SQUARE_SAFE = 1e150
+# Distinct floats of magnitude 1e-130 or more are 1e-146 or more apart, so
+# only a nonzero opinion below it has a difference below 1 / _SQUARE_SAFE.
+_SPACED = 1e-130
+
+
+def _fold(columns, norm: str) -> np.ndarray:
+    """The norm of differences given one fresh array per column, in column
+    order: squares added, then np.sqrt for "euclidean" but not "squared";
+    np.maximum of abs for "max"; abs added for "sum"."""
+    each = np.abs if norm in ("max", "sum") else np.square
+    join = np.maximum if norm == "max" else np.add
+    total = None
+    for d in columns:
+        each(d, out=d)
+        total = d if total is None else join(total, d, out=total)
+    return np.sqrt(total, out=total) if norm == "euclidean" else total
+
+
+def _distance_blocks(values: np.ndarray, norm: str = "euclidean"):
+    """The one kernel of every pairwise distance: yields (rows, block) for
+    each ``_BLOCK`` rows of an (n, m) array, block the (rows, n) distances
+    of those rows to every row under the "euclidean", "max" or "sum" norm,
+    or the squared Euclidean distances for "squared".
+
+    ``_fold`` goes over the m columns in order: the bits of np.linalg.norm
+    for m <= 7 (numpy's pairwise sum reorders from m = 8 on). A Euclidean
+    distance whose largest |difference| s is finite and nonzero but outside
+    [1/_SQUARE_SAFE, _SQUARE_SAFE], where its squares overflow or underflow,
+    is s * ||diff / s||, where the spread or the smallest nonzero magnitude
+    of the values shows that one can. An overflow is an infinity, without a
+    warning.
+    """
+    m = values.shape[1]
+    with np.errstate(over="ignore"):
+        rescale = norm == "euclidean" and (np.ptp(values, axis=0).max() > _SQUARE_SAFE
+                                           or np.any((values != 0) & (np.abs(values) < _SPACED)))
+    for start in range(0, values.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        with np.errstate(over="ignore"):
+            block = _fold((values[rows, k, None] - values[:, k] for k in range(m)), norm)
+            if rescale:
+                scale = _fold((values[rows, k, None] - values[:, k] for k in range(m)), "max")
+                i, j = np.nonzero((scale > 0) & (scale < 1 / _SQUARE_SAFE)
+                                  | (scale > _SQUARE_SAFE) & (scale < np.inf))
+                diff, s = values[i + start] - values[j], scale[i, j]
+                block[i, j] = s * _fold((diff[:, k] / s for k in range(m)), "euclidean")
+        yield rows, block
+
+
+def _distances(values: np.ndarray, norm: str = "euclidean") -> np.ndarray:
+    """The (n, n) distances of ``_distance_blocks``."""
+    return np.concatenate([block for _, block in _distance_blocks(values, norm)])
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -185,8 +246,8 @@ class OpinionState:
         return self.values[:, 0]
 
     def diameter(self) -> float:
-        """Largest pairwise Euclidean distance between agents."""
-        return float(np.sqrt(_pairwise_sq(self.values)).max())
+        """Largest pairwise Euclidean distance, the largest ``_distance_blocks`` entry."""
+        return max(float(block.max()) for _, block in _distance_blocks(self.values))
 
 
 # records converted to Python objects at a time when iterating events

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opiniondyn import analysis
 from opiniondyn import (
@@ -20,7 +20,8 @@ from opiniondyn import (
 
 def reference_scalar_clusters(x, gap_tol):
     """The pairwise scalar clustering the O(n) split replaced: the oracle
-    of the groups and of min_separation."""
+    of the groups and of min_separation, the distance |x_i - x_j| of a
+    scalar pair."""
     v = x.flat
     order = np.argsort(v, kind="stable")
     groups = []
@@ -36,14 +37,15 @@ def reference_scalar_clusters(x, gap_tol):
         for b in range(a + 1, len(groups)):
             for i in groups[a]:
                 for j in groups[b]:
-                    min_sep = min(min_sep, float(np.linalg.norm(x.values[i] - x.values[j])))
+                    min_sep = min(min_sep, abs(float(x.values[i, 0]) - float(x.values[j, 0])))
     reps = [(x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups]
     return reps, min_sep
 
 
 def reference_vector_clusters(x, gap_tol):
     """The union-find over pairs and the quadruple min_separation loop that
-    the component kernel replaced on vector opinions, verbatim."""
+    the component kernel replaced on vector opinions, each pair's distance
+    the root of its squares summed in column order."""
     n = x.n
     min_sep = math.inf
     parent = list(range(n))
@@ -70,7 +72,10 @@ def reference_vector_clusters(x, gap_tol):
         for b in range(a + 1, len(groups)):
             for i in groups[a]:
                 for j in groups[b]:
-                    min_sep = min(min_sep, float(np.linalg.norm(x.values[i] - x.values[j])))
+                    total = 0.0  # in column order (sum() compensates from Python 3.12)
+                    for d in (x.values[i] - x.values[j]).tolist():
+                        total += d * d
+                    min_sep = min(min_sep, math.sqrt(total))
     reps = [(x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups]
     return reps, min_sep
 
@@ -84,6 +89,7 @@ def assert_matches_reference(x, gap_tol):
         assert value.tobytes() == ref_value.tobytes()
     assert type(profile.min_separation) is float
     assert profile.min_separation == min_sep
+    return profile
 
 
 # a small value pool makes ties and exact-gap splits likely
@@ -116,8 +122,12 @@ VECTOR_OPINIONS = st.integers(2, 3).flatmap(
 class TestClusters:
     @settings(max_examples=400, deadline=None)
     @given(values=VECTOR_OPINIONS, gap_tol=st.sampled_from([1e-12, 0.25, 0.5, 1.0, 1e300]))
+    # grouped apart, yet BLAS dot put the two points exactly gap_tol apart
+    @example(values=[[0.36511016824482856, 0.10549527957022953],
+                     [0.6291081515397092, 0.9271545530678674]], gap_tol=0.8630289085010016)
     def test_vector_components_match_union_find_reference(self, values, gap_tol):
-        assert_matches_reference(OpinionState(values), gap_tol)
+        profile = assert_matches_reference(OpinionState(values), gap_tol)
+        assert profile.count == 1 or profile.min_separation > gap_tol
 
     @pytest.mark.parametrize(
         "values, gap_tol",
@@ -212,6 +222,29 @@ class TestClusters:
         pts = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
         with pytest.raises(ValueError, match="gap_tol must be positive"):
             clusters(OpinionState(pts), gap_tol=gap_tol)
+
+
+class TestExtremeScales:
+    """diameter, clusters and the norm-ball step read the same distances,
+    also where their squares overflow or underflow, without a warning."""
+
+    def test_points_1e200_apart(self):
+        x = OpinionState([[0.0, 0.0], [1e200, 0.0]])
+        assert x.diameter() == 1e200
+        assert clusters(x, 1e300).count == 1
+        merged = hk_step(x, ConfidenceSpec.norm_ball(1e300)).values
+        assert merged[0].tolist() == merged[1].tolist()
+
+    def test_points_1e_200_apart(self):
+        y = OpinionState([[0.0, 0.0], [1e-200, 0.0]])
+        assert y.diameter() == 1e-200
+        assert clusters(y, 1e-250).count == 2
+        apart = hk_step(y, ConfidenceSpec.norm_ball(1e-250)).values
+        assert apart.tolist() == y.values.tolist()
+
+    @pytest.mark.parametrize("values, gap_tol", [([0.0, 1e200], 1.0), ([0.0, 1e-200], 1e-250)])
+    def test_scalar_separation_is_the_gap(self, values, gap_tol):
+        assert clusters(OpinionState(values), gap_tol).min_separation == values[1]
 
 
 def scalar_run(states):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from opiniondyn import (
     ConfidenceSpec,
+    clusters,
     MaxStepsError,
     OpinionState,
     d_chain_partition,
@@ -26,8 +27,20 @@ from opiniondyn import (
     truth_step,
 )
 from opiniondyn import bounded_confidence as bc
+from opiniondyn import state
 from opiniondyn.bounded_confidence import PhiSpec
 from opiniondyn.presets import TETRA_X0
+
+
+# np.linalg.norm's ord of each norm-ball norm
+NORM_ORDS = {"euclidean": 2, "max": np.inf, "sum": 1}
+
+
+def pairwise_sq(values):
+    """Squared Euclidean distances between the rows of an (n, m) array, over
+    the whole (n, n, m) difference array."""
+    diff = values[:, None, :] - values[None, :, :]
+    return (diff**2).sum(-1)
 
 
 def run_hk(x0, d, max_steps=None, closed=True):
@@ -187,7 +200,7 @@ class TestPhiStep:
         rng = np.random.default_rng(4)
         for m in (1, 2):
             x = OpinionState(rng.uniform(0, 1, size=(9, m)))
-            sq = bc._pairwise_sq(x.values)
+            sq = pairwise_sq(x.values)
             w = np.array([[scalar(s) for s in row] for row in sq])
             want = (w @ x.values) / w.sum(axis=1)[:, None]
             assert phi_step(x, phi).values.tobytes() == want.tobytes()
@@ -277,7 +290,7 @@ def oracle_reputation_phi(w, d):
 
 
 def oracle_phi_step(x, table):
-    sq = bc._pairwise_sq(x.values)
+    sq = pairwise_sq(x.values)
     n = x.n
     w = np.empty((n, n))
     for i in range(n):
@@ -466,6 +479,23 @@ class TestSimulateBc:
                         stop_tol=stop_tol)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: phi_step(None, hk_indicator_phi(0.3)), "x must be an OpinionState, got None"),
+    (lambda: phi_step(OpinionState([0.0, 1.0]), None), "spec must be a PhiSpec, got None"),
+    (lambda: phi_step(OpinionState([0.0, 1.0]), ConfidenceSpec.symmetric(0.3)),
+     "spec must be a PhiSpec, got Confidence"),
+    (lambda: hk_energy(None, 0.3), "x must be an OpinionState, got None"),
+    (lambda: clusters(None, 0.1), "x must be an OpinionState, got None"),
+    (lambda: simulate_bc(lambda s: s.values, OpinionState([0.0, 1.0]), 5),
+     "stepper result must be an OpinionState, got array("),
+], ids=["phi-x", "phi-spec-none", "phi-spec-ball", "energy-x", "clusters-x", "stepper-result"])
+def test_an_object_argument_of_another_type_is_refused_by_name(call, message):
+    # a ValueError, not the AttributeError of a missing field
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 class TestEnergies:
     def test_consensus_energy_zero(self):
         assert hk_energy(OpinionState([0.3, 0.3, 0.3]), d=0.2) == 0.0
@@ -499,7 +529,7 @@ class TestEnergies:
         phi = PhiSpec(phi=lambda s: np.exp(-s))
 
         def energy(x):
-            return float((1.0 - np.exp(-bc._pairwise_sq(x.values))).sum())
+            return float((1.0 - np.exp(-pairwise_sq(x.values))).sum())
 
         rng = np.random.default_rng(12)
         x = OpinionState(rng.uniform(0, 1, size=6))
@@ -605,7 +635,7 @@ def dense_trust_matrix(x, spec):
     if spec.lo is None:
         hi = column(spec.hi)
         diff = x.values[:, None, :] - x.values[None, :, :]
-        dist = np.linalg.norm(diff, ord=bc._NORM_ORDS[spec.norm], axis=2)
+        dist = np.linalg.norm(diff, ord=NORM_ORDS[spec.norm], axis=2)
         scale = np.abs(diff).max(axis=2)
         redo = (scale > 0) & (scale < np.inf) & ((scale < 1e-150) | (scale > 1e150))
         if spec.norm == "euclidean" and redo.any():
@@ -858,6 +888,44 @@ class TestBlockedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * n
+
+
+class TestDistanceKernel:
+    """``state._distance_blocks``, the one kernel of every pairwise distance,
+    against the dense (n, n, m) difference array and its norms."""
+
+    @pytest.mark.parametrize("norm", ["euclidean", "max", "sum", "squared"])
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("kind", ["random", "tied", "signed-zero"])
+    def test_bits_of_the_dense_norms(self, kind, m, norm):
+        rng = np.random.default_rng(m)
+        n = 70  # two full blocks of 32 rows and a partial one
+        if kind == "random":
+            values = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, m))
+        elif kind == "tied":
+            values = rng.choice([0.1, 0.25, 1.0, 3.0], size=(n, m))
+        else:
+            values = rng.choice([0.0, -0.0, 0.5, -0.5], size=(n, m))
+        if norm == "squared":
+            want = pairwise_sq(values)
+        else:
+            diff = values[:, None, :] - values[None, :, :]
+            want = np.linalg.norm(diff, ord=NORM_ORDS[norm], axis=-1)
+        assert [rows for rows, _ in state._distance_blocks(values, norm)] == [
+            slice(0, 32), slice(32, 64), slice(64, 96)]
+        assert state._distances(values, norm).tobytes() == want.tobytes()
+
+    def test_diameter_peak_memory(self):
+        # the whole (n, n, m) difference array peaked at 53.4 MiB
+        x = OpinionState(np.random.default_rng(5).uniform(0.0, 1.0, size=(1000, 3)))
+        tracemalloc.start()
+        try:
+            diameter = x.diameter()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diameter == np.sqrt(pairwise_sq(x.values)).max()
+        assert peak < 2_000_000
 
 
 class TestWindowEnds:

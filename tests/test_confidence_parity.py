@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from opiniondyn import bounded_confidence as bc
 from opiniondyn import ConfidenceSpec, OpinionState, hk_step, inertial_step, truth_step
-from test_bounded_confidence import dense_steps, window_mask
+from test_bounded_confidence import NORM_ORDS, dense_steps, window_mask
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def reference_trust_matrix(x: OpinionState, spec: ReferenceSpec) -> np.ndarray:
     n = x.n
     if spec.variant == "norm_ball":
         diff = x.values[:, None, :] - x.values[None, :, :]
-        dist = np.linalg.norm(diff, ord=bc._NORM_ORDS[spec.norm], axis=2)
+        dist = np.linalg.norm(diff, ord=NORM_ORDS[spec.norm], axis=2)
         radius = (
             np.full(n, spec.d) if spec.d_per_agent is None else np.asarray(spec.d_per_agent)
         )
