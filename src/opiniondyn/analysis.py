@@ -100,11 +100,15 @@ def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -
     (nearly) zero are polarization; anything else reports the cluster
     count. The clustering scale defaults to 1e-4 times the initial
     diameter (bounded-confidence callers should pass their own bound).
-    Raises ValueError unless tol is a nonnegative real number.
+    The polarization test's norms ||v1 + v2|| and ||v1|| are the
+    ``state._distances`` from v1 to -v2 and to the origin, and an
+    overflowing difference is an infinity, without a warning. Raises
+    ValueError unless trajectory is a Trajectory and tol is nonnegative.
     """
     tol = _real("tol", tol, "nonnegative")
-    if len(trajectory) >= 2:
-        step = np.abs(trajectory.array[-1] - trajectory.array[-2]).max()
+    if len(_instance("trajectory", trajectory, Trajectory)) >= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = np.abs(trajectory.array[-1] - trajectory.array[-2]).max()
         if step > tol and trajectory.terminated_at is None:
             return OutcomeLabel(kind="not_converged")
     final = trajectory.final
@@ -116,7 +120,8 @@ def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -
     profile = clusters(final, gap_tol)
     if profile.count == 2:
         (v1, m1), (v2, m2) = profile.clusters
-        if np.linalg.norm(v1 + v2) < tol * (1.0 + np.linalg.norm(v1)):
+        _, sum_norm, v1_norm = _distances(np.array([v1, -v2, np.zeros_like(v1)]))[0].tolist()
+        if sum_norm < tol * (1.0 + v1_norm):
             return OutcomeLabel(kind="polarization", count=2, camps=(m1, m2))
     return OutcomeLabel(kind="clusters", count=profile.count)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
 from .state import _BLOCK, _NORMS, _array, _bound, _count, _distance_blocks, _distances, _frozen
-from .state import _instance, _real, _reals, _unit_weights
+from .state import _agents, _instance, _real, _reals, _unit_weights
 
 __all__ = [
     "ConfidenceSpec",
@@ -52,8 +52,8 @@ class ConfidenceSpec:
     acts on vector opinions: agent i trusts agent j iff
     ||x_j - x_i|| <= hi_i under the Euclidean, max, or sum ``norm``
     (Euclidean by default). ``closed`` selects non-strict (<=) versus strict
-    (<) boundary membership; non-strict is the default. A per-agent tuple
-    must match the agent count of the state it is applied to.
+    (<) boundary membership; non-strict is the default. ``n``, a per-agent
+    tuple's length (None for shared bounds), must match the state's.
     """
 
     lo: float | tuple | None
@@ -78,6 +78,11 @@ class ConfidenceSpec:
     def variant(self) -> str:
         """``"interval"`` for a scalar trust window, ``"norm_ball"`` otherwise."""
         return "interval" if self.lo is not None else "norm_ball"
+
+    @property
+    def n(self) -> int | None:
+        """The agent count of per-agent bounds; None for shared ones."""
+        return next((len(b) for b in (self.lo, self.hi) if isinstance(b, tuple)), None)
 
     @classmethod
     def symmetric(cls, d: float, closed: bool = True) -> "ConfidenceSpec":
@@ -111,15 +116,6 @@ class ConfidenceSpec:
         return cls(lo=None, hi=_bound("d", d), closed=closed, norm=norm)
 
 
-def _per_agent(bound, n: int):
-    """A shared offset as is, per-agent offsets as an (n,) array."""
-    if isinstance(bound, float):
-        return bound
-    if len(bound) != n:
-        raise ValueError("per-agent bounds must match the agent count")
-    return np.asarray(bound)
-
-
 # Mask entries per float block of the scalar trust-set sums and of the
 # signed-zero maximum in _mean (1 MiB of float64).
 _PRODUCT_ENTRIES = 2**17
@@ -145,10 +141,11 @@ def _ball(x: OpinionState, spec: ConfidenceSpec) -> tuple[np.ndarray, np.ndarray
     """A norm ball's ``trust_matrix`` and its settled rows, those whose trusted
     distances are all 0: with the kernel's rescale, their opinions are equal."""
     n = x.n
+    _agents("spec", spec.n, n)
     inside = np.less_equal if spec.closed else np.less
     mask, settled = np.empty((n, n), dtype=bool), np.empty(n, dtype=bool)
     hi = np.empty((n, 1))
-    hi[:, 0] = _per_agent(spec.hi, n)  # the radii as a column
+    hi[:, 0] = spec.hi  # the radii as a column
     for rows, distance in _distance_blocks(x.values, spec.norm):
         inside(distance, hi[rows], out=mask[rows])
         settled[rows] = ~(mask[rows] & (distance != 0)).any(axis=1)
@@ -204,12 +201,12 @@ def _windows(x: OpinionState, spec: ConfidenceSpec):
     """
     if x.m != 1:
         raise ValueError("interval confidence variants require scalar opinions")
-    n, v = x.n, x.flat
-    lo, hi = _per_agent(spec.lo, n), _per_agent(spec.hi, n)
+    _agents("spec", spec.n, x.n)
+    v = x.flat
     s = np.sort(v)
     with np.errstate(over="ignore"):  # an overflowing guess or gap is in order as an infinity
-        first = _window_ends(s, v, lo, spec.closed)
-        stop = _window_ends(s, v, hi, not spec.closed)
+        first = _window_ends(s, v, np.asarray(spec.lo), spec.closed)
+        stop = _window_ends(s, v, np.asarray(spec.hi), not spec.closed)
     return s[first], s[stop - 1], stop - first
 
 
@@ -394,8 +391,7 @@ def reputation_phi(w, d: float) -> PhiSpec:
 def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
     """The n x n weights; ValueError at the row-major first weight that is
     negative or not finite."""
-    if phi.n not in (None, x.n):
-        raise ValueError("reputation count must match the agent count")
+    _agents("reputations", phi.n, x.n)
     sq = _distances(x.values, "squared")
     w = np.array(phi.phi(sq), dtype=float)
     if phi.reputations is not None:  # a zero weight stays 0, also for w_j = inf
@@ -432,8 +428,10 @@ def simulate_bc(
     state's step index; the confirming successor is recorded too, so the
     returned trajectory is self-contained evidence of the fixed point.
     Raises MaxStepsError carrying the partial trajectory when the budget
-    runs out first, and ValueError unless stepper is callable and stop_tol
-    is a nonnegative real number (``state._real``).
+    runs out first, and ValueError unless stepper is callable, stop_tol
+    is a nonnegative real number (``state._real``) and every stepper result
+    is an OpinionState of x0's agents and dimensions. A change that
+    overflows counts as an infinity, without a warning.
     """
     if not callable(stepper):
         raise ValueError(f"stepper must be callable, got {stepper!r}")
@@ -443,7 +441,12 @@ def simulate_bc(
     x = x0
     for k in range(max_steps + 1):
         x_next = _instance("stepper result", stepper(x), OpinionState)
-        if np.all(np.abs(x_next.values - x.values) <= stop_tol):
+        if x_next.values.shape != x.values.shape:
+            _agents("stepper result", x_next.n, x.n)
+            raise ValueError(f"stepper result has {x_next.m} dimensions, not {x.m}")
+        with np.errstate(over="ignore"):
+            settled = np.all(np.abs(x_next.values - x.values) <= stop_tol)
+        if settled:
             states.append(x_next.values)
             return Trajectory(
                 np.stack(states), np.arange(len(states), dtype=float), terminated_at=k
@@ -481,7 +484,8 @@ def sorted_split(v: np.ndarray, tol: float):
     sorted values, and the gap positions that exceed tol: the runs split
     there are ``np.split(order, splits + 1)``."""
     order = np.argsort(v, kind="stable")
-    gaps = np.diff(v[order])
+    with np.errstate(over="ignore"):  # an overflowing gap is an infinity
+        gaps = np.diff(v[order])
     return order, gaps, np.flatnonzero(gaps > tol)
 
 
@@ -494,6 +498,7 @@ def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     order, _, splits = sorted_split(v, d)
     sorted_v = v[order]
     cuts = np.concatenate(([0], splits + 1, [x.n]))
-    diameters = sorted_v[cuts[1:] - 1] - sorted_v[cuts[:-1]]
+    with np.errstate(over="ignore"):  # an overflowing diameter is an infinity
+        diameters = sorted_v[cuts[1:] - 1] - sorted_v[cuts[:-1]]
     chains = tuple(tuple(c.tolist()) for c in np.split(order, splits + 1))
     return DChainPartition(chains, tuple(diameters.tolist()))

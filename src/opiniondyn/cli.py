@@ -26,7 +26,7 @@ from . import presets as pr
 from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
 from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _array, _count
-from .state import _bound, _real
+from .state import _agents, _bound, _real
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
 # Keys every config may carry, given to a run function that names them.
@@ -73,11 +73,11 @@ def _family_check(n: int, ratios, tol=1e-6) -> tuple:
     from its best multiple of ``ratios``. ValueError when there is no finite
     such multiple, or for a NaN or negative tol."""
     ratios = _array("family_check ratios", ratios, finite=True)
+    if ratios.ndim != 1:
+        raise ValueError(f"family_check ratios must be a vector, got shape {ratios.shape}")
     if float(ratios @ ratios) == 0.0:
         raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
-    if ratios.shape != (n,):
-        raise ValueError(f"family_check needs one ratio per agent, got {ratios.tolist()} "
-                         f"for {n} agents")
+    _agents("family_check ratios", len(ratios), n)
     return ratios, _real("family_check tol", tol, "nonnegative")
 
 

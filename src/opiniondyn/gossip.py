@@ -37,7 +37,8 @@ from math import inf
 import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
-from .state import Events, OpinionState, Trajectory, _array, _bound, _count, _frozen, _real
+from .state import Events, OpinionState, Trajectory, _agents, _array, _bound, _count, _frozen
+from .state import _instance, _real
 
 __all__ = [
     "make_rng",
@@ -112,8 +113,9 @@ class DegrootGossip(_RowPartners):
     def __post_init__(self):
         super().__post_init__()
         g = _array("gains", self.gains)
-        if g.shape != (self.n,):
-            raise ValueError("one gain per agent required")
+        if g.ndim != 1:
+            raise ValueError(f"gains must be a vector, got shape {g.shape}")
+        _agents("gains", len(g), self.n)
         if not np.all((g > 0) & (g < 1)):
             raise ValueError("gains must lie strictly inside (0, 1)")
         object.__setattr__(self, "gains", _frozen(g))
@@ -310,7 +312,7 @@ def _draw_pairs(rng, n: int, count: int):
 
 def _check_run(model, x0: OpinionState, steps, thin) -> tuple:
     """The run's (steps, thin) as ints, once the run is checked."""
-    if x0.m != 1:
+    if _instance("x0", x0, OpinionState).m != 1:
         raise ValueError("gossip models act on scalar opinions")
     steps, thin = _count("steps", steps, 1), _count("thin", thin, 1)
     if not isinstance(model, _MODELS):
@@ -318,8 +320,7 @@ def _check_run(model, x0: OpinionState, steps, thin) -> tuple:
     n = x0.n
     if isinstance(model, DeffuantWeisbuch) and n < 2:
         raise ValueError(f"pair dynamics needs at least two agents, got {n}")
-    if model.n not in (None, n):
-        raise ValueError("model size must match the state")
+    _agents("model", model.n, n)
     return steps, thin
 
 
@@ -545,7 +546,7 @@ def cesaro(trajectory: Trajectory) -> np.ndarray:
     elementwise recurrence over whole states. An empty trajectory gives an
     empty (0, n, m) array.
     """
-    arr = trajectory.array
+    arr = _instance("trajectory", trajectory, Trajectory).array
     out = np.empty_like(arr)
     if not len(arr):
         return out

@@ -26,9 +26,11 @@ from .state import (
     OpinionState,
     Trajectory,
     UnstableError,
+    _agents,
     _array,
     _count,
     _frozen,
+    _instance,
     _real,
     _unit_weights,
     as_state_array,
@@ -192,12 +194,15 @@ class WeightSpec:
         return self.matrix is not None
 
     def matrix_at(self, t: float, x: np.ndarray | None = None) -> np.ndarray:
-        """Active coupling matrix at time/step t (state x for rule providers)."""
+        """Active coupling matrix at time/step t (state x for rule providers);
+        a rule's matrix is validated and matched to the agent count ``n``."""
         for until, mat in self._segments:
             if t < until:
                 return mat
         if self.rule is not None:
-            return self._validated(self.rule(t, x))
+            w = self._validated(self.rule(t, x))
+            _agents("rule matrix", len(w), self.n)
+            return w
         return self._segments[-1][1]
 
 
@@ -218,8 +223,7 @@ class FJSpec:
         w = check_stochastic(self.w)
         u = as_state_array(self.u, "u")
         lam = _unit_weights(self.lam, w.shape[0], "susceptibilities")
-        if u.shape[0] != w.shape[0]:
-            raise ValueError("prejudice vector length must match matrix size")
+        _agents("u", u.shape[0], w.shape[0])
         for name, arr in (("lam", lam), ("w", w), ("u", u)):
             object.__setattr__(self, name, _frozen(arr))
 
@@ -237,12 +241,6 @@ class PremiseReport:
     violation: dict | None = None
 
 
-def _check_size(spec: WeightSpec, x0: OpinionState) -> None:
-    """ValueError unless the spec's matrices act on x0's agents."""
-    if spec.n != x0.n:
-        raise ValueError(f"matrix size {spec.n} != agent count {x0.n}")
-
-
 def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Trajectory:
     """Iterate x(k+1) = W(k) x(k) for a stochastic or signed spec.
 
@@ -251,10 +249,10 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
     early at an exact fixed point (time-varying schedules are run to the
     horizon, since a momentary fixed point need not persist).
     """
-    if spec.kind == KIND_NONNEGATIVE:
+    if _instance("spec", spec, WeightSpec).kind == KIND_NONNEGATIVE:
         raise ValueError("discrete iteration takes a stochastic or signed spec")
     steps = _count("steps", steps, 0)
-    _check_size(spec, x0)
+    _agents("spec", spec.n, _instance("x0", x0, OpinionState).n)
     signed = spec.kind == KIND_SIGNED
     check = check_signed_row_stochastic if signed else check_stochastic
     for _, mat in spec._segments:
@@ -327,7 +325,7 @@ def fj_fixed_point(spec: FJSpec) -> OpinionState:
     Proskurnikov, Tempo & Friedkin, IEEE TAC 2017); UnstableError is raised
     otherwise.
     """
-    reach = spec.lam < 1
+    reach = _instance("spec", spec, FJSpec).lam < 1
     frontier = reach
     while frontier.any():
         frontier = (spec.w[:, frontier] > 0).any(axis=1) & ~reach
@@ -376,7 +374,7 @@ def flow_simulate(
     t_end = _real("t_end", t_end)
     if not 0 < t_end < math.inf:  # NaN fails this too
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    _check_size(spec, x0)
+    _agents("spec", _instance("spec", spec, WeightSpec).n, _instance("x0", x0, OpinionState).n)
     x = x0.values
     dt = default_flow_step(spec.matrix_at(0.0, x)) if dt is None else _real("dt", dt, "positive")
     n_steps = t_end / dt - 1e-12  # inf when the ratio overflows
@@ -472,8 +470,7 @@ def predict_bipartite_consensus(g: SignedGraph, x0: OpinionState) -> BipartitePr
     +/- (delta p)^T x0 on the two camps. Strongly connected and imbalanced:
     the zero state. Anything else: unsupported.
     """
-    if g.n != x0.n:
-        raise ValueError("graph and state disagree on agent count")
+    _agents("g", _instance("g", g, SignedGraph).n, _instance("x0", x0, OpinionState).n)
     balance = structural_balance(g)
     conn = connectivity(g)
     if balance.balanced and conn.has_spanning_tree:

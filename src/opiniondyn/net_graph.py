@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import _array, _frozen, _real
+from .state import _agents, _array, _frozen, _instance, _real
 
 __all__ = [
     "SignedGraph",
@@ -173,7 +173,7 @@ def structural_balance(g: SignedGraph) -> BalanceResult:
     joining the endpoints of the first inconsistent edge, a concrete
     negative semicycle.
     """
-    n = g.n
+    n = _instance("g", g, SignedGraph).n
     pair = _first_hit(_sign_asymmetry(g))
     if pair:
         return BalanceResult(balanced=False, witness=BalanceWitness("sign_asymmetry", pair))
@@ -238,8 +238,7 @@ def gauge_apply(g: SignedGraph, delta: GaugeVector) -> SignedGraph:
     With the gauge of a balanced partition this yields the entrywise
     absolute-value graph; the arc set never changes.
     """
-    if len(delta.signs) != g.n:
-        raise ValueError(f"gauge length {len(delta.signs)} != agent count {g.n}")
+    _agents("delta", len(delta.signs), g.n)
     d = delta.diagonal
     return SignedGraph(d[:, None] * g.weights * d[None, :])
 

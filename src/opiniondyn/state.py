@@ -84,6 +84,13 @@ def _instance(name: str, value, cls: type):
     return value
 
 
+def _agents(name: str, count, n: int) -> None:
+    """ValueError unless ``count`` per-agent entries, None for one shared by
+    all, fit a run of n agents: the one agent-count rule."""
+    if count is not None and count != n:
+        raise ValueError(f"{name} is for {count} agents, not {n}")
+
+
 _NORMS = ("euclidean", "max", "sum")
 # Rows per block of the pairwise distances: temporaries of _BLOCK x n floats.
 _BLOCK = 32
@@ -113,7 +120,7 @@ def _distance_blocks(values: np.ndarray, norm: str = "euclidean"):
     of those rows to every row under the "euclidean", "max" or "sum" norm,
     or the squared Euclidean distances for "squared".
 
-    ``_fold`` goes over the m columns in order: the bits of np.linalg.norm
+    ``_fold`` goes over the m columns in order: the bits of numpy's norm
     for m <= 7 (numpy's pairwise sum reorders from m = 8 on). A Euclidean
     distance whose largest |difference| s is finite and nonzero but outside
     [1/_SQUARE_SAFE, _SQUARE_SAFE], where its squares overflow or underflow,
@@ -202,8 +209,9 @@ def _unit_weights(lam, n: int, what: str) -> np.ndarray:
     """lam as a float vector of n per-agent weights in [0, 1]; ``what``
     names the weights in the error."""
     lam = _array("lam", lam)
-    if lam.shape != (n,):
-        raise ValueError("lam must be a length-n vector")
+    if lam.ndim != 1:
+        raise ValueError(f"lam must be a vector, got shape {lam.shape}")
+    _agents("lam", len(lam), n)
     if not np.all((lam >= 0) & (lam <= 1)):
         raise ValueError(f"{what} must lie in [0, 1]")
     return lam

@@ -11,6 +11,7 @@ from opiniondyn import (
     OpinionState,
     classify,
     clusters,
+    d_chain_partition,
     hk_step,
     Trajectory,
     simulate_bc,
@@ -245,6 +246,32 @@ class TestExtremeScales:
     @pytest.mark.parametrize("values, gap_tol", [([0.0, 1e200], 1.0), ([0.0, 1e-200], 1e-250)])
     def test_scalar_separation_is_the_gap(self, values, gap_tol):
         assert clusters(OpinionState(values), gap_tol).min_separation == values[1]
+
+    @pytest.mark.parametrize("call, outcome", [
+        (lambda: clusters(OpinionState([-1e308, 1e308]), 1.0),
+         lambda profile: (profile.count, profile.min_separation) == (2, math.inf)),
+        (lambda: d_chain_partition(OpinionState([-1e308, 1e308]), 1.0),
+         lambda chains: chains.diameters == (0.0, 0.0)),
+        (lambda: d_chain_partition(OpinionState([-1e308, 0.0, 1e308]), 1.5e308),
+         lambda chains: chains.chains == ((0, 1, 2),) and chains.diameters == (math.inf,)),
+        (lambda: classify(Trajectory(np.array([[[-1e308]], [[1e308]]]), np.array([0.0, 1.0])),
+                          1e-6),
+         lambda label: label.kind == "not_converged"),
+        (lambda: pytest.raises(MaxStepsError, simulate_bc, lambda s: OpinionState(-s.values),
+                               OpinionState([1e308]), 3).value,
+         lambda error: len(error.trajectory) == 4),
+    ], ids=["clusters", "chains", "chain-diameter", "classify", "simulate_bc"])
+    def test_an_overflowing_difference_is_an_infinity_without_a_warning(self, call, outcome):
+        # the suite turns warnings into errors: each case warned "overflow
+        # encountered in subtract" when only the distance kernel counted an
+        # overflow as an infinity
+        assert outcome(call())
+
+    def test_polarization_at_the_float_limits(self):
+        # the norms of the representatives, BLAS dots, overflowed with a warning
+        traj = scalar_run([[-1e308, 1e308], [-1e308, 1e308]])
+        label = classify(traj, tol=1e-6, gap_tol=0.1)
+        assert (label.kind, label.camps) == ("polarization", ((0,), (1,)))
 
 
 def scalar_run(states):

@@ -262,7 +262,7 @@ class TestPhiStep:
     def test_reputation_count_must_match_the_agent_count(self):
         phi = reputation_phi([1.0, 2.0], 0.5)
         x = OpinionState([0.0, 0.1, 0.2])
-        with pytest.raises(ValueError, match="reputation count must match the agent count"):
+        with pytest.raises(ValueError, match="^reputations is for 2 agents, not 3$"):
             phi_step(x, phi)
 
     def test_infinite_reputation_fails_at_its_first_weight(self):
@@ -469,6 +469,15 @@ class TestSimulateBc:
         with pytest.raises(ValueError, match="^x0 must be an OpinionState, got ") as info:
             simulate_bc(lambda s: s, x0, max_steps=5)
         assert str(info.value).endswith(repr(x0))
+
+    @pytest.mark.parametrize("result, message", [
+        (OpinionState([0.3]), "^stepper result is for 1 agents, not 3$"),
+        (OpinionState(np.zeros((3, 2))), "^stepper result has 2 dimensions, not 1$"),
+    ], ids=["agents", "dimensions"])
+    def test_stepper_result_must_match_the_state(self, result, message):
+        # np.stack failed on "all input arrays must have the same shape"
+        with pytest.raises(ValueError, match=message):
+            simulate_bc(lambda s: result, OpinionState([0.0, 0.5, 1.0]), 3)
 
     @pytest.mark.parametrize("stop_tol", [float("nan"), -1.0, -1e-300])
     def test_nan_or_negative_stop_tol_rejected(self, stop_tol):

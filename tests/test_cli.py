@@ -343,6 +343,11 @@ class TestMainEntry:
                 "stamps must be strictly increasing",
                 id="stamp-order",
             ),
+            pytest.param(
+                [HEADER, "0,0,0,0,1", "0,0,1,0,inf", "1,1,0,0,1", "1,1,1,0,inf"],
+                "opinion values must be finite",
+                id="infinite-cell",
+            ),
         ],
     )
     def test_analyze_rejects_malformed_trajectory(self, tmp_path, capsys, lines, message):
@@ -482,6 +487,17 @@ class TestMainEntry:
         assert payload["stage"] == "validate"
         assert message in payload["message"]
         assert not (tmp_path / "analysis.json").exists()
+
+    def test_analyze_at_the_float_limits_writes_no_warning(self, tmp_path, capsys):
+        # the settle test's difference and the polarization test's BLAS
+        # norms overflowed with numpy warnings
+        path = tmp_path / "trajectory.csv"
+        path.write_text(trajectory_csv(Trajectory(np.array([[[-1e308], [1e308]]] * 2), [0, 1])))
+        argv = ["analyze", "--trajectory", str(path), "--gap-tol", "0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "analysis.json").read_text())
+        assert payload["classification"] == {"kind": "polarization", "count": 2}
 
     def test_nan_classification_tol_in_a_config_is_a_validation_error(self, tmp_path, capsys):
         config = {"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "tol": float("nan"),
@@ -1154,8 +1170,12 @@ class TestConfigContract:
                       "family_check": {"ratios": [1.0, 1.0], "tol": -1.0}},
                      "family_check tol must be nonnegative", id="negative-family-check-tol"),
         pytest.param({"model": "hk", "params": {"d": 0.3},
-                      "family_check": {"ratios": [1.0, 1.0, 1.0]}}, "one ratio per agent",
+                      "family_check": {"ratios": [1.0, 1.0, 1.0]}},
+                     "family_check ratios is for 3 agents, not 2",
                      id="ratio-count"),
+        pytest.param({"model": "hk", "params": {"d": 0.3},
+                      "family_check": {"ratios": [[1.0, 1.0]]}},
+                     "family_check ratios must be a vector, got shape (1, 2)", id="ratio-matrix"),
         pytest.param({"model": "hk", "params": {"d": 0.3},
                       "family_check": {"ratios": [1.0, 1.0], "tolerance": 0.1}}, "'tolerance'",
                      id="family-check-misspelt"),
@@ -1182,6 +1202,6 @@ class TestConfigContract:
         code, payload = _simulate(tmp_path, capsys, config)
         assert code == 2
         assert payload["stage"] == "validate"
-        assert payload["message"] == "matrix size 3 != agent count 2"
+        assert payload["message"] == "spec is for 3 agents, not 2"
         out = tmp_path / "out"
         assert not out.exists() or list(out.iterdir()) == []

@@ -162,16 +162,28 @@ def test_steps_bit_equal_to_reference(case, data):
 )
 def test_per_agent_length_mismatch_raises(spec):
     x = OpinionState([0.0, 0.25, 1.0])
-    with pytest.raises(ValueError, match="agent count"):
+    message = f"^spec is for {spec.n} agents, not 3$"
+    with pytest.raises(ValueError, match=message):
         bc.trust_matrix(x, spec) if spec.lo is None else window_mask(x, spec)
     lam = np.full(x.n, 0.5)
     for step in (lambda: hk_step(x, spec), lambda: truth_step(x, lam, [0.5], spec),
                  lambda: inertial_step(x, lam, spec)):
-        with pytest.raises(ValueError, match="per-agent bounds must match the agent count"):
+        with pytest.raises(ValueError, match=message):
             step()
 
 
 class TestSpecForm:
+    @pytest.mark.parametrize("spec, n", [
+        (ConfidenceSpec.symmetric(0.25), None),
+        (ConfidenceSpec.norm_ball(0.25), None),
+        (ConfidenceSpec.per_agent([0.1, 0.2, 0.3]), 3),
+        (ConfidenceSpec.shifted(0.5, [0.0, 0.1]), 2),
+        (ConfidenceSpec(lo=-0.5, hi=(0.5, 0.25)), 2),
+        (ConfidenceSpec.norm_ball([0.5] * 4), 4),
+    ], ids=repr)
+    def test_n_is_the_agent_count_of_per_agent_bounds(self, spec, n):
+        assert spec.n == n
+
     def test_fields_are_the_trust_window(self):
         assert [f.name for f in fields(ConfidenceSpec)] == ["lo", "hi", "closed", "norm"]
         assert ConfidenceSpec.symmetric(0.25) == ConfidenceSpec(lo=-0.25, hi=0.25)

@@ -31,6 +31,9 @@ A bound that is one number or one per agent (``BOUND_SITES``: a
 bounds and shifts, the pair dynamics' ``d`` and the CLI's) is read by one
 rule: a list or tuple element by element as a real number, so an empty
 list or a bool among numbers (``NOT_VECTORS``) is refused by name too.
+
+An entry that takes a state, spec, graph or trajectory (``OBJECT_CALLS``)
+refuses None with a ValueError that names the argument and its type.
 """
 
 import json
@@ -56,11 +59,13 @@ from opiniondyn import (
     Trajectory,
     WeightSpec,
     bernoulli_convolution,
+    cesaro,
     classify,
     clusters,
     cli,
     d_chain_partition,
     dw_run_exact,
+    fj_fixed_point,
     flow_simulate,
     heterophily_phi,
     hk_energy,
@@ -69,11 +74,13 @@ from opiniondyn import (
     inertial_step,
     make_rng,
     persistent_graph,
+    predict_bipartite_consensus,
     reputation_phi,
     signed_laplacian_matrix,
     simulate_bc,
     simulate_discrete,
     simulate_gossip,
+    structural_balance,
     truth_step,
     two_r_experiment,
     verify_convergence_premises,
@@ -415,3 +422,27 @@ def test_a_per_agent_bound_is_read_as_the_float_cast_reads_it(case, values):
     read, want = BOUND_READS[case]
     expected = np.asarray(want(np.asarray(values, dtype=float)), dtype=float)
     assert np.asarray(read(values), dtype=float).tobytes() == expected.tobytes()
+
+
+# (function, argument) -> (the type named, a call of the function with the
+# argument set to None)
+OBJECT_CALLS = {
+    ("simulate_gossip", "x0"): ("OpinionState", lambda: simulate_gossip(DW, None, 5, seed=0)),
+    ("simulate_discrete", "spec"): ("WeightSpec", lambda: simulate_discrete(None, X0, steps=5)),
+    ("flow_simulate", "spec"): ("WeightSpec", lambda: flow_simulate(None, X0, t_end=1.0)),
+    ("classify", "trajectory"): ("Trajectory", lambda: classify(None, 1e-6)),
+    ("cesaro", "trajectory"): ("Trajectory", lambda: cesaro(None)),
+    ("fj_fixed_point", "spec"): ("FJSpec", lambda: fj_fixed_point(None)),
+    ("dw_run_exact", "x0"): ("OpinionState", lambda: dw_run_exact(DW, None, steps=5, seed=0)),
+    ("predict_bipartite_consensus", "g"): ("SignedGraph",
+                                           lambda: predict_bipartite_consensus(None, X0)),
+    ("structural_balance", "g"): ("SignedGraph", lambda: structural_balance(None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBJECT_CALLS), ids="-".join)
+def test_an_object_argument_of_another_type_is_refused_by_name(case):
+    """Each leaked an AttributeError or a TypeError for None."""
+    kind, call = OBJECT_CALLS[case]
+    with pytest.raises(ValueError, match=rf"^{case[1]} must be an? {kind}, got None$"):
+        call()

@@ -794,9 +794,13 @@ class TestMoreGossipSurfaces:
         (lambda: SymmetricPairGossip(np.array([[0.0, 1.0], [0.5, 0.5]])),
          "partner matrix must have a zero diagonal"),
         (lambda: DegrootGossip(ring_matrix(3), np.array([0.5, 0.5])),
-         "one gain per agent required"),
+         "^gains is for 2 agents, not 3$"),
+        (lambda: DegrootGossip(ring_matrix(3), np.full((3, 1), 0.5)),
+         r"^gains must be a vector, got shape \(3, 1\)$"),
         (lambda: GossipFJ.from_fj([0.5, 0.5], np.eye(2), np.zeros(3)),
-         "prejudice vector length must match matrix size"),
+         "^u is for 3 agents, not 2$"),
+        (lambda: GossipFJ.from_fj([[0.5, 0.5]], np.eye(2), np.zeros(2)),
+         r"^lam must be a vector, got shape \(1, 2\)$"),
         (lambda: GossipFJ.from_fj([0.5, 0.5], np.eye(2), np.zeros((2, 3))),
          r"gossip prejudices must be scalar, got u of shape \(2, 3\)"),
         (lambda: DeffuantWeisbuch(d=0.3, mu=1.0), r"the move fraction must lie in \(0, 1\)"),
@@ -806,8 +810,8 @@ class TestMoreGossipSurfaces:
          "mode must be 'symmetric' or 'asymmetric'"),
         (lambda: DeffuantWeisbuch(d=np.array([[0.3, 0.3]]), mu=0.5),
          r"^d must be a nonempty list of real numbers, got array\(\[\[0.3, 0.3\]\]\)$"),
-    ], ids=["degroot-self-partner", "symmetric-self-partner", "gain-count", "prejudice-length",
-            "prejudice-columns", "unit-mu", "nan-mu", "mode", "bounds-matrix"])
+    ], ids=["degroot-self-partner", "symmetric-self-partner", "gain-count", "gain-matrix",
+            "prejudice-length", "lam-matrix", "prejudice-columns", "unit-mu", "nan-mu", "mode", "bounds-matrix"])
     def test_invalid_models_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -826,7 +830,7 @@ class TestMoreGossipSurfaces:
          ValueError, "unknown gossip model object"),
         (lambda: simulate_gossip(SymmetricPairGossip(ring_matrix(3)), OpinionState([0.0, 1.0]),
                                  steps=5, seed=0),
-         ValueError, "model size must match the state"),
+         ValueError, "^model is for 3 agents, not 2$"),
         (lambda: dw_run_exact(SymmetricPairGossip(ring_matrix(3)), OpinionState([0.0, 1.0, 2.0]),
                               steps=5, seed=0),
          ValueError, "exact runs are provided for the pair dynamics"),

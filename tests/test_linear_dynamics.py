@@ -328,8 +328,18 @@ class TestDegrootStep:
     ], ids=["discrete-0-steps", "discrete-5-steps", "flow"])
     def test_rejects_dimension_mismatch(self, run):
         spec = WeightSpec.constant("stochastic", np.eye(3))
-        with pytest.raises(ValueError, match=r"^matrix size 3 != agent count 2$"):
+        with pytest.raises(ValueError, match=r"^spec is for 3 agents, not 2$"):
             run(spec, OpinionState([0.0, 1.0]))
+
+    @pytest.mark.parametrize("run", [
+        lambda spec, x: simulate_discrete(spec, x, 5),
+        lambda spec, x: flow_simulate(spec, x, t_end=1.0),
+    ], ids=["discrete", "flow"])
+    def test_rule_matrix_must_match_the_agent_count(self, run):
+        # numpy's matmul failed on "a mismatch in its core dimension 0"
+        spec = WeightSpec.from_rule("stochastic", lambda t, y: np.full((2, 2), 0.5), n=3)
+        with pytest.raises(ValueError, match=r"^rule matrix is for 2 agents, not 3$"):
+            run(spec, OpinionState([0.0, 1.0, 2.0]))
 
 
 class TestSimulateDiscrete:
@@ -545,7 +555,7 @@ class TestFJ:
             FJSpec(lam=lam, w=np.full((2, 2), 0.5), u=[0.0, 1.0])
 
     def test_prejudice_length_must_match_the_matrix(self):
-        with pytest.raises(ValueError, match="prejudice vector length must match matrix size"):
+        with pytest.raises(ValueError, match="^u is for 3 agents, not 2$"):
             FJSpec(lam=[0.5, 0.5], w=np.full((2, 2), 0.5), u=[0.0, 1.0, 2.0])
 
     def test_unit_susceptibility_unstable(self):
@@ -892,7 +902,7 @@ class TestBipartitePrediction:
 
     def test_graph_and_state_must_agree_on_the_agent_count(self):
         g = SignedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError, match="graph and state disagree on agent count"):
+        with pytest.raises(ValueError, match="^g is for 2 agents, not 3$"):
             predict_bipartite_consensus(g, OpinionState([0.0, 1.0, 2.0]))
 
     def test_left_null_vector_matches_the_eigen_oracle(self):

@@ -219,7 +219,7 @@ class TestGauge:
             assert np.all(gauge_apply(g, delta).weights >= 0)
 
     def test_gauge_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^delta is for 2 agents, not 3$"):
             gauge_apply(triad(1, 1, 1), GaugeVector((1, -1)))
 
     @pytest.mark.parametrize("signs", [(1, 0, -1), (1, 2), (1.0, -0.5)])
