@@ -9,14 +9,15 @@ thumb.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounded_confidence import ConfidenceSpec, hk_step, simulate_bc, sorted_split
+from .bounded_confidence import ConfidenceSpec, _finite_means, hk_step, simulate_bc, sorted_split
 from .gossip import make_rng
 from .net_graph import _component_labels, _tarjan_scc
-from .state import OpinionState, Trajectory, _count, _distances, _instance, _real
+from .state import OpinionState, Trajectory, _count, _distances, _instance, _iterable, _real
 
 __all__ = [
     "ClusterProfile",
@@ -33,11 +34,12 @@ class ClusterProfile:
     """Partition of agents into opinion clusters.
 
     Each cluster is (representative value, member tuple) with the
-    representative the mean of the members; ``min_separation`` is the
-    smallest Euclidean distance between opinions in different clusters (inf
-    for a single cluster), read off the distances that grouped them (the
-    ``state._distance_blocks`` kernel for vector opinions, the sorted gaps
-    for scalar ones), so it exceeds the clustering scale.
+    representative the mean of the members, finite for finite opinions;
+    ``min_separation`` is the smallest Euclidean distance between opinions
+    in different clusters (inf for a single cluster), read off the
+    distances that grouped them (the ``state._distance_blocks`` kernel for
+    vector opinions, the sorted gaps for scalar ones), so it exceeds the
+    clustering scale.
     """
 
     clusters: tuple
@@ -74,8 +76,11 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
         if len(groups) > 1:
             min_sep = float(dist[label[:, None] != label[None, :]].min())
 
-    reps = tuple((x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups)
-    return ClusterProfile(reps, min_sep)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_means retakes such a mean
+        means = np.array([x.values[g].mean(axis=0) for g in groups])
+    means = _finite_means(means, np.isfinite(means), x.values,
+                          lambda rows, scaled: [scaled[groups[r]].mean(axis=0) for r in rows])
+    return ClusterProfile(tuple(zip(means, (tuple(sorted(g)) for g in groups))), min_sep)
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ def _hk_step_bound(n: int) -> int:
     return 2 * n**3 - 2 * (n - 1) ** 2
 
 
-def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
+def two_r_experiment(n: int, d_list: Iterable[float], trials: int, seed: int) -> list:
     """Monte Carlo comparison of final cluster counts against 1/(2d).
 
     For each confidence bound d: sample initial opinions uniformly on
@@ -157,7 +162,7 @@ def two_r_experiment(n: int, d_list, trials: int, seed: int) -> list:
     termination bound 2 n^3 - 2 (n - 1)^2.
     """
     n, trials = _count("n", n, 1), _count("trials", trials, 1)
-    d_list = list(d_list)
+    d_list = list(_iterable("d_list", d_list))
     for d in d_list:
         if not (math.isfinite(_real("confidence bound d", d)) and d > 0):
             raise ValueError(f"confidence bound d must be finite and positive, got {d}")

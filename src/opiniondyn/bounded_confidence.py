@@ -137,33 +137,6 @@ def _product_blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
 
 
-def _ball(x: OpinionState, spec: ConfidenceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """A norm ball's ``trust_matrix`` and its settled rows, those whose trusted
-    distances are all 0: with the kernel's rescale, their opinions are equal."""
-    n = x.n
-    _agents("spec", spec.n, n)
-    inside = np.less_equal if spec.closed else np.less
-    mask, settled = np.empty((n, n), dtype=bool), np.empty(n, dtype=bool)
-    hi = np.empty((n, 1))
-    hi[:, 0] = spec.hi  # the radii as a column
-    for rows, distance in _distance_blocks(x.values, spec.norm):
-        inside(distance, hi[rows], out=mask[rows])
-        settled[rows] = ~(mask[rows] & (distance != 0)).any(axis=1)
-    return mask, settled
-
-
-def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
-    """Boolean (n, n) norm-ball trust mask: entry (i, j) True iff agent i
-    trusts agent j, ||x_j - x_i|| <= hi_i (``<`` for open balls).
-
-    Row i is agent i's trust set; the diagonal, at distance 0, is True. The
-    distances are ``state._distance_blocks``, with O(_BLOCK * n)
-    temporaries besides the mask. Interval specs use the ``_windows`` of
-    the sorted opinions instead.
-    """
-    return _ball(x, spec)[0]
-
-
 def _window_ends(s: np.ndarray, v: np.ndarray, bound, strict: bool) -> np.ndarray:
     """Per agent i, how many sorted opinions s_k have the rounded gap
     fl(s_k - x_i) below ``bound_i`` (``<`` if ``strict``, else ``<=``).
@@ -247,48 +220,99 @@ def _mean(values: np.ndarray, trusted: Callable, counts: np.ndarray,
     takes the componentwise maximum over its trust set, as the earlier
     max == min test did: numpy's reduction picks which of +0.0 and -0.0 a
     mixed zero becomes. That maximum is exact, so it is taken over blocks
-    of such rows of about ``_PRODUCT_ENTRIES`` entries.
+    of such rows of about ``_PRODUCT_ENTRIES`` entries. A row whose sum
+    overflows (or is NaN, from BLAS's separate partial sums) is taken again
+    by ``_finite_means``.
     """
     n, m = values.shape
-    if m == 1:
-        sums = np.empty((n, 1))
-        for rows in _product_blocks(n):
-            sums[rows] = trusted(rows) @ values
-    else:
-        sums = trusted(slice(None)) @ values
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_means retakes such a row
+        if m == 1:
+            sums = np.empty((n, 1))
+            for rows in _product_blocks(n):
+                sums[rows] = trusted(rows) @ values
+        else:
+            sums = trusted(slice(None)) @ values
     means = sums / counts[:, None]
     if settled.any():
         means[settled] = values[settled]
         zero = np.flatnonzero(settled & (values == 0).any(axis=1))
-        size = max(1, _PRODUCT_ENTRIES // (n * m))
-        for start in range(0, zero.size, size):
-            part = zero[start:start + size]
+        for part in _row_parts(zero, n * m):
             trust = np.where(trusted(part)[:, :, None], values[None, :, :], -np.inf)
             means[part] = trust.max(axis=1)
+    return _finite_means(means, np.isfinite(means), values,
+                         lambda rows, scaled: (trusted(rows) @ scaled) / counts[rows, None])
+
+
+def _row_parts(rows: np.ndarray, entries: int) -> list:
+    """An index array of rows, in parts of about ``_PRODUCT_ENTRIES`` entries
+    at ``entries`` a row."""
+    size = max(1, _PRODUCT_ENTRIES // entries)
+    return [rows[start:start + size] for start in range(0, rows.size, size)]
+
+
+def _finite_means(means: np.ndarray, finite: np.ndarray, values: np.ndarray,
+                  mean_of: Callable) -> np.ndarray:
+    """``means``, each a mean of rows of the (n, m) opinions ``values``, with
+    every row that holds an entry not ``finite`` taken again.
+
+    A mean of finite opinions is finite, but their sum can overflow. The
+    retaken rows are mean_of(rows, values * 2**-k) * 2**k, with 2**k > n, so
+    no sum of n scaled opinions overflows; both scalings are exact unless an
+    opinion falls below the normal range, and every other row keeps its
+    bits. One ``isfinite`` pass when no row overflows.
+    """
+    if finite.all():
+        return means
+    k = len(values).bit_length()
+    scaled = np.ldexp(values, -k)
+    for part in _row_parts(np.flatnonzero(~finite.all(axis=1)), values.size):
+        means[part] = np.ldexp(mean_of(part, scaled), k)
     return means
 
 
-def _trust_means(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
-    """Each agent's trust-set mean, as an (n, m) array.
+def _trust(x: OpinionState, spec: ConfidenceSpec) -> tuple[Callable, np.ndarray, np.ndarray]:
+    """Every agent's trust set, as ``_mean`` reads it: (trusted, counts,
+    settled), ``trusted(rows)`` the bool mask of a slice or an index array
+    of rows, ``counts`` each set's size and ``settled`` the rows whose
+    trusted opinions all equal their own.
 
-    An interval spec sums each ``_product_blocks`` block against a mask
-    built from the ``_windows`` value bounds: the same 0/1 operand as the
-    dense gap test, so the same bits, with the counts and the settled rows
-    read off the windows. A norm ball builds its ``trust_matrix`` and
-    counts it row by row, with its settled rows.
+    An interval's mask is built a block at a time from the ``_windows``
+    value bounds: the same 0/1 operand as the dense gap test, with the
+    counts and the settled rows (low == high) read off the windows. A norm
+    ball's mask is built whole from ``state._distance_blocks``, with
+    O(_BLOCK * n) temporaries besides it: agent i trusts agent j iff
+    ||x_j - x_i|| <= hi_i (``<`` for open balls), and a row is settled when
+    its trusted distances are all 0, as the kernel's rescale makes them
+    only for equal opinions.
     """
-    values = _instance("x", x, OpinionState).values
+    n = _instance("x", x, OpinionState).n
     _instance("spec", spec, ConfidenceSpec)
-    if spec.lo is None:
-        mask, settled = _ball(x, spec)
-        return _mean(values, mask.__getitem__, mask.sum(axis=1), settled)
-    low, high, counts = _windows(x, spec)
-    v = x.flat
+    if spec.lo is not None:
+        low, high, counts = _windows(x, spec)
+        v = x.flat
+        return (lambda rows: (v >= low[rows, None]) & (v <= high[rows, None])), counts, low == high
+    _agents("spec", spec.n, n)
+    inside = np.less_equal if spec.closed else np.less
+    mask, settled = np.empty((n, n), dtype=bool), np.empty(n, dtype=bool)
+    hi = np.empty((n, 1))
+    hi[:, 0] = spec.hi  # the radii as a column
+    for rows, distance in _distance_blocks(x.values, spec.norm):
+        inside(distance, hi[rows], out=mask[rows])
+        settled[rows] = ~(mask[rows] & (distance != 0)).any(axis=1)
+    return mask.__getitem__, mask.sum(axis=1), settled
 
-    def trusted(rows):
-        return (v >= low[rows, None]) & (v <= high[rows, None])
 
-    return _mean(values, trusted, counts, low == high)
+def trust_matrix(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
+    """Boolean (n, n) trust mask of either geometry, the model's influence
+    graph: entry (i, j) True iff agent i trusts agent j, as ``_trust`` reads
+    it. Row i is agent i's trust set; the diagonal is True."""
+    return _trust(x, spec)[0](slice(None))
+
+
+def _trust_means(x: OpinionState, spec: ConfidenceSpec) -> np.ndarray:
+    """Each agent's trust-set mean, as an (n, m) array."""
+    trust = _trust(x, spec)  # which checks x before x.values is read
+    return _mean(x.values, *trust)
 
 
 def hk_step(x: OpinionState, spec: ConfidenceSpec) -> OpinionState:
@@ -300,7 +324,8 @@ def hk_step(x: OpinionState, spec: ConfidenceSpec) -> OpinionState:
     return OpinionState(_trust_means(x, spec))
 
 
-def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionState:
+def truth_step(x: OpinionState, lam: np.ndarray, target: np.ndarray,
+               spec: ConfidenceSpec) -> OpinionState:
     """Bounded-confidence step with attraction toward an external opinion.
 
     x_i' = lam_i * (trust-set mean) + (1 - lam_i) * target. Agents with
@@ -315,7 +340,7 @@ def truth_step(x: OpinionState, lam, target, spec: ConfidenceSpec) -> OpinionSta
     return OpinionState(lam[:, None] * means + (1.0 - lam)[:, None] * target[None, :])
 
 
-def inertial_step(x: OpinionState, lam, spec: ConfidenceSpec) -> OpinionState:
+def inertial_step(x: OpinionState, lam: np.ndarray, spec: ConfidenceSpec) -> OpinionState:
     """Bounded-confidence step with per-agent inertia.
 
     x_i' = (1 - lam_i) * x_i + lam_i * (trust-set mean); lam_i = 0 freezes
@@ -379,7 +404,7 @@ def heterophily_phi(a: float, b: float, d1: float, d2: float) -> PhiSpec:
     return PhiSpec(phi=lambda sigma: np.where(sigma <= s1, a, np.where(sigma < s2, b, 0.0)))
 
 
-def reputation_phi(w, d: float) -> PhiSpec:
+def reputation_phi(w: np.ndarray, d: float) -> PhiSpec:
     """Weights phi^{ij}(sigma) = w_j for sigma < d^2 (0 beyond): every agent
     inside the confidence ball counts with its own positive reputation w_j,
     as the indicator of sigma < d^2 scaled by w."""
@@ -405,12 +430,22 @@ def _phi_weights(x: OpinionState, phi: PhiSpec) -> np.ndarray:
 def phi_step(x: OpinionState, spec: PhiSpec) -> OpinionState:
     """Weighted-averaging step x_i' = sum_j phi_ij x_j / sum_j phi_ij with
     phi_ij from ``spec`` evaluated at the squared pairwise distance. With
-    indicator weights this coincides with the plain bounded-confidence step."""
+    indicator weights this coincides with the plain bounded-confidence step.
+    A row whose weighted sum or weight sum overflows is taken again by
+    ``_finite_means``, with its weights scaled below 1 by a power of two."""
     w = _phi_weights(_instance("x", x, OpinionState), _instance("spec", spec, PhiSpec))
-    denom = w.sum(axis=1)
-    if np.any(denom <= 0):
-        raise ValueError("a row of interaction weights summed to zero")
-    return OpinionState((w @ x.values) / denom[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_means retakes such a row
+        denom = w.sum(axis=1)
+        if np.any(denom <= 0):
+            raise ValueError("a row of interaction weights summed to zero")
+        means = (w @ x.values) / denom[:, None]
+
+    def mean_of(rows, scaled):  # each row's weights below 1, scaled by a power of two
+        weights = np.ldexp(w[rows], -np.frexp(w[rows].max(axis=1, keepdims=True))[1])
+        return (weights @ scaled) / weights.sum(axis=1, keepdims=True)
+
+    return OpinionState(_finite_means(means, np.isfinite(means) & np.isfinite(denom)[:, None],
+                                      x.values, mean_of))
 
 
 def simulate_bc(
@@ -491,7 +526,7 @@ def sorted_split(v: np.ndarray, tol: float):
 
 def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     """Sort scalar opinions and split at gaps exceeding d."""
-    if x.m != 1:
+    if _instance("x", x, OpinionState).m != 1:
         raise ValueError("chains are defined for scalar opinions")
     d = _real("confidence bound", d, "positive")
     v = x.flat

@@ -26,7 +26,7 @@ from . import presets as pr
 from . import serialize as io
 from .net_graph import SignedGraph, structural_balance
 from .state import MaxStepsError, OpinionState, SimulationError, Trajectory, _array, _count
-from .state import _agents, _bound, _real
+from .state import _agents, _bound, _real, _stamps
 
 EXPERIMENT_MODELS = ("two-r", "hk-sweep")
 # Keys every config may carry, given to a run function that names them.
@@ -136,8 +136,8 @@ class _Run:
 
     def trajectory_csv(self) -> str:
         traj, every = self.traj, self.every
-        if every > 1:  # every every-th state and the last one
-            idx = [*range(0, len(traj) - 1, every), len(traj) - 1]
+        if every > 1:
+            idx = _stamps(len(traj) - 1, every)
             traj = Trajectory(traj.array[idx], traj.stamps[idx])
         return io.trajectory_csv(traj)
 

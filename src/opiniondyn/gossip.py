@@ -38,7 +38,7 @@ import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
 from .state import Events, OpinionState, Trajectory, _agents, _array, _bound, _count, _frozen
-from .state import _instance, _real
+from .state import _instance, _real, _stamps
 
 __all__ = [
     "make_rng",
@@ -58,7 +58,7 @@ _CHUNK = 1 << 14  # steps or states converted to Python lists at a time
 _HEADROOM = 256  # bits the exact runs' shared scale grows by beyond the need
 
 
-def make_rng(seed, *spawn_key) -> np.random.Generator:
+def make_rng(seed: int | tuple | np.random.Generator, *spawn_key: int) -> np.random.Generator:
     """Philox generator of SeedSequence(seed, spawn_key=spawn_key); a
     (seed, stream) tuple, or a bare seed (stream 0), has the spawn key
     (stream,). Seed and stream are counts >= 0 (``state._count``). A
@@ -165,7 +165,8 @@ class GossipFJ:
     _by_arc: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        lam, w, u = self.spec.lam, self.spec.w, self.spec.u
+        spec = _instance("spec", self.spec, FJSpec)
+        lam, w, u = spec.lam, spec.w, spec.u
         if u.shape[1] != 1:
             raise ValueError(f"gossip prejudices must be scalar, got u of shape {u.shape}")
         ai, aj = np.nonzero(w)
@@ -369,16 +370,10 @@ class _EventLog:
         return Events(self.agent, self.partner, self.interacted)
 
 
-def _stamps(steps: int, thin: int) -> list:
-    """Step counts of the kept states: 0, every thin-th step, and the last."""
-    stamps = list(range(0, steps + 1, thin))
-    if steps % thin:
-        stamps.append(steps)
-    return stamps
-
-
 def simulate_gossip(
-    model, x0: OpinionState, steps: int, seed, thin: int = 1, record_events: bool = True
+    model: DegrootGossip | SymmetricPairGossip | GossipFJ | DeffuantWeisbuch, x0: OpinionState,
+    steps: int, seed: int | tuple | np.random.Generator, thin: int = 1,
+    record_events: bool = True,
 ) -> Trajectory:
     """Run a gossip model for a fixed number of steps.
 
@@ -442,7 +437,8 @@ def _scaled_bounds(bounds: list, exp: int):
 
 
 def dw_run_exact(
-    model, x0: OpinionState, steps: int, seed, thin: int | None = None,
+    model: DeffuantWeisbuch, x0: OpinionState, steps: int,
+    seed: int | tuple | np.random.Generator, thin: int | None = None,
     record_events: bool = False,
 ) -> DWExactRun:
     """Run the pair dynamics (symmetric or asymmetric, with a shared or a
@@ -564,7 +560,8 @@ def cesaro(trajectory: Trajectory) -> np.ndarray:
     return out
 
 
-def bernoulli_convolution(gamma: float, depth: int, rng) -> float:
+def bernoulli_convolution(gamma: float, depth: int,
+                          rng: int | tuple | np.random.Generator) -> float:
     """One sample of the stationary opinion of an agent torn between two
     fixed sources at 0 and 1: (gamma / (1 - gamma)) * sum_{s=1..depth}
     (1 - gamma)^s xi_s with fair coin flips xi_s, drawn as

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +32,7 @@ from .state import (
     _count,
     _frozen,
     _instance,
+    _iterable,
     _real,
     _unit_weights,
     as_state_array,
@@ -182,10 +184,6 @@ class WeightSpec:
         return cls(kind=kind, matrix=matrix)
 
     @classmethod
-    def scheduled(cls, kind: str, schedule) -> "WeightSpec":
-        return cls(kind=kind, schedule=tuple((u, m) for u, m in schedule))
-
-    @classmethod
     def from_rule(cls, kind: str, rule: Callable, n: int) -> "WeightSpec":
         return cls(kind=kind, rule=rule, n=n)
 
@@ -279,7 +277,7 @@ def simulate_discrete(spec: WeightSpec, x0: OpinionState, steps: int) -> Traject
     )
 
 
-def verify_convergence_premises(matrices, delta: float) -> PremiseReport:
+def verify_convergence_premises(matrices: Iterable[np.ndarray], delta: float) -> PremiseReport:
     """Check the classical sufficient conditions for convergence of the
     time-varying averaging recursion on a finite matrix sequence:
 
@@ -293,7 +291,7 @@ def verify_convergence_premises(matrices, delta: float) -> PremiseReport:
     delta = _real("delta", delta)
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    for k, mat in enumerate(matrices):
+    for k, mat in enumerate(_iterable("matrices", matrices)):
         w = check_stochastic(mat)
         hit = _first_hit(np.diag(w) < delta)
         if hit:

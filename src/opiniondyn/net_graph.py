@@ -10,11 +10,12 @@ interactions are provided.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state import _agents, _array, _frozen, _instance, _real
+from .state import _agents, _array, _count, _frozen, _instance, _iterable, _real
 
 __all__ = [
     "SignedGraph",
@@ -90,7 +91,7 @@ class GaugeVector:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.signs):
+        if any(s not in (-1, 1) for s in _instance("signs", self.signs, tuple)):
             raise ValueError("gauge entries must be +1 or -1")
 
     @property
@@ -114,6 +115,10 @@ class UndirectedGraph:
     n: int
     edges: frozenset  # frozenset of 2-tuples (i, j) with i < j
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", _count("n", self.n, 0))
+        _instance("edges", self.edges, frozenset)
+
     def connected_components(self) -> tuple[tuple[int, ...], ...]:
         adj = np.zeros((self.n, self.n), dtype=bool)
         ends = np.array(list(self.edges), dtype=int).reshape(-1, 2)
@@ -134,7 +139,7 @@ def signed_laplacian_matrix(weights: np.ndarray) -> np.ndarray:
 
 
 def signed_laplacian(g: SignedGraph) -> np.ndarray:
-    return signed_laplacian_matrix(g.weights)
+    return signed_laplacian_matrix(_instance("g", g, SignedGraph).weights)
 
 
 def _sign_asymmetry(g: SignedGraph) -> np.ndarray:
@@ -224,7 +229,8 @@ def _tree_semicycle(parent, v, u) -> tuple:
 
 def gauge_from_balance(result: BalanceResult, n: int) -> GaugeVector:
     """Gauge vector of a balanced result: +1 on the first camp, -1 on the second."""
-    if not result.balanced or result.camps is None:
+    n = _count("n", n, 0)
+    if not _instance("result", result, BalanceResult).balanced or result.camps is None:
         raise ValueError("gauge vector requires a balanced result")
     signs = [1] * n
     for i in result.camps[1]:
@@ -238,7 +244,8 @@ def gauge_apply(g: SignedGraph, delta: GaugeVector) -> SignedGraph:
     With the gauge of a balanced partition this yields the entrywise
     absolute-value graph; the arc set never changes.
     """
-    _agents("delta", len(delta.signs), g.n)
+    _agents("delta", len(_instance("delta", delta, GaugeVector).signs),
+            _instance("g", g, SignedGraph).n)
     d = delta.diagonal
     return SignedGraph(d[:, None] * g.weights * d[None, :])
 
@@ -307,7 +314,7 @@ def connectivity(g: SignedGraph) -> ConnectivityReport:
     ``has_spanning_tree`` is True when some root reaches every node along
     arcs (equivalently, the condensation has a single source component).
     """
-    mask = g.arc_mask
+    mask = _instance("g", g, SignedGraph).arc_mask
     comps = _tarjan_scc(mask.T)  # mask[i, j] is the arc j -> i
     label = _component_labels(comps, g.n)
     heads, _ = np.nonzero(mask & (label[:, None] != label[None, :]))
@@ -320,7 +327,7 @@ def connectivity(g: SignedGraph) -> ConnectivityReport:
     )
 
 
-def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
+def persistent_graph(w_seq: Iterable[np.ndarray], threshold: float) -> UndirectedGraph:
     """Undirected graph of pairs whose cumulative coupling over the given
     finite horizon reaches ``threshold`` in at least one direction.
 
@@ -332,7 +339,7 @@ def persistent_graph(w_seq, threshold: float) -> UndirectedGraph:
     """
     threshold = _real("threshold", threshold, "positive")
     total = None
-    for w in w_seq:
+    for w in _iterable("w_seq", w_seq):
         w = _array("weights", w, square=True)
         if total is not None and w.shape != total.shape:
             raise ValueError(f"weights must all be {total.shape}, got shape {w.shape}")

@@ -35,7 +35,7 @@ class UnstableError(SimulationError):
 class IntegrationError(SimulationError):
     """The ODE integrator produced a non-finite state."""
 
-    def __init__(self, message, step=None, time=None):
+    def __init__(self, message: str, step: int | None = None, time: float | None = None):
         super().__init__(message)
         self.step = step
         self.time = time
@@ -44,7 +44,7 @@ class IntegrationError(SimulationError):
 class MaxStepsError(SimulationError):
     """A fixed-point iteration hit its step budget; carries the partial run."""
 
-    def __init__(self, message, trajectory=None):
+    def __init__(self, message: str, trajectory: Trajectory | None = None):
         super().__init__(message)
         self.trajectory = trajectory
 
@@ -82,6 +82,14 @@ def _instance(name: str, value, cls: type):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ValueError(f"{name} must be {article} {cls.__name__}, got {reprlib.repr(value)}")
     return value
+
+
+def _iterable(name: str, value):
+    """iter(value); ValueError naming it for a value that is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {reprlib.repr(value)}") from None
 
 
 def _agents(name: str, count, n: int) -> None:
@@ -148,6 +156,15 @@ def _distance_blocks(values: np.ndarray, norm: str = "euclidean"):
 def _distances(values: np.ndarray, norm: str = "euclidean") -> np.ndarray:
     """The (n, n) distances of ``_distance_blocks``."""
     return np.concatenate([block for _, block in _distance_blocks(values, norm)])
+
+
+def _stamps(steps: int, thin: int) -> list:
+    """The kept states of a run of ``steps`` steps thinned to every thin-th:
+    state 0, every thin-th state and the last."""
+    stamps = list(range(0, steps + 1, thin))
+    if steps % thin:
+        stamps.append(steps)
+    return stamps
 
 
 def _frozen(values, dtype=float) -> np.ndarray:

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opiniondyn import analysis
+from opiniondyn import analysis, cli
 from opiniondyn import (
     ConfidenceSpec,
     MaxStepsError,
@@ -12,11 +13,24 @@ from opiniondyn import (
     classify,
     clusters,
     d_chain_partition,
+    hk_indicator_phi,
     hk_step,
+    phi_step,
     Trajectory,
     simulate_bc,
     two_r_experiment,
 )
+
+
+def reference_mean(x, group):
+    """The mean of the group's opinions; one that overflows is taken on the
+    opinions over 2**k, with 2**k above the agent count, then times 2**k."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.values[group].mean(axis=0)
+    if np.isfinite(mean).all():
+        return mean
+    scale = 2.0 ** x.n.bit_length()
+    return (x.values[group] / scale).mean(axis=0) * scale
 
 
 def reference_scalar_clusters(x, gap_tol):
@@ -39,7 +53,7 @@ def reference_scalar_clusters(x, gap_tol):
             for i in groups[a]:
                 for j in groups[b]:
                     min_sep = min(min_sep, abs(float(x.values[i, 0]) - float(x.values[j, 0])))
-    reps = [(x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups]
+    reps = [(reference_mean(x, g), tuple(sorted(g))) for g in groups]
     return reps, min_sep
 
 
@@ -77,7 +91,7 @@ def reference_vector_clusters(x, gap_tol):
                     for d in (x.values[i] - x.values[j]).tolist():
                         total += d * d
                     min_sep = min(min_sep, math.sqrt(total))
-    reps = [(x.values[g].mean(axis=0), tuple(sorted(g))) for g in groups]
+    reps = [(reference_mean(x, g), tuple(sorted(g))) for g in groups]
     return reps, min_sep
 
 
@@ -267,11 +281,48 @@ class TestExtremeScales:
         # overflow as an infinity
         assert outcome(call())
 
+    @pytest.mark.parametrize("call, outcome", [
+        (lambda tmp: hk_step(OpinionState(TOP), ConfidenceSpec.symmetric(1e308)).flat,
+         lambda means: means.tolist() == pytest.approx([TOP_MEAN] * 3, rel=1e-15)),
+        (lambda tmp: hk_step(OpinionState([1.7e308, -1.7e308] * 8),
+                             ConfidenceSpec.symmetric(math.inf)).flat,
+         lambda means: means.tolist() == [0.0] * 16),
+        (lambda tmp: hk_step(OpinionState([[v, v] for v in TOP]),
+                             ConfidenceSpec.norm_ball(1e308)).values.ravel(),
+         lambda means: means.tolist() == pytest.approx([TOP_MEAN] * 6, rel=1e-15)),
+        (lambda tmp: phi_step(OpinionState([1.7e308, 1.6e308]), hk_indicator_phi(1e308)).flat,
+         lambda means: means.tolist() == pytest.approx([1.65e308] * 2, rel=1e-15)),
+        (lambda tmp: clusters(OpinionState([1e308, 1e308, 5.0]), 1.0).clusters,
+         lambda reps: [(r.tolist(), m) for r, m in reps] == [([5.0], (2,)), ([1e308], (0, 1))]),
+        (lambda tmp: classify(scalar_run([[1e308, 1e308, -1e308, -1e308]] * 2), 0.1, 0.1),
+         lambda label: (label.kind, label.camps) == ("polarization", ((2, 3), (0, 1)))),
+        (lambda tmp: cli.main(["simulate", "--config", str(_config(tmp, TOP_HK)), "--out",
+                               str(tmp)]) == 0 and json.loads((tmp / "summary.json").read_text()),
+         lambda summary: sum(summary["final"], []) == pytest.approx([TOP_MEAN] * 3, rel=1e-15)),
+    ], ids=["hk", "hk-inf-minus-inf", "norm-ball", "phi", "clusters", "classify", "cli"])
+    def test_a_mean_of_finite_opinions_is_finite(self, call, outcome, tmp_path):
+        # each sum overflowed: the steps warned "overflow encountered in
+        # matmul" (or "invalid value", where BLAS's partial sums met as
+        # inf - inf) and then refused the mean, the representative was inf,
+        # and classify labelled the two camps "clusters"
+        assert outcome(call(tmp_path))
+
     def test_polarization_at_the_float_limits(self):
         # the norms of the representatives, BLAS dots, overflowed with a warning
         traj = scalar_run([[-1e308, 1e308], [-1e308, 1e308]])
         label = classify(traj, tol=1e-6, gap_tol=0.1)
         assert (label.kind, label.camps) == ("polarization", ((0,), (1,)))
+
+
+TOP = [1.7e308, 1.7e308, 1.6e308]
+TOP_MEAN = (TOP[0] / 4 + TOP[1] / 4 + TOP[2] / 4) / 3 * 4
+TOP_HK = {"model": "hk", "params": {"d": 1e308}, "x0": TOP}
+
+
+def _config(directory, config):
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    return path
 
 
 def scalar_run(states):

@@ -58,19 +58,19 @@ def single_chain(rng, size, d):
 
 
 class TestTrustSet:
-    """Row i of the trust mask is agent i's trust set, itself included: the
-    mask of a norm ball's ``trust_matrix``, or of an interval's windows."""
+    """Row i of ``trust_matrix`` is agent i's trust set, itself included,
+    for either geometry."""
 
     def test_basic_membership(self):
         x = OpinionState([0.0, 0.05, 1.0])
-        mask, _ = window_mask(x, ConfidenceSpec.symmetric(0.1))
+        mask = bc.trust_matrix(x, ConfidenceSpec.symmetric(0.1))
         assert mask[0].tolist() == [True, True, False]
         assert mask[2].tolist() == [False, False, True]
 
     def test_boundary_closed_vs_open(self):
         x = OpinionState([0.0, 0.1])
-        closed, _ = window_mask(x, ConfidenceSpec.symmetric(0.1, closed=True))
-        opened, _ = window_mask(x, ConfidenceSpec.symmetric(0.1, closed=False))
+        closed = bc.trust_matrix(x, ConfidenceSpec.symmetric(0.1, closed=True))
+        opened = bc.trust_matrix(x, ConfidenceSpec.symmetric(0.1, closed=False))
         assert closed[0].tolist() == [True, True]
         assert opened[0].tolist() == [True, False]
 
@@ -95,12 +95,18 @@ class TestTrustSet:
 
     def test_asymmetric_interval(self):
         x = OpinionState([0.0, 0.3, -0.3])
-        mask, _ = window_mask(x, ConfidenceSpec.asymmetric(d_left=0.1, d_right=0.5))
+        mask = bc.trust_matrix(x, ConfidenceSpec.asymmetric(d_left=0.1, d_right=0.5))
         assert mask[0].tolist() == [True, True, False]
+
+    def test_an_interval_trust_matrix_is_its_window(self):
+        # read as a Euclidean ball of radius hi, lo ignored, it was
+        # [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        mask = bc.trust_matrix(OpinionState([0.0, 0.2, 0.5]), ConfidenceSpec.asymmetric(0.1, 0.3))
+        assert mask.astype(int).tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
 
     def test_per_agent_bounds(self):
         x = OpinionState([0.0, 0.3, 0.6])
-        mask, _ = window_mask(x, ConfidenceSpec.per_agent([0.1, 0.3, 0.6]))
+        mask = bc.trust_matrix(x, ConfidenceSpec.per_agent([0.1, 0.3, 0.6]))
         assert mask.tolist() == [[True, False, False], [True, True, True], [True, True, True]]
 
     def test_shifted_requires_eta_below_d(self):
@@ -668,7 +674,9 @@ def dense_trust_matrix(x, spec):
 def dense_masked_mean(values, mask):
     """The trust-set mean before the row blocks, the windows and the exact
     settled test: a row is settled when the (n, n, m) maximum and minimum of
-    its trusted opinions agree."""
+    its trusted opinions agree. A row whose mean overflows is taken again,
+    in the kernel's row parts, on the opinions over 2**k (2**k > n), then
+    times 2**k."""
     counts = mask.sum(axis=1)
     means = (mask @ values) / counts[:, None]
     hi = np.where(mask[:, :, None], values[None, :, :], -np.inf).max(axis=1)
@@ -676,12 +684,16 @@ def dense_masked_mean(values, mask):
     settled = np.all(hi == lo, axis=1)
     if settled.any():
         means = np.where(settled[:, None], hi, means)
+    scale = 2.0 ** len(values).bit_length()
+    for part in bc._row_parts(np.flatnonzero(~np.isfinite(means).all(axis=1)), values.size):
+        means[part] = (mask[part] @ (values / scale)) / counts[part, None] * scale
     return means
 
 
 def _outcome(step):
     """The bytes of a step's result, or the type of the error it raised (a
-    mean that overflows makes the next state non-finite)."""
+    truth or inertial step whose sum overflows makes the next state
+    non-finite)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return step().values.tobytes()
@@ -703,23 +715,13 @@ def dense_steps(mask, x, lam, target):
     ]
 
 
-def window_mask(x, spec):
-    """The (n, n) trust mask that the ``_windows`` value bounds select, and
-    their counts."""
-    low, high, counts = bc._windows(x, spec)
-    return (x.flat >= low[:, None]) & (x.flat <= high[:, None]), counts
-
-
 def assert_matches_dense(x, spec, lam, target):
     with np.errstate(over="ignore", invalid="ignore"):
         dense = dense_trust_matrix(x, spec)
-        if spec.lo is None:
-            mask = bc.trust_matrix(x, spec)
-            assert mask.dtype == bool and mask.shape == (x.n, x.n)
-        else:
-            mask, counts = window_mask(x, spec)
-            assert np.array_equal(counts, dense.sum(axis=1))
+        mask = bc.trust_matrix(x, spec)
+        assert mask.dtype == bool and mask.shape == (x.n, x.n)
         assert np.array_equal(mask, dense)
+        assert np.array_equal(bc._trust(x, spec)[1], dense.sum(axis=1))
     steps = (lambda: hk_step(x, spec), lambda: truth_step(x, lam, target, spec),
              lambda: inertial_step(x, lam, spec))
     assert [_outcome(step) for step in steps] == dense_steps(dense, x, lam, target)

@@ -5,8 +5,9 @@ interval geometry became one (lo, hi) window: one branch per variant, each
 rebuilding its bounds. Hypothesis draws symmetric, asymmetric, per-agent,
 shifted and norm-ball geometries with open and closed boundaries, on a
 dyadic grid so that opinion gaps land exactly on the bounds, and checks
-that the norm-ball masks and the interval windows equal the reference mask,
-and that the steps equal the ones built on it.
+that ``trust_matrix`` and the trust-set sizes of both geometries equal the
+reference mask and its row sums, and that the steps equal the ones built
+on it.
 """
 
 from dataclasses import dataclass, fields
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from opiniondyn import bounded_confidence as bc
 from opiniondyn import ConfidenceSpec, OpinionState, hk_step, inertial_step, truth_step
-from test_bounded_confidence import NORM_ORDS, dense_steps, window_mask
+from test_bounded_confidence import NORM_ORDS, dense_steps
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,8 @@ def geometries(draw):
 def test_trust_mask_matches_reference(case):
     x, spec, ref = case
     reference = reference_trust_matrix(x, ref)
-    if spec.lo is None:
-        assert np.array_equal(bc.trust_matrix(x, spec), reference)
-    else:
-        mask, counts = window_mask(x, spec)
-        assert np.array_equal(mask, reference)
-        assert np.array_equal(counts, reference.sum(axis=1))
+    assert np.array_equal(bc.trust_matrix(x, spec), reference)
+    assert np.array_equal(bc._trust(x, spec)[1], reference.sum(axis=1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,7 +161,7 @@ def test_per_agent_length_mismatch_raises(spec):
     x = OpinionState([0.0, 0.25, 1.0])
     message = f"^spec is for {spec.n} agents, not 3$"
     with pytest.raises(ValueError, match=message):
-        bc.trust_matrix(x, spec) if spec.lo is None else window_mask(x, spec)
+        bc.trust_matrix(x, spec)
     lam = np.full(x.n, 0.5)
     for step in (lambda: hk_step(x, spec), lambda: truth_step(x, lam, [0.5], spec),
                  lambda: inertial_step(x, lam, spec)):

@@ -32,8 +32,10 @@ bounds and shifts, the pair dynamics' ``d`` and the CLI's) is read by one
 rule: a list or tuple element by element as a real number, so an empty
 list or a bool among numbers (``NOT_VECTORS``) is refused by name too.
 
-An entry that takes a state, spec, graph or trajectory (``OBJECT_CALLS``)
-refuses None with a ValueError that names the argument and its type.
+An entry that takes a state, spec, graph, trajectory or record
+(``OBJECT_CALLS``) refuses None with a ValueError that names the argument
+and its type; ``test_signature_guard`` tries every object-typed argument of
+every export with more kinds of value.
 """
 
 import json
@@ -52,21 +54,27 @@ from opiniondyn import (
     DeffuantWeisbuch,
     DegrootGossip,
     FJSpec,
+    GaugeVector,
+    GossipFJ,
     OpinionState,
     PhiSpec,
     SignedGraph,
     SimulationError,
     Trajectory,
+    UndirectedGraph,
     WeightSpec,
     bernoulli_convolution,
     cesaro,
     classify,
     clusters,
     cli,
+    connectivity,
     d_chain_partition,
     dw_run_exact,
     fj_fixed_point,
     flow_simulate,
+    gauge_apply,
+    gauge_from_balance,
     heterophily_phi,
     hk_energy,
     hk_indicator_phi,
@@ -76,6 +84,7 @@ from opiniondyn import (
     persistent_graph,
     predict_bipartite_consensus,
     reputation_phi,
+    signed_laplacian,
     signed_laplacian_matrix,
     simulate_bc,
     simulate_discrete,
@@ -85,6 +94,7 @@ from opiniondyn import (
     two_r_experiment,
     verify_convergence_premises,
 )
+from opiniondyn.bounded_confidence import trust_matrix
 from opiniondyn.linear_dynamics import check_signed_row_stochastic, check_stochastic
 from opiniondyn.serialize import load_matrix, load_schedule
 from opiniondyn.state import _array
@@ -179,7 +189,7 @@ REAL_CALLS = {
     ("persistent_graph", "threshold"): lambda v: persistent_graph([np.eye(2)], v),
     ("verify_convergence_premises", "delta"): lambda v: verify_convergence_premises([np.eye(2)],
                                                                                     v),
-    ("WeightSpec", "until"): lambda v: WeightSpec.scheduled("stochastic", [(v, np.eye(2))]),
+    ("WeightSpec", "until"): lambda v: WeightSpec("stochastic", schedule=[(v, np.eye(2))]),
     ("cli", "x0 uniform lo"): lambda v: cli._initial_state({"uniform": [v, 1.0, 3]}, 0),
     ("cli", "x0 uniform hi"): lambda v: cli._initial_state({"uniform": [0.0, v, 3]}, 0),
     ("cli", "hk-sweep d_range"): lambda v: cli._hk_sweep(0, instances=1, d_range=(0.1, v)),
@@ -437,12 +447,24 @@ OBJECT_CALLS = {
     ("predict_bipartite_consensus", "g"): ("SignedGraph",
                                            lambda: predict_bipartite_consensus(None, X0)),
     ("structural_balance", "g"): ("SignedGraph", lambda: structural_balance(None)),
+    ("trust_matrix", "x"): ("OpinionState",
+                            lambda: trust_matrix(None, ConfidenceSpec.norm_ball(1.0))),
+    ("connectivity", "g"): ("SignedGraph", lambda: connectivity(None)),
+    ("signed_laplacian", "g"): ("SignedGraph", lambda: signed_laplacian(None)),
+    ("gauge_apply", "g"): ("SignedGraph", lambda: gauge_apply(None, GaugeVector((1, -1)))),
+    ("gauge_apply", "delta"): ("GaugeVector", lambda: gauge_apply(SignedGraph(np.eye(2)), None)),
+    ("gauge_from_balance", "result"): ("BalanceResult", lambda: gauge_from_balance(None, 2)),
+    ("d_chain_partition", "x"): ("OpinionState", lambda: d_chain_partition(None, 1.0)),
+    ("GaugeVector", "signs"): ("tuple", lambda: GaugeVector(None)),
+    ("GossipFJ", "spec"): ("FJSpec", lambda: GossipFJ(None)),
+    ("UndirectedGraph", "edges"): ("frozenset", lambda: UndirectedGraph(3, None)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OBJECT_CALLS), ids="-".join)
 def test_an_object_argument_of_another_type_is_refused_by_name(case):
-    """Each leaked an AttributeError or a TypeError for None."""
+    """Each leaked an AttributeError or a TypeError for None (UndirectedGraph
+    once its components were read)."""
     kind, call = OBJECT_CALLS[case]
     with pytest.raises(ValueError, match=rf"^{case[1]} must be an? {kind}, got None$"):
         call()

@@ -47,7 +47,7 @@ class TestWeightSpec:
         if provider == "constant":
             spec = WeightSpec.constant(kind, w)
         else:
-            spec = WeightSpec.scheduled(kind, [(1.0, w), (2.0, w)])
+            spec = WeightSpec(kind, schedule=[(1.0, w), (2.0, w)])
         held = [spec.matrix_at(0.5), spec.matrix_at(1.5)]
         w[0, 0] = -3.0
         for m in held + [spec.matrix_at(0.5), spec.matrix_at(1.5)]:
@@ -61,7 +61,7 @@ class TestWeightSpec:
     def test_providers_keep_their_public_values_and_lookups(self):
         w, v = np.eye(2), np.full((2, 2), 0.5)
         const = WeightSpec.constant("stochastic", w)
-        sched = WeightSpec.scheduled("stochastic", [(1.0, w), (3.0, v)])
+        sched = WeightSpec("stochastic", schedule=[(1.0, w), (3.0, v)])
         rule = WeightSpec.from_rule("stochastic", lambda t, x: v, n=2)
         assert (const.n, const.is_constant, const.schedule) == (2, True, None)
         assert (sched.n, sched.is_constant, sched.matrix) == (2, False, None)
@@ -73,14 +73,14 @@ class TestWeightSpec:
             assert np.array_equal(sched.matrix_at(t), mat)
             assert np.array_equal(rule.matrix_at(t, None), v)
         with pytest.raises(ValueError, match="schedule must be nonempty"):
-            WeightSpec.scheduled("stochastic", [])
+            WeightSpec("stochastic", schedule=[])
 
     @pytest.mark.parametrize("untils", [(float("nan"), 2.0), (1.0, float("nan")), (2.0, 2.0),
                                         (2.0, 1.0)])
     def test_schedule_breakpoints_must_increase(self, untils):
         w = np.eye(2)
         with pytest.raises(ValueError, match="strictly increasing"):
-            WeightSpec.scheduled("stochastic", [(u, w) for u in untils])
+            WeightSpec("stochastic", schedule=[(u, w) for u in untils])
 
     @pytest.mark.parametrize("make, message", [
         (lambda: WeightSpec.constant("doubly", np.eye(2)), "unknown kind 'doubly'"),
@@ -88,7 +88,7 @@ class TestWeightSpec:
          "rule provider requires the agent count n"),
         (lambda: WeightSpec.constant("nonnegative", [[0.0, -1.0], [1.0, 0.0]]),
          "nonnegative spec has negative entries"),
-        (lambda: WeightSpec.scheduled("stochastic", [(1.0, np.eye(2)), (2.0, np.eye(3))]),
+        (lambda: WeightSpec("stochastic", schedule=[(1.0, np.eye(2)), (2.0, np.eye(3))]),
          "all scheduled matrices must share one size"),
     ], ids=["unknown-kind", "rule-without-n", "negative-contact-rate", "mixed-sizes"])
     def test_invalid_specs_are_rejected(self, make, message):
@@ -427,7 +427,7 @@ class TestSimulateDiscrete:
         for _ in range(20):
             n = int(rng.integers(2, 8))
             mats = [random_stochastic(rng, n) for _ in range(4)]
-            spec = WeightSpec.scheduled("stochastic", [(k + 1.0, m) for k, m in enumerate(mats)])
+            spec = WeightSpec("stochastic", schedule=[(k + 1.0, m) for k, m in enumerate(mats)])
             x0 = OpinionState(rng.normal(size=(n, 2)))
             traj = simulate_discrete(spec, x0, steps=4)
             for k in range(1, len(traj)):
@@ -440,7 +440,7 @@ class TestSimulateDiscrete:
         rng = np.random.default_rng(5)
         w, v = random_stochastic(rng, 4), random_stochastic(rng, 4)
         x0 = OpinionState(rng.uniform(-1, 1, size=4))
-        traj = simulate_discrete(WeightSpec.scheduled("stochastic", [(1.0, w), (3.0, v)]), x0, 5)
+        traj = simulate_discrete(WeightSpec("stochastic", schedule=[(1.0, w), (3.0, v)]), x0, 5)
         x = x0.values
         expected = [x]
         for mat in (w, v, v, v, v):
@@ -449,7 +449,7 @@ class TestSimulateDiscrete:
         assert traj.array.tobytes() == np.stack(expected).tobytes()
 
     def test_a_momentary_fixed_point_does_not_stop_a_schedule(self):
-        spec = WeightSpec.scheduled("stochastic", [(2.0, np.eye(2)), (3.0, np.full((2, 2), 0.5))])
+        spec = WeightSpec("stochastic", schedule=[(2.0, np.eye(2)), (3.0, np.full((2, 2), 0.5))])
         traj = simulate_discrete(spec, OpinionState([0.0, 1.0]), 4)
         assert traj.terminated_at is None and len(traj) == 5
         assert np.array_equal(traj.array[2], traj.array[0])
@@ -706,7 +706,7 @@ class TestFlowOnSchedulesAndRules:
     graph switches or follows the state."""
 
     def test_constant_complete_schedule_reaches_the_mean(self):
-        spec = WeightSpec.scheduled("nonnegative", [(10.0, np.ones((3, 3)) - np.eye(3))])
+        spec = WeightSpec("nonnegative", schedule=[(10.0, np.ones((3, 3)) - np.eye(3))])
         traj = flow_simulate(spec, OpinionState([0.0, 0.4, 1.1]), t_end=10.0, dt=0.01)
         assert np.max(np.abs(traj.final.values - 0.5)) < 1e-9
 
@@ -715,7 +715,7 @@ class TestFlowOnSchedulesAndRules:
         # over a full period holds a spanning tree, rooted at agent 0
         a1, a2 = np.zeros((3, 3)), np.zeros((3, 3))
         a1[1, 0] = a2[2, 1] = 1.0
-        spec = WeightSpec.scheduled("nonnegative", [(k + 1.0, (a1, a2)[k % 2]) for k in range(40)])
+        spec = WeightSpec("nonnegative", schedule=[(k + 1.0, (a1, a2)[k % 2]) for k in range(40)])
         traj = flow_simulate(spec, OpinionState([0.3, -1.0, 2.0]), t_end=40.0, dt=0.01)
         assert np.all(traj.array[:, 0, 0] == 0.3)
         assert np.max(np.abs(traj.final.values - 0.3)) < 1e-6
@@ -744,7 +744,7 @@ class TestFlowOnSchedulesAndRules:
             assert structural_balance(SignedGraph(g)).camps == ((0, 1), (2,))
         delta = np.array([1.0, 1.0, -1.0])
         x0 = np.array([0.2, -0.7, 0.9])
-        spec = WeightSpec.scheduled("signed", [(k + 1.0, (g1, g2)[k % 2]) for k in range(40)])
+        spec = WeightSpec("signed", schedule=[(k + 1.0, (g1, g2)[k % 2]) for k in range(40)])
         traj = flow_simulate(spec, OpinionState(x0), t_end=40.0, dt=0.01)
         assert np.max(np.abs(traj.final.values[:, 0] - delta * (delta @ x0) / 3)) < 1e-9
 
@@ -801,7 +801,7 @@ class TestFlowLaplacianReuse:
         # breakpoints off the step grid, so RK4 stages straddle them
         schedule = [(0.23, rng.uniform(-1, 1, (4, 4))), (0.61, rng.uniform(-1, 1, (4, 4))),
                     (5.0, rng.uniform(-1, 1, (4, 4)))]
-        spec = WeightSpec.scheduled("signed", schedule)
+        spec = WeightSpec("signed", schedule=schedule)
         x0 = OpinionState(rng.normal(size=(4, 2)))
         calls = []
         monkeypatch.setattr(
