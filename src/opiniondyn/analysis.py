@@ -61,7 +61,7 @@ def clusters(x: OpinionState, gap_tol: float) -> ClusterProfile:
     (Euclidean), found by the package's one component kernel. Raises
     ValueError unless x is an OpinionState and gap_tol is a positive real number."""
     _instance("x", x, OpinionState)
-    gap_tol = _real("gap_tol", gap_tol, "positive")
+    gap_tol = _real("gap_tol", gap_tol, "(0, inf]")
     min_sep = math.inf
     if x.m == 1:
         order, gaps, splits = sorted_split(x.flat, gap_tol)
@@ -110,7 +110,7 @@ def classify(trajectory: Trajectory, tol: float, gap_tol: float | None = None) -
     overflowing difference is an infinity, without a warning. Raises
     ValueError unless trajectory is a Trajectory and tol is nonnegative.
     """
-    tol = _real("tol", tol, "nonnegative")
+    tol = _real("tol", tol, "[0, inf]")
     if len(_instance("trajectory", trajectory, Trajectory)) >= 2:
         with np.errstate(over="ignore", invalid="ignore"):
             step = np.abs(trajectory.array[-1] - trajectory.array[-2]).max()
@@ -158,14 +158,13 @@ def two_r_experiment(n: int, d_list: Iterable[float], trials: int, seed: int) ->
     [0, 1] (independent sub-stream per (d, trial)), run the plain
     bounded-confidence model to exact termination, and count clusters at
     scale d. Deterministic given the seed. Raises ValueError unless every
-    d is finite and positive, and MaxStepsError if a run misses the
+    d lies in (0, inf), and MaxStepsError if a run misses the
     termination bound 2 n^3 - 2 (n - 1)^2.
     """
     n, trials = _count("n", n, 1), _count("trials", trials, 1)
     d_list = list(_iterable("d_list", d_list))
     for d in d_list:
-        if not (math.isfinite(_real("confidence bound d", d)) and d > 0):
-            raise ValueError(f"confidence bound d must be finite and positive, got {d}")
+        _real("confidence bound d", d, "(0, inf)")
     bound = _hk_step_bound(n)
     rows = []
     for d_idx, d in enumerate(d_list):

@@ -11,15 +11,15 @@ energy are included.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .net_graph import _first_hit
 from .state import MaxStepsError, OpinionState, Trajectory
 from .state import _BLOCK, _NORMS, _array, _bound, _count, _distance_blocks, _distances, _frozen
-from .state import _agents, _instance, _real, _reals, _unit_weights
+from .state import _agents, _instance, _real, _reals
 
 __all__ = [
     "ConfidenceSpec",
@@ -64,11 +64,8 @@ class ConfidenceSpec:
     def __post_init__(self):
         if self.norm not in _NORMS:
             raise ValueError(f"norm must be one of {sorted(_NORMS)}")
-        lo = None if self.lo is None else _bound("lo", self.lo)  # a norm ball has no lo
-        hi = _bound("hi", self.hi)
-        # "not > 0" rather than "<= 0", so that a NaN bound is rejected too
-        if not np.all(hi > 0) or (lo is not None and not np.all(lo < 0)):
-            raise ValueError("confidence bounds must be positive")
+        lo = None if self.lo is None else _bound("lo", self.lo, "[-inf, 0)")
+        hi = _bound("hi", self.hi, "(0, inf]")
         if isinstance(lo, np.ndarray) and isinstance(hi, np.ndarray) and lo.size != hi.size:
             raise ValueError("left and right bound lists must have equal length")
         object.__setattr__(self, "lo", tuple(lo.tolist()) if isinstance(lo, np.ndarray) else lo)
@@ -87,33 +84,33 @@ class ConfidenceSpec:
     @classmethod
     def symmetric(cls, d: float, closed: bool = True) -> "ConfidenceSpec":
         """Trust all opinions within distance d of one's own."""
-        d = _real("d", d)
+        d = _real("d", d, "(0, inf]")
         return cls(lo=-d, hi=d, closed=closed)
 
     @classmethod
     def asymmetric(cls, d_left: float, d_right: float, closed: bool = True) -> "ConfidenceSpec":
         """Trust opinions in [x_i - d_left, x_i + d_right]."""
-        return cls(lo=-_real("d_left", d_left), hi=_real("d_right", d_right), closed=closed)
+        lo, hi = -_real("d_left", d_left, "(0, inf]"), _real("d_right", d_right, "(0, inf]")
+        return cls(lo=lo, hi=hi, closed=closed)
 
     @classmethod
     def per_agent(cls, d_per_agent, closed: bool = True) -> "ConfidenceSpec":
         """Symmetric intervals with an individual bound per agent."""
-        bounds = _reals("d_per_agent", d_per_agent)
+        bounds = _reals("d_per_agent", d_per_agent, "(0, inf]")
         return cls(lo=-bounds, hi=bounds, closed=closed)
 
     @classmethod
     def shifted(cls, d: float, eta, closed: bool = True) -> "ConfidenceSpec":
         """Intervals [x_i - d + eta_i, x_i + d] with 0 <= eta_i and max eta_i < d."""
-        d, eta = _real("d", d), _reals("eta", eta)
-        # a bound d <= 0 is left to the positivity check
-        if not d <= 0 and (np.any(eta < 0) or eta.max() >= d):
+        d, eta = _real("d", d, "(0, inf]"), _reals("eta", eta)
+        if np.any(eta < 0) or eta.max() >= d:
             raise ValueError("shifts must satisfy 0 <= eta_i and max eta_i < d")
         return cls(lo=-d + eta, hi=d, closed=closed)
 
     @classmethod
     def norm_ball(cls, d, norm: str = "euclidean", closed: bool = True) -> "ConfidenceSpec":
         """Trust within a norm ball of radius d (scalar) or d_i (per agent)."""
-        return cls(lo=None, hi=_bound("d", d), closed=closed, norm=norm)
+        return cls(lo=None, hi=_bound("d", d, "(0, inf]"), closed=closed, norm=norm)
 
 
 # Mask entries per float block of the scalar trust-set sums and of the
@@ -333,7 +330,8 @@ def truth_step(x: OpinionState, lam: np.ndarray, target: np.ndarray,
     the target in one step.
     """
     means = _trust_means(x, spec)
-    lam = _unit_weights(lam, x.n, "attraction weights")
+    lam = _reals("lam", lam, "[0, 1]")
+    _agents("lam", len(lam), x.n)
     target = _array("target", target, finite=True).reshape(-1)
     if target.shape[0] != x.m:
         raise ValueError("target must be a point in opinion space")
@@ -347,7 +345,8 @@ def inertial_step(x: OpinionState, lam: np.ndarray, spec: ConfidenceSpec) -> Opi
     the agent, lam_i = 1 recovers the plain step.
     """
     means = _trust_means(x, spec)
-    lam = _unit_weights(lam, x.n, "inertia weights")
+    lam = _reals("lam", lam, "[0, 1]")
+    _agents("lam", len(lam), x.n)
     return OpinionState((1.0 - lam)[:, None] * x.values + lam[:, None] * means)
 
 
@@ -368,17 +367,11 @@ class PhiSpec:
     reputations: np.ndarray | None = None
 
     def __post_init__(self):
-        if not callable(self.phi):
-            raise ValueError(f"phi must be callable, got {self.phi!r}")
-        if self.phi(0.0) <= 0:
+        if _instance("phi", self.phi, Callable)(0.0) <= 0:
             raise ValueError("phi(0) must be positive")
         if self.reputations is not None:
-            w = _frozen(_array("reputations", self.reputations))
-            if w.ndim != 1:
-                raise ValueError("reputations must be a vector")
-            if not np.all(w > 0):  # "not > 0" rejects NaN too
-                raise ValueError("reputations must be positive")
-            object.__setattr__(self, "reputations", w)
+            object.__setattr__(self, "reputations",
+                               _frozen(_reals("reputations", self.reputations, "(0, inf]")))
 
     @property
     def n(self) -> int | None:
@@ -388,7 +381,7 @@ class PhiSpec:
 def hk_indicator_phi(d: float) -> PhiSpec:
     """Weights reproducing the plain bounded-confidence step: the indicator
     of squared distances up to d^2."""
-    d = _real("confidence bound", d, "positive")
+    d = _real("confidence bound", d, "(0, inf]")
     dsq = d * d
     return PhiSpec(phi=lambda sigma: np.where(sigma <= dsq, 1.0, 0.0))
 
@@ -408,7 +401,7 @@ def reputation_phi(w: np.ndarray, d: float) -> PhiSpec:
     """Weights phi^{ij}(sigma) = w_j for sigma < d^2 (0 beyond): every agent
     inside the confidence ball counts with its own positive reputation w_j,
     as the indicator of sigma < d^2 scaled by w."""
-    d = _real("confidence bound", d, "positive")
+    d = _real("confidence bound", d, "(0, inf]")
     dsq = d * d
     return PhiSpec(phi=lambda sigma: np.where(sigma < dsq, 1.0, 0.0), reputations=w)
 
@@ -468,10 +461,9 @@ def simulate_bc(
     is an OpinionState of x0's agents and dimensions. A change that
     overflows counts as an infinity, without a warning.
     """
-    if not callable(stepper):
-        raise ValueError(f"stepper must be callable, got {stepper!r}")
+    _instance("stepper", stepper, Callable)
     max_steps = _count("max_steps", max_steps, 1)
-    stop_tol = _real("stop_tol", stop_tol, "nonnegative")
+    stop_tol = _real("stop_tol", stop_tol, "[0, inf]")
     states = [_instance("x0", x0, OpinionState).values]
     x = x0
     for k in range(max_steps + 1):
@@ -497,7 +489,7 @@ def simulate_bc(
 def hk_energy(x: OpinionState, d: float) -> float:
     """Quadratic interaction energy sum_{i,j} min(|x_i - x_j|^2, d^2) over
     all ordered pairs; zero exactly at consensus, bounded by d^2 n (n-1)."""
-    d = _real("confidence bound", d, "positive")
+    d = _real("confidence bound", d, "(0, inf]")
     sq = _distances(_instance("x", x, OpinionState).values, "squared")
     return float(np.minimum(sq, d * d).sum())
 
@@ -528,7 +520,7 @@ def d_chain_partition(x: OpinionState, d: float) -> DChainPartition:
     """Sort scalar opinions and split at gaps exceeding d."""
     if _instance("x", x, OpinionState).m != 1:
         raise ValueError("chains are defined for scalar opinions")
-    d = _real("confidence bound", d, "positive")
+    d = _real("confidence bound", d, "(0, inf]")
     v = x.flat
     order, _, splits = sorted_split(v, d)
     sorted_v = v[order]

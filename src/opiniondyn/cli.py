@@ -78,7 +78,7 @@ def _family_check(n: int, ratios, tol=1e-6) -> tuple:
     if float(ratios @ ratios) == 0.0:
         raise ValueError(f"family_check ratios {ratios.tolist()} are all zero")
     _agents("family_check ratios", len(ratios), n)
-    return ratios, _real("family_check tol", tol, "nonnegative")
+    return ratios, _real("family_check tol", tol, "[0, inf]")
 
 
 def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
@@ -87,17 +87,13 @@ def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
     model does not read. The clustering scale ``gap`` is the bound d, or
     ``gap_tol`` without one; a per-agent d clusters at its smallest bound:
     two clusters closer than that would still be interacting."""
-    tol = None if tol is None else _real("tol", tol, "nonnegative")
+    tol = None if tol is None else _real("tol", tol, "[0, inf]")
     if gap_tol is not None:
-        gap_tol = _real("gap_tol", gap_tol, "positive")
+        gap_tol = _real("gap_tol", gap_tol, "(0, inf]")
         gap_tol = float(np.min(_bound("d", params["d"]))) if "d" in params else gap_tol
     if family_check is not None:
         family_check = _family_check(n, **family_check)
     return {"tol": tol, "family_check": family_check, "gap": gap_tol}
-
-
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
 
 
 @dataclass
@@ -143,8 +139,9 @@ class _Run:
 
     def clusters_json(self) -> str:
         profile = analysis.clusters(self.traj.final, self.gap)
-        return _json({"count": profile.count, "members": [list(m) for m in profile.members],
-                      "representatives": [list(np.atleast_1d(r)) for r, _ in profile.clusters]})
+        return io.json_text({
+            "count": profile.count, "members": [list(m) for m in profile.members],
+            "representatives": [list(np.atleast_1d(r)) for r, _ in profile.clusters]})
 
     def energies_csv(self) -> str:
         d, traj = self.params["d"], self.traj
@@ -154,14 +151,14 @@ class _Run:
     def classification_json(self) -> str:
         summary = self.summary
         check = {"family_check": summary["family_check"]} if "family_check" in summary else {}
-        return _json({**summary["classification"], **check})
+        return io.json_text({**summary["classification"], **check})
 
     def gossip_summary_json(self) -> str:
         profile = analysis.clusters(self.traj.final, self.gap)
-        return _json({"seed": self.seed, "steps": int(self.traj.stamps[-1]),
-                      "final_state": self.traj.final.values[:, 0].tolist(),
-                      "cesaro_final": self.averages[-1][:, 0].tolist(),
-                      "clusters": [list(m) for m in profile.members]})
+        return io.json_text({"seed": self.seed, "steps": int(self.traj.stamps[-1]),
+                             "final_state": self.traj.final.values[:, 0].tolist(),
+                             "cesaro_final": self.averages[-1][:, 0].tolist(),
+                             "clusters": [list(m) for m in profile.members]})
 
 
 def _run_bc(spec_fn, step, params, seed, x0, horizon=HORIZON, stop_tol=0.0, tol=TOL,
@@ -218,7 +215,7 @@ def _run_fj(params) -> tuple:
     xbar = ld.fj_fixed_point(spec).values
     fixed = spec.lam[:, None] * (spec.w @ xbar) + (1 - spec.lam)[:, None] * spec.u
     residual = float(np.max(np.abs(fixed - xbar)))
-    return "report.json", _json({"x_bar": xbar.tolist(), "residual": residual})
+    return "report.json", io.json_text({"x_bar": xbar.tolist(), "residual": residual})
 
 
 def _balance(matrix) -> tuple:
@@ -250,7 +247,7 @@ def _hk_sweep(seed, instances=25, n_range=(2, 30), d_range=(0.05, 0.5)) -> tuple
 
 
 TRAJECTORY = ("trajectory.csv", _Run.trajectory_csv)
-SUMMARY = ("summary.json", lambda run: _json(run.summary))
+SUMMARY = ("summary.json", lambda run: io.json_text(run.summary))
 PHI_WRITERS = {"trajectory": TRAJECTORY, "summary": SUMMARY,
                "clusters": ("clusters.json", _Run.clusters_json)}
 BC_WRITERS = {**PHI_WRITERS, "energies": ("energies.csv", _Run.energies_csv)}
@@ -459,7 +456,7 @@ def _analyze(args) -> int:
     }
     path = Path(args.out) / "analysis.json"
     try:
-        io.atomic_write_text(path, _json(payload))
+        io.atomic_write_text(path, io.json_text(payload))
     except OSError as exc:
         raise CliError("write", str(exc)) from exc
     print(path)

@@ -37,8 +37,8 @@ from math import inf
 import numpy as np
 
 from .linear_dynamics import FJSpec, check_stochastic
-from .state import Events, OpinionState, Trajectory, _agents, _array, _bound, _count, _frozen
-from .state import _instance, _real, _stamps
+from .state import Events, OpinionState, Trajectory, _agents, _bound, _count, _frozen
+from .state import _instance, _real, _reals, _stamps
 
 __all__ = [
     "make_rng",
@@ -112,12 +112,8 @@ class DegrootGossip(_RowPartners):
 
     def __post_init__(self):
         super().__post_init__()
-        g = _array("gains", self.gains)
-        if g.ndim != 1:
-            raise ValueError(f"gains must be a vector, got shape {g.shape}")
+        g = _reals("gains", self.gains, "(0, 1)")
         _agents("gains", len(g), self.n)
-        if not np.all((g > 0) & (g < 1)):
-            raise ValueError("gains must lie strictly inside (0, 1)")
         object.__setattr__(self, "gains", _frozen(g))
 
     def _apply(self, x, draws, snap, keep, record):
@@ -217,12 +213,8 @@ class DeffuantWeisbuch:
     mode: str = "symmetric"
 
     def __post_init__(self):
-        d = _bound("d", self.d)
-        if not np.all(d > 0):  # NaN fails "> 0" too
-            raise ValueError("confidence bounds must be a positive number or vector")
-        mu = _real("mu", self.mu)
-        if not 0 < mu < 1:
-            raise ValueError("the move fraction must lie in (0, 1)")
+        d = _bound("d", self.d, "(0, inf]")
+        mu = _real("mu", self.mu, "(0, 1)")
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError("mode must be 'symmetric' or 'asymmetric'")
         object.__setattr__(self, "d", d if isinstance(d, float) else _frozen(d))
@@ -567,8 +559,7 @@ def bernoulli_convolution(gamma: float, depth: int,
     (1 - gamma)^s xi_s with fair coin flips xi_s, drawn as
     ``make_rng(rng).integers(0, 2, size=depth)``. At gamma = 1/2 the
     distribution is uniform on [0, 1]."""
-    if not 0 < _real("gamma", gamma) < 1:
-        raise ValueError("gamma must lie in (0, 1)")
+    _real("gamma", gamma, "(0, 1)")
     depth = _count("depth", depth, 1)
     bits = make_rng(rng).integers(0, 2, size=depth)
     powers = np.cumprod(np.full(depth, 1.0 - gamma))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .state import (
     _instance,
     _iterable,
     _real,
-    _unit_weights,
+    _reals,
     as_state_array,
 )
 
@@ -148,9 +147,12 @@ class WeightSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         if sum(p is not None for p in (self.matrix, self.schedule, self.rule)) != 1:
             raise ValueError("exactly one of matrix, schedule, rule must be given")
+        n = None if self.n is None else _count("n", self.n, 1)
         if self.rule is not None:
-            if self.n is None:
+            _instance("rule", self.rule, Callable)
+            if n is None:
                 raise ValueError("rule provider requires the agent count n")
+            object.__setattr__(self, "n", n)
             return
         segments, prev = [], -math.inf
         for until, mat in self.schedule if self.matrix is None else [(math.inf, self.matrix)]:
@@ -164,6 +166,7 @@ class WeightSpec:
             segments.append((until, w))
         if not segments:
             raise ValueError("schedule must be nonempty")
+        _agents("n", n, w.shape[0])
         object.__setattr__(self, "_segments", tuple(segments))
         object.__setattr__(self, "n", w.shape[0])
         if self.matrix is not None:
@@ -220,7 +223,8 @@ class FJSpec:
     def __post_init__(self):
         w = check_stochastic(self.w)
         u = as_state_array(self.u, "u")
-        lam = _unit_weights(self.lam, w.shape[0], "susceptibilities")
+        lam = _reals("lam", self.lam, "[0, 1]")
+        _agents("lam", len(lam), w.shape[0])
         _agents("u", u.shape[0], w.shape[0])
         for name, arr in (("lam", lam), ("w", w), ("u", u)):
             object.__setattr__(self, name, _frozen(arr))
@@ -288,9 +292,7 @@ def verify_convergence_premises(matrices: Iterable[np.ndarray], delta: float) ->
     Returns the first violation found, scanning steps in order and entries
     in ascending row-major order.
     """
-    delta = _real("delta", delta)
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    delta = _real("delta", delta, "(0, 1]")
     for k, mat in enumerate(_iterable("matrices", matrices)):
         w = check_stochastic(mat)
         hit = _first_hit(np.diag(w) < delta)
@@ -369,12 +371,10 @@ def flow_simulate(
     (numpy's overflow warnings on the way there are silenced); ValueError
     when the steps do not fit in memory.
     """
-    t_end = _real("t_end", t_end)
-    if not 0 < t_end < math.inf:  # NaN fails this too
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    t_end = _real("t_end", t_end, "(0, inf)")
     _agents("spec", _instance("spec", spec, WeightSpec).n, _instance("x0", x0, OpinionState).n)
     x = x0.values
-    dt = default_flow_step(spec.matrix_at(0.0, x)) if dt is None else _real("dt", dt, "positive")
+    dt = default_flow_step(spec.matrix_at(0.0, x)) if dt is None else _real("dt", dt, "(0, inf]")
     n_steps = t_end / dt - 1e-12  # inf when the ratio overflows
     try:
         n_steps = max(1, math.ceil(n_steps))

@@ -232,6 +232,9 @@ def gauge_from_balance(result: BalanceResult, n: int) -> GaugeVector:
     n = _count("n", n, 0)
     if not _instance("result", result, BalanceResult).balanced or result.camps is None:
         raise ValueError("gauge vector requires a balanced result")
+    for i in (*result.camps[0], *result.camps[1]):
+        if not 0 <= i < n:
+            raise ValueError(f"camp member {i!r} is not an agent 0 .. {n - 1}")
     signs = [1] * n
     for i in result.camps[1]:
         signs[i] = -1
@@ -337,7 +340,7 @@ def persistent_graph(w_seq: Iterable[np.ndarray], threshold: float) -> Undirecte
     size, summed one at a time in order. ValueError as soon as a matrix of
     another size, or one with a negative or NaN entry, is read.
     """
-    threshold = _real("threshold", threshold, "positive")
+    threshold = _real("threshold", threshold, "(0, inf]")
     total = None
     for w in _iterable("w_seq", w_seq):
         w = _array("weights", w, square=True)

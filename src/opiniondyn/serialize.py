@@ -17,6 +17,7 @@ other order is sorted first, to the same result.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import secrets
@@ -37,6 +38,7 @@ __all__ = [
     "trajectory_csv",
     "load_trajectory",
     "events_csv",
+    "json_text",
     "balance_json",
     "two_r_csv",
     "two_r_json",
@@ -46,6 +48,22 @@ __all__ = [
 
 def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def _spelled(value):
+    """value with each infinite float as the str ``fmt_float`` writes for it."""
+    if isinstance(value, dict):
+        return {key: _spelled(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(v) for v in value]
+    return fmt_float(value) if isinstance(value, float) and math.isinf(value) else value
+
+
+def json_text(payload) -> str:
+    """The text of every JSON artefact, indented by 2 with a final newline. JSON
+    has no infinity: one is the string "inf" or "-inf", as in the CSV files.
+    ValueError for a NaN."""
+    return json.dumps(_spelled(payload), indent=2, allow_nan=False) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -314,13 +332,12 @@ def events_csv(traj: Trajectory) -> str:
 
 
 def balance_json(result: BalanceResult) -> str:
-    payload = {
+    return json_text({
         "balanced": result.balanced,
         "camps": [list(c) for c in result.camps] if result.camps else None,
         "witness": list(result.witness.nodes) if result.witness else None,
         "witness_kind": result.witness.kind if result.witness else None,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def two_r_csv(rows: list) -> str:
@@ -334,7 +351,7 @@ def two_r_csv(rows: list) -> str:
 
 
 def two_r_json(rows: list) -> str:
-    payload = [
+    return json_text([
         {
             "d": row.d,
             "trials": row.trials,
@@ -344,5 +361,4 @@ def two_r_json(rows: list) -> str:
             "conjecture": row.conjecture,
         }
         for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    ])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import numbers
 import reprlib
 from collections.abc import Sequence
@@ -61,18 +62,27 @@ def _count(name: str, value, least) -> int:
     return int(value)
 
 
-def _real(name: str, value, sign=None) -> float:
+@functools.lru_cache(maxsize=None)
+def _inside(within: str):
+    """Membership in an interval written as "(0, 1]" (a bracket is a closed
+    end), of a float or elementwise of an array; NaN lies in none."""
+    lo, hi = (float(end) for end in within[1:-1].split(", "))
+    lo_in, hi_in = within[0] == "[", within[-1] == "]"
+    return lambda v: ((lo <= v) if lo_in else (lo < v)) & ((v <= hi) if hi_in else (v < hi))
+
+
+def _real(name: str, value, within=None) -> float:
     """A real number as a float: an int, a float or a numpy number, not a bool,
-    a str, None or an int beyond the float range, and > 0 or >= 0 (never NaN)
-    for ``sign`` "positive" or "nonnegative"; ValueError naming it otherwise."""
+    a str, None or an int beyond the float range, and inside ``within``, an
+    interval such as "(0, 1]", if given; ValueError naming it otherwise."""
     try:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError
         real = float(value)
     except (TypeError, OverflowError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
-    if sign == "positive" and not real > 0 or sign == "nonnegative" and not real >= 0:
-        raise ValueError(f"{name} must be {sign}, got {real}")
+    if within is not None and not _inside(within)(real):
+        raise ValueError(f"{name} must lie in {within}, got {real}")
     return real
 
 
@@ -204,34 +214,25 @@ def _array(name: str, values, square=False, finite=False) -> np.ndarray:
     return arr
 
 
-def _reals(name: str, values) -> np.ndarray:
+def _reals(name: str, values, within=None) -> np.ndarray:
     """values as a nonempty float vector: a list or tuple element by element
-    by ``_real``, anything else by ``_array``; ValueError naming it otherwise."""
-    vector = (np.array([_real(name, v) for v in values], dtype=float)
+    by ``_real``, anything else by ``_array``, each inside ``within`` as
+    ``_real`` rules it; ValueError naming it otherwise."""
+    vector = (np.array([v if type(v) is float else _real(name, v) for v in values], dtype=float)
               if isinstance(values, (list, tuple)) else _array(name, values))
     if vector.ndim != 1 or not vector.size:
         raise ValueError(f"{name} must be a nonempty list of real numbers, "
                          f"got {reprlib.repr(values)}")
+    if within is not None and not _inside(within)(vector).all():
+        _real(name, float(vector[~_inside(within)(vector)][0]), within)
     return vector
 
 
-def _bound(name: str, value):
+def _bound(name: str, value, within=None):
     """One bound shared by all agents (``_real``) or one per agent (``_reals``)."""
     if isinstance(value, (list, tuple, range)) or isinstance(value, np.ndarray) and value.ndim:
-        return _reals(name, value)
-    return _real(name, value)
-
-
-def _unit_weights(lam, n: int, what: str) -> np.ndarray:
-    """lam as a float vector of n per-agent weights in [0, 1]; ``what``
-    names the weights in the error."""
-    lam = _array("lam", lam)
-    if lam.ndim != 1:
-        raise ValueError(f"lam must be a vector, got shape {lam.shape}")
-    _agents("lam", len(lam), n)
-    if not np.all((lam >= 0) & (lam <= 1)):
-        raise ValueError(f"{what} must lie in [0, 1]")
-    return lam
+        return _reals(name, value, within)
+    return _real(name, value, within)
 
 
 def as_state_array(values, name: str = "opinion values") -> np.ndarray:

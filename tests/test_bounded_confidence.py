@@ -1,5 +1,6 @@
 import os
 import re
+import reprlib
 import subprocess
 import sys
 import time
@@ -115,10 +116,11 @@ class TestTrustSet:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: ConfidenceSpec.norm_ball(1.0, norm="taxicab"), "norm must be one of"),
-        (lambda: ConfidenceSpec.symmetric(0.0), "confidence bounds must be positive"),
-        (lambda: ConfidenceSpec.symmetric(float("nan")), "confidence bounds must be positive"),
-        (lambda: ConfidenceSpec.asymmetric(0.0, 0.5), "confidence bounds must be positive"),
-        (lambda: ConfidenceSpec.per_agent([0.1, -0.2]), "confidence bounds must be positive"),
+        (lambda: ConfidenceSpec.symmetric(0.0), r"d must lie in \(0, inf\], got 0.0"),
+        (lambda: ConfidenceSpec.symmetric(float("nan")), r"d must lie in \(0, inf\], got nan"),
+        (lambda: ConfidenceSpec.asymmetric(0.0, 0.5), r"d_left must lie in \(0, inf\], got 0.0"),
+        (lambda: ConfidenceSpec.per_agent([0.1, -0.2]),
+         r"d_per_agent must lie in \(0, inf\], got -0.2"),
         (lambda: ConfidenceSpec(lo=(-0.1, -0.2), hi=(0.1,)),
          "left and right bound lists must have equal length"),
         (lambda: ConfidenceSpec.shifted(0.2, [-0.1, 0.0]),
@@ -223,9 +225,10 @@ class TestPhiStep:
 
     @pytest.mark.parametrize("d", [-0.5, 0.0, float("nan")])
     def test_presets_reject_a_bound_that_is_not_positive(self, d):
-        with pytest.raises(ValueError, match="confidence bound must be positive"):
+        message = rf"^confidence bound must lie in \(0, inf\], got {d}$"
+        with pytest.raises(ValueError, match=message):
             hk_indicator_phi(d)
-        with pytest.raises(ValueError, match="confidence bound must be positive"):
+        with pytest.raises(ValueError, match=message):
             reputation_phi([1.0, 2.0], d)
 
     @pytest.mark.parametrize("a, b, d1, d2", [(2.0, 1.0, 0.1, 0.3), (0.0, 1.0, 0.1, 0.3),
@@ -237,7 +240,7 @@ class TestPhiStep:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_reputation_weights_must_be_positive(self, bad):
-        with pytest.raises(ValueError, match="reputations must be positive"):
+        with pytest.raises(ValueError, match=rf"^reputations must lie in \(0, inf\], got {bad}$"):
             reputation_phi([1.0, bad], 0.5)
 
     def test_diagonal_weight_must_be_positive_constant(self):
@@ -245,7 +248,7 @@ class TestPhiStep:
             PhiSpec(phi=lambda s: 0.0)
 
     def test_weight_function_must_be_callable(self):
-        with pytest.raises(ValueError, match="^phi must be callable, got None$"):
+        with pytest.raises(ValueError, match="^phi must be a Callable, got None$"):
             PhiSpec(phi=None)
 
     @pytest.mark.parametrize("make, message", [
@@ -262,7 +265,8 @@ class TestPhiStep:
 
     @pytest.mark.parametrize("w", [[[1.0, 2.0]], 3.0])
     def test_reputations_must_be_a_vector(self, w):
-        with pytest.raises(ValueError, match="reputations must be a vector"):
+        with pytest.raises(ValueError, match="^reputations must be (a nonempty list of real "
+                                             "numbers|a real number), got "):
             reputation_phi(w, 0.5)
 
     def test_reputation_count_must_match_the_agent_count(self):
@@ -378,11 +382,11 @@ class TestTruthStep:
             assert np.max(np.abs(traj.final.values - target)) < 1e-6
 
 
-    @pytest.mark.parametrize("step, args, weights", [
-        (truth_step, ([0.5],), "attraction"), (inertial_step, (), "inertia")])
-    def test_nan_weight_is_rejected(self, step, args, weights):
+    @pytest.mark.parametrize("step, args", [(truth_step, ([0.5],)), (inertial_step, ())],
+                             ids=["truth", "inertial"])
+    def test_nan_weight_is_rejected(self, step, args):
         x = OpinionState([0.0, 0.1])
-        with pytest.raises(ValueError, match=rf"{weights} weights must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^lam must lie in \[0, 1\], got nan$"):
             step(x, [0.5, np.nan], *args, ConfidenceSpec.symmetric(0.3))
 
 
@@ -466,9 +470,9 @@ class TestSimulateBc:
 
     @pytest.mark.parametrize("stepper", [None, ConfidenceSpec.symmetric(0.3)], ids=repr)
     def test_stepper_must_be_callable(self, stepper):
-        with pytest.raises(ValueError, match="^stepper must be callable, got ") as info:
+        with pytest.raises(ValueError, match="^stepper must be a Callable, got ") as info:
             simulate_bc(stepper, OpinionState([0.0, 0.1, 0.9]), max_steps=5)
-        assert str(info.value).endswith(repr(stepper))
+        assert str(info.value).endswith(reprlib.repr(stepper))
 
     @pytest.mark.parametrize("x0", [None, [0.0, 0.1]], ids=repr)
     def test_start_must_be_an_opinion_state(self, x0):
@@ -489,7 +493,7 @@ class TestSimulateBc:
     def test_nan_or_negative_stop_tol_rejected(self, stop_tol):
         # at NaN or below zero no state could ever count as a fixed point
         spec = ConfidenceSpec.symmetric(0.3)
-        with pytest.raises(ValueError, match="stop_tol must be nonnegative"):
+        with pytest.raises(ValueError, match=r"stop_tol must lie in \[0, inf\]"):
             simulate_bc(lambda s: hk_step(s, spec), OpinionState([0.0, 0.1, 0.9]), max_steps=50,
                         stop_tol=stop_tol)
 
@@ -563,7 +567,7 @@ class TestDChains:
 
     @pytest.mark.parametrize("d", [np.nan, 0.0])
     def test_bound_must_be_positive(self, d):
-        with pytest.raises(ValueError, match="confidence bound must be positive"):
+        with pytest.raises(ValueError, match=r"confidence bound must lie in \(0, inf\]"):
             d_chain_partition(OpinionState([0.0, 0.1, 5.0]), d=d)
 
     def test_single_chain_when_all_close(self):

@@ -471,10 +471,11 @@ class TestMainEntry:
         assert "spectral radius" in payload["message"]
 
     @pytest.mark.parametrize("flags, message", [
-        pytest.param(["--gap-tol", "nan"], "gap_tol must be positive", id="gap-tol-nan"),
-        pytest.param(["--gap-tol", "0.1", "--tol", "nan"], "tol must be nonnegative",
+        pytest.param(["--gap-tol", "nan"], "gap_tol must lie in (0, inf], got nan",
+                     id="gap-tol-nan"),
+        pytest.param(["--gap-tol", "0.1", "--tol", "nan"], "tol must lie in [0, inf], got nan",
                      id="tol-nan"),
-        pytest.param(["--gap-tol", "0.1", "--tol=-1e-6"], "tol must be nonnegative",
+        pytest.param(["--gap-tol", "0.1", "--tol=-1e-6"], "tol must lie in [0, inf], got -1e-06",
                      id="tol-negative"),
     ])
     def test_analyze_rejects_a_nan_or_negative_scale(self, tmp_path, capsys, flags, message):
@@ -496,8 +497,18 @@ class TestMainEntry:
         argv = ["analyze", "--trajectory", str(path), "--gap-tol", "0.1", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
-        payload = json.loads((tmp_path / "analysis.json").read_text())
+        payload = json.loads((tmp_path / "analysis.json").read_text(), parse_constant=_no_constant)
         assert payload["classification"] == {"kind": "polarization", "count": 2}
+        # written as Infinity, which is not JSON
+        assert payload["min_separation"] == "inf"
+
+    def test_an_infinite_summary_float_is_written_as_a_string(self, tmp_path, capsys):
+        # the diameter of [1e308, -1e308] overflows; it was written as Infinity
+        config = {"model": "hk", "params": {"d": 0.3}, "x0": [1e308, -1e308],
+                  "outputs": ["summary"]}
+        assert _simulate(tmp_path, capsys, config) == (0, None)
+        text = (tmp_path / "out" / "summary.json").read_text()
+        assert json.loads(text, parse_constant=_no_constant)["final_diameter"] == "inf"
 
     def test_nan_classification_tol_in_a_config_is_a_validation_error(self, tmp_path, capsys):
         config = {"model": "hk", "params": {"d": 0.3}, "x0": [0.0, 0.1], "tol": float("nan"),
@@ -508,7 +519,7 @@ class TestMainEntry:
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["stage"] == "validate"
-        assert "tol must be nonnegative" in payload["message"]
+        assert "tol must lie in [0, inf], got nan" in payload["message"]
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_analyze_missing_file(self, tmp_path, capsys):
@@ -754,7 +765,7 @@ class TestInputErrors:
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["stage"] == "validate"
-        assert "positive" in payload["message"]
+        assert payload["message"] == "d must lie in (0, inf], got nan"
         assert not (tmp_path / "out").exists()
 
     def test_empty_eta_is_a_validation_error_that_names_it(self, tmp_path):
@@ -804,7 +815,7 @@ class TestInputErrors:
         assert code == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["stage"] == "validate"
-        assert payload["message"] == "confidence bound must be positive, got -0.5"
+        assert payload["message"] == "confidence bound must lie in (0, inf], got -0.5"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -812,16 +823,18 @@ class TestInputErrors:
         [
             pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.9], "params": {"d": 0.3},
                                       "horizon": 50, "stop_tol": float("nan")},
-                         "stop_tol must be nonnegative", id="nan-stop-tol"),
+                         "stop_tol must lie in [0, inf], got nan", id="nan-stop-tol"),
             pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.9], "params": {"d": 0.3},
                                       "horizon": 50, "stop_tol": -1.0},
-                         "stop_tol must be nonnegative", id="negative-stop-tol"),
+                         "stop_tol must lie in [0, inf], got -1.0", id="negative-stop-tol"),
             pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.2], "params": {"d": 0.3},
                                       "family_check": {"ratios": [1, 1, 1], "tol": float("nan")}},
-                         "family_check tol must be nonnegative", id="nan-family-check-tol"),
+                         "family_check tol must lie in [0, inf], got nan",
+                         id="nan-family-check-tol"),
             pytest.param("simulate", {"model": "hk", "x0": [0.0, 0.1, 0.2], "params": {"d": 0.3},
                                       "family_check": {"ratios": [1, 1, 1], "tol": -1e-6}},
-                         "family_check tol must be nonnegative", id="negative-family-check-tol"),
+                         "family_check tol must lie in [0, inf], got -1e-06",
+                         id="negative-family-check-tol"),
             pytest.param("simulate", {"model": "degroot", "x0": [0.0, 1.0], "params": {"schedule": [
                 {"until": float("nan"), "matrix": [[0.5, 0.5], [0.5, 0.5]]},
                 {"until": 4, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}},
@@ -846,7 +859,8 @@ class TestInputErrors:
                          "record_every must be >= 1", id="zero-record-every"),
             pytest.param("experiment", {"model": "two-r", "format": "json",
                                         "params": {"n": 5, "d_list": [float("inf")], "trials": 1}},
-                         "finite and positive", id="infinite-two-r-bound"),
+                         "confidence bound d must lie in (0, inf), got inf",
+                         id="infinite-two-r-bound"),
         ],
     )
     def test_misread_config_values_are_validation_errors(self, tmp_path, capsys, command, config,
@@ -948,6 +962,10 @@ class TestModelTable:
         classification = json.loads((tmp_path / "classification.json").read_text())
         assert classification == {**summary["classification"],
                                   "family_check": summary["family_check"]}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a JSON output")
 
 
 def _simulate(tmp_path, capsys, config, command="simulate"):
@@ -1156,19 +1174,21 @@ class TestConfigContract:
 
     @pytest.mark.parametrize("config, message", [
         pytest.param({"model": "hk", "params": {"d": 0.3}, "tol": -1.0},
-                     "tol must be nonnegative, got -1.0", id="negative-tol"),
+                     "tol must lie in [0, inf], got -1.0", id="negative-tol"),
         pytest.param({"model": "hk", "params": {"d_left": 0.3, "d_right": 0.2},
-                      "gap_tol": float("nan")}, "gap_tol must be positive, got nan",
+                      "gap_tol": float("nan")}, "gap_tol must lie in (0, inf], got nan",
                      id="nan-gap-tol"),
         pytest.param({"model": "gossip-pair", "params": {"p": [[0.0, 1.0], [1.0, 0.0]]},
-                      "gap_tol": 0}, "gap_tol must be positive, got 0.0", id="gossip-zero-gap-tol"),
+                      "gap_tol": 0}, "gap_tol must lie in (0, inf], got 0.0",
+                     id="gossip-zero-gap-tol"),
         pytest.param({"model": "signed-flow", "params": {"matrix": [[0.0, -1.0], [-1.0, 0.0]],
                                                          "t_end": 1.0},
                       "family_check": {"ratios": [1.0, float("nan")]}}, "must be finite",
                      id="nan-ratio"),
         pytest.param({"model": "degroot", "params": {"matrix": W2},
                       "family_check": {"ratios": [1.0, 1.0], "tol": -1.0}},
-                     "family_check tol must be nonnegative", id="negative-family-check-tol"),
+                     "family_check tol must lie in [0, inf], got -1.0",
+                     id="negative-family-check-tol"),
         pytest.param({"model": "hk", "params": {"d": 0.3},
                       "family_check": {"ratios": [1.0, 1.0, 1.0]}},
                      "family_check ratios is for 3 agents, not 2",

@@ -10,12 +10,14 @@ and -1 included, is refused with a ValueError.
 
 Every real-valued setting (confidence bounds, shifts, gamma, the pair
 dynamics' bound and move fraction, a flow's horizon and step, tolerances,
-thresholds, schedule breakpoints and the CLI's bounds) gets the same guard
-for ``NOT_REAL``: a str, None, True, False, a complex number or an int
-beyond the float range is not a real number, and is refused with a
-ValueError that says so. A positive setting set to 0, -1 or NaN, and a
-nonnegative one set to -1e-300 or NaN, is refused with a ValueError that
-names the range and the value read.
+thresholds, schedule breakpoints, the CLI's bounds and an entry of a
+``lam``, ``gains`` or ``reputations`` list) gets the same guard for
+``NOT_REAL``: a str, None, True, False, a complex number or an int beyond
+the float range is not a real number, and is refused with a ValueError
+that says so. A setting with a range (``RANGES``) is refused just outside
+each finite end of its interval, at each open end and at NaN, with one
+message that names the interval and the value read, and is accepted at
+each closed end.
 
 Every array argument (opinions, prejudices, weights and matrices, gains,
 per-agent bounds and shifts, targets, reputations, trajectories, matrix
@@ -153,6 +155,7 @@ def test_a_count_or_seed_runs_or_raises_a_documented_error(case, value):
 
 
 NOT_REAL = ("0.3", None, True, False, 0.3 + 0j, 10**400)
+STOCHASTIC2 = [[0.5, 0.5], [0.5, 0.5]]
 PAIR = WeightSpec.constant("nonnegative", [[0.0, 1.0], [1.0, 0.0]])
 TRAJ = simulate_bc(lambda s: hk_step(s, HK), X0, max_steps=50)
 
@@ -197,6 +200,12 @@ REAL_CALLS = {
     ("cli", "gap_tol"): lambda v: cli._checked({}, 4, None, None, v),
     ("cli", "gap_tol beside d"): lambda v: cli._checked({"d": 0.3}, 4, None, None, v),
     ("cli", "family_check tol"): lambda v: cli._family_check(4, [1, 1, 1, 1], v),
+    ("FJSpec", "lam"): lambda v: FJSpec(lam=[0.5, v], w=STOCHASTIC2, u=[0.0, 1.0]),
+    ("truth_step", "lam"): lambda v: truth_step(X0, [0.5, 0.5, 0.5, v], [0.5], HK),
+    ("inertial_step", "lam"): lambda v: inertial_step(X0, [0.5, 0.5, 0.5, v], HK),
+    ("DegrootGossip", "gains"): lambda v: DegrootGossip([[0, 1], [1, 0]], [0.5, v]),
+    ("PhiSpec", "reputations"): lambda v: PhiSpec(hk_indicator_phi(0.3).phi,
+                                                  reputations=[1.0, v]),
 }
 
 # dt=None is the default step; the CLI passes None for a setting the model does not read
@@ -214,38 +223,79 @@ def test_a_real_argument_that_is_not_a_number_is_refused(case, value):
         REAL_CALLS[case](value)
 
 
-# (function, argument) of REAL_CALLS -> (the name its error gives, its range)
+# (function, argument) of REAL_CALLS -> (the name its error gives, its interval)
 RANGES = {
-    ("flow_simulate", "dt"): ("dt", "positive"),
-    ("clusters", "gap_tol"): ("gap_tol", "positive"),
-    ("hk_indicator_phi", "d"): ("confidence bound", "positive"),
-    ("reputation_phi", "d"): ("confidence bound", "positive"),
-    ("d_chain_partition", "d"): ("confidence bound", "positive"),
-    ("hk_energy", "d"): ("confidence bound", "positive"),
-    ("persistent_graph", "threshold"): ("threshold", "positive"),
-    ("cli", "gap_tol"): ("gap_tol", "positive"),
-    ("cli", "gap_tol beside d"): ("gap_tol", "positive"),
-    ("simulate_bc", "stop_tol"): ("stop_tol", "nonnegative"),
-    ("classify", "tol"): ("tol", "nonnegative"),
-    ("cli", "tol"): ("tol", "nonnegative"),
-    ("cli", "family_check tol"): ("family_check tol", "nonnegative"),
+    ("two_r_experiment", "d_list"): ("confidence bound d", "(0, inf)"),
+    ("bernoulli_convolution", "gamma"): ("gamma", "(0, 1)"),
+    ("ConfidenceSpec", "lo"): ("lo", "[-inf, 0)"),
+    ("ConfidenceSpec", "hi"): ("hi", "(0, inf]"),
+    ("symmetric", "d"): ("d", "(0, inf]"),
+    ("asymmetric", "d_left"): ("d_left", "(0, inf]"),
+    ("asymmetric", "d_right"): ("d_right", "(0, inf]"),
+    ("per_agent", "d_per_agent"): ("d_per_agent", "(0, inf]"),
+    ("shifted", "d"): ("d", "(0, inf]"),
+    ("norm_ball", "d"): ("d", "(0, inf]"),
+    ("DeffuantWeisbuch", "d"): ("d", "(0, inf]"),
+    ("DeffuantWeisbuch", "mu"): ("mu", "(0, 1)"),
+    ("flow_simulate", "t_end"): ("t_end", "(0, inf)"),
+    ("flow_simulate", "dt"): ("dt", "(0, inf]"),
+    ("clusters", "gap_tol"): ("gap_tol", "(0, inf]"),
+    ("hk_indicator_phi", "d"): ("confidence bound", "(0, inf]"),
+    ("reputation_phi", "d"): ("confidence bound", "(0, inf]"),
+    ("d_chain_partition", "d"): ("confidence bound", "(0, inf]"),
+    ("hk_energy", "d"): ("confidence bound", "(0, inf]"),
+    ("persistent_graph", "threshold"): ("threshold", "(0, inf]"),
+    ("verify_convergence_premises", "delta"): ("delta", "(0, 1]"),
+    ("cli", "gap_tol"): ("gap_tol", "(0, inf]"),
+    ("cli", "gap_tol beside d"): ("gap_tol", "(0, inf]"),
+    ("simulate_bc", "stop_tol"): ("stop_tol", "[0, inf]"),
+    ("classify", "tol"): ("tol", "[0, inf]"),
+    ("cli", "tol"): ("tol", "[0, inf]"),
+    ("cli", "family_check tol"): ("family_check tol", "[0, inf]"),
+    ("FJSpec", "lam"): ("lam", "[0, 1]"),
+    ("truth_step", "lam"): ("lam", "[0, 1]"),
+    ("inertial_step", "lam"): ("lam", "[0, 1]"),
+    ("DegrootGossip", "gains"): ("gains", "(0, 1)"),
+    ("PhiSpec", "reputations"): ("reputations", "(0, inf]"),
 }
-OUT_OF_RANGE = {"positive": (0.0, -1.0, math.nan), "nonnegative": (-1e-300, math.nan)}
+TINY, ABOVE_1 = 5e-324, math.nextafter(1.0, 2.0)
+# interval -> the values just outside each finite end, each open end and
+# NaN (and the earlier table's -1.0 and -1e-300)
+OUTSIDE = {
+    "(0, 1)": (-TINY, 0.0, 1.0, ABOVE_1, math.nan),
+    "[0, 1]": (-TINY, ABOVE_1, math.nan),
+    "(0, 1]": (-TINY, 0.0, ABOVE_1, math.nan),
+    "(0, inf]": (-TINY, 0.0, -1.0, math.nan),
+    "[0, inf]": (-TINY, -1e-300, math.nan),
+    "(0, inf)": (-TINY, 0.0, math.inf, math.nan),
+    "[-inf, 0)": (0.0, TINY, math.nan),
+}
+# interval -> its closed ends
+CLOSED_ENDS = {"(0, 1)": (), "[0, 1]": (0.0, 1.0), "(0, 1]": (1.0,), "(0, inf]": (math.inf,),
+               "[0, inf]": (0.0, math.inf), "(0, inf)": (), "[-inf, 0)": (-math.inf,)}
 
 
 @pytest.mark.parametrize("case, value", [
     pytest.param(case, value, id=f"{'-'.join(case)}-{value!r}")
-    for case, (_, sign) in sorted(RANGES.items()) for value in OUT_OF_RANGE[sign]
+    for case, (_, within) in sorted(RANGES.items()) for value in OUTSIDE[within]
 ])
 def test_a_real_argument_out_of_its_range_is_refused(case, value):
-    name, sign = RANGES[case]
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {sign}, got {value}')}$"):
+    name, within = RANGES[case]
+    message = f"{name} must lie in {within}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         REAL_CALLS[case](value)
+
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{'-'.join(case)}-{value!r}")
+    for case, (_, within) in sorted(RANGES.items()) for value in CLOSED_ENDS[within]
+])
+def test_a_real_argument_at_a_closed_end_of_its_range_is_accepted(case, value):
+    REAL_CALLS[case](value)
 
 
 NOT_ARRAYS = (["0.3", "1"], [1 + 2j], {"a": 1}, [None], [True, False], [10**400],
               [[0.5], [0.5, 0.5]])
-STOCHASTIC2 = [[0.5, 0.5], [0.5, 0.5]]
 
 
 def _matrix_file(v):

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -66,6 +67,8 @@ class TestWeightSpec:
         assert (const.n, const.is_constant, const.schedule) == (2, True, None)
         assert (sched.n, sched.is_constant, sched.matrix) == (2, False, None)
         assert (rule.n, rule.is_constant) == (2, False)
+        assert WeightSpec.from_rule("stochastic", lambda t, x: v, n=2.0).n == 2
+        assert WeightSpec("stochastic", matrix=w, n=2).n == 2
         assert [u for u, _ in sched.schedule] == [1.0, 3.0]
         for t, idx, mat in [(0.0, 0, w), (1.0, 1, v), (7.0, 1, v), (math.nan, 1, v)]:
             assert const.matrix_at(t) is const.matrix
@@ -90,7 +93,19 @@ class TestWeightSpec:
          "nonnegative spec has negative entries"),
         (lambda: WeightSpec("stochastic", schedule=[(1.0, np.eye(2)), (2.0, np.eye(3))]),
          "all scheduled matrices must share one size"),
-    ], ids=["unknown-kind", "rule-without-n", "negative-contact-rate", "mixed-sizes"])
+        # a str rule leaked "'str' object is not callable" at the first step
+        (lambda: WeightSpec("stochastic", rule="mean", n=2), "^rule must be a Callable, got 'mean'$"),
+        # n="2" and n=-1 were stored as given
+        (lambda: WeightSpec("stochastic", rule=lambda t, x: np.eye(2), n="2"),
+         "^n must be a whole number, got '2'$"),
+        (lambda: WeightSpec("stochastic", rule=lambda t, x: np.eye(2), n=-1),
+         "^n must be >= 1, got -1$"),
+        # an n beside a matrix or a schedule was overwritten with its size
+        (lambda: WeightSpec("stochastic", matrix=[[1.0]], n=3), "^n is for 3 agents, not 1$"),
+        (lambda: WeightSpec("stochastic", schedule=[(1.0, np.eye(2))], n=3),
+         "^n is for 3 agents, not 2$"),
+    ], ids=["unknown-kind", "rule-without-n", "negative-contact-rate", "mixed-sizes",
+            "rule-not-callable", "str-n", "negative-n", "n-beside-matrix", "n-beside-schedule"])
     def test_invalid_specs_are_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -551,7 +566,7 @@ class TestFJ:
 
     @pytest.mark.parametrize("lam", [[0.5, np.nan], [0.5, -0.5]])
     def test_nan_or_out_of_range_susceptibility_is_rejected(self, lam):
-        with pytest.raises(ValueError, match=r"susceptibilities must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=rf"^lam must lie in \[0, 1\], got {lam[1]}$"):
             FJSpec(lam=lam, w=np.full((2, 2), 0.5), u=[0.0, 1.0])
 
     def test_prejudice_length_must_match_the_matrix(self):
@@ -925,15 +940,15 @@ class TestBipartitePrediction:
 
 class TestFlowErrors:
     @pytest.mark.parametrize("t_end, dt, message", [
-        (float("nan"), None, "t_end must be positive and finite, got nan"),
-        (float("inf"), None, "t_end must be positive and finite, got inf"),
-        (0.0, None, "t_end must be positive and finite, got 0.0"),
-        (1.0, float("nan"), "dt must be positive, got nan"),
+        (float("nan"), None, "t_end must lie in (0, inf), got nan"),
+        (float("inf"), None, "t_end must lie in (0, inf), got inf"),
+        (0.0, None, "t_end must lie in (0, inf), got 0.0"),
+        (1.0, float("nan"), "dt must lie in (0, inf], got nan"),
     ])
     def test_horizon_and_step_are_checked(self, t_end, dt, message):
         a = WeightSpec.constant("nonnegative", np.array([[0.0, 1.0], [1.0, 0.0]]))
         x0 = OpinionState([0.0, 1.0])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             flow_simulate(a, x0, t_end=t_end, dt=dt)
 
     def test_each_rule_matrix_is_checked_against_the_kind(self):

@@ -200,6 +200,13 @@ class TestGauge:
         out = gauge_apply(g, delta)
         assert np.array_equal(out.weights, np.abs(g.weights))
 
+    @pytest.mark.parametrize("member", [5, -1])
+    def test_camp_members_must_be_agents_of_the_run(self, member):
+        # member 5 of n = 2 leaked an IndexError; -1 silently flipped agent 1
+        result = BalanceResult(balanced=True, camps=((0,), (member,)))
+        with pytest.raises(ValueError, match=f"^camp member {member} is not an agent 0 .. 1$"):
+            gauge_from_balance(result, 2)
+
     def test_laplacian_similarity_identity_on_random_balanced_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -316,7 +323,7 @@ class TestPersistentGraph:
 
     @pytest.mark.parametrize("threshold", [np.nan, 0.0])
     def test_threshold_must_be_positive(self, threshold):
-        with pytest.raises(ValueError, match="threshold must be positive"):
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, inf\]"):
             persistent_graph([np.ones((2, 2))], threshold=threshold)
 
     def test_constant_coupling_reaches_threshold(self):

@@ -1,8 +1,11 @@
 """Trajectory CSV codec: the batched writer against the per-row reference,
 the reader's round trip, the reader against the per-cell one it replaced
 and the messages it gives, the unsorted read of rows in written order, and
-the atomic writer's memory and file mode."""
+the atomic writer's memory and file mode, and the JSON artefact writer's
+spelling of infinities."""
 
+import json
+import math
 import os
 import random
 import re
@@ -66,6 +69,16 @@ def assert_bit_equal(loaded: Trajectory, traj: Trajectory):
     assert loaded.array.shape == traj.array.shape
     assert np.array_equal(bits(loaded.array), bits(traj.array))
     assert np.array_equal(bits(loaded.stamps), bits(traj.stamps))
+
+
+def test_json_artefacts_spell_infinities_as_the_csv_files_do():
+    payload = {"a": [math.inf, -math.inf, 1.5], "b": (0.1, {"c": -math.inf}), "d": None}
+    text = serialize.json_text(payload)
+    assert json.loads(text, parse_constant=float) == {
+        "a": ["inf", "-inf", 1.5], "b": [0.1, {"c": "-inf"}], "d": None}
+    assert text.endswith("}\n") and [fmt_float(math.inf), fmt_float(-math.inf)] == ["inf", "-inf"]
+    with pytest.raises(ValueError):
+        serialize.json_text({"a": math.nan})
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
