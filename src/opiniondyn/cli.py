@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -81,6 +82,26 @@ def _family_check(n: int, ratios, tol=1e-6) -> tuple:
     return ratios, _real("family_check tol", tol, "[0, inf]")
 
 
+def _family_fit(flat: np.ndarray, ratios: np.ndarray) -> tuple:
+    """(scale, max deviation): the least-squares multiple of ``ratios`` for
+    the opinions ``flat``, and how far they lie from it. Where ``flat @
+    ratios`` overflows, both are taken again on flat * 2**-k, with 2**k > n
+    times the largest ratio, and scaled back by 2**k, as
+    ``bounded_confidence._finite_means`` takes a mean: a state near the float
+    limit is checked without a warning, and any other keeps its bits."""
+    with np.errstate(over="ignore"):
+        dot = flat @ ratios
+    k = 0
+    if not np.isfinite(dot):
+        k = len(flat).bit_length() + max(0, math.frexp(float(np.max(np.abs(ratios))))[1])
+        flat = np.ldexp(flat, -k)
+        dot = flat @ ratios
+    scale = float(dot) / float(ratios @ ratios)
+    deviation = float(np.max(np.abs(flat - scale * ratios)))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(scale, k)), float(np.ldexp(deviation, k))
+
+
 def _checked(params: dict, n: int, tol, family_check, gap_tol) -> dict:
     """The settings the writers read, as ``_Run`` takes them, checked before
     the run so that no file is written for a bad one; None marks one the
@@ -119,9 +140,7 @@ class _Run:
                    "classification": {"kind": label.kind, "count": label.count}}
         if self.family_check is not None:
             ratios, tol = self.family_check
-            flat = final.values[:, 0]
-            scale = float(flat @ ratios) / float(ratios @ ratios)
-            deviation = float(np.max(np.abs(flat - scale * ratios)))
+            scale, deviation = _family_fit(final.values[:, 0], ratios)
             payload["family_check"] = {"ratios": ratios.tolist(), "scale": scale,
                                        "max_deviation": deviation, "passed": deviation < tol}
         return payload

@@ -20,6 +20,7 @@ from opiniondyn.serialize import (
 )
 
 W2 = [[0.5, 0.5], [0.5, 0.5]]
+TOP_MEAN = 1.6666666666666668e308  # the hk consensus of 1.7e308, 1.7e308 and 1.6e308
 
 
 
@@ -136,6 +137,24 @@ class TestRun:
         payload = json.loads((tmp_path / "classification.json").read_text())
         assert payload["family_check"]["passed"] is True
         assert payload["family_check"]["max_deviation"] < 1e-6
+
+    @pytest.mark.parametrize("ratios, scale, deviation, passed", [
+        ([1, 1, 0], TOP_MEAN, TOP_MEAN, False),
+        ([1, 1, 1], TOP_MEAN, 0.0, True),
+    ], ids=["off-the-line", "on-the-line"])
+    def test_family_check_near_the_float_limit(self, tmp_path, capsys, ratios, scale, deviation,
+                                               passed):
+        # flat @ ratios overflowed: with a zero ratio the deviation was NaN and
+        # the run exited 2, and a consensus on the line failed with an
+        # infinite scale and deviation, each after numpy warnings
+        config = {"model": "hk", "params": {"d": 1e308}, "x0": [1.7e308, 1.7e308, 1.6e308],
+                  "family_check": {"ratios": ratios}, "outputs": ["summary"]}
+        code, error = _simulate(tmp_path, capsys, config)
+        assert (code, error) == (0, None)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=_no_constant)
+        assert summary["family_check"] == {"ratios": [float(r) for r in ratios], "scale": scale,
+                                           "max_deviation": deviation, "passed": passed}
 
     def test_fj_gossip_preset_cesaro_near_fixed_point(self, tmp_path):
         config = preset_config("fj-gossip4")

@@ -149,7 +149,7 @@ def test_reader_names_the_missing_or_duplicate_row(traj, duplicate, data, tmp_pa
 
 
 def test_writer_spans_chunks():
-    # 17000 states of 4 cells: two chunks of _WRITE_CHUNK cells, the second partial
+    # 17000 states of 4 cells: five chunks of _WRITE_CHUNK cells, the last partial
     rng = np.random.default_rng(3)
     traj = Trajectory(rng.normal(size=(17000, 2, 2)), np.arange(17000) / 3.0)
     assert traj.array.size > serialize._WRITE_CHUNK
@@ -163,6 +163,69 @@ def test_writer_matches_reference_at_any_chunk(traj, chunk):
         assert trajectory_csv(traj) == reference_trajectory_csv(traj)
 
 
+# ---------------------------------------------------------------------------
+# the float kernel against "%.17g", value by value
+
+
+def kernel_text(values) -> str:
+    """The float kernel's text of each value and a newline, ``_WRITE_CHUNK``
+    values per call."""
+    values = np.asarray(values, dtype=float)
+    step = serialize._WRITE_CHUNK
+    return "".join(serialize._text(serialize._text_rows([values[lo : lo + step]], ord("\n")))
+                   for lo in range(0, values.size, step))
+
+
+def assert_kernel_is_python(values):
+    values = np.asarray(values, dtype=float).tolist()
+    got = kernel_text(values)
+    if got != "%.17g\n" * len(values) % tuple(values):
+        wrong = [(v, g) for v, g in zip(values, got.splitlines()) if g != "%.17g" % v]
+        raise AssertionError(f"{len(wrong)} values differ from %.17g, the first {wrong[:5]}")
+
+
+POWERS = np.array([float(f"1e{j}") for j in range(-323, 309)])
+
+EDGES = [5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0, math.inf, -math.inf,
+         math.nan, math.copysign(math.nan, -1.0), 1e16, 1e17, 99999999999999999.0, 0.1, 1e-4,
+         9.9999999999999995e-5, 1e-5, 123.5, -7.0]
+
+
+def exact_ties(count: int, seed: int) -> np.ndarray:
+    """Doubles in [1e15, 2**50), with k = 15 and a spacing of 1/8, whose 17th
+    digit is followed by exactly 5: N + 0.25 and N + 0.75."""
+    whole = np.random.default_rng(seed).integers(10**15, 2**50, size=count)
+    return np.concatenate([whole + 0.25, whole + 0.75, -(whole + 0.75)])
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(np.concatenate([POWERS, np.nextafter(POWERS, math.inf),
+                                 np.nextafter(POWERS, -math.inf)]), id="powers-of-ten"),
+    pytest.param(EDGES, id="edges"),
+    pytest.param(exact_ties(2000, 0), id="exact-ties"),
+    pytest.param([1.0, 2.0, 1000000000000000.25, 3.0], id="fallback-wider-than-the-rest"),
+    pytest.param([1.0, math.nan, 2.0], id="nan-among-one-digit-values"),
+])
+def test_float_kernel_is_python(values):
+    assert_kernel_is_python(values)
+
+
+def test_float_kernel_on_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    assert_kernel_is_python(rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(float))
+
+
+def test_undecided_values_take_the_fallback():
+    # with no margin the arithmetic rounds every exact tie down, so
+    # 1000000000000000.75 would read ...0.7; "%.17g" rounds it to even, ...0.8
+    ties = exact_ties(200, 1)
+    with mock.patch.object(serialize, "_TIE_MARGIN", 0.0):
+        undecided = kernel_text(ties).splitlines()
+    assert sum(g != "%.17g" % v for v, g in zip(ties.tolist(), undecided)) >= 150
+    assert_kernel_is_python(ties)
+
+
 def reference_events_csv(traj: Trajectory) -> str:
     """The per-record writer the column writer replaced; the format's oracle."""
     lines = ["step,i,j,interacted"]
@@ -172,7 +235,7 @@ def reference_events_csv(traj: Trajectory) -> str:
 
 
 EVENT_RUNS = {
-    # 20000 steps: two chunks of _WRITE_CHUNK cells at four cells a row
+    # 20000 steps: five chunks of _WRITE_CHUNK cells at four cells a row
     "dw": lambda: simulate_gossip(DeffuantWeisbuch(d=0.2, mu=0.5),
                                   OpinionState(np.linspace(0.0, 1.0, 300)), 20_000, 4, thin=7),
     "pair": lambda: simulate_gossip(SymmetricPairGossip(1.0 - np.eye(2)),
